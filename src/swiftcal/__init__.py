@@ -20,19 +20,17 @@ from .calibrate import (
     residuals,
 )
 from .heston import (
-    ChfEvaluation,
     ChfOverflowError,
     HestonParams,
     MarketContext,
     PARAM_ORDER,
     chf_cui,
-    chf_gradient,
     chf_schoutens,
     chf_with_gradient,
     cumulants,
 )
 from .quotes import QuoteFile, QuoteParseError, load_quote_file, save_quote_file
-from .reference import QuadratureConfig, gradient_cp, price_and_gradient_cp, price_cp
+from .reference import QuadratureConfig, price_and_gradient_cp, price_cp
 from .reports import ExperimentReport
 from .swift import (
     CoefficientSet,
@@ -56,17 +54,16 @@ from .swift import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "CalibrationConfig", "CalibrationResult", "ChfEvaluation",
-    "ChfOverflowError", "CoefficientSet", "CpBackend", "ExperimentReport",
-    "HestonParams", "KswiftBackend", "MarketContext", "MultiStrikePricer",
+    "CalibrationConfig", "CalibrationResult", "ChfOverflowError",
+    "CoefficientSet", "CpBackend", "ExperimentReport", "HestonParams",
+    "KswiftBackend", "MarketContext", "MultiStrikePricer",
     "NoConvergenceError", "OptionQuote", "PARAM_ORDER", "QuadratureConfig",
     "QuoteFile", "QuoteParseError", "SingularSystemError", "StopReason",
     "SwiftBackend", "SwiftParams", "build_coefficients", "calibrate",
-    "chf_cui", "chf_gradient", "chf_schoutens", "chf_with_gradient",
-    "cumulants", "density_area", "density_coefficients", "gradient_cp",
-    "lm_step", "load_quote_file", "payoff_coefficients",
-    "price_and_gradient_cp", "price_and_gradient_multi_strike",
-    "price_and_gradient_single", "price_cp", "price_multi_strike",
-    "price_single", "price_strike_grid", "residuals", "save_quote_file",
-    "select_scale", "select_truncation",
+    "chf_cui", "chf_schoutens", "chf_with_gradient", "cumulants",
+    "density_area", "density_coefficients", "lm_step", "load_quote_file",
+    "payoff_coefficients", "price_and_gradient_cp",
+    "price_and_gradient_multi_strike", "price_and_gradient_single",
+    "price_cp", "price_multi_strike", "price_single", "price_strike_grid",
+    "residuals", "save_quote_file", "select_scale", "select_truncation",
 ]

@@ -356,34 +356,3 @@ def run_converge(target_name: str, quotes: Sequence[OptionQuote],
                            "total_s": float(np.sum(trial_times))}}
     return ExperimentReport(experiment="converge", rows=[row], metadata=meta)
 
-
-def run_stress(theta: HestonParams) -> ExperimentReport:
-    """The published stress grid: wavelet scales 3 and 7 plus the quadrature
-    pricer at its per-maturity truncations (6 for the 45y rows, 200 for the
-    short rows)."""
-    from .fixtures import STRESS_CONTEXT, STRESS_MATURITIES, STRESS_STRIKES
-
-    rows = []
-    for tau in STRESS_MATURITIES:
-        u_max = 6.0 if tau > 10 else 200.0
-        qc = QuadratureConfig(u_max=u_max)
-        for strike in STRESS_STRIKES:
-            quote = OptionQuote(strike=strike, maturity=tau)
-            row = {"maturity": tau, "strike": strike, "u_max": u_max}
-            for m in (3, 7):
-                try:
-                    sp = select_truncation(theta, tau, STRESS_CONTEXT, m,
-                                           [strike], max_scale=m)
-                    p = float(price_multi_strike(theta, STRESS_CONTEXT, tau,
-                                                 [strike], sp)[0])
-                except (ArithmeticError, RuntimeError):
-                    p = float("nan")
-                row[f"swift_m{m}"] = p
-            try:
-                row["cp"] = price_cp(theta, STRESS_CONTEXT, quote, qc)
-            except ArithmeticError:
-                row["cp"] = float("nan")
-            rows.append(row)
-    meta = {"spot": STRESS_CONTEXT.spot, "rate": STRESS_CONTEXT.rate,
-            "theta": {p: getattr(theta, p) for p in PARAM_ORDER}}
-    return ExperimentReport(experiment="stress", rows=rows, metadata=meta)

@@ -21,6 +21,11 @@ form with simple parameter derivatives) and ``chf_schoutens`` (the classic
 branch-cut-free form, kept as a long-maturity fallback).  Both are continuous
 in u over the full parameter domain.
 
+The stabilized compact form is written once, in ``chf_cui_parts``; ``chf_cui``
+returns its value and ``chf_gradient_from_parts`` the gradient from its
+intermediates.  A pricer sweeping one grid passes the grid's parameter-free
+terms (``chf_grid_terms``) back in as ``grid_terms`` on every sweep.
+
 Gradient ordering: all five-component parameter gradients in this package are
 ordered (v0, v_bar, sigma, kappa, rho) -- see ``PARAM_ORDER``.  Note this is
 *not* the field order of ``HestonParams``; use ``HestonParams.as_array`` /
@@ -30,7 +35,6 @@ ordered (v0, v_bar, sigma, kappa, rho) -- see ``PARAM_ORDER``.  Note this is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -114,24 +118,17 @@ class MarketContext:
         return self.rate - self.dividend
 
 
-@dataclass
-class ChfEvaluation:
-    """Characteristic function value and (optionally) its parameter gradient.
-
-    ``gradient`` holds d fhat / d theta = h(u) * fhat(u) ordered per
-    ``PARAM_ORDER``; ``None`` when only the value was requested.
-    """
-
-    value: complex
-    gradient: Optional[np.ndarray] = None
+def chf_grid_terms(u):
+    """Parameter-free frequency terms (u, iu, u^2 - iu) shared by every form."""
+    u = np.asarray(u, dtype=np.complex128)
+    iu = 1j * u
+    return u, iu, u * u - iu
 
 
 def _core_terms(u, tau: float, theta: HestonParams):
     """Shared intermediates xi, u^2 - iu, d for both characteristic forms."""
-    u = np.asarray(u, dtype=np.complex128)
-    iu = 1j * u
+    u, iu, u2 = chf_grid_terms(u)
     xi = theta.kappa + theta.sigma * theta.rho * iu
-    u2 = u * u - iu
     d = np.sqrt(xi * xi + theta.sigma**2 * u2)
     return u, iu, xi, u2, d
 
@@ -154,34 +151,28 @@ def chf_cui(u, tau: float, theta: HestonParams, ctx: MarketContext,
     complex scalar/array.
 
     The hyperbolic terms cosh(d tau/2), sinh(d tau/2) overflow for large
-    Re(d) tau.  The default evaluation factors exp(d tau / 2) out of every
-    ratio and keeps the leading exponential in log space, which removes the
-    overflow without changing the value.  ``stabilized=False`` evaluates the
-    hyperbolics directly and is kept only so tests can demonstrate the
-    overflow; do not use it for pricing.
+    Re(d) tau.  The default evaluation is :func:`chf_cui_parts`, which
+    factors exp(d tau / 2) out of every ratio and keeps the leading
+    exponential in log space; that removes the overflow without changing the
+    value.  ``stabilized=False`` evaluates the hyperbolics directly and is
+    kept only so tests can demonstrate the overflow; do not use it for
+    pricing.
 
     Raises:
         ChfOverflowError: if the evaluation produces non-finite values.
     """
+    if stabilized:
+        out = chf_cui_parts(u, tau, theta, ctx)[0]
+        return out if out.ndim else complex(out)
+
     u, iu, xi, u2, d = _core_terms(u, tau, theta)
     sigma, kappa, v_bar, v0 = theta.sigma, theta.kappa, theta.v_bar, theta.v0
-
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if stabilized:
-            decay = np.exp(-d * tau)  # |.| <= 1 since Re(d) >= 0
-            a1 = u2 * (1.0 - decay) / 2.0                       # A1 exp(-d tau/2)
-            a2 = (d * (1.0 + decay) + xi * (1.0 - decay)) / 2.0  # v0 A2 exp(-d tau/2)
-            big_a = v0 * a1 / a2
-            # log B: the exp((kappa - d) tau / 2) factor never leaves log space
-            big_d = (np.log(d) + (kappa - d) * tau / 2.0
-                     - np.log((d + xi) / 2.0 + (d - xi) * decay / 2.0))
-        else:
-            sh = np.sinh(d * tau / 2.0)
-            ch = np.cosh(d * tau / 2.0)
-            big_a = v0 * u2 * sh / (d * ch + xi * sh)
-            big_d = (np.log(d) + (kappa - d) * tau / 2.0
-                     - np.log((d + xi) / 2.0 + (d - xi) * np.exp(-d * tau) / 2.0))
-
+        sh = np.sinh(d * tau / 2.0)
+        ch = np.cosh(d * tau / 2.0)
+        big_a = v0 * u2 * sh / (d * ch + xi * sh)
+        big_d = (np.log(d) + (kappa - d) * tau / 2.0
+                 - np.log((d + xi) / 2.0 + (d - xi) * np.exp(-d * tau) / 2.0))
         exponent = (-iu * ctx.drift * tau
                     + kappa * v_bar * theta.rho * tau * iu / sigma
                     - big_a
@@ -215,33 +206,66 @@ def chf_schoutens(u, tau: float, theta: HestonParams, ctx: MarketContext):
     return out if out.ndim else complex(out)
 
 
-def chf_cui_parts(u, tau: float, theta: HestonParams, ctx: MarketContext):
+def chf_cui_parts(u, tau: float, theta: HestonParams, ctx: MarketContext,
+                  grid_terms=None):
     """fhat(u) plus the stabilized intermediates the gradient reuses.
 
-    Returns (value, parts).  ``parts`` is an opaque tuple consumed by
-    :func:`chf_gradient_from_parts`; holding on to it lets a pricer reuse
-    the transcendental-heavy work of a price evaluation when the gradient
-    at the same parameters is requested next (the gradient assembly itself
-    is purely rational in these intermediates).
+    The one stabilized evaluation of the compact form: every exp(d tau / 2)
+    factor is cancelled and log B stays in log space.  ``grid_terms``, the
+    :func:`chf_grid_terms` of a one-dimensional ``u``, lets a caller that
+    sweeps one grid repeatedly skip recomputing them.
+
+    Returns (value, parts).  ``value`` has the shape of ``u``; ``parts`` is
+    an opaque tuple consumed by :func:`chf_gradient_from_parts`; holding on
+    to it lets a pricer reuse the transcendental-heavy work of a price
+    evaluation when the gradient at the same parameters is requested next
+    (the gradient assembly itself is purely rational in these intermediates).
+
+    Raises:
+        ChfOverflowError: if the evaluation produces non-finite values.
     """
-    u, iu, xi, u2, d = _core_terms(u, tau, theta)
-    sigma, kappa, v_bar, v0 = theta.sigma, theta.kappa, theta.v_bar, theta.v0
+    shape = np.shape(u)
+    if grid_terms is None:
+        grid_terms = chf_grid_terms(np.ravel(u))
+    u, iu, u2 = grid_terms
+    sigma, kappa, v_bar, v0, rho = (
+        theta.sigma, theta.kappa, theta.v_bar, theta.v0, theta.rho)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        decay = np.exp(-d * tau)
+        xi = iu * (sigma * rho)
+        xi += kappa
+        d = np.sqrt(xi * xi + sigma**2 * u2)
+        decay = np.exp(d * -tau)  # |.| <= 1 since Re(d) >= 0
         one_m = 1.0 - decay
-        a1 = u2 * one_m / 2.0
-        a2 = (d * (1.0 + decay) + xi * one_m) / 2.0  # v0 A2 exp(-d tau/2)
-        big_a = v0 * a1 / a2
-        big_d = (np.log(d) + (kappa - d) * tau / 2.0
-                 - np.log((d + xi) / 2.0 + (d - xi) * decay / 2.0))
-        exponent = (-iu * ctx.drift * tau
-                    + kappa * v_bar * theta.rho * tau * iu / sigma
-                    - big_a
-                    + (2.0 * kappa * v_bar / sigma**2) * big_d)
-        value = np.exp(exponent)
+        a2 = d * (1.0 + decay)
+        a2 += xi * one_m
+        a2 *= 0.5  # v0 A2 exp(-d tau/2)
+        big_a = u2 * one_m
+        big_a *= 0.5 * v0
+        big_a /= a2
+        # log B = log d - log q + (kappa - d) tau/2 keeps exp((kappa - d) tau/2)
+        # in log space.  With q = d (1 + z), z = (d - xi)(decay - 1)/(2d), and
+        # d - xi formed as sigma^2 u2 / (d + xi) where d ~ xi, z and kappa - d =
+        # -(sigma rho iu + d - xi) keep full relative precision.  The real parts
+        # of the logs combine into -log|1 + z| (no branch cut); the imaginary
+        # parts stay two arguments, so the branch is that of log d - log q.
+        dpx = d + xi
+        dmx = d - xi
+        np.divide(sigma**2 * u2, dpx, out=dmx,
+                  where=d.real * xi.real + d.imag * xi.imag >= 0.0)
+        q = 0.5 * (dpx + dmx * decay)
+        z = dmx * (decay - 1.0)
+        z /= 2.0 * d
+        big_d = (-0.5 * tau) * (iu * (sigma * rho) + dmx)
+        big_d.real -= 0.5 * np.log1p(z.real * (z.real + 2.0) + z.imag * z.imag)
+        big_d.imag += np.arctan2(d.imag, d.real)
+        big_d.imag -= np.arctan2(q.imag, q.real)
+        value = iu * (tau * (kappa * v_bar * rho / sigma - ctx.drift))
+        value -= big_a
+        value += (2.0 * kappa * v_bar / sigma**2) * big_d
+        np.exp(value, out=value)
     _check_finite(value)
-    return value, (u, iu, xi, u2, d, decay, a2, big_a, big_d)
+    return value.reshape(shape), (u, iu, xi, u2, d, decay, a2, big_a, big_d)
 
 
 def chf_gradient_from_parts(tau: float, theta: HestonParams, value, parts):
@@ -249,7 +273,9 @@ def chf_gradient_from_parts(tau: float, theta: HestonParams, value, parts):
 
     Rational in the stored intermediates: no square roots, logarithms or
     exponentials are evaluated, which is what makes reusing the price
-    evaluation's characteristic values during calibration worthwhile.
+    evaluation's characteristic values during calibration worthwhile.  The
+    divisions share three reciprocals, 1/d, 1/a2 and 1/(sigma iu), and the
+    five rows are written into one preallocated array.
 
     The h components are assembled from the closed-form partials of the
     intermediates (d, A1, A2, A, log B) with every unbounded factor
@@ -257,65 +283,69 @@ def chf_gradient_from_parts(tau: float, theta: HestonParams, value, parts):
     exactly the regimes where the stabilized value is.  At u = 0 the
     gradient is identically zero (fhat == 1 for every parameter value) and
     is returned as exact zeros.
+
+    Returns:
+        complex array of shape (5,) + value.shape, ordered per ``PARAM_ORDER``.
     """
     u, iu, xi, u2, d, decay, a2, big_a, big_d = parts
     sigma, kappa, v_bar, v0, rho = (
         theta.sigma, theta.kappa, theta.v_bar, theta.v0, theta.rho)
+    two_kvb = 2.0 * kappa * v_bar / sigma**2
 
     zero_mask = (u == 0)
+    has_zero = bool(zero_mask.any())
+    grad = np.empty((5, u.size), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if np.any(zero_mask):
+        if has_zero:
             # guard the divisions below; masked entries are zeroed at the end
             iu = np.where(zero_mask, 1j, iu)
             u2 = np.where(zero_mask, 1.0 + 0.0j, u2)
-
+        inv_d = 1.0 / d
+        inv_a2 = 1.0 / a2
+        siu = sigma * iu
+        inv_siu = 1.0 / siu
         one_p = 1.0 + decay
-        one_m = 1.0 - decay
+        w = u2 * one_p * inv_d * inv_a2  # u2 (1 + decay) / (d a2)
+        xt = 2.0 + tau * xi
 
         # Partials w.r.t. rho, all expressed as ratios against a2 so the
         # exp(d tau / 2) factors cancel:
-        #   d_drho          = xi sigma i u / d
+        #   d_drho          = xi sigma iu / d
         #   (dA2/drho)/A2   = sigma iu (2 + xi tau) c_rho / (2 d a2)
         #   (dA1/drho)/A2   = v0 iu u2 tau xi sigma (1+decay) / (4 d a2)
         # with c_rho = (xi (1+decay) + d (1-decay)) / 2.
-        d_drho = xi * sigma * iu / d
-        c_rho = (xi * one_p + d * one_m) / 2.0
-        r2_rho = sigma * iu * (2.0 + xi * tau) * c_rho / (2.0 * d * a2)
-        r1_rho = v0 * iu * u2 * tau * xi * sigma * one_p / (4.0 * d * a2)
-        dA_drho = r1_rho - big_a * r2_rho
+        d_drho = siu * xi * inv_d
+        r2_rho = (0.25 * siu * xt * (xi * one_p + d * (1.0 - decay))
+                  * inv_d * inv_a2)
+        dA_drho = (0.25 * v0 * tau) * siu * xi * w - big_a * r2_rho
 
-        # Partials w.r.t. sigma (same ratio treatment).
-        d_dsigma = (rho / sigma) * d_drho + sigma * u2 / d
-        r1_sigma = v0 * u2 * tau * d_dsigma * one_p / (4.0 * a2)
-        r2_sigma = ((rho / sigma) * r2_rho
-                    + (2.0 + tau * xi) / (v0 * tau * xi * iu) * r1_rho
-                    + sigma * tau * big_a / (2.0 * v0))
-        dA_dsigma = r1_sigma - big_a * r2_sigma
+        # Partials w.r.t. sigma (same ratio treatment); the cross term
+        # (2 + xi tau) / (v0 tau xi iu) * (dA1/drho)/A2 is sigma (2 + xi tau) w / 4.
+        d_dsigma = (rho / sigma) * d_drho + sigma * u2 * inv_d
+        r2_sigma = ((rho / sigma) * r2_rho + (0.25 * sigma) * xt * w
+                    + (sigma * tau / (2.0 * v0)) * big_a)
+        dA_dsigma = ((0.25 * v0 * tau) * u2 * one_p * d_dsigma * inv_a2
+                     - big_a * r2_sigma)
 
-        two_kvb = 2.0 * kappa * v_bar / sigma**2
-
-        h_v0 = -big_a / v0
-        h_vbar = two_kvb / v_bar * big_d + kappa * rho * tau * iu / sigma
-        h_rho = (kappa * v_bar * tau * iu / sigma
-                 - dA_drho
-                 + two_kvb / d * (d_drho - d * r2_rho))
+        grad[0] = (-1.0 / v0) * big_a
+        grad[1] = (two_kvb / v_bar) * big_d + (kappa * rho * tau / sigma) * iu
+        grad[2] = ((-kappa * v_bar * rho * tau / sigma**2) * iu - dA_dsigma
+                   - (2.0 * two_kvb / sigma) * big_d
+                   + two_kvb * (d_dsigma * inv_d - r2_sigma))
         # d/dkappa acts through xi (1/(sigma iu) times the rho-derivative)
         # plus the explicit exp(kappa tau / 2) factor inside log B.
-        h_kappa = (v_bar * rho * tau * iu / sigma
-                   - dA_drho / (sigma * iu)
+        grad[3] = ((v_bar * rho * tau / sigma) * iu
+                   - (dA_drho + two_kvb * r2_rho) * inv_siu
                    + (2.0 * v_bar / sigma**2) * big_d
-                   + two_kvb * (xi / (d * d) - r2_rho / (sigma * iu) + tau / 2.0))
-        h_sigma = (-kappa * v_bar * rho * tau * iu / sigma**2
-                   - dA_dsigma
-                   - 2.0 * two_kvb / sigma * big_d
-                   + two_kvb / d * (d_dsigma - d * r2_sigma))
-
-        grad = np.stack([h_v0, h_vbar, h_sigma, h_kappa, h_rho]) * value
-        if np.any(zero_mask):
-            grad = np.where(zero_mask[None, ...], 0.0 + 0.0j, grad)
+                   + two_kvb * (xi * inv_d * inv_d + 0.5 * tau))
+        grad[4] = ((kappa * v_bar * tau / sigma) * iu - dA_drho
+                   + two_kvb * (d_drho * inv_d - r2_rho))
+        grad *= np.ravel(value)
+        if has_zero:
+            grad[:, zero_mask] = 0.0
 
     _check_finite(grad)
-    return grad
+    return grad.reshape((5,) + np.shape(value))
 
 
 def chf_with_gradient(u, tau: float, theta: HestonParams, ctx: MarketContext):
@@ -325,18 +355,8 @@ def chf_with_gradient(u, tau: float, theta: HestonParams, ctx: MarketContext):
         (value, gradient): ``value`` with the shape of ``u``; ``gradient``
         with shape (5,) + u.shape, ordered per ``PARAM_ORDER``.
     """
-    value, parts = chf_cui_parts(np.asarray(u, dtype=np.complex128),
-                                 tau, theta, ctx)
+    value, parts = chf_cui_parts(u, tau, theta, ctx)
     return value, chf_gradient_from_parts(tau, theta, value, parts)
-
-
-def chf_gradient(u, tau: float, theta: HestonParams,
-                 ctx: MarketContext) -> ChfEvaluation:
-    """Scalar convenience wrapper around :func:`chf_with_gradient`."""
-    value, grad = chf_with_gradient(u, tau, theta, ctx)
-    if np.ndim(value):
-        return ChfEvaluation(value=value, gradient=grad)
-    return ChfEvaluation(value=complex(value), gradient=grad.reshape(5))
 
 
 def cumulants(theta: HestonParams, tau: float, ctx: MarketContext):

@@ -135,9 +135,3 @@ def price_and_gradient_cp(theta: HestonParams, ctx: MarketContext, quote,
         call = call - ctx.spot * np.exp(-ctx.dividend * tau) + strike * disc
     return call, gradient
 
-
-def gradient_cp(theta: HestonParams, ctx: MarketContext, quote,
-                qc: QuadratureConfig = QuadratureConfig(),
-                form: str = "cui") -> np.ndarray:
-    """Parameter gradient of :func:`price_cp`, ordered per ``PARAM_ORDER``."""
-    return price_and_gradient_cp(theta, ctx, quote, qc, form)[1]

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-EXPERIMENTS = ("stress", "speed", "converge", "price", "calibrate", "generate")
+EXPERIMENTS = ("speed", "converge", "price", "calibrate", "generate")
 
 
 @dataclass

@@ -40,6 +40,7 @@ from .heston import (
     chf_cui,
     chf_cui_parts,
     chf_gradient_from_parts,
+    chf_grid_terms,
     chf_with_gradient,
     cumulants,
 )
@@ -150,17 +151,22 @@ class CoefficientSet:
     f_cached: np.ndarray
 
 
-def _cosine_transform(values: np.ndarray, j_count: int, k_vals: np.ndarray) -> np.ndarray:
-    """sum_{j=1}^{J} values[j-1] e^{i pi (2j-1) k / (2J)} for each k, by one FFT.
-
-    Zero-extends values to length 2J; the sum is 2J times an inverse DFT with
-    an e^{-i pi k/(2J)} twiddle.  The twiddle uses the true (possibly
-    negative) k while the spectrum index wraps mod 2J.
-    """
+def _cosine_spectrum(values: np.ndarray, j_count: int) -> np.ndarray:
+    """2J times the inverse DFT of values zero-extended to length 2J."""
     two_j = 2 * j_count
     buf = np.zeros(two_j, dtype=np.complex128)
     buf[1:j_count + 1] = values
-    spectrum = np.fft.ifft(buf) * two_j
+    return np.fft.ifft(buf) * two_j
+
+
+def _cosine_at(spectrum: np.ndarray, k_vals: np.ndarray) -> np.ndarray:
+    """sum_{j=1}^{J} values[j-1] e^{i pi (2j-1) k / (2J)} for each k.
+
+    Read from the :func:`_cosine_spectrum` of values: the twiddle
+    e^{-i pi k/(2J)} uses the true (possibly negative) k while the spectrum
+    index wraps mod 2J.
+    """
+    two_j = spectrum.size
     return np.exp(-1j * np.pi * k_vals / two_j) * spectrum[np.mod(k_vals, two_j)]
 
 
@@ -223,6 +229,10 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
     deliberately strict: a mass defect of 1e-6 beyond a far right edge can
     already cost ~1e-5 in price.
 
+    Growth steps often keep the grid (m, J_d), which alone fixes the chf
+    sweep and the density spectra at x_min and x_max: each is computed once
+    per grid and re-read at every step's wavelet indices.
+
     Raises:
         NoConvergenceError: the mass check still fails at the scale cap.
     """
@@ -234,7 +244,7 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
     x = np.log(ctx.spot / strikes)
     x_min, x_max = float(x.min()), float(x.max())
 
-    sweeps = {}  # (m, J) -> (omega, f_vals): growth steps often share a grid
+    sweeps = {}  # (m, J) -> (omega, f_vals, {x: density spectrum})
     for m_try in range(m, max_scale + 1):
         c = c0
         for _ in range(12):
@@ -249,10 +259,16 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
             key = (m_try, sp.j_density)
             if key not in sweeps:
                 omega = sp.density_freqs()
-                sweeps[key] = (omega, chf_cui(omega, tau, theta, ctx))
-            omega, f_vals = sweeps[key]
-            if all(abs(density_area(_density_from_chf(f_vals, omega, xc, sp), sp) - 1.0)
-                   <= area_tol for xc in (x_min, x_max)):
+                sweeps[key] = (omega, chf_cui(omega, tau, theta, ctx), {})
+            omega, f_vals, spectra = sweeps[key]
+            for xc in (x_min, x_max):
+                if xc not in spectra:
+                    spectra[xc] = _cosine_spectrum(f_vals * np.exp(-1j * omega * xc),
+                                                   sp.j_density)
+                density = _density_at(spectra[xc], sp)
+                if abs(density_area(density, sp) - 1.0) > area_tol:
+                    break
+            else:
                 return sp
             c *= 1.25
     raise NoConvergenceError(
@@ -260,11 +276,9 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
         f"(tau={tau}, strikes in [{strikes.min():.4g}, {strikes.max():.4g}])")
 
 
-def _density_from_chf(f_vals: np.ndarray, omega: np.ndarray, x: float,
-                      sp: SwiftParams) -> np.ndarray:
-    values = f_vals * np.exp(-1j * omega * x)
-    coeff = _cosine_transform(values, sp.j_density, sp.k_range)
-    return 2.0**(sp.m / 2.0) / sp.j_density * coeff.real
+def _density_at(spectrum: np.ndarray, sp: SwiftParams) -> np.ndarray:
+    """D_{m,k}, k = 1-eta..eta, from the cosine spectrum of fhat e^{-i omega x}."""
+    return 2.0**(sp.m / 2.0) / sp.j_density * _cosine_at(spectrum, sp.k_range).real
 
 
 def density_coefficients(theta: HestonParams, tau: float, ctx: MarketContext,
@@ -274,16 +288,15 @@ def density_coefficients(theta: HestonParams, tau: float, ctx: MarketContext,
     D_{m,k}(x) = (2^{m/2}/J_d) sum_j Re( fhat(u_j 2^m) e^{-i u_j 2^m x} e^{i k u_j} ).
     """
     omega = sp.density_freqs()
-    return _density_from_chf(chf_cui(omega, tau, theta, ctx), omega, x, sp)
+    values = chf_cui(omega, tau, theta, ctx) * np.exp(-1j * omega * x)
+    return _density_at(_cosine_spectrum(values, sp.j_density), sp)
 
 
 def _payoff_transform(sp: SwiftParams, omega: np.ndarray) -> np.ndarray:
     """integral over [0, x_high] of (e^y - 1) e^{-i omega y} dy, closed form."""
     iw = 1j * omega
-    upper = (np.exp((1.0 - iw) * sp.x_high) / (1.0 - iw)
-             + np.exp(-iw * sp.x_high) / iw)
-    lower = 1.0 / (1.0 - iw) + 1.0 / iw
-    return upper - lower
+    phase = np.exp(-iw * sp.x_high)
+    return (np.exp(sp.x_high) * phase - 1.0) / (1.0 - iw) + (phase - 1.0) / iw
 
 
 def payoff_coefficients(sp: SwiftParams, kind: str = "call") -> np.ndarray:
@@ -300,7 +313,7 @@ def payoff_coefficients(sp: SwiftParams, kind: str = "call") -> np.ndarray:
     if sp.x_high == 0.0:
         return np.zeros(2 * sp.eta)
     values = _payoff_transform(sp, sp.payoff_freqs())
-    coeff = _cosine_transform(values, sp.j_payoff, sp.k_range)
+    coeff = _cosine_at(_cosine_spectrum(values, sp.j_payoff), sp.k_range)
     return 2.0**(sp.m / 2.0) / sp.j_payoff * coeff.real
 
 
@@ -372,12 +385,13 @@ def price_and_gradient_single(theta: HestonParams, ctx: MarketContext,
     pref = 2.0**(sp.m / 2.0) / sp.j_density
     k_vals = sp.k_range
 
-    density = pref * _cosine_transform(value * shift, sp.j_density, k_vals).real
+    density = pref * _cosine_at(_cosine_spectrum(value * shift, sp.j_density), k_vals).real
     payoff = payoff_coefficients(sp)
     scale = quote.strike * math.exp(-ctx.rate * tau)
     price = scale * float(density @ payoff)
     jac = np.array([
-        scale * float((pref * _cosine_transform(grad[i] * shift, sp.j_density, k_vals).real) @ payoff)
+        scale * float((pref * _cosine_at(_cosine_spectrum(grad[i] * shift, sp.j_density),
+                                         k_vals).real) @ payoff)
         for i in range(5)
     ])
     if quote.kind == "put":
@@ -389,45 +403,18 @@ def price_multi_strike(theta: HestonParams, ctx: MarketContext, tau: float,
                        strikes, sp: SwiftParams) -> np.ndarray:
     """Call prices for many strikes of one maturity, sharing F_j and U-tilde.
 
-    The characteristic function is evaluated once on the J_d frequency grid;
-    each strike only contributes its phase vector e^{-i u_j 2^m x}.
+    One-shot use of :class:`MultiStrikePricer`.
     """
-    strikes = np.asarray(strikes, dtype=float)
-    payoff = payoff_coefficients(sp)
-    ut = _u_tilde(payoff, sp)
-    omega = sp.density_freqs()
-    f_vals = chf_cui(omega, tau, theta, ctx)
-    x = np.log(ctx.spot / strikes)
-    phases = np.exp(-1j * np.outer(x, omega))
-    pref = 2.0**(sp.m / 2.0) / sp.j_density
-    disc = math.exp(-ctx.rate * tau)
-    return strikes * disc * pref * (phases @ (f_vals * ut)).real
+    return MultiStrikePricer(ctx, tau, strikes, sp).prices(theta)
 
 
 def price_and_gradient_multi_strike(theta: HestonParams, ctx: MarketContext,
                                     tau: float, strikes, sp: SwiftParams):
     """Prices and the n x 5 Jacobian in one shared-factor pass.
 
-    The Jacobian reuses U-tilde, the phase matrix and the characteristic
-    values: each parameter partial only swaps fhat for h_i * fhat inside the
-    same reformulated sum, so the marginal cost over a price-only call is a
-    wider matrix product.
+    One-shot use of :meth:`MultiStrikePricer.prices_and_jacobian`.
     """
-    strikes = np.asarray(strikes, dtype=float)
-    payoff = payoff_coefficients(sp)
-    ut = _u_tilde(payoff, sp)
-    omega = sp.density_freqs()
-    value, grad = chf_with_gradient(omega, tau, theta, ctx)
-    x = np.log(ctx.spot / strikes)
-    phases = np.exp(-1j * np.outer(x, omega))
-
-    cols = np.empty((sp.j_density, 6), dtype=np.complex128)
-    cols[:, 0] = value * ut
-    cols[:, 1:] = (grad * ut).T
-    out = (phases @ cols).real
-
-    scale = strikes * math.exp(-ctx.rate * tau) * (2.0**(sp.m / 2.0) / sp.j_density)
-    return scale * out[:, 0], scale[:, None] * out[:, 1:]
+    return MultiStrikePricer(ctx, tau, strikes, sp).prices_and_jacobian(theta)
 
 
 def price_strike_grid(theta: HestonParams, ctx: MarketContext, tau: float,
@@ -463,15 +450,27 @@ def price_strike_grid(theta: HestonParams, ctx: MarketContext, tau: float,
 
 
 class MultiStrikePricer:
-    """Reusable multi-strike evaluator for one maturity.
+    """Multi-strike evaluator for one maturity; the package's multi-strike kernel.
 
-    Freezes the discretization and precomputes everything theta-independent
-    (payoff spectrum, phase matrix, frequency grid) so repeated evaluation --
-    the inner loop of calibration -- only costs one characteristic function
-    sweep plus a matrix product.  The characteristic intermediates of the
-    last evaluation are kept so that a gradient request at the same
-    parameters (the usual accept-then-linearize pattern of a least-squares
-    driver) reuses them instead of re-evaluating the transcendentals.
+    The call price at strike K_s, x_s = ln(S0/K_s), is
+
+        K_s e^{-r tau} (2^{m/2}/J_d) Re sum_j e^{-i x_s omega_j} F_j U-tilde_j
+
+    with F_j = fhat(omega_j) and U-tilde the payoff spectrum: one
+    characteristic sweep serves every strike, and the Jacobian swaps F_j for
+    the partials h_i F_j, a six-column instead of a one-column product.
+
+    Construction freezes the discretization and precomputes everything
+    theta-independent: U-tilde, the grid terms of the characteristic
+    function (``grid_terms`` of :func:`~swiftcal.heston.chf_cui_parts`) and
+    the n x J_d phase matrix.  That matrix comes from two small tables:
+    omega_j = omega_1 + (j - 1) delta is an arithmetic progression, so with
+    j - 1 = a B + b (B = 64) each entry is e^{-i x (omega_1 + a B delta)}
+    times e^{-i x b delta}, n (J_d/B + B) complex exponentials instead of
+    n J_d.  Repeated evaluation -- the inner loop of calibration -- costs one
+    characteristic sweep plus a matrix product, and the intermediates of the
+    last sweep are kept so that a gradient request at the same parameters
+    (accept, then linearize) reuses them.
     """
 
     def __init__(self, ctx: MarketContext, tau: float, strikes, sp: SwiftParams):
@@ -481,9 +480,14 @@ class MultiStrikePricer:
         self.sp = sp
         self.payoff = payoff_coefficients(sp)
         self.u_tilde = _u_tilde(self.payoff, sp)
-        self.omega = sp.density_freqs().astype(np.complex128)
+        self.omega = sp.density_freqs()
+        self._grid_terms = chf_grid_terms(self.omega)
         x = np.log(ctx.spot / self.strikes)
-        self.phases = np.exp(-1j * np.outer(x, self.omega))
+        j_d, b = sp.j_density, min(64, sp.j_density)
+        delta = np.pi * 2.0**sp.m / j_d
+        coarse = np.exp(-1j * np.outer(x, delta / 2.0 + delta * b * np.arange(j_d // b)))
+        fine = np.exp(-1j * np.outer(x, delta * np.arange(b)))
+        self.phases = (coarse[:, :, None] * fine[:, None, :]).reshape(len(x), j_d)
         self._scale = (self.strikes * math.exp(-ctx.rate * self.tau)
                        * 2.0**(sp.m / 2.0) / sp.j_density)
         self._cache_key = None
@@ -492,7 +496,8 @@ class MultiStrikePricer:
     def _chf_parts(self, theta: HestonParams):
         key = theta.as_array().tobytes()
         if key != self._cache_key:
-            self._cache = chf_cui_parts(self.omega, self.tau, theta, self.ctx)
+            self._cache = chf_cui_parts(self.omega, self.tau, theta, self.ctx,
+                                        self._grid_terms)
             self._cache_key = key
         return self._cache
 
@@ -503,8 +508,8 @@ class MultiStrikePricer:
     def prices_and_jacobian(self, theta: HestonParams):
         value, parts = self._chf_parts(theta)
         grad = chf_gradient_from_parts(self.tau, theta, value, parts)
-        cols = np.empty((self.sp.j_density, 6), dtype=np.complex128)
-        cols[:, 0] = value * self.u_tilde
-        cols[:, 1:] = (grad * self.u_tilde).T
-        out = (self.phases @ cols).real
+        cols = np.empty((6, self.sp.j_density), dtype=np.complex128)
+        np.multiply(value, self.u_tilde, out=cols[0])
+        np.multiply(grad, self.u_tilde, out=cols[1:])
+        out = (self.phases @ cols.T).real
         return self._scale * out[:, 0], self._scale[:, None] * out[:, 1:]

@@ -13,10 +13,15 @@ from swiftcal import (
     HestonParams,
     MarketContext,
     chf_cui,
-    chf_gradient,
     chf_schoutens,
     chf_with_gradient,
     cumulants,
+)
+from swiftcal.fixtures import PARAM_SETS
+from swiftcal.heston import (
+    chf_cui_parts,
+    chf_gradient_from_parts,
+    chf_grid_terms,
 )
 
 from conftest import five_point_grad
@@ -99,9 +104,9 @@ def test_naive_and_stabilized_agree_when_finite(theta1, ctx):
 
 
 def test_gradient_zero_at_zero_frequency(theta1, ctx):
-    ev = chf_gradient(0.0, 1.0, theta1, ctx)
-    assert ev.value == 1.0 + 0.0j
-    assert np.all(ev.gradient == 0.0)
+    value, grad = chf_with_gradient(0.0, 1.0, theta1, ctx)
+    assert value == 1.0 + 0.0j
+    assert grad.shape == (5,) and np.all(grad == 0.0)
     # and mixed arrays keep exact zeros in the right slot
     value, grad = chf_with_gradient(np.array([0.0, 1.0]), 1.0, theta1, ctx)
     assert value[0] == 1.0 + 0.0j
@@ -146,6 +151,62 @@ def test_gradient_randomized_grid(ctx):
             rel = abs(grad[i, 0] - fd) / max(abs(fd), 1e-14)
             worst = max(worst, rel)
     assert worst < 1e-6
+
+    # the largest grid a set2 fit to fx sweeps: m = 9, J_d = 16384.  Here
+    # |h_i| runs from 1e-6 near u = 0 to 1e3 at the tail, so the error is
+    # taken relative to max(|fd|, |fhat|): the log-derivative h_i to 1e-6
+    # relative, or 1e-6 absolute where it is below one (the stencil's own
+    # roundoff near u = 0)
+    fx, tau, m, j_d = PARAM_SETS["fx"], 0.595238095238095, 9, 16384
+    u = np.pi * (2 * np.arange(1, j_d + 1) - 1) / (2 * j_d) * 2.0**m
+    value, grad = chf_with_gradient(u, tau, fx, ctx)
+    keep = np.abs(value) >= 1e-10
+    assert keep.sum() > 10000
+    for i in range(5):
+        fd = five_point_grad(
+            lambda v: chf_cui(u[keep], tau, HestonParams.from_array(v), ctx),
+            fx.as_array(), i, rel_step=1e-5)
+        err = np.abs(grad[i, keep] - fd) / np.maximum(np.abs(fd), np.abs(value[keep]))
+        assert err.max() < 1e-6, (i, err.max())
+
+
+def test_log_b_matches_two_log_form(ctx):
+    # log B is evaluated as -log|1 + z| plus two separate arguments; it must
+    # agree with log d - log q + (kappa - d) tau/2 taken literally, branch
+    # included, on real and complex frequencies (u + 2i, u < 0, puts q in
+    # the left half-plane for some parameter sets)
+    rng = np.random.default_rng(5)
+    worst, left = 0.0, 0
+    for _ in range(300):
+        th = HestonParams(kappa=rng.uniform(0.05, 5.0), v_bar=rng.uniform(0.01, 0.5),
+                          sigma=rng.uniform(0.01, 2.0), rho=rng.uniform(-0.99, 0.99),
+                          v0=rng.uniform(0.01, 0.5))
+        tau = rng.choice([0.04, 0.5, 2.0, 10.0, 45.0])
+        u = rng.uniform(0.0, 300.0, 40)
+        u = np.concatenate([u, -u + 1j, rng.uniform(-300.0, 300.0, 40) + 2j])
+        try:
+            _, (_, _, xi, _, d, decay, _, _, big_d) = chf_cui_parts(u, tau, th, ctx)
+        except ChfOverflowError:
+            continue
+        q = (d + xi) / 2.0 + (d - xi) * decay / 2.0
+        direct = np.log(d) + (th.kappa - d) * tau / 2.0 - np.log(q)
+        worst = max(worst, np.max(np.abs(big_d - direct) / np.maximum(np.abs(direct), 1.0)))
+        left += int(np.sum(q.real < 0.0))
+    assert left > 0
+    assert worst < 1e-12
+
+
+def test_chf_parts_with_grid_terms_bitwise(ctx):
+    u = np.linspace(0.0, 300.0, 1001)
+    grid = chf_grid_terms(u)
+    for name in ("theta1", "fx", "eq"):
+        th = PARAM_SETS[name]
+        value, parts = chf_cui_parts(u, 1.3, th, ctx)
+        value_g, parts_g = chf_cui_parts(u, 1.3, th, ctx, grid)
+        assert np.array_equal(value, value_g)
+        assert all(np.array_equal(a, b) for a, b in zip(parts, parts_g))
+        assert np.array_equal(chf_gradient_from_parts(1.3, th, value, parts),
+                              chf_gradient_from_parts(1.3, th, value_g, parts_g))
 
 
 def test_continuity_in_u_long_maturity(stress_theta, ctx):

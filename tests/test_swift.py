@@ -29,7 +29,8 @@ from swiftcal import (
     select_truncation,
 )
 from swiftcal.reference import QuadratureConfig, price_cp
-from swiftcal.swift import _payoff_transform
+from swiftcal.fixtures import set1_quotes, set2_quotes
+from swiftcal.swift import MultiStrikePricer, _payoff_transform
 
 from conftest import price_jacobian_fd
 
@@ -330,6 +331,18 @@ def test_single_quote_gradient_matches_multi(theta2, ctx):
         p, g = price_and_gradient_single(theta2, ctx, OptionQuote(strike, 0.5), sp)
         assert abs(p - prices[i]) < 1e-12
         assert np.max(np.abs(g - jac[i])) < 1e-12
+
+
+def test_phase_matrix_two_tables_match_direct_exponentials(ctx):
+    sp = SwiftParams(m=9, eta=4096, j_density=16384, j_payoff=16384, c=1.0,
+                     x_low=-8.0, x_high=8.0)
+    omega = sp.density_freqs()
+    for quotes in (set1_quotes(), set2_quotes()):
+        strikes = np.array([q.strike for q in quotes])
+        pricer = MultiStrikePricer(ctx, 1.0, strikes, sp)
+        x = np.log(ctx.spot / strikes)
+        direct = np.exp(-1j * np.outer(x, omega))
+        assert np.max(np.abs(pricer.phases - direct)) < 1e-12
 
 
 def test_correlation_gradient_vanishes_without_vol_of_vol(ctx):
