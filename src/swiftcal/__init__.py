@@ -33,12 +33,10 @@ from .quotes import QuoteFile, QuoteParseError, load_quote_file, save_quote_file
 from .reference import QuadratureConfig, price_and_gradient_cp, price_cp
 from .reports import ExperimentReport
 from .swift import (
-    CoefficientSet,
     MultiStrikePricer,
     NoConvergenceError,
     OptionQuote,
     SwiftParams,
-    build_coefficients,
     density_area,
     density_coefficients,
     payoff_coefficients,
@@ -55,11 +53,11 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CalibrationConfig", "CalibrationResult", "ChfOverflowError",
-    "CoefficientSet", "CpBackend", "ExperimentReport", "HestonParams",
+    "CpBackend", "ExperimentReport", "HestonParams",
     "KswiftBackend", "MarketContext", "MultiStrikePricer",
     "NoConvergenceError", "OptionQuote", "PARAM_ORDER", "QuadratureConfig",
     "QuoteFile", "QuoteParseError", "SingularSystemError", "StopReason",
-    "SwiftBackend", "SwiftParams", "build_coefficients", "calibrate",
+    "SwiftBackend", "SwiftParams", "calibrate",
     "chf_cui", "chf_schoutens", "chf_with_gradient", "cumulants",
     "density_area", "density_coefficients", "lm_step", "load_quote_file",
     "payoff_coefficients", "price_and_gradient_cp",

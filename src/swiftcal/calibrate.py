@@ -40,7 +40,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +49,9 @@ from .reference import QuadratureConfig, price_and_gradient_cp
 from .swift import (
     MultiStrikePricer,
     OptionQuote,
+    group_by_maturity,
     price_and_gradient_single,
+    put_offsets,
     select_scale,
     select_truncation,
 )
@@ -126,22 +128,15 @@ class CalibrationResult:
         return self.stop_reason is StopReason.RESIDUAL_TOL
 
 
-def _group_by_maturity(quotes: Sequence[OptionQuote]):
-    """Maturity groups as (tau, quote_indices) preserving quote order."""
-    groups: dict = {}
-    for i, q in enumerate(quotes):
-        groups.setdefault(q.maturity, []).append(i)
-    return [(tau, idx) for tau, idx in groups.items()]
-
-
-def _parity_offsets(quotes: Sequence[OptionQuote], ctx: MarketContext) -> np.ndarray:
-    """Additive call->put corrections (zero for calls); theta-independent."""
-    out = np.zeros(len(quotes))
-    for i, q in enumerate(quotes):
-        if q.kind == "put":
-            out[i] = q.strike * np.exp(-ctx.rate * q.maturity) \
-                - ctx.spot * np.exp(-ctx.dividend * q.maturity)
-    return out
+def _selected_groups(quotes: Sequence[OptionQuote], ctx: MarketContext,
+                     theta_ref: HestonParams, scale_tol: float, L: float,
+                     groups: Iterable[Tuple[float, List[int]]]):
+    """Yield (tau, quote indices, strikes, SwiftParams) per maturity group,
+    the discretization selected at theta_ref."""
+    for tau, idx in groups:
+        strikes = [quotes[i].strike for i in idx]
+        m = select_scale(theta_ref, tau, ctx, scale_tol)
+        yield tau, idx, strikes, select_truncation(theta_ref, tau, ctx, m, strikes, L=L)
 
 
 class KswiftBackend:
@@ -171,15 +166,12 @@ class KswiftBackend:
         if split_groups:
             groups = [(q.maturity, [i]) for i, q in enumerate(self.quotes)]
         else:
-            groups = _group_by_maturity(self.quotes)
-        self._pricers = []
-        for tau, idx in groups:
-            strikes = [self.quotes[i].strike for i in idx]
-            m = select_scale(theta_ref, tau, ctx, scale_tol)
-            sp = select_truncation(theta_ref, tau, ctx, m, strikes, L=L)
-            self._pricers.append((MultiStrikePricer(ctx, tau, strikes, sp),
-                                  np.asarray(idx)))
-        self._parity = _parity_offsets(self.quotes, ctx)
+            groups = group_by_maturity(self.quotes).items()
+        self._pricers = [
+            (MultiStrikePricer(ctx, tau, strikes, sp), np.asarray(idx))
+            for tau, idx, strikes, sp in _selected_groups(
+                self.quotes, ctx, theta_ref, scale_tol, L, groups)]
+        self._put_offsets = put_offsets(self.quotes, ctx)
 
     @property
     def swift_params(self):
@@ -191,7 +183,7 @@ class KswiftBackend:
         for pricer, idx in self._pricers:
             out[idx] = pricer.prices(theta)
             self.group_eval_count += 1
-        return out + self._parity
+        return out + self._put_offsets
 
     def prices_and_jacobian(self, theta: HestonParams):
         prices = np.empty(len(self.quotes))
@@ -201,7 +193,7 @@ class KswiftBackend:
             prices[idx] = p
             jac[idx] = j
             self.group_eval_count += 1
-        return prices + self._parity, jac
+        return prices + self._put_offsets, jac
 
 
 class SwiftBackend:
@@ -220,17 +212,13 @@ class SwiftBackend:
         self.ctx = ctx
         self.quotes = list(quotes)
         self._sp = [None] * len(self.quotes)
-        for tau, idx in _group_by_maturity(self.quotes):
-            strikes = [self.quotes[i].strike for i in idx]
-            m = select_scale(theta_ref, tau, ctx, scale_tol)
-            sp = select_truncation(theta_ref, tau, ctx, m, strikes, L=L)
+        for _, idx, _, sp in _selected_groups(self.quotes, ctx, theta_ref, scale_tol,
+                                              L, group_by_maturity(self.quotes).items()):
             for i in idx:
                 self._sp[i] = sp
 
     def prices(self, theta: HestonParams) -> np.ndarray:
-        return np.array([
-            price_and_gradient_single(theta, self.ctx, q, sp)[0]
-            for q, sp in zip(self.quotes, self._sp)])
+        return self.prices_and_jacobian(theta)[0]
 
     def prices_and_jacobian(self, theta: HestonParams):
         rows = [price_and_gradient_single(theta, self.ctx, q, sp)
@@ -251,25 +239,12 @@ class CpBackend:
         self.form = form
 
     def prices(self, theta: HestonParams) -> np.ndarray:
-        return np.array([
-            price_and_gradient_cp(theta, self.ctx, q, self.qc, self.form)[0]
-            for q in self.quotes])
+        return self.prices_and_jacobian(theta)[0]
 
     def prices_and_jacobian(self, theta: HestonParams):
         rows = [price_and_gradient_cp(theta, self.ctx, q, self.qc, self.form)
                 for q in self.quotes]
         return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
-
-
-def make_backend(name: str, quotes, ctx, theta_ref, **kwargs):
-    """Backend factory for the harness: swift | kswift | cp."""
-    if name == "kswift":
-        return KswiftBackend(quotes, ctx, theta_ref, **kwargs)
-    if name == "swift":
-        return SwiftBackend(quotes, ctx, theta_ref, **kwargs)
-    if name == "cp":
-        return CpBackend(quotes, ctx, **kwargs)
-    raise ValueError(f"unknown backend {name!r}; expected swift, kswift or cp")
 
 
 def residuals(theta: HestonParams, quotes: Sequence[OptionQuote],

@@ -198,8 +198,8 @@ def _add_pricing_flags(p, with_swift=True):
         p.add_argument("--m", type=int, help="pin the wavelet scale")
         p.add_argument("--eta", type=int, help="manual series half-width")
         p.add_argument("--j", type=int, help="manual J (density and payoff)")
-        p.add_argument("--L", type=float, default=10.0,
-                       help="truncation-width multiplier (default 10)")
+    p.add_argument("--L", type=float, default=10.0,
+                   help="truncation-width multiplier (default 10)")
     p.add_argument("--u-max", dest="u_max", type=float,
                    help="quadrature truncation ubar (default 200)")
     p.add_argument("--chf-form", dest="chf_form", choices=("cui", "schoutens"),
@@ -245,14 +245,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pricing_flags(p)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("calibrate", help="fit the five parameters to quotes")
+    # no abbreviations: a dropped --m would otherwise parse as --max-iter
+    p = sub.add_parser("calibrate", help="fit the five parameters to quotes",
+                       allow_abbrev=False)
     p.add_argument("--backend", choices=("swift", "kswift", "cp"),
                    default="kswift")
     p.add_argument("--quotes", required=True)
     p.add_argument("--start", required=True, help="initial parameter guess")
     p.add_argument("--allow-partial", action="store_true",
                    help="exit 0 even when the run does not reach ResidualTol")
-    _add_pricing_flags(p)
+    _add_pricing_flags(p, with_swift=False)  # backends select per group
     _add_config_flags(p)
     p.set_defaults(func=cmd_calibrate)
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,7 +26,7 @@ from .calibrate import (
     calibrate,
 )
 from .fixtures import CONVERGE_TARGETS, PARAM_SETS
-from .heston import HestonParams, MarketContext, PARAM_ORDER, cumulants
+from .heston import HestonParams, MarketContext, PARAM_ORDER
 from .quotes import QuoteFile
 from .reference import QuadratureConfig, price_cp
 from .reports import ExperimentReport
@@ -33,10 +34,14 @@ from .swift import (
     OptionQuote,
     SwiftParams,
     _j_for,
+    group_by_maturity,
+    interval_params,
     price_multi_strike,
     price_strike_grid,
+    put_offsets,
     select_scale,
     select_truncation,
+    truncation_width,
 )
 
 DEFAULT_SCALE_TOL = 1e-7
@@ -66,38 +71,15 @@ def _swift_params_for(theta: HestonParams, tau: float, ctx: MarketContext,
     if ov.eta is not None or ov.j is not None:
         if ov.m is None:
             raise ValueError("--eta/--j overrides require --m")
-        c1, c2, c4 = cumulants(theta, tau, ctx)
-        c = abs(c1) + ov.L * math.sqrt(c2 + math.sqrt(c4))
         x = np.log(ctx.spot / np.asarray(strikes, dtype=float))
-        x_low = min(float(x.min()) - c, 0.0)
-        x_high = max(float(x.max()) + c, 0.0)
-        span = max(abs(x_low), x_high)
-        eta = ov.eta if ov.eta is not None else max(1, math.ceil(2.0**ov.m * span))
-        j = ov.j if ov.j is not None else _j_for(ov.m, eta, span)
-        return SwiftParams(m=ov.m, eta=eta, j_density=j, j_payoff=j,
-                           c=c, x_low=x_low, x_high=x_high)
+        return interval_params(ov.m, truncation_width(theta, tau, ctx, ov.L),
+                               float(x.min()), float(x.max()), ov.eta, ov.j)
     if ov.m is not None:
         # pinned scale: forbid escalation by capping at m
         return select_truncation(theta, tau, ctx, ov.m, strikes, L=ov.L,
                                  max_scale=ov.m)
     m = select_scale(theta, tau, ctx, ov.scale_tol)
     return select_truncation(theta, tau, ctx, m, strikes, L=ov.L)
-
-
-def _group_quotes(quotes: Sequence[OptionQuote]):
-    groups: dict = {}
-    for i, q in enumerate(quotes):
-        groups.setdefault(q.maturity, []).append(i)
-    return groups
-
-
-def _parity_adjust(prices, quotes, ctx):
-    out = np.asarray(prices, dtype=float).copy()
-    for i, q in enumerate(quotes):
-        if q.kind == "put":
-            out[i] += q.strike * np.exp(-ctx.rate * q.maturity) \
-                - ctx.spot * np.exp(-ctx.dividend * q.maturity)
-    return out
 
 
 def swift_prices(theta: HestonParams, ctx: MarketContext,
@@ -109,12 +91,12 @@ def swift_prices(theta: HestonParams, ctx: MarketContext,
     """
     prices = np.empty(len(quotes))
     used = {}
-    for tau, idx in _group_quotes(quotes).items():
+    for tau, idx in group_by_maturity(quotes).items():
         strikes = [quotes[i].strike for i in idx]
         sp = _swift_params_for(theta, tau, ctx, strikes, ov)
         used[tau] = sp
         prices[idx] = price_multi_strike(theta, ctx, tau, strikes, sp)
-    return _parity_adjust(prices, quotes, ctx), used
+    return prices + put_offsets(quotes, ctx), used
 
 
 def cp_prices(theta: HestonParams, ctx: MarketContext,
@@ -131,7 +113,7 @@ def run_price(backend: str, theta: HestonParams, qf: QuoteFile,
     t0 = time.perf_counter()
     if backend in ("swift", "kswift"):
         prices, used = swift_prices(theta, qf.context, qf.quotes, ov)
-        config = {repr(tau): _sp_meta(sp) for tau, sp in used.items()}
+        config = {repr(tau): asdict(sp) for tau, sp in used.items()}
     elif backend == "cp":
         prices, qc = cp_prices(theta, qf.context, qf.quotes, ov)
         config = {"nodes": qc.nodes, "u_max": qc.u_max, "form": ov.form}
@@ -145,12 +127,6 @@ def run_price(backend: str, theta: HestonParams, qf: QuoteFile,
             "dividend": qf.context.dividend,
             "wall_times": {"price_s": elapsed}}
     return ExperimentReport(experiment="price", rows=rows, metadata=meta)
-
-
-def _sp_meta(sp: SwiftParams) -> dict:
-    return {"m": sp.m, "eta": sp.eta, "j_density": sp.j_density,
-            "j_payoff": sp.j_payoff, "c": sp.c,
-            "x_low": sp.x_low, "x_high": sp.x_high}
 
 
 def run_generate(theta: HestonParams, ctx: MarketContext,
@@ -183,8 +159,7 @@ def run_generate_grid(theta: HestonParams, ctx: MarketContext, m: int,
     the J_d/2 validity bound, so only the central band of the grid carries
     accurate prices (the wings are outside any coverage J_d permits).
     """
-    c1, c2, c4 = cumulants(theta, tau, ctx)
-    c = abs(c1) + L * math.sqrt(c2 + math.sqrt(c4))
+    c = truncation_width(theta, tau, ctx, L)
     half = j_density / 2.0**(m + 1)
     span = half + c
     eta = min(max(1, math.ceil(2.0**m * span)), j_density // 2 - 1)
@@ -201,6 +176,7 @@ def run_generate_grid(theta: HestonParams, ctx: MarketContext, m: int,
 def make_calibration_backend(name: str, quotes, ctx, theta_ref,
                              ov: PricingOverrides = PricingOverrides(),
                              split_groups: bool = False):
+    """The calibration backend named swift, kswift or cp, configured from ov."""
     if name == "kswift":
         return KswiftBackend(quotes, ctx, theta_ref, scale_tol=ov.scale_tol,
                              L=ov.L, split_groups=split_groups)
@@ -238,13 +214,16 @@ def run_calibrate(backend_name: str, qf: QuoteFile, theta0: HestonParams,
         "wall_times": {"setup_s": setup_s, "calibrate_s": result.wall_time},
     }
     if hasattr(backend, "swift_params"):
-        meta["swift_params"] = [_sp_meta(sp) for sp in backend.swift_params]
+        meta["swift_params"] = [asdict(sp) for sp in backend.swift_params]
     report = ExperimentReport(experiment="calibrate", rows=[row], metadata=meta)
     return report, result
 
 
 def _timed_calibration(backend_name, qf, theta0, config, ov, split_groups=False):
-    """One timed build-plus-calibrate pass (setup counts toward solve time)."""
+    """One timed build-plus-calibrate pass (setup counts toward solve time).
+
+    Module-level, so process pools can run it.
+    """
     t0 = time.perf_counter()
     backend = make_calibration_backend(backend_name, qf.quotes, qf.context,
                                        theta0, ov, split_groups=split_groups)
@@ -295,17 +274,6 @@ def run_speed(set_name: str, quotes: Sequence[OptionQuote], ctx: MarketContext,
     return ExperimentReport(experiment="speed", rows=rows, metadata=meta)
 
 
-def _converge_trial(payload):
-    """One trial of the random-start study (module-level: process-pool safe)."""
-    qf, start_vec, config, ov = payload
-    theta0 = HestonParams.from_array(start_vec)
-    t0 = time.perf_counter()
-    backend = make_calibration_backend("kswift", qf.quotes, qf.context,
-                                       theta0, ov)
-    res = calibrate(qf.quotes, theta0, qf.context, config, backend)
-    return res, time.perf_counter() - t0
-
-
 def run_converge(target_name: str, quotes: Sequence[OptionQuote],
                  ctx: MarketContext, trials: int = 100, seed: int = 0,
                  config: CalibrationConfig = CalibrationConfig(),
@@ -324,17 +292,18 @@ def run_converge(target_name: str, quotes: Sequence[OptionQuote],
     target = PARAM_SETS[target_name]
     qf = run_generate(target, ctx, quotes, ov=ov)
     rng = np.random.default_rng(seed)
-    starts = target.as_array() * rng.uniform(0.9, 1.1, size=(trials, 5))
-    payloads = [(qf, vec, config, ov) for vec in starts]
+    starts = [HestonParams.from_array(vec) for vec in
+              target.as_array() * rng.uniform(0.9, 1.1, size=(trials, 5))]
+    trial = partial(_timed_calibration, "kswift", qf, config=config, ov=ov)
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_converge_trial, payloads, chunksize=4))
+            outcomes = list(pool.map(trial, starts, chunksize=4))
     else:
-        outcomes = [_converge_trial(p) for p in payloads]
+        outcomes = [trial(start) for start in starts]
 
-    results = [r for r, _ in outcomes]
-    trial_times = [dt for _, dt in outcomes]
+    trial_times = [dt for dt, _ in outcomes]
+    results = [r for _, r in outcomes]
     errors = np.abs(np.array([r.theta_hat.as_array() for r in results])
                     - target.as_array())
     converged = [r.stop_reason is StopReason.RESIDUAL_TOL for r in results]

@@ -92,13 +92,6 @@ class HestonParams:
         v0, v_bar, sigma, kappa, rho = (float(v) for v in vec)
         return cls(kappa=kappa, v_bar=v_bar, sigma=sigma, rho=rho, v0=v0)
 
-    def feller_ratio(self) -> float:
-        """2*kappa*v_bar / sigma^2; > 1 keeps the variance strictly positive.
-
-        Not enforced anywhere: realistic FX/IR/equity parameter sets violate it.
-        """
-        return 2.0 * self.kappa * self.v_bar / self.sigma**2
-
 
 @dataclass(frozen=True)
 class MarketContext:
@@ -360,7 +353,7 @@ def chf_with_gradient(u, tau: float, theta: HestonParams, ctx: MarketContext):
 
 
 def cumulants(theta: HestonParams, tau: float, ctx: MarketContext):
-    """First, second and fourth cumulant of z = ln(S_T/S_t).
+    """First and second cumulant of z = ln(S_T/S_t).
 
     With m(s) = E[v_s] = v_bar + (v0 - v_bar) e^{-kappa s} and
     B(s) = (1 - e^{-kappa (tau - s)}) / kappa, the exact moments are
@@ -371,13 +364,13 @@ def cumulants(theta: HestonParams, tau: float, ctx: MarketContext):
     (the three variance terms are the martingale part, the leverage
     covariance and the variance of the integrated-variance drift).  All
     integrals are elementary and are written below in decaying exponentials
-    so large kappa*tau cannot overflow.  The unwieldy fourth cumulant is
-    returned as 0: the truncation-interval rule consuming these values is
-    backed by an adaptive density-mass check, which takes over c4's role.
-    c2 (and c4) are clamped at zero as a numerical guard.
+    so large kappa*tau cannot overflow.  No higher cumulant is computed: the
+    truncation rule consuming these values (``swift.truncation_width``) is
+    backed by an adaptive density-mass check, which covers heavy tails.
+    c2 is clamped at zero as a numerical guard.
 
     Returns:
-        (c1, c2, c4) floats, c2 >= 0, c4 >= 0.
+        (c1, c2) floats, c2 >= 0.
     """
     kappa, v_bar, sigma, rho, v0 = (
         theta.kappa, theta.v_bar, theta.sigma, theta.rho, theta.v0)
@@ -395,4 +388,4 @@ def cumulants(theta: HestonParams, tau: float, ctx: MarketContext):
 
     c1 = ctx.drift * tau - 0.5 * int_m
     c2 = int_m - sigma * rho * int_bm + sigma**2 / 4.0 * int_b2m
-    return float(c1), max(float(c2), 0.0), 0.0
+    return float(c1), max(float(c2), 0.0)

@@ -16,7 +16,7 @@ ubar is a matter of trial and error, and hiding that would misrepresent the
 method.  Deep out-of-the-money short-expiry prices do not converge in ubar
 at all -- tests pin that behavior down rather than masking it.
 
-Puts are priced from calls via put-call parity.
+Puts are priced from calls via put-call parity (``swift.parity_offset``).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .heston import HestonParams, MarketContext, chf_cui, chf_schoutens, chf_with_gradient
+from .swift import parity_offset
 
 CHF_FORMS = ("cui", "schoutens")
 
@@ -93,7 +94,7 @@ def price_cp(theta: HestonParams, ctx: MarketContext, quote,
     call = strike * (0.5 * (np.exp(x - ctx.dividend * tau) - disc)
                      + disc / np.pi * float(w @ integrand))
     if getattr(quote, "kind", "call") == "put":
-        return call - ctx.spot * np.exp(-ctx.dividend * tau) + strike * disc
+        return call + parity_offset(ctx, strike, tau)
     return call
 
 
@@ -132,6 +133,6 @@ def price_and_gradient_cp(theta: HestonParams, ctx: MarketContext, quote,
     gradient = strike * disc / np.pi * (grad_integrand @ w)
 
     if getattr(quote, "kind", "call") == "put":
-        call = call - ctx.spot * np.exp(-ctx.dividend * tau) + strike * disc
+        call += parity_offset(ctx, strike, tau)
     return call, gradient
 

@@ -23,7 +23,11 @@ the coefficients match the defining inner products <f, phi_{m,k}>,
 <g, phi_{m,k}> -- the quadrature oracles in the test suite pin this down.
 
 Puts are priced from calls via put-call parity throughout (exact; no second
-payoff expansion is carried).
+payoff expansion is carried).  ``parity_offset`` is the one parity rule of the
+package; every pricer adds it to the call price of a put.  The discretization
+rule is likewise written once: ``truncation_width`` gives the cumulant
+half-width, ``interval_params`` the interval, eta and J it implies, and
+``group_by_maturity`` the quote groups that share them.
 """
 
 from __future__ import annotations
@@ -46,9 +50,10 @@ from .heston import (
 )
 
 __all__ = [
-    "OptionQuote", "SwiftParams", "CoefficientSet", "NoConvergenceError",
+    "OptionQuote", "SwiftParams", "NoConvergenceError", "group_by_maturity",
+    "parity_offset", "put_offsets", "truncation_width", "interval_params",
     "select_scale", "select_truncation", "density_coefficients",
-    "payoff_coefficients", "density_area", "build_coefficients",
+    "payoff_coefficients", "density_area",
     "price_single", "price_and_gradient_single", "price_multi_strike",
     "price_and_gradient_multi_strike", "price_strike_grid", "MultiStrikePricer",
 ]
@@ -135,20 +140,26 @@ class SwiftParams:
         return np.pi * (2 * j - 1) / (2 * self.j_payoff) * 2.0**self.m
 
 
-@dataclass
-class CoefficientSet:
-    """Everything the pricer precomputes for one (theta, maturity) pair.
+def group_by_maturity(quotes: Sequence[OptionQuote]) -> dict:
+    """Quote indices per maturity, {tau: [i, ...]}, in first-seen order."""
+    groups: dict = {}
+    for i, q in enumerate(quotes):
+        groups.setdefault(q.maturity, []).append(i)
+    return groups
 
-    density holds D_{m,k}(x) at a reference log-moneyness (x of the quote for
-    single pricing, 0 for the state-independent view); payoff holds U_{m,k};
-    u_tilde the payoff spectrum sum_k U_{m,k} e^{i u_j k}; f_cached the
-    strike-independent characteristic values F_j = fhat(u_j 2^m).
+
+def parity_offset(ctx: MarketContext, strike, tau: float):
+    """Put minus call at one strike and maturity, K e^{-r tau} - S e^{-q tau}.
+
+    Parameter-free, so a put shares its call's parameter gradient.
     """
+    return strike * np.exp(-ctx.rate * tau) - ctx.spot * np.exp(-ctx.dividend * tau)
 
-    density: np.ndarray
-    payoff: np.ndarray
-    u_tilde: np.ndarray
-    f_cached: np.ndarray
+
+def put_offsets(quotes: Sequence[OptionQuote], ctx: MarketContext) -> np.ndarray:
+    """:func:`parity_offset` for every put and 0 for every call, in quote order."""
+    return np.array([parity_offset(ctx, q.strike, q.maturity) if q.kind == "put"
+                     else 0.0 for q in quotes])
 
 
 def _cosine_spectrum(values: np.ndarray, j_count: int) -> np.ndarray:
@@ -212,22 +223,47 @@ def _j_for(m: int, eta: int, span: float) -> int:
     return j
 
 
+def truncation_width(theta: HestonParams, tau: float, ctx: MarketContext,
+                     L: float) -> float:
+    """Cumulant half-width c = |c1| + L sqrt(c2) of the truncation rule."""
+    c1, c2 = cumulants(theta, tau, ctx)
+    return abs(c1) + L * math.sqrt(c2)
+
+
+def interval_params(m: int, c: float, x_min: float, x_max: float,
+                    eta: Optional[int] = None, j: Optional[int] = None) -> SwiftParams:
+    """Discretization at scale m for log-moneyness in [x_min, x_max].
+
+    The interval is [x_min - c, x_max + c] clamped to straddle 0 (the payoff
+    kink must stay inside the expansion window).  eta defaults to the
+    smallest half-width covering it at scale m and J (density and payoff) to
+    the smallest power of two that resolves eta terms over the interval.
+    """
+    x_low = min(x_min - c, 0.0)
+    x_high = max(x_max + c, 0.0)
+    span = max(abs(x_low), x_high)
+    if eta is None:
+        eta = max(1, math.ceil(2.0**m * span))
+    if j is None:
+        j = _j_for(m, eta, span)
+    return SwiftParams(m=m, eta=eta, j_density=j, j_payoff=j,
+                       c=c, x_low=x_low, x_high=x_high)
+
+
 def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
                       m: int, strikes: Sequence[float], L: float = 10.0,
                       area_tol: float = 3e-8, max_scale: int = 12) -> SwiftParams:
     """Pick (eta, J_d, J_p, interval) for a strike set at maturity tau.
 
-    The half-width c starts from the cumulant rule c = |c1| + L sqrt(c2 +
-    sqrt(c4)); the interval is the per-strike log-moneyness range extended
-    by c on both sides and clamped to straddle 0 (the payoff kink must stay
-    inside the expansion window).  eta covers the interval at scale m, and
-    the recovered density mass is checked at the extreme log-moneyness
-    values.  On failure the interval -- and eta with it -- is grown
-    geometrically (heavy-tailed parameter sets leak mass past the cumulant
-    interval, and what leaks past the right edge gets amplified by the call
-    payoff); if growth alone cannot pass, the scale escalates.  area_tol is
-    deliberately strict: a mass defect of 1e-6 beyond a far right edge can
-    already cost ~1e-5 in price.
+    The half-width c starts from :func:`truncation_width`; the interval is
+    the per-strike log-moneyness range extended by c on both sides, with eta
+    and J from :func:`interval_params`, and the recovered density mass is
+    checked at the extreme log-moneyness values.  On failure the interval --
+    and eta with it -- is grown geometrically (heavy-tailed parameter sets
+    leak mass past the cumulant interval, and what leaks past the right edge
+    gets amplified by the call payoff); if growth alone cannot pass, the
+    scale escalates.  area_tol is deliberately strict: a mass defect of 1e-6
+    beyond a far right edge can already cost ~1e-5 in price.
 
     Growth steps often keep the grid (m, J_d), which alone fixes the chf
     sweep and the density spectra at x_min and x_max: each is computed once
@@ -239,8 +275,7 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
     strikes = np.asarray(strikes, dtype=float)
     if strikes.size == 0:
         raise ValueError("strikes must be nonempty")
-    c1, c2, c4 = cumulants(theta, tau, ctx)
-    c0 = abs(c1) + L * math.sqrt(c2 + math.sqrt(c4))
+    c0 = truncation_width(theta, tau, ctx, L)
     x = np.log(ctx.spot / strikes)
     x_min, x_max = float(x.min()), float(x.max())
 
@@ -248,14 +283,7 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
     for m_try in range(m, max_scale + 1):
         c = c0
         for _ in range(12):
-            x_low = min(x_min - c, 0.0)
-            x_high = max(x_max + c, 0.0)
-            span = max(abs(x_low), x_high)
-            eta = max(1, math.ceil(2.0**m_try * span))
-            sp = SwiftParams(m=m_try, eta=eta,
-                             j_density=_j_for(m_try, eta, span),
-                             j_payoff=_j_for(m_try, eta, span),
-                             c=c, x_low=x_low, x_high=x_high)
+            sp = interval_params(m_try, c, x_min, x_max)
             key = (m_try, sp.j_density)
             if key not in sweeps:
                 omega = sp.density_freqs()
@@ -340,23 +368,6 @@ def _u_tilde(payoff: np.ndarray, sp: SwiftParams) -> np.ndarray:
     return spectrum[1:sp.j_density + 1]
 
 
-def _parity(call_price, ctx: MarketContext, strike, tau: float):
-    return call_price - ctx.spot * np.exp(-ctx.dividend * tau) \
-        + strike * np.exp(-ctx.rate * tau)
-
-
-def build_coefficients(theta: HestonParams, tau: float, ctx: MarketContext,
-                       sp: SwiftParams, x: float = 0.0) -> CoefficientSet:
-    """Assemble the full coefficient set for one (theta, maturity)."""
-    payoff = payoff_coefficients(sp)
-    return CoefficientSet(
-        density=density_coefficients(theta, tau, ctx, x, sp),
-        payoff=payoff,
-        u_tilde=_u_tilde(payoff, sp),
-        f_cached=chf_cui(sp.density_freqs(), tau, theta, ctx),
-    )
-
-
 def price_single(theta: HestonParams, ctx: MarketContext, quote: OptionQuote,
                  sp: SwiftParams) -> float:
     """Single-quote price through the per-strike density expansion."""
@@ -365,7 +376,7 @@ def price_single(theta: HestonParams, ctx: MarketContext, quote: OptionQuote,
     payoff = payoff_coefficients(sp)
     call = quote.strike * math.exp(-ctx.rate * quote.maturity) * float(density @ payoff)
     if quote.kind == "put":
-        return float(_parity(call, ctx, quote.strike, quote.maturity))
+        return call + parity_offset(ctx, quote.strike, quote.maturity)
     return call
 
 
@@ -382,20 +393,18 @@ def price_and_gradient_single(theta: HestonParams, ctx: MarketContext,
     omega = sp.density_freqs()
     value, grad = chf_with_gradient(omega, tau, theta, ctx)
     shift = np.exp(-1j * omega * x)
-    pref = 2.0**(sp.m / 2.0) / sp.j_density
-    k_vals = sp.k_range
 
-    density = pref * _cosine_at(_cosine_spectrum(value * shift, sp.j_density), k_vals).real
+    density = _density_at(_cosine_spectrum(value * shift, sp.j_density), sp)
     payoff = payoff_coefficients(sp)
     scale = quote.strike * math.exp(-ctx.rate * tau)
     price = scale * float(density @ payoff)
     jac = np.array([
-        scale * float((pref * _cosine_at(_cosine_spectrum(grad[i] * shift, sp.j_density),
-                                         k_vals).real) @ payoff)
+        scale * float(_density_at(_cosine_spectrum(grad[i] * shift, sp.j_density), sp)
+                      @ payoff)
         for i in range(5)
     ])
     if quote.kind == "put":
-        price = float(_parity(price, ctx, quote.strike, tau))
+        price += parity_offset(ctx, quote.strike, tau)
     return price, jac
 
 

@@ -1,0 +1,42 @@
+"""The benchmark's tracer rebinds swiftcal names and must restore every one.
+
+``perfbench/tracing.py`` looks entry points up by name in the modules their
+callers use; a refactor that renames or drops one of those names fails here
+instead of in a later traced benchmark run.
+"""
+
+import importlib
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+MODULES = ("swift", "calibrate", "reference", "experiments")
+
+# names behind the benchmark's per-layer counts
+COUNTED = {
+    ("swift", "chf_cui"), ("swift", "chf_cui_parts"),
+    ("swift", "chf_gradient_from_parts"), ("swift", "cumulants"),
+    ("swift", "density_area"), ("swift", "np"),
+    ("calibrate", "select_scale"), ("calibrate", "select_truncation"),
+    ("calibrate", "MultiStrikePricer"), ("calibrate", "KswiftBackend"),
+    ("calibrate", "calibrate"), ("calibrate", "lm_step"),
+    ("experiments", "select_scale"), ("experiments", "select_truncation"),
+    ("experiments", "price_multi_strike"), ("experiments", "price_cp"),
+    ("experiments", "run_price"),
+}
+
+
+def test_tracer_rebinds_and_restores_entry_points(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    modules = {name: importlib.import_module(f"swiftcal.{name}") for name in MODULES}
+    before = {name: dict(vars(mod)) for name, mod in modules.items()}
+    with Tracer().installed():
+        rebound = {(name, attr) for name, mod in modules.items()
+                   for attr, value in vars(mod).items()
+                   if before[name].get(attr) is not value}
+    assert COUNTED <= rebound, COUNTED - rebound
+    for name, mod in modules.items():
+        after = vars(mod)
+        assert after.keys() == before[name].keys(), name
+        assert all(after[attr] is value for attr, value in before[name].items()), name

@@ -9,14 +9,23 @@ from swiftcal import (
     CpBackend,
     HestonParams,
     KswiftBackend,
+    MarketContext,
+    OptionQuote,
     SingularSystemError,
     StopReason,
     SwiftBackend,
     calibrate,
     lm_step,
+    price_and_gradient_cp,
+    price_and_gradient_single,
+    price_cp,
+    price_single,
     residuals,
+    select_scale,
+    select_truncation,
 )
-from swiftcal.calibrate import make_backend
+from swiftcal.experiments import make_calibration_backend, run_price
+from swiftcal.quotes import QuoteFile
 
 
 def test_lm_step_zero_residual():
@@ -96,6 +105,47 @@ def test_backend_supports_puts_via_parity(theta2, ctx):
     assert abs(call - put - (1.0 - 1.1)) < 1e-9
 
 
+def _parity_paths(theta, ctx, quotes):
+    """(prices, Jacobian or None) of every pricing path, in quote order."""
+    sp = {}
+    for tau in {q.maturity for q in quotes}:
+        strikes = [q.strike for q in quotes if q.maturity == tau]
+        sp[tau] = select_truncation(theta, tau, ctx, select_scale(theta, tau, ctx, 1e-7),
+                                    strikes)
+
+    def rows(fn):
+        out = [fn(q) for q in quotes]
+        return np.array([o[0] for o in out]), np.array([o[1] for o in out])
+
+    report = run_price("swift", theta, QuoteFile(context=ctx, quotes=quotes))
+    return {
+        "price_single": (np.array([price_single(theta, ctx, q, sp[q.maturity])
+                                   for q in quotes]), None),
+        "price_and_gradient_single": rows(
+            lambda q: price_and_gradient_single(theta, ctx, q, sp[q.maturity])),
+        "kswift": KswiftBackend(quotes, ctx, theta).prices_and_jacobian(theta),
+        "kswift_prices": (KswiftBackend(quotes, ctx, theta).prices(theta), None),
+        "swift": SwiftBackend(quotes, ctx, theta).prices_and_jacobian(theta),
+        "run_price_swift": (np.array([r["price"] for r in report.rows]), None),
+        "price_cp": (np.array([price_cp(theta, ctx, q) for q in quotes]), None),
+        "price_and_gradient_cp": rows(lambda q: price_and_gradient_cp(theta, ctx, q)),
+    }
+
+
+def test_put_parity_on_every_pricing_path(theta2):
+    ctx = MarketContext(spot=1.0, rate=0.03, dividend=0.01)
+    pairs = [(k, tau) for tau in (0.25, 1.0) for k in (0.9, 1.1)]
+    quotes = [OptionQuote(k, tau, kind=kind) for k, tau in pairs
+              for kind in ("call", "put")]
+    want = np.array([ctx.spot * np.exp(-ctx.dividend * tau) - k * np.exp(-ctx.rate * tau)
+                     for k, tau in pairs])
+    for name, (prices, jac) in _parity_paths(theta2, ctx, quotes).items():
+        calls, puts = prices[0::2], prices[1::2]
+        assert np.max(np.abs(calls - puts - want)) < 1e-12, name
+        if jac is not None:
+            assert np.array_equal(jac[0::2], jac[1::2]), name
+
+
 def test_self_calibration_stops_immediately(theta2, ctx, set2_priced):
     backend = KswiftBackend(set2_priced.quotes, ctx, theta2)
     res = calibrate(set2_priced.quotes, theta2, ctx, CalibrationConfig(), backend)
@@ -137,7 +187,7 @@ def test_backend_equivalence_fitted_parameters(theta2_start, ctx, set2_priced):
     cfg = CalibrationConfig()
     fitted = {}
     for name in ("kswift", "swift", "cp"):
-        backend = make_backend(name, set2_priced.quotes, ctx, theta2_start)
+        backend = make_calibration_backend(name, set2_priced.quotes, ctx, theta2_start)
         res = calibrate(set2_priced.quotes, theta2_start, ctx, cfg, backend)
         assert res.stop_reason is StopReason.RESIDUAL_TOL, name
         fitted[name] = res

@@ -182,6 +182,30 @@ def test_calibrate_cli_round_trip(capsys, tmp_path):
     assert abs(row["sigma"] - 0.0175) < 1e-2
 
 
+def test_calibrate_rejects_discretization_flags(capsys):
+    # the calibration backends select their own discretization per group
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--quotes", "set2", "--start", "theta2-start",
+              "--m", "9"])
+    assert exc.value.code == 2
+
+
+def test_price_swift_manual_eta_and_j(capsys, tmp_path):
+    path = tmp_path / "manual.json"
+    code, _, _ = run_cli(capsys, "price", "--backend", "swift", "--params",
+                         "theta2", "--quotes", "set2", "--m", "5", "--eta", "40",
+                         "--j", "256", "--out", str(path))
+    assert code == 0
+    config = ExperimentReport.from_json(path.read_text()).metadata["config"]
+    assert len(config) == 8  # one entry per set2 maturity
+    for sp in config.values():
+        assert (sp["m"], sp["eta"], sp["j_density"], sp["j_payoff"]) == (5, 40, 256, 256)
+    code, _, err = run_cli(capsys, "price", "--backend", "swift", "--params",
+                           "theta2", "--quotes", "set2", "--eta", "40")
+    assert code == 2
+    assert "--m" in err
+
+
 def test_calibrate_unpriced_quotes_rejected(capsys, tmp_path):
     code, _, err = run_cli(capsys, "calibrate", "--quotes", "set2",
                            "--start", "theta2-start")

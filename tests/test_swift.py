@@ -15,7 +15,6 @@ from swiftcal import (
     NoConvergenceError,
     OptionQuote,
     SwiftParams,
-    build_coefficients,
     chf_cui,
     density_area,
     density_coefficients,
@@ -242,19 +241,19 @@ def test_multi_strike_single_entry_degenerate(theta2, ctx):
 
 def test_coefficient_set_fields(theta2, ctx):
     sp = select_truncation(theta2, 0.5, ctx, 5, [1.0])
-    cs = build_coefficients(theta2, 0.5, ctx, sp)
-    assert cs.density.shape == (2 * sp.eta,)
-    assert cs.payoff.shape == (2 * sp.eta,)
-    assert cs.u_tilde.shape == (sp.j_density,)
-    assert cs.f_cached.shape == (sp.j_density,)
+    density = density_coefficients(theta2, 0.5, ctx, 0.0, sp)
+    pricer = MultiStrikePricer(ctx, 0.5, [1.0], sp)
+    assert density.shape == (2 * sp.eta,)
+    assert pricer.payoff.shape == (2 * sp.eta,)
+    assert pricer.u_tilde.shape == (sp.j_density,)
     # tail decay invariant of an adequate set
-    assert max(abs(cs.density[0]), abs(cs.density[-1])) \
-        <= 1e-6 * np.max(np.abs(cs.density))
+    assert max(abs(density[0]), abs(density[-1])) \
+        <= 1e-6 * np.max(np.abs(density))
     # u_tilde really is the payoff spectrum
     u = sp.density_freqs() / 2.0**sp.m
-    direct = np.array([np.sum(cs.payoff * np.exp(1j * uj * sp.k_range))
+    direct = np.array([np.sum(pricer.payoff * np.exp(1j * uj * sp.k_range))
                        for uj in u[:8]])
-    assert np.max(np.abs(direct - cs.u_tilde[:8])) < 1e-10
+    assert np.max(np.abs(direct - pricer.u_tilde[:8])) < 1e-10
 
 
 def test_grid_pricer_matches_multi_strike(theta2, ctx):
