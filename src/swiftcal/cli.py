@@ -136,6 +136,8 @@ def cmd_price(args) -> int:
 def cmd_generate(args) -> int:
     theta = parse_params(args.params)
     if args.grid:
+        if any(v is not None for v in (args.m, args.eta, args.j)):
+            raise CliError("--grid fixes m and J itself; drop --m/--eta/--j")
         try:
             m_s, j_s, tau_s = args.grid.split(",")
             m, j, tau = int(m_s), int(j_s), float(tau_s)
@@ -193,17 +195,19 @@ def cmd_converge(args) -> int:
     return 0
 
 
-def _add_pricing_flags(p, with_swift=True):
+def _add_pricing_flags(p, with_swift=True, with_quadrature=True):
     if with_swift:
         p.add_argument("--m", type=int, help="pin the wavelet scale")
         p.add_argument("--eta", type=int, help="manual series half-width")
         p.add_argument("--j", type=int, help="manual J (density and payoff)")
     p.add_argument("--L", type=float, default=10.0,
                    help="truncation-width multiplier (default 10)")
-    p.add_argument("--u-max", dest="u_max", type=float,
-                   help="quadrature truncation ubar (default 200)")
-    p.add_argument("--chf-form", dest="chf_form", choices=("cui", "schoutens"),
-                   default="cui", help="characteristic function form")
+    if with_quadrature:
+        p.add_argument("--u-max", dest="u_max", type=float,
+                       help="quadrature truncation ubar (default 200)")
+        p.add_argument("--chf-form", dest="chf_form",
+                       choices=("cui", "schoutens"), default="cui",
+                       help="characteristic function form")
     p.add_argument("--rate", type=float, default=None,
                    help="override the risk-free rate of the quote file")
     p.add_argument("--out", help="also write the result as JSON to this path")
@@ -242,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.0,
                    help="additive Gaussian noise scale (default 0)")
     p.add_argument("--seed", type=int, default=0)
-    _add_pricing_flags(p)
+    _add_pricing_flags(p, with_quadrature=False)  # generate prices by swift only
     p.set_defaults(func=cmd_generate)
 
     # no abbreviations: a dropped --m would otherwise parse as --max-iter
@@ -272,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=min(8, os.cpu_count() or 1))
-    _add_pricing_flags(p)
+    _add_pricing_flags(p, with_quadrature=False)  # converge fits with kswift only
     _add_config_flags(p)
     p.set_defaults(func=cmd_converge)
 

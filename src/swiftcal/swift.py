@@ -95,8 +95,13 @@ class SwiftParams:
     Attributes:
         m:         wavelet scale (resolution 2^-m in log-moneyness).
         eta:       series truncation half-width; k runs over [1 - eta, eta].
-        j_density: cosine terms J_d for the density coefficients (power of two).
-        j_payoff:  cosine terms J_p for the payoff coefficients (power of two).
+        j_density: cosine terms J_d for the density coefficients (power of two,
+                   more than 2*eta, which is all the density needs).  J_d
+                   sets the cost of every characteristic sweep and phase
+                   product.
+        j_payoff:  cosine terms J_p for the payoff coefficients (power of two,
+                   more than 2*eta; selection sizes it by the payoff rule of
+                   :func:`_j_for`).  Paid once per pricer build.
         c:         payoff truncation half-width from the cumulant rule.
         x_low:     left end of the extended truncation interval (<= 0).
         x_high:    right end of the extended truncation interval (>= 0).
@@ -181,18 +186,19 @@ def _cosine_at(spectrum: np.ndarray, k_vals: np.ndarray) -> np.ndarray:
     return np.exp(-1j * np.pi * k_vals / two_j) * spectrum[np.mod(k_vals, two_j)]
 
 
-def _tail_mass(theta: HestonParams, tau: float, ctx: MarketContext,
-               m: int, quad_points: int = 129) -> float:
-    """Two-sided transform mass beyond |u| = 2^m pi, trapezoidal estimate.
+def _tail_masses(theta: HestonParams, tau: float, ctx: MarketContext,
+                 scales: np.ndarray, quad_points: int = 129) -> np.ndarray:
+    """Two-sided transform mass beyond |u| = 2^m pi for each m in scales.
 
-    Integrates |fhat| over [2^m pi, 2^{m+2} pi] (the continuation beyond two
-    octaves is negligible whenever the result is anywhere near tolerance) and
-    doubles it via Hermitian symmetry, normalized by 1/(2 pi).
+    Integrates |fhat| over [2^m pi, 2^{m+2} pi] by the trapezoidal rule (the
+    continuation beyond two octaves is negligible whenever the result is
+    anywhere near tolerance) and doubles it via Hermitian symmetry,
+    normalized by 1/(2 pi).  All scales share one characteristic sweep.
     """
-    lo = 2.0**m * np.pi
-    u = np.linspace(lo, 4.0 * lo, quad_points)
-    vals = np.abs(chf_cui(u, tau, theta, ctx))
-    return float(np.trapezoid(vals, u) / np.pi)
+    lo = 2.0**scales * np.pi
+    u = np.linspace(lo, 4.0 * lo, quad_points, axis=1)
+    vals = np.abs(chf_cui(u.ravel(), tau, theta, ctx)).reshape(u.shape)
+    return np.trapezoid(vals, u, axis=1) / np.pi
 
 
 def select_scale(theta: HestonParams, tau: float, ctx: MarketContext,
@@ -204,9 +210,10 @@ def select_scale(theta: HestonParams, tau: float, ctx: MarketContext,
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
-    for m in range(max_scale + 1):
-        if _tail_mass(theta, tau, ctx, m) <= tol:
-            return m
+    passed = np.flatnonzero(_tail_masses(theta, tau, ctx,
+                                         np.arange(max_scale + 1)) <= tol)
+    if passed.size:
+        return int(passed[0])
     raise NoConvergenceError(
         f"transform tail mass still above {tol} at scale cap {max_scale}")
 
@@ -216,7 +223,9 @@ def _next_pow2(n: float) -> int:
 
 
 def _j_for(m: int, eta: int, span: float) -> int:
-    """Smallest power of two with 2*eta < J and J >= pi/2 (2^m span + eta)."""
+    """Payoff J_p: smallest power of two with 2*eta < J and
+    J >= pi/2 (2^m span + eta), the SWIFT rule for a payoff that jumps at the
+    interval edge."""
     j = _next_pow2((np.pi / 2.0) * (2.0**m * span + eta))
     while j <= 2 * eta:
         j *= 2
@@ -236,8 +245,11 @@ def interval_params(m: int, c: float, x_min: float, x_max: float,
 
     The interval is [x_min - c, x_max + c] clamped to straddle 0 (the payoff
     kink must stay inside the expansion window).  eta defaults to the
-    smallest half-width covering it at scale m and J (density and payoff) to
-    the smallest power of two that resolves eta terms over the interval.
+    smallest half-width covering it at scale m.  Without j, J_d is the
+    smallest power of two above 2 eta (the density coefficients need only
+    that many distinct cosine terms) and J_p comes from :func:`_j_for` (the
+    payoff jumps at x_high, so its expansion needs the finer grid); a given
+    j sets both.
     """
     x_low = min(x_min - c, 0.0)
     x_high = max(x_max + c, 0.0)
@@ -245,8 +257,10 @@ def interval_params(m: int, c: float, x_min: float, x_max: float,
     if eta is None:
         eta = max(1, math.ceil(2.0**m * span))
     if j is None:
-        j = _j_for(m, eta, span)
-    return SwiftParams(m=m, eta=eta, j_density=j, j_payoff=j,
+        j_density, j_payoff = _next_pow2(2 * eta + 1), _j_for(m, eta, span)
+    else:
+        j_density = j_payoff = j
+    return SwiftParams(m=m, eta=eta, j_density=j_density, j_payoff=j_payoff,
                        c=c, x_low=x_low, x_high=x_high)
 
 
@@ -256,14 +270,16 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
     """Pick (eta, J_d, J_p, interval) for a strike set at maturity tau.
 
     The half-width c starts from :func:`truncation_width`; the interval is
-    the per-strike log-moneyness range extended by c on both sides, with eta
-    and J from :func:`interval_params`, and the recovered density mass is
-    checked at the extreme log-moneyness values.  On failure the interval --
-    and eta with it -- is grown geometrically (heavy-tailed parameter sets
-    leak mass past the cumulant interval, and what leaks past the right edge
-    gets amplified by the call payoff); if growth alone cannot pass, the
-    scale escalates.  area_tol is deliberately strict: a mass defect of 1e-6
-    beyond a far right edge can already cost ~1e-5 in price.
+    the per-strike log-moneyness range extended by c on both sides, with eta,
+    J_d and J_p from :func:`interval_params` (J_d just above 2 eta, J_p by
+    the payoff rule).  The recovered density mass is checked at the extreme
+    log-moneyness values, from the same J_d coefficients pricing uses, so a
+    grid too coarse for the density fails the check.  On failure the
+    interval -- and eta with it -- is grown geometrically (heavy-tailed
+    parameter sets leak mass past the cumulant interval, and what leaks past
+    the right edge gets amplified by the call payoff); if growth alone cannot
+    pass, the scale escalates.  area_tol is deliberately strict: a mass
+    defect of 1e-6 beyond a far right edge can already cost ~1e-5 in price.
 
     Growth steps often keep the grid (m, J_d), which alone fixes the chf
     sweep and the density spectra at x_min and x_max: each is computed once
@@ -279,7 +295,7 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
     x = np.log(ctx.spot / strikes)
     x_min, x_max = float(x.min()), float(x.max())
 
-    sweeps = {}  # (m, J) -> (omega, f_vals, {x: density spectrum})
+    sweeps = {}  # (m, J_d) -> (omega, f_vals, {x: density spectrum})
     for m_try in range(m, max_scale + 1):
         c = c0
         for _ in range(12):

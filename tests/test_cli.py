@@ -190,6 +190,29 @@ def test_calibrate_rejects_discretization_flags(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "--params", "theta2", "--u-max", "1"],
+    ["generate", "--params", "theta2", "--chf-form", "schoutens"],
+    ["converge", "--target", "fx", "--trials", "1", "--u-max", "1"],
+    ["converge", "--target", "fx", "--trials", "1", "--chf-form", "schoutens"],
+])
+def test_swift_only_commands_reject_quadrature_flags(capsys, argv):
+    # generate prices with swift and converge fits with kswift: neither
+    # reaches the quadrature pricer these flags configure
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--m", "--eta", "--j"])
+def test_generate_grid_rejects_discretization_flags(capsys, flag):
+    code, out, err = run_cli(capsys, "generate", "--params", "theta2", "--grid",
+                             "5,256,1.0", flag, "9")
+    assert code == 2
+    assert out == ""
+    assert "--grid" in err
+
+
 def test_price_swift_manual_eta_and_j(capsys, tmp_path):
     path = tmp_path / "manual.json"
     code, _, _ = run_cli(capsys, "price", "--backend", "swift", "--params",

@@ -1,6 +1,7 @@
 """Wavelet engine checks: every FFT path against an independent brute-force
 or quadrature oracle, plus the discretization-selection behaviors."""
 
+import dataclasses
 import math
 import time
 
@@ -28,8 +29,14 @@ from swiftcal import (
     select_truncation,
 )
 from swiftcal.reference import QuadratureConfig, price_cp
-from swiftcal.fixtures import set1_quotes, set2_quotes
-from swiftcal.swift import MultiStrikePricer, _payoff_transform
+from swiftcal.fixtures import PARAM_SETS, set1_quotes, set2_quotes
+from swiftcal.swift import (
+    MultiStrikePricer,
+    _j_for,
+    _next_pow2,
+    _payoff_transform,
+    group_by_maturity,
+)
 
 from conftest import price_jacobian_fd
 
@@ -197,6 +204,51 @@ def test_select_truncation_reprices_set1_against_reference(theta2, ctx, set1_pri
     for strike, p in zip(strikes, prices):
         cp = price_cp(theta2, ctx, OptionQuote(strike, tau), QuadratureConfig())
         assert abs(p - cp) < 1e-7
+
+
+def _set2_selections(theta, ctx):
+    """(tau, strikes, SwiftParams) per set2 maturity, selected at theta."""
+    quotes = set2_quotes()
+    for tau, idx in group_by_maturity(quotes).items():
+        strikes = [quotes[i].strike for i in idx]
+        m = select_scale(theta, tau, ctx, 1e-7)
+        yield tau, strikes, select_truncation(theta, tau, ctx, m, strikes)
+
+
+@pytest.mark.parametrize("name", ["theta2", "fx", "ir", "eq"])
+def test_select_truncation_sizes_density_and_payoff_grids(name, ctx):
+    # J_d just above 2 eta; J_p by the payoff rule over the same interval
+    for _, _, sp in _set2_selections(PARAM_SETS[name], ctx):
+        span = max(abs(sp.x_low), sp.x_high)
+        assert sp.j_density == _next_pow2(2 * sp.eta + 1)
+        assert sp.j_payoff == _j_for(sp.m, sp.eta, span)
+
+
+@pytest.mark.parametrize("name", ["theta1", "theta2", "fx", "ir", "eq"])
+def test_density_grid_keeps_prices_and_reference_error(name, ctx):
+    """The selected J_d prices like J_d = J_p and no worse against the oracle.
+
+    The oracle is the quadrature pricer at (1536 nodes, u_max 2400), checked
+    converged against (2048, 3200).  Errors are per unit strike, the scale
+    the prices carry."""
+    theta = PARAM_SETS[name]
+    ref_qc = QuadratureConfig(nodes=1536, u_max=2400.0)
+    check_qc = QuadratureConfig(nodes=2048, u_max=3200.0)
+    err_new = err_old = 0.0
+    for tau, strikes, sp in _set2_selections(theta, ctx):
+        new = MultiStrikePricer(ctx, tau, strikes, sp).prices(theta)
+        full = dataclasses.replace(sp, j_density=sp.j_payoff)
+        old = MultiStrikePricer(ctx, tau, strikes, full).prices(theta)
+        k = np.asarray(strikes)
+        assert np.max(np.abs(new - old) / k) <= 1e-8, tau
+        ref = np.array([price_cp(theta, ctx, OptionQuote(s, tau), ref_qc)
+                        for s in strikes])
+        check = np.array([price_cp(theta, ctx, OptionQuote(s, tau), check_qc)
+                          for s in strikes])
+        assert np.max(np.abs(ref - check)) <= 1e-9, tau
+        err_new = max(err_new, float(np.max(np.abs(new - ref) / k)))
+        err_old = max(err_old, float(np.max(np.abs(old - ref) / k)))
+    assert err_new <= err_old + 1e-9, (err_new, err_old)
 
 
 def test_low_and_high_truncation_multiplier_agree(stress_theta, ctx100):
