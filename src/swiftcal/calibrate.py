@@ -17,7 +17,7 @@ Stopping criteria, checked in order each iteration:
     ||delta||    <= eps3 ||theta||  -> StagnantStep
 
 Damping schedule (the reference literature defers to a library and states
-none): mu starts at mu0 * max diag(J J^T), is divided by 10 on every
+none): mu starts at 1e-3 * max diag(J J^T), is divided by 10 on every
 accepted step and multiplied by 10 on every rejection, clamped to
 [1e-12, 1e12].  Iterates are projected onto per-parameter boxes after each
 trial step.
@@ -47,6 +47,7 @@ import numpy as np
 from .heston import HestonParams, MarketContext
 from .reference import QuadratureConfig, price_and_gradient_cp
 from .swift import (
+    DEFAULT_L,
     MultiStrikePricer,
     OptionQuote,
     group_by_maturity,
@@ -65,8 +66,8 @@ DEFAULT_BOUNDS: Tuple[Tuple[float, float], ...] = (
     (-0.999, 0.999),  # rho
 )
 
+_MU0 = 1e-3  # initial damping per unit of max diag(J J^T)
 _MU_MIN, _MU_MAX = 1e-12, 1e12
-_SCALE_TOL = 1e-7  # transform-tail tolerance for backend discretization
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -82,21 +83,20 @@ class StopReason(Enum):
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """Tolerances, iteration cap, damping seed and parameter box.
+    """Stopping tolerances, iteration cap and parameter box.
 
-    mu0 scales the initial damping: mu_init = mu0 * max diag(J J^T).
+    The damping schedule is fixed (see the module docstring).
     """
 
     eps1: float = 1e-6
     eps2: float = 1e-12
     eps3: float = 1e-12
     max_iterations: int = 100
-    mu0: float = 1e-3
     bounds: Tuple[Tuple[float, float], ...] = DEFAULT_BOUNDS
 
     def __post_init__(self):
-        if min(self.eps1, self.eps2, self.eps3, self.mu0) <= 0:
-            raise ValueError("tolerances and mu0 must be positive")
+        if min(self.eps1, self.eps2, self.eps3) <= 0:
+            raise ValueError("tolerances must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
 
@@ -129,13 +129,13 @@ class CalibrationResult:
 
 
 def _selected_groups(quotes: Sequence[OptionQuote], ctx: MarketContext,
-                     theta_ref: HestonParams, scale_tol: float, L: float,
+                     theta_ref: HestonParams, L: float,
                      groups: Iterable[Tuple[float, List[int]]]):
     """Yield (tau, quote indices, strikes, SwiftParams) per maturity group,
     the discretization selected at theta_ref."""
     for tau, idx in groups:
         strikes = [quotes[i].strike for i in idx]
-        m = select_scale(theta_ref, tau, ctx, scale_tol)
+        m = select_scale(theta_ref, tau, ctx)
         yield tau, idx, strikes, select_truncation(theta_ref, tau, ctx, m, strikes, L=L)
 
 
@@ -158,8 +158,8 @@ class KswiftBackend:
     name = "kswift"
 
     def __init__(self, quotes: Sequence[OptionQuote], ctx: MarketContext,
-                 theta_ref: HestonParams, scale_tol: float = _SCALE_TOL,
-                 L: float = 10.0, split_groups: bool = False):
+                 theta_ref: HestonParams, L: float = DEFAULT_L,
+                 split_groups: bool = False):
         self.ctx = ctx
         self.quotes = list(quotes)
         self.group_eval_count = 0
@@ -170,7 +170,7 @@ class KswiftBackend:
         self._pricers = [
             (MultiStrikePricer(ctx, tau, strikes, sp), np.asarray(idx))
             for tau, idx, strikes, sp in _selected_groups(
-                self.quotes, ctx, theta_ref, scale_tol, L, groups)]
+                self.quotes, ctx, theta_ref, L, groups)]
         self._put_offsets = put_offsets(self.quotes, ctx)
 
     @property
@@ -207,13 +207,12 @@ class SwiftBackend:
     name = "swift"
 
     def __init__(self, quotes: Sequence[OptionQuote], ctx: MarketContext,
-                 theta_ref: HestonParams, scale_tol: float = _SCALE_TOL,
-                 L: float = 10.0):
+                 theta_ref: HestonParams, L: float = DEFAULT_L):
         self.ctx = ctx
         self.quotes = list(quotes)
         self._sp = [None] * len(self.quotes)
-        for _, idx, _, sp in _selected_groups(self.quotes, ctx, theta_ref, scale_tol,
-                                              L, group_by_maturity(self.quotes).items()):
+        for _, idx, _, sp in _selected_groups(self.quotes, ctx, theta_ref, L,
+                                              group_by_maturity(self.quotes).items()):
             for i in idx:
                 self._sp[i] = sp
 
@@ -232,17 +231,16 @@ class CpBackend:
     name = "cp"
 
     def __init__(self, quotes: Sequence[OptionQuote], ctx: MarketContext,
-                 qc: QuadratureConfig = QuadratureConfig(), form: str = "cui"):
+                 qc: QuadratureConfig = QuadratureConfig()):
         self.ctx = ctx
         self.quotes = list(quotes)
         self.qc = qc
-        self.form = form
 
     def prices(self, theta: HestonParams) -> np.ndarray:
         return self.prices_and_jacobian(theta)[0]
 
     def prices_and_jacobian(self, theta: HestonParams):
-        rows = [price_and_gradient_cp(theta, self.ctx, q, self.qc, self.form)
+        rows = [price_and_gradient_cp(theta, self.ctx, q, self.qc)
                 for q in self.quotes]
         return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
 
@@ -359,7 +357,7 @@ def calibrate(quotes: Sequence[OptionQuote], theta0: HestonParams,
             stop = StopReason.FLAT_GRADIENT
             break
         if mu is None:
-            mu = config.mu0 * float(np.max(np.sum(jac * jac, axis=1)))
+            mu = _MU0 * float(np.max(np.sum(jac * jac, axis=1)))
 
         while True:  # damping adjustments until a step is accepted
             try:

@@ -37,7 +37,7 @@ from .fixtures import (
 )
 from .heston import ChfOverflowError, HestonParams, MarketContext
 from .quotes import QuoteFile, QuoteParseError, dumps_quotes, load_quote_file, save_quote_file
-from .swift import NoConvergenceError
+from .swift import DEFAULT_L, NoConvergenceError
 
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
@@ -99,24 +99,14 @@ def resolve_quotes(spec: str, rate=None) -> QuoteFile:
 
 
 def _overrides(args) -> PricingOverrides:
-    return PricingOverrides(
-        m=getattr(args, "m", None),
-        eta=getattr(args, "eta", None),
-        j=getattr(args, "j", None),
-        u_max=getattr(args, "u_max", None),
-        form=getattr(args, "chf_form", "cui"),
-        L=getattr(args, "L", 10.0),
-    )
+    # a flag the subcommand lacks or the user left unset keeps the default
+    given = {n: getattr(args, n, None) for n in ("m", "eta", "j", "u_max", "form", "L")}
+    return PricingOverrides(**{n: v for n, v in given.items() if v is not None})
 
 
 def _config(args) -> CalibrationConfig:
-    base = CalibrationConfig()
-    return CalibrationConfig(
-        eps1=getattr(args, "eps1", None) or base.eps1,
-        eps2=getattr(args, "eps2", None) or base.eps2,
-        eps3=getattr(args, "eps3", None) or base.eps3,
-        max_iterations=getattr(args, "max_iter", None) or base.max_iterations,
-    )
+    return CalibrationConfig(eps1=args.eps1, eps2=args.eps2, eps3=args.eps3,
+                             max_iterations=args.max_iter)
 
 
 def _emit(report, args) -> None:
@@ -177,7 +167,7 @@ def cmd_calibrate(args) -> int:
 def cmd_speed(args) -> int:
     target = parse_params(args.params)
     start = parse_params(args.start)
-    qf = resolve_quotes(args.set)
+    qf = resolve_quotes(args.set, rate=args.rate)
     report = run_speed(args.set, qf.quotes, qf.context, target, start,
                        reps=args.reps, config=_config(args),
                        ov=_overrides(args))
@@ -186,7 +176,7 @@ def cmd_speed(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    qf = resolve_quotes("set2")
+    qf = resolve_quotes("set2", rate=args.rate)
     report = run_converge(args.target, qf.quotes, qf.context,
                           trials=args.trials, seed=args.seed,
                           config=_config(args), ov=_overrides(args),
@@ -200,25 +190,27 @@ def _add_pricing_flags(p, with_swift=True, with_quadrature=True):
         p.add_argument("--m", type=int, help="pin the wavelet scale")
         p.add_argument("--eta", type=int, help="manual series half-width")
         p.add_argument("--j", type=int, help="manual J (density and payoff)")
-    p.add_argument("--L", type=float, default=10.0,
-                   help="truncation-width multiplier (default 10)")
+    p.add_argument("--L", type=float, default=DEFAULT_L,
+                   help="truncation-width multiplier (default %(default)s)")
     if with_quadrature:
-        p.add_argument("--u-max", dest="u_max", type=float,
-                       help="quadrature truncation ubar (default 200)")
-        p.add_argument("--chf-form", dest="chf_form",
-                       choices=("cui", "schoutens"), default="cui",
-                       help="characteristic function form")
+        p.add_argument("--u-max", dest="u_max", type=float, help="quadrature "
+                       f"truncation ubar (default {PricingOverrides.u_max:g})")
     p.add_argument("--rate", type=float, default=None,
                    help="override the risk-free rate of the quote file")
     p.add_argument("--out", help="also write the result as JSON to this path")
 
 
 def _add_config_flags(p):
-    p.add_argument("--eps1", type=float, help="residual-norm tolerance")
-    p.add_argument("--eps2", type=float, help="gradient infinity-norm tolerance")
-    p.add_argument("--eps3", type=float, help="relative-step tolerance")
+    base = CalibrationConfig()
+    p.add_argument("--eps1", type=float, default=base.eps1,
+                   help="residual-norm tolerance (default %(default)s)")
+    p.add_argument("--eps2", type=float, default=base.eps2,
+                   help="gradient infinity-norm tolerance (default %(default)s)")
+    p.add_argument("--eps3", type=float, default=base.eps3,
+                   help="relative-step tolerance (default %(default)s)")
     p.add_argument("--max-iter", dest="max_iter", type=int,
-                   help="iteration cap (default 100)")
+                   default=base.max_iterations,
+                   help="iteration cap (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,6 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="swift")
     p.add_argument("--params", required=True)
     p.add_argument("--quotes", required=True)
+    p.add_argument("--chf-form", dest="form", choices=("cui", "schoutens"),
+                   help="characteristic function form of the cp pricer "
+                        f"(default {PricingOverrides.form})")
     _add_pricing_flags(p)
     p.set_defaults(func=cmd_price)
 

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .calibrate import (
+    _MU0,
     CalibrationConfig,
     CalibrationResult,
     CpBackend,
@@ -31,6 +32,8 @@ from .quotes import QuoteFile
 from .reference import QuadratureConfig, price_cp
 from .reports import ExperimentReport
 from .swift import (
+    DEFAULT_L,
+    SCALE_TOL,
     OptionQuote,
     SwiftParams,
     _j_for,
@@ -44,8 +47,6 @@ from .swift import (
     truncation_width,
 )
 
-DEFAULT_SCALE_TOL = 1e-7
-
 
 @dataclass
 class PricingOverrides:
@@ -54,16 +55,17 @@ class PricingOverrides:
     m pins the wavelet scale exactly (the adaptive interval check may still
     widen the interval, but the scale never escalates).  eta and j switch to
     fully manual mode and skip the adaptive checks.  u_max/form configure
-    the quadrature pricer; L the truncation-width rule.
+    the quadrature pricer; L the truncation-width rule.  ``scale_tol`` is
+    the fixed ``swift.SCALE_TOL``, readable here but not a setting.
     """
 
     m: Optional[int] = None
     eta: Optional[int] = None
     j: Optional[int] = None
-    u_max: Optional[float] = None
+    u_max: float = QuadratureConfig.u_max
     form: str = "cui"
-    L: float = 10.0
-    scale_tol: float = DEFAULT_SCALE_TOL
+    L: float = DEFAULT_L
+    scale_tol = SCALE_TOL
 
 
 def _swift_params_for(theta: HestonParams, tau: float, ctx: MarketContext,
@@ -78,7 +80,7 @@ def _swift_params_for(theta: HestonParams, tau: float, ctx: MarketContext,
         # pinned scale: forbid escalation by capping at m
         return select_truncation(theta, tau, ctx, ov.m, strikes, L=ov.L,
                                  max_scale=ov.m)
-    m = select_scale(theta, tau, ctx, ov.scale_tol)
+    m = select_scale(theta, tau, ctx)
     return select_truncation(theta, tau, ctx, m, strikes, L=ov.L)
 
 
@@ -102,7 +104,7 @@ def swift_prices(theta: HestonParams, ctx: MarketContext,
 def cp_prices(theta: HestonParams, ctx: MarketContext,
               quotes: Sequence[OptionQuote],
               ov: PricingOverrides = PricingOverrides()):
-    qc = QuadratureConfig(u_max=ov.u_max) if ov.u_max else QuadratureConfig()
+    qc = QuadratureConfig(u_max=ov.u_max)
     return np.array([price_cp(theta, ctx, q, qc, form=ov.form)
                      for q in quotes]), qc
 
@@ -152,7 +154,7 @@ def run_generate(theta: HestonParams, ctx: MarketContext,
 
 def run_generate_grid(theta: HestonParams, ctx: MarketContext, m: int,
                       j_density: int, tau: float,
-                      L: float = 10.0) -> QuoteFile:
+                      L: float = DEFAULT_L) -> QuoteFile:
     """Calls at the dyadic strike grid x_k = (2k - J_d)/2^{m+1}.
 
     The grid layout is fixed by (m, J_d); the series half-width is capped at
@@ -178,24 +180,21 @@ def make_calibration_backend(name: str, quotes, ctx, theta_ref,
                              split_groups: bool = False):
     """The calibration backend named swift, kswift or cp, configured from ov."""
     if name == "kswift":
-        return KswiftBackend(quotes, ctx, theta_ref, scale_tol=ov.scale_tol,
-                             L=ov.L, split_groups=split_groups)
+        return KswiftBackend(quotes, ctx, theta_ref, L=ov.L, split_groups=split_groups)
     if name == "swift":
-        return SwiftBackend(quotes, ctx, theta_ref, scale_tol=ov.scale_tol, L=ov.L)
+        return SwiftBackend(quotes, ctx, theta_ref, L=ov.L)
     if name == "cp":
-        qc = QuadratureConfig(u_max=ov.u_max) if ov.u_max else QuadratureConfig()
-        return CpBackend(quotes, ctx, qc=qc, form=ov.form)
+        return CpBackend(quotes, ctx, qc=QuadratureConfig(u_max=ov.u_max))
     raise ValueError(f"unknown backend {name!r}; expected swift, kswift or cp")
 
 
 def run_calibrate(backend_name: str, qf: QuoteFile, theta0: HestonParams,
                   config: CalibrationConfig = CalibrationConfig(),
-                  ov: PricingOverrides = PricingOverrides(),
-                  split_groups: bool = False):
+                  ov: PricingOverrides = PricingOverrides()):
     """Calibrate a quote file; returns (report, CalibrationResult)."""
     t0 = time.perf_counter()
     backend = make_calibration_backend(backend_name, qf.quotes, qf.context,
-                                       theta0, ov, split_groups=split_groups)
+                                       theta0, ov)
     setup_s = time.perf_counter() - t0
     result = calibrate(qf.quotes, theta0, qf.context, config, backend)
     fitted = result.theta_hat
@@ -209,7 +208,7 @@ def run_calibrate(backend_name: str, qf: QuoteFile, theta0: HestonParams,
         "start": {name: getattr(theta0, name) for name in PARAM_ORDER},
         "config": {"eps1": config.eps1, "eps2": config.eps2,
                    "eps3": config.eps3, "max_iterations": config.max_iterations,
-                   "mu0": config.mu0},
+                   "mu0": _MU0},
         "n_quotes": len(qf.quotes),
         "wall_times": {"setup_s": setup_s, "calibrate_s": result.wall_time},
     }

@@ -99,19 +99,17 @@ def price_cp(theta: HestonParams, ctx: MarketContext, quote,
 
 
 def price_and_gradient_cp(theta: HestonParams, ctx: MarketContext, quote,
-                          qc: QuadratureConfig = QuadratureConfig(),
-                          form: str = "cui"):
+                          qc: QuadratureConfig = QuadratureConfig()):
     """Price and parameter gradient in one pass over shared quadrature nodes.
 
     The gradient integrand only replaces fhat with h * fhat, so the
-    characteristic function work is done once for both outputs.  The parity
+    characteristic function work is done once for both outputs.  Both come
+    from the "cui" form, the one that carries the closed-form h.  The parity
     adjustment for puts is parameter-free, hence the gradient needs no kind
     correction.
 
     Returns:
         (price, gradient) with gradient ordered per ``PARAM_ORDER``.
-        The gradient form is always "cui" (the compact form carries the
-        closed-form h); ``form`` only switches the price-side evaluation.
     """
     tau, strike = quote.maturity, quote.strike
     x = np.log(ctx.spot / strike)

@@ -59,6 +59,12 @@ __all__ = [
 ]
 
 OPTION_KINDS = ("call", "put")
+SCALE_TOL = 1e-7  # transform tail mass a selected scale may leave out
+DEFAULT_L = 10.0  # truncation-width multiplier of the cumulant rule
+# Density mass defect select_truncation accepts; strict, since a defect of
+# 1e-6 beyond a far right edge can already cost ~1e-5 in price.
+_AREA_TOL = 3e-8
+_TAIL_QUAD_POINTS = 129  # trapezoid points per scale in _tail_masses
 
 
 class NoConvergenceError(RuntimeError):
@@ -187,7 +193,7 @@ def _cosine_at(spectrum: np.ndarray, k_vals: np.ndarray) -> np.ndarray:
 
 
 def _tail_masses(theta: HestonParams, tau: float, ctx: MarketContext,
-                 scales: np.ndarray, quad_points: int = 129) -> np.ndarray:
+                 scales: np.ndarray) -> np.ndarray:
     """Two-sided transform mass beyond |u| = 2^m pi for each m in scales.
 
     Integrates |fhat| over [2^m pi, 2^{m+2} pi] by the trapezoidal rule (the
@@ -196,14 +202,16 @@ def _tail_masses(theta: HestonParams, tau: float, ctx: MarketContext,
     normalized by 1/(2 pi).  All scales share one characteristic sweep.
     """
     lo = 2.0**scales * np.pi
-    u = np.linspace(lo, 4.0 * lo, quad_points, axis=1)
+    u = np.linspace(lo, 4.0 * lo, _TAIL_QUAD_POINTS, axis=1)
     vals = np.abs(chf_cui(u.ravel(), tau, theta, ctx)).reshape(u.shape)
     return np.trapezoid(vals, u, axis=1) / np.pi
 
 
 def select_scale(theta: HestonParams, tau: float, ctx: MarketContext,
-                 tol: float = 1e-6, max_scale: int = 12) -> int:
+                 tol: float = SCALE_TOL, max_scale: int = 12) -> int:
     """Smallest scale m whose estimated projection-error bound is within tol.
+
+    Every pricing and calibration path selects at the default ``SCALE_TOL``.
 
     Raises:
         NoConvergenceError: no scale up to ``max_scale`` meets ``tol``.
@@ -265,8 +273,8 @@ def interval_params(m: int, c: float, x_min: float, x_max: float,
 
 
 def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
-                      m: int, strikes: Sequence[float], L: float = 10.0,
-                      area_tol: float = 3e-8, max_scale: int = 12) -> SwiftParams:
+                      m: int, strikes: Sequence[float], L: float = DEFAULT_L,
+                      max_scale: int = 12) -> SwiftParams:
     """Pick (eta, J_d, J_p, interval) for a strike set at maturity tau.
 
     The half-width c starts from :func:`truncation_width`; the interval is
@@ -278,8 +286,8 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
     interval -- and eta with it -- is grown geometrically (heavy-tailed
     parameter sets leak mass past the cumulant interval, and what leaks past
     the right edge gets amplified by the call payoff); if growth alone cannot
-    pass, the scale escalates.  area_tol is deliberately strict: a mass
-    defect of 1e-6 beyond a far right edge can already cost ~1e-5 in price.
+    pass, the scale escalates.  The mass defect accepted is the fixed
+    ``_AREA_TOL``; L defaults to ``DEFAULT_L``.
 
     Growth steps often keep the grid (m, J_d), which alone fixes the chf
     sweep and the density spectra at x_min and x_max: each is computed once
@@ -310,7 +318,7 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
                     spectra[xc] = _cosine_spectrum(f_vals * np.exp(-1j * omega * xc),
                                                    sp.j_density)
                 density = _density_at(spectra[xc], sp)
-                if abs(density_area(density, sp) - 1.0) > area_tol:
+                if abs(density_area(density, sp) - 1.0) > _AREA_TOL:
                     break
             else:
                 return sp

@@ -40,3 +40,18 @@ def test_tracer_rebinds_and_restores_entry_points(monkeypatch):
         after = vars(mod)
         assert after.keys() == before[name].keys(), name
         assert all(after[attr] is value for attr, value in before[name].items()), name
+
+
+def test_benchmark_workloads_run_on_the_public_api(monkeypatch):
+    # the benchmark's calls into swiftcal, one job each; PriceOneshot is left
+    # out because its set-up prices 256 quadrature references
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+    from tracing import NullTracer
+
+    for workload in (workloads.SurfaceShort(7), workloads.ConvergeLong(7)):
+        outcome = workload.run(0, NullTracer())
+        assert outcome.failure is None, workload.name
+        assert outcome.calibrated, workload.name
+    fx = workloads.PARAM_SETS["fx"]
+    workloads._selection(fx, workloads.set2_quotes())

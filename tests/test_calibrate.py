@@ -1,6 +1,8 @@
 """Damped least-squares driver: step algebra oracles, stopping behavior,
 backend interchangeability and the two quote-set protocols."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,9 @@ from swiftcal import (
     select_truncation,
 )
 from swiftcal.experiments import make_calibration_backend, run_price
+from swiftcal.fixtures import PARAM_SETS, set2_quotes
 from swiftcal.quotes import QuoteFile
+from swiftcal.swift import group_by_maturity
 
 
 def test_lm_step_zero_residual():
@@ -273,3 +277,20 @@ def test_split_groups_protocol_same_math(theta2, theta2_start, ctx, set2_priced)
     res_a = calibrate(set2_priced.quotes, theta2_start, ctx, cfg, grouped)
     res_b = calibrate(set2_priced.quotes, theta2_start, ctx, cfg, split)
     assert res_a.iterations == res_b.iterations
+
+
+@pytest.mark.parametrize("target", ["theta2", "fx", "ir", "eq"])
+def test_one_selection_rule_on_every_swift_path(ctx, target):
+    # every wavelet path selects at the one default scale tolerance
+    theta = PARAM_SETS[target]
+    quotes = set2_quotes()
+    want = {}
+    for tau, idx in group_by_maturity(quotes).items():
+        strikes = [quotes[i].strike for i in idx]
+        want[tau] = select_truncation(theta, tau, ctx, select_scale(theta, tau, ctx),
+                                      strikes)
+    report = run_price("swift", theta, QuoteFile(context=ctx, quotes=quotes))
+    assert report.metadata["config"] == {repr(tau): asdict(sp)
+                                         for tau, sp in want.items()}
+    assert KswiftBackend(quotes, ctx, theta).swift_params == list(want.values())
+    assert SwiftBackend(quotes, ctx, theta)._sp == [want[q.maturity] for q in quotes]

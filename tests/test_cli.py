@@ -195,10 +195,14 @@ def test_calibrate_rejects_discretization_flags(capsys):
     ["generate", "--params", "theta2", "--chf-form", "schoutens"],
     ["converge", "--target", "fx", "--trials", "1", "--u-max", "1"],
     ["converge", "--target", "fx", "--trials", "1", "--chf-form", "schoutens"],
+    ["calibrate", "--quotes", "set2", "--start", "theta2-start", "--chf-form", "cui"],
+    ["speed", "--set", "set1", "--reps", "1", "--chf-form", "cui"],
 ])
 def test_swift_only_commands_reject_quadrature_flags(capsys, argv):
     # generate prices with swift and converge fits with kswift: neither
-    # reaches the quadrature pricer these flags configure
+    # reaches the quadrature pricer these flags configure.  calibrate and
+    # speed keep --u-max for the cp backend, whose gradient exists in the
+    # cui form only, so just price takes --chf-form
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -227,6 +231,32 @@ def test_price_swift_manual_eta_and_j(capsys, tmp_path):
                            "theta2", "--quotes", "set2", "--eta", "40")
     assert code == 2
     assert "--m" in err
+
+
+@pytest.fixture(scope="module")
+def priced_set2(tmp_path_factory):
+    path = tmp_path_factory.mktemp("priced") / "set2.quotes"
+    assert main(["generate", "--params", "theta2", "--set", "set2",
+                 "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("flag", ["--eps1", "--eps2", "--eps3", "--max-iter"])
+def test_calibrate_rejects_zero_config_flag(capsys, priced_set2, flag):
+    # a zero tolerance or iteration cap is invalid, not a request for the default
+    code, out, err = run_cli(capsys, "calibrate", "--quotes", priced_set2,
+                             "--start", "theta2-start", flag, "0")
+    assert code == 2
+    assert out == ""
+    assert "positive" in err
+
+
+def test_price_cp_rejects_zero_u_max(capsys):
+    code, out, err = run_cli(capsys, "price", "--backend", "cp", "--params",
+                             "theta2", "--quotes", "set2", "--u-max", "0")
+    assert code == 2
+    assert out == ""
+    assert "u_max" in err
 
 
 def test_calibrate_unpriced_quotes_rejected(capsys, tmp_path):
@@ -272,6 +302,20 @@ def test_converge_rows_bitwise_deterministic(capsys, tmp_path):
     assert r1.rows == r2.rows  # timing lives in metadata, rows are exact
     assert r1.metadata["seed"] == 11
     assert r1.rows[0]["share_converged"] == 1.0
+
+
+def test_converge_rate_reaches_the_quotes(capsys, tmp_path):
+    def rows(name, *extra):
+        path = tmp_path / name
+        code, _, _ = run_cli(capsys, "converge", "--target", "eq", "--trials",
+                             "3", "--workers", "1", *extra, "--out", str(path))
+        assert code == 0
+        return ExperimentReport.from_json(path.read_text()).rows
+
+    flat = rows("r0.json")
+    rated = rows("r5a.json", "--rate", "0.05")
+    assert rated != flat
+    assert rows("r5b.json", "--rate", "0.05") == rated
 
 
 def test_converge_rows_identical_across_worker_counts(tmp_path):
