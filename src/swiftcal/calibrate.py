@@ -28,7 +28,8 @@ Parameter vectors, Jacobian columns and bounds are all ordered per
 Three interchangeable pricing backends are provided:
 
 * ``KswiftBackend``  - wavelet pricer, quotes grouped by maturity, all
-  theta-independent work (payoff spectrum, phase factors) done once.
+  theta-independent work (payoff spectrum, phase factors) done once and
+  small groups swept together.
 * ``SwiftBackend``   - wavelet pricer without reuse: every quote recomputes
   its density and payoff coefficients on every evaluation (the slow
   formulation the grouped one is benchmarked against).
@@ -51,6 +52,7 @@ from .swift import (
     MultiStrikePricer,
     OptionQuote,
     group_by_maturity,
+    pack_sweeps,
     price_and_gradient_single,
     put_offsets,
     select_scale,
@@ -144,15 +146,18 @@ class KswiftBackend:
 
     The discretization is selected once at construction (at ``theta_ref``,
     normally the calibration start) and frozen for all subsequent
-    evaluations, so the per-iteration cost is one characteristic function
-    sweep and one matrix product per maturity group.
+    evaluations, so the per-iteration cost is one matrix product per
+    maturity group and one characteristic function sweep per block of
+    groups: consecutive small groups share a sweep (see
+    :func:`~swiftcal.swift.pack_sweeps`), a group of ``PACK_FREQS`` density
+    frequencies or more has its own.
 
-    ``group_eval_count`` counts per-group pricing sweeps, letting tests
+    ``group_eval_count`` counts per-group pricing passes, letting tests
     assert that an evaluation touches each maturity exactly once.
 
-    ``split_groups=True`` degrades every group to a single quote (the
-    worst-case protocol for this backend: full coefficient reuse is lost
-    and the characteristic function is swept once per quote).
+    ``split_groups=True`` degrades every group to a single quote and packs
+    nothing (the worst-case protocol for this backend: full coefficient
+    reuse is lost and the characteristic function is swept once per quote).
     """
 
     name = "kswift"
@@ -171,6 +176,8 @@ class KswiftBackend:
             (MultiStrikePricer(ctx, tau, strikes, sp), np.asarray(idx))
             for tau, idx, strikes, sp in _selected_groups(
                 self.quotes, ctx, theta_ref, L, groups)]
+        if not split_groups:
+            pack_sweeps([p for p, _ in self._pricers])
         self._put_offsets = put_offsets(self.quotes, ctx)
 
     @property

@@ -44,6 +44,11 @@ EXIT_NUMERICAL = 3
 EXIT_NOT_CALIBRATED = 4
 
 _PARAM_FIELDS = ("kappa", "v_bar", "sigma", "rho", "v0")
+# pricing flags by attribute name, and those each backend never reads
+_PRICING_FLAGS = {"m": "--m", "eta": "--eta", "j": "--j", "u_max": "--u-max",
+                  "form": "--chf-form", "L": "--L"}
+_UNREAD_BY_BACKEND = {"swift": ("u_max", "form"), "kswift": ("u_max", "form"),
+                      "cp": ("m", "eta", "j", "L")}
 
 
 class CliError(Exception):
@@ -98,10 +103,23 @@ def resolve_quotes(spec: str, rate=None) -> QuoteFile:
     return qf
 
 
+def _given(args) -> dict:
+    """The pricing flags the subcommand has and the user set."""
+    given = {n: getattr(args, n, None) for n in _PRICING_FLAGS}
+    return {n: v for n, v in given.items() if v is not None}
+
+
 def _overrides(args) -> PricingOverrides:
     # a flag the subcommand lacks or the user left unset keeps the default
-    given = {n: getattr(args, n, None) for n in ("m", "eta", "j", "u_max", "form", "L")}
-    return PricingOverrides(**{n: v for n, v in given.items() if v is not None})
+    return PricingOverrides(**_given(args))
+
+
+def _reject_unread_flags(args) -> None:
+    unread = [_PRICING_FLAGS[n] for n in _UNREAD_BY_BACKEND[args.backend]
+              if n in _given(args)]
+    if unread:
+        raise CliError(f"the {args.backend} backend does not read "
+                       f"{', '.join(unread)}; drop {'it' if len(unread) == 1 else 'them'}")
 
 
 def _config(args) -> CalibrationConfig:
@@ -116,6 +134,7 @@ def _emit(report, args) -> None:
 
 
 def cmd_price(args) -> int:
+    _reject_unread_flags(args)
     theta = parse_params(args.params)
     qf = resolve_quotes(args.quotes, rate=args.rate)
     report = run_price(args.backend, theta, qf, _overrides(args))
@@ -134,7 +153,7 @@ def cmd_generate(args) -> int:
         except ValueError:
             raise CliError("--grid expects 'm,J,tau'")
         ctx = MarketContext(spot=args.spot, rate=args.rate or 0.0)
-        qf = run_generate_grid(theta, ctx, m, j, tau, L=args.L)
+        qf = run_generate_grid(theta, ctx, m, j, tau, L=_overrides(args).L)
     else:
         base = resolve_quotes(args.set, rate=args.rate)
         qf = run_generate(theta, base.context, base.quotes, noise=args.noise,
@@ -147,6 +166,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    _reject_unread_flags(args)
     theta0 = parse_params(args.start)
     qf = resolve_quotes(args.quotes, rate=args.rate)
     if any(q.price is None for q in qf.quotes):
@@ -190,8 +210,8 @@ def _add_pricing_flags(p, with_swift=True, with_quadrature=True):
         p.add_argument("--m", type=int, help="pin the wavelet scale")
         p.add_argument("--eta", type=int, help="manual series half-width")
         p.add_argument("--j", type=int, help="manual J (density and payoff)")
-    p.add_argument("--L", type=float, default=DEFAULT_L,
-                   help="truncation-width multiplier (default %(default)s)")
+    p.add_argument("--L", type=float, help="truncation-width multiplier "
+                   f"(default {DEFAULT_L:g})")
     if with_quadrature:
         p.add_argument("--u-max", dest="u_max", type=float, help="quadrature "
                        f"truncation ubar (default {PricingOverrides.u_max:g})")

@@ -206,7 +206,9 @@ def chf_cui_parts(u, tau: float, theta: HestonParams, ctx: MarketContext,
     The one stabilized evaluation of the compact form: every exp(d tau / 2)
     factor is cancelled and log B stays in log space.  ``grid_terms``, the
     :func:`chf_grid_terms` of a one-dimensional ``u``, lets a caller that
-    sweeps one grid repeatedly skip recomputing them.
+    sweeps one grid repeatedly skip recomputing them.  ``tau`` is a scalar
+    or, for a one-dimensional ``u``, one maturity per frequency: a sweep over
+    several maturities' grids at once is bitwise the per-maturity sweeps.
 
     Returns (value, parts).  ``value`` has the shape of ``u``; ``parts`` is
     an opaque tuple consumed by :func:`chf_gradient_from_parts`; holding on
@@ -263,6 +265,8 @@ def chf_cui_parts(u, tau: float, theta: HestonParams, ctx: MarketContext,
 
 def chf_gradient_from_parts(tau: float, theta: HestonParams, value, parts):
     """Gradient h(u) fhat(u) from a previous :func:`chf_cui_parts` call.
+
+    ``tau`` is the scalar or per-frequency maturity of that call.
 
     Rational in the stored intermediates: no square roots, logarithms or
     exponentials are evaluated, which is what makes reusing the price

@@ -56,6 +56,7 @@ __all__ = [
     "payoff_coefficients", "density_area",
     "price_single", "price_and_gradient_single", "price_multi_strike",
     "price_and_gradient_multi_strike", "price_strike_grid", "MultiStrikePricer",
+    "pack_sweeps",
 ]
 
 OPTION_KINDS = ("call", "put")
@@ -65,6 +66,9 @@ DEFAULT_L = 10.0  # truncation-width multiplier of the cumulant rule
 # 1e-6 beyond a far right edge can already cost ~1e-5 in price.
 _AREA_TOL = 3e-8
 _TAIL_QUAD_POINTS = 129  # trapezoid points per scale in _tail_masses
+# Frequencies at which a packed sweep block closes (see pack_sweeps): below
+# this, per-call overhead outweighs the per-point cost of a sweep.
+PACK_FREQS = 2048
 
 
 class NoConvergenceError(RuntimeError):
@@ -504,6 +508,10 @@ class MultiStrikePricer:
     characteristic sweep plus a matrix product, and the intermediates of the
     last sweep are kept so that a gradient request at the same parameters
     (accept, then linearize) reuses them.
+
+    The sweep is the pricer's own unless :func:`pack_sweeps` has attached it
+    to a block of several small pricers; the pricer then reads its slice of
+    the block's sweep, which is bitwise the sweep it would make alone.
     """
 
     def __init__(self, ctx: MarketContext, tau: float, strikes, sp: SwiftParams):
@@ -514,7 +522,8 @@ class MultiStrikePricer:
         self.payoff = payoff_coefficients(sp)
         self.u_tilde = _u_tilde(self.payoff, sp)
         self.omega = sp.density_freqs()
-        self._grid_terms = chf_grid_terms(self.omega)
+        self._sweep = _ChfSweep(self.omega, self.tau, ctx, chf_grid_terms(self.omega))
+        self._cols = slice(0, sp.j_density)  # this pricer's part of the sweep
         x = np.log(ctx.spot / self.strikes)
         j_d, b = sp.j_density, min(64, sp.j_density)
         delta = np.pi * 2.0**sp.m / j_d
@@ -523,26 +532,91 @@ class MultiStrikePricer:
         self.phases = (coarse[:, :, None] * fine[:, None, :]).reshape(len(x), j_d)
         self._scale = (self.strikes * math.exp(-ctx.rate * self.tau)
                        * 2.0**(sp.m / 2.0) / sp.j_density)
-        self._cache_key = None
-        self._cache = None
-
-    def _chf_parts(self, theta: HestonParams):
-        key = theta.as_array().tobytes()
-        if key != self._cache_key:
-            self._cache = chf_cui_parts(self.omega, self.tau, theta, self.ctx,
-                                        self._grid_terms)
-            self._cache_key = key
-        return self._cache
 
     def prices(self, theta: HestonParams) -> np.ndarray:
-        f_vals, _ = self._chf_parts(theta)
+        f_vals = self._sweep.parts(theta)[0][self._cols]
         return self._scale * (self.phases @ (f_vals * self.u_tilde)).real
 
     def prices_and_jacobian(self, theta: HestonParams):
-        value, parts = self._chf_parts(theta)
-        grad = chf_gradient_from_parts(self.tau, theta, value, parts)
+        value, grad = self._sweep.value_and_gradient(theta)
         cols = np.empty((6, self.sp.j_density), dtype=np.complex128)
-        np.multiply(value, self.u_tilde, out=cols[0])
-        np.multiply(grad, self.u_tilde, out=cols[1:])
+        np.multiply(value[self._cols], self.u_tilde, out=cols[0])
+        np.multiply(grad[:, self._cols], self.u_tilde, out=cols[1:])
         out = (self.phases @ cols.T).real
         return self._scale * out[:, 0], self._scale[:, None] * out[:, 1:]
+
+
+class _ChfSweep:
+    """The characteristic sweep of one pricer, or of a block of consecutive ones.
+
+    A block sweeps the members' concatenated frequencies with a per-element
+    tau.  The values and intermediates of the last sweep are kept; the
+    gradient is assembled when the first member asks for it at the current
+    parameters and dropped once every member has read it, so a block of one
+    keeps no gradient past the call.
+    """
+
+    def __init__(self, omega, tau, ctx: MarketContext, grid_terms, members: int = 1):
+        self.omega, self.tau, self.ctx = omega, tau, ctx
+        self.grid_terms = grid_terms
+        self.members = members
+        self._key = None
+        self._parts = None
+        self._grad = None
+        self._unread = 0
+
+    def parts(self, theta: HestonParams):
+        key = theta.as_array().tobytes()
+        if key != self._key:
+            self._parts = chf_cui_parts(self.omega, self.tau, theta, self.ctx,
+                                        self.grid_terms)
+            self._key = key
+            self._grad = None
+        return self._parts
+
+    def value_and_gradient(self, theta: HestonParams):
+        value, parts = self.parts(theta)
+        grad = self._grad
+        if grad is None:
+            grad = chf_gradient_from_parts(self.tau, theta, value, parts)
+            self._unread = self.members
+        self._unread -= 1
+        self._grad = grad if self._unread > 0 else None
+        return value, grad
+
+
+def pack_sweeps(pricers: Sequence[MultiStrikePricer]) -> None:
+    """Let consecutive small pricers share one characteristic sweep.
+
+    Pricers are taken in order into a block until it holds ``PACK_FREQS``
+    frequencies or more.  A pricer is never split, so one that starts a
+    block and reaches ``PACK_FREQS`` alone keeps its own sweep.  A block
+    costs one chf call and one gradient call per evaluation where its
+    members cost one each: per-call overhead dominates small sweeps.  The
+    block is swept lazily, when its first member asks at new parameters.
+    The pricers must share one market context.
+    """
+    if len({p.ctx for p in pricers}) > 1:
+        raise ValueError("packed pricers must share one market context")
+    block: list = []
+    for pricer in pricers:
+        block.append(pricer)
+        if sum(p.sp.j_density for p in block) >= PACK_FREQS:
+            _share_sweep(block)
+            block = []
+    _share_sweep(block)
+
+
+def _share_sweep(block: Sequence[MultiStrikePricer]) -> None:
+    if len(block) < 2:
+        return
+    sweep = _ChfSweep(
+        np.concatenate([p.omega for p in block]),
+        np.concatenate([np.full(p.sp.j_density, p.tau) for p in block]),
+        block[0].ctx,
+        tuple(np.concatenate(t) for t in zip(*(p._sweep.grid_terms for p in block))),
+        members=len(block))
+    start = 0
+    for p in block:
+        p._sweep, p._cols = sweep, slice(start, start + p.sp.j_density)
+        start += p.sp.j_density

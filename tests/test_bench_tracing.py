@@ -55,3 +55,26 @@ def test_benchmark_workloads_run_on_the_public_api(monkeypatch):
         assert outcome.calibrated, workload.name
     fx = workloads.PARAM_SETS["fx"]
     workloads._selection(fx, workloads.set2_quotes())
+
+
+def test_tracer_sees_every_kswift_chf_frequency(monkeypatch):
+    # the benchmark's heston.chf_freqs counts the chf calls made through the
+    # swift module's names; a sweep that reached the chf another way would
+    # escape it and the count would fall short of sum J_d
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    from swiftcal.experiments import run_generate
+    from swiftcal.fixtures import DEFAULT_CONTEXT, PARAM_SETS, set2_quotes
+
+    cal = importlib.import_module("swiftcal.calibrate")
+    quotes = run_generate(PARAM_SETS["theta2"], DEFAULT_CONTEXT, set2_quotes()).quotes
+    start = PARAM_SETS["theta2-start"]
+    tracer = Tracer()
+    with tracer.installed():
+        backend = cal.KswiftBackend(quotes, DEFAULT_CONTEXT, start)
+        with tracer.job(0):
+            backend.prices(start)
+            backend.prices_and_jacobian(start)
+    assert tracer.counts["heston.chf_freqs"] == sum(
+        sp.j_density for sp in backend.swift_params)

@@ -1,6 +1,7 @@
 """Damped least-squares driver: step algebra oracles, stopping behavior,
 backend interchangeability and the two quote-set protocols."""
 
+import importlib
 from dataclasses import asdict
 
 import numpy as np
@@ -12,6 +13,7 @@ from swiftcal import (
     HestonParams,
     KswiftBackend,
     MarketContext,
+    MultiStrikePricer,
     OptionQuote,
     SingularSystemError,
     StopReason,
@@ -26,10 +28,30 @@ from swiftcal import (
     select_scale,
     select_truncation,
 )
-from swiftcal.experiments import make_calibration_backend, run_price
+from swiftcal.experiments import make_calibration_backend, run_generate, run_price
 from swiftcal.fixtures import PARAM_SETS, set2_quotes
 from swiftcal.quotes import QuoteFile
-from swiftcal.swift import group_by_maturity
+from swiftcal.swift import PACK_FREQS, group_by_maturity, put_offsets
+
+
+@pytest.fixture
+def chf_sweeps(monkeypatch):
+    """Sizes of the chf value and gradient calls the pricers make, in order."""
+    swift = importlib.import_module("swiftcal.swift")
+    calls = {"chf": [], "grad": []}
+    chf, grad = swift.chf_cui_parts, swift.chf_gradient_from_parts
+
+    def counted_chf(u, *args, **kwargs):
+        calls["chf"].append(np.size(u))
+        return chf(u, *args, **kwargs)
+
+    def counted_grad(tau, theta, value, parts):
+        calls["grad"].append(np.size(value))
+        return grad(tau, theta, value, parts)
+
+    monkeypatch.setattr(swift, "chf_cui_parts", counted_chf)
+    monkeypatch.setattr(swift, "chf_gradient_from_parts", counted_grad)
+    return calls
 
 
 def test_lm_step_zero_residual():
@@ -90,6 +112,87 @@ def test_kswift_backend_groups_by_maturity(theta2, ctx, set2_priced):
     before = backend.group_eval_count
     backend.prices_and_jacobian(theta2)
     assert backend.group_eval_count - before == n_groups
+
+
+def test_kswift_packs_small_groups_split_protocol_does_not(theta2, theta2_start, ctx,
+                                                           set2_priced, chf_sweeps):
+    quotes = set2_priced.quotes
+    backend = KswiftBackend(quotes, ctx, theta2_start)
+    n_groups = len(backend.swift_params)
+    chf_sweeps["chf"].clear()
+    before = backend.group_eval_count
+    backend.prices(theta2)
+    assert backend.group_eval_count - before == n_groups
+    assert 0 < len(chf_sweeps["chf"]) < n_groups
+    # set3: every quote its own group and its own sweep, so the speed
+    # comparison still measures per-quote recomputation
+    split = KswiftBackend(quotes, ctx, theta2_start, split_groups=True)
+    chf_sweeps["chf"].clear()
+    split.prices(theta2)
+    assert len(chf_sweeps["chf"]) == len(quotes)
+    split.prices_and_jacobian(theta2_start)
+    assert len(chf_sweeps["chf"]) == 2 * len(quotes)
+    assert len(chf_sweeps["grad"]) == len(quotes)
+
+
+def _nudged(theta):
+    return HestonParams.from_array(theta.as_array() * [1.01, 0.99, 1.01, 0.99, 1.0])
+
+
+@pytest.mark.parametrize("target,start", [("theta2", "theta2-start"), ("ir", "ir"),
+                                          ("fx", "fx")])
+def test_kswift_sweeps_every_frequency_once(ctx, target, start, chf_sweeps):
+    # a price evaluation sweeps sum J_d, the Jacobian at the same parameters
+    # reuses it, and a Jacobian at new parameters sweeps and differentiates
+    # sum J_d again: no frequency is swept twice or skipped
+    quotes = run_generate(PARAM_SETS[target], ctx, set2_quotes()).quotes
+    theta0 = PARAM_SETS[start]
+    backend = KswiftBackend(quotes, ctx, theta0)
+    sum_jd = sum(sp.j_density for sp in backend.swift_params)
+    chf_sweeps["chf"].clear()
+    backend.prices(theta0)
+    assert sum(chf_sweeps["chf"]) == sum_jd
+    chf_sweeps["chf"].clear()
+    backend.prices_and_jacobian(theta0)
+    assert chf_sweeps["chf"] == []
+    assert sum(chf_sweeps["grad"]) == sum_jd
+    backend.prices_and_jacobian(_nudged(theta0))
+    assert sum(chf_sweeps["chf"]) == sum_jd
+    assert sum(chf_sweeps["grad"]) == 2 * sum_jd
+
+
+@pytest.mark.parametrize("target,start", [("theta2", "theta2-start"), ("ir", "ir")])
+def test_packed_sweeps_bitwise_per_group(ctx, target, start, chf_sweeps):
+    quotes = run_generate(PARAM_SETS[target], ctx, set2_quotes()).quotes
+    theta0 = PARAM_SETS[start]
+    backend = KswiftBackend(quotes, ctx, theta0)
+    j_d = [sp.j_density for sp in backend.swift_params]
+    alone = [(MultiStrikePricer(ctx, tau, [quotes[i].strike for i in idx], sp), idx)
+             for (tau, idx), sp in zip(group_by_maturity(quotes).items(),
+                                       backend.swift_params)]
+
+    def per_group(theta, jacobian):
+        prices, jac = np.empty(len(quotes)), np.empty((len(quotes), 5))
+        for pricer, idx in alone:
+            if jacobian:
+                prices[idx], jac[idx] = pricer.prices_and_jacobian(theta)
+            else:
+                prices[idx] = pricer.prices(theta)
+        return prices + put_offsets(quotes, ctx), jac
+
+    chf_sweeps["chf"].clear()
+    prices = backend.prices(theta0)
+    packed = chf_sweeps["chf"][:]
+    assert np.array_equal(prices, per_group(theta0, False)[0])
+    for theta in (theta0, _nudged(theta0)):  # reused sweep, then a fresh one
+        got, want = backend.prices_and_jacobian(theta), per_group(theta, True)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+    if target == "ir":
+        # the first block packs a small group with one that fills a block on
+        # its own; every later group is a block of one
+        assert j_d[0] < PACK_FREQS <= j_d[1]
+        assert packed == [j_d[0] + j_d[1]] + j_d[2:]
 
 
 def test_backend_prices_agree(theta2, ctx, set2_priced):

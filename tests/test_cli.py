@@ -259,6 +259,43 @@ def test_price_cp_rejects_zero_u_max(capsys):
     assert "u_max" in err
 
 
+@pytest.mark.parametrize("argv,unread", [
+    pytest.param(["price", "--backend", "cp", "--m", "9", "--L", "3", "--eta", "4",
+                  "--j", "16"], ["--m", "--eta", "--j", "--L"], id="price-cp-swift-flags"),
+    pytest.param(["price", "--backend", "cp", "--L", "3"], ["--L"], id="price-cp-L"),
+    pytest.param(["price", "--backend", "swift", "--chf-form", "schoutens", "--u-max",
+                  "1"], ["--u-max", "--chf-form"], id="price-swift-cp-flags"),
+    pytest.param(["price", "--backend", "kswift", "--u-max", "1"], ["--u-max"],
+                 id="price-kswift-u-max"),
+    pytest.param(["calibrate", "--backend", "kswift", "--u-max", "1"], ["--u-max"],
+                 id="calibrate-kswift-u-max"),
+    pytest.param(["calibrate", "--backend", "swift", "--u-max", "1"], ["--u-max"],
+                 id="calibrate-swift-u-max"),
+    pytest.param(["calibrate", "--backend", "cp", "--L", "3"], ["--L"],
+                 id="calibrate-cp-L"),
+])
+def test_flags_the_backend_never_reads_rejected(capsys, priced_set2, argv, unread):
+    # the subcommand takes these flags for another backend; the chosen one
+    # would run as if they were not given
+    inputs = (["--params", "theta2", "--quotes", "set2"] if argv[0] == "price" else
+              ["--quotes", priced_set2, "--start", "theta2-start"])
+    code, out, err = run_cli(capsys, *argv, *inputs)
+    assert code == 2
+    assert out == ""
+    assert all(flag in err for flag in unread)
+    assert argv[2] in err
+
+
+def test_flags_the_backend_reads_accepted(capsys, priced_set2):
+    for argv in (["price", "--backend", "cp", "--params", "theta2", "--quotes", "set2",
+                  "--u-max", "300", "--chf-form", "schoutens"],
+                 ["price", "--backend", "kswift", "--params", "theta2", "--quotes",
+                  "set2", "--m", "6", "--L", "8"],
+                 ["calibrate", "--backend", "kswift", "--quotes", priced_set2,
+                  "--start", "theta2", "--L", "8"]):
+        assert run_cli(capsys, *argv)[0] == 0, argv
+
+
 def test_calibrate_unpriced_quotes_rejected(capsys, tmp_path):
     code, _, err = run_cli(capsys, "calibrate", "--quotes", "set2",
                            "--start", "theta2-start")

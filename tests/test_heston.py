@@ -209,6 +209,27 @@ def test_chf_parts_with_grid_terms_bitwise(ctx):
                               chf_gradient_from_parts(1.3, th, value_g, parts_g))
 
 
+def test_chf_parts_with_tau_vector_bitwise(ctx):
+    # one sweep over several maturities' grids, one tau per frequency, is the
+    # per-maturity sweeps side by side: packed pricers rely on it bit for bit
+    grids = [(0.12, np.linspace(0.0, 80.0, 257)), (1.3, np.linspace(0.5, 300.0, 1024)),
+             (45.0, np.linspace(0.1, 20.0, 64))]
+    u = np.concatenate([g for _, g in grids])
+    tau = np.concatenate([np.full(g.size, t) for t, g in grids])
+    for name in ("theta1", "fx", "ir", "eq", "stress"):
+        th = PARAM_SETS[name]
+        value, parts = chf_cui_parts(u, tau, th, ctx, chf_grid_terms(u))
+        grad = chf_gradient_from_parts(tau, th, value, parts)
+        start = 0
+        for t, g in grids:
+            cols = slice(start, start + g.size)
+            value_t, parts_t = chf_cui_parts(g, t, th, ctx)
+            assert np.array_equal(value[cols], value_t), (name, t)
+            assert np.array_equal(grad[:, cols],
+                                  chf_gradient_from_parts(t, th, value_t, parts_t)), (name, t)
+            start = cols.stop
+
+
 def test_continuity_in_u_long_maturity(stress_theta, ctx):
     # a branch-cut jump would survive step refinement; smooth growth halves
     tau = 45.0

@@ -36,6 +36,7 @@ from swiftcal.swift import (
     _next_pow2,
     _payoff_transform,
     group_by_maturity,
+    pack_sweeps,
 )
 
 from conftest import price_jacobian_fd
@@ -394,6 +395,35 @@ def test_phase_matrix_two_tables_match_direct_exponentials(ctx):
         x = np.log(ctx.spot / strikes)
         direct = np.exp(-1j * np.outer(x, omega))
         assert np.max(np.abs(pricer.phases - direct)) < 1e-12
+
+
+def test_packed_pricers_answer_alone_in_any_call_order(theta2, theta2_start, ctx):
+    # members of one shared sweep, asked out of order and at changing
+    # parameters, answer bit for bit as they do unpacked
+    strikes = [0.9, 1.0, 1.1]
+    theta_b = HestonParams.from_array(theta2.as_array() * 1.01)
+
+    def pricers():
+        out = []
+        for tau in (0.25, 0.5, 1.0):
+            sp = select_truncation(theta2, tau, ctx, select_scale(theta2, tau, ctx),
+                                   strikes)
+            out.append(MultiStrikePricer(ctx, tau, strikes, sp))
+        return out
+
+    packed, alone = pricers(), pricers()
+    pack_sweeps(packed)
+    assert len({id(p._sweep) for p in packed}) == 1
+    calls = [(2, "jac", theta2), (0, "price", theta_b), (1, "jac", theta2),
+             (1, "jac", theta_b), (2, "jac", theta_b), (0, "jac", theta2_start),
+             (0, "jac", theta2_start), (2, "price", theta2_start)]
+    for k, kind, theta in calls:
+        if kind == "price":
+            assert np.array_equal(packed[k].prices(theta), alone[k].prices(theta))
+        else:
+            got = packed[k].prices_and_jacobian(theta)
+            want = alone[k].prices_and_jacobian(theta)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (k, theta)
 
 
 def test_correlation_gradient_vanishes_without_vol_of_vol(ctx):
