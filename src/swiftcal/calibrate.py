@@ -370,7 +370,7 @@ def calibrate(quotes: Sequence[OptionQuote], theta0: HestonParams,
             try:
                 delta = _bounded_step(jac, r, mu, theta_vec, config)
             except SingularSystemError:
-                if mu >= _MU_MAX:
+                if not mu < _MU_MAX:  # a NaN mu (non-finite Jacobian) never grows
                     stop = StopReason.STAGNANT_STEP
                     break
                 mu = min(mu * 10.0, _MU_MAX)

@@ -46,9 +46,10 @@ EXIT_NOT_CALIBRATED = 4
 _PARAM_FIELDS = ("kappa", "v_bar", "sigma", "rho", "v0")
 # pricing flags by attribute name, and those each backend never reads
 _PRICING_FLAGS = {"m": "--m", "eta": "--eta", "j": "--j", "u_max": "--u-max",
-                  "form": "--chf-form", "L": "--L"}
-_UNREAD_BY_BACKEND = {"swift": ("u_max", "form"), "kswift": ("u_max", "form"),
+                  "L": "--L"}
+_UNREAD_BY_BACKEND = {"swift": ("u_max",), "kswift": ("u_max",),
                       "cp": ("m", "eta", "j", "L")}
+DEFAULT_SET = "set2"  # strike/maturity set generate prices without --grid
 
 
 class CliError(Exception):
@@ -103,9 +104,9 @@ def resolve_quotes(spec: str, rate=None) -> QuoteFile:
     return qf
 
 
-def _given(args) -> dict:
-    """The pricing flags the subcommand has and the user set."""
-    given = {n: getattr(args, n, None) for n in _PRICING_FLAGS}
+def _given(args, names=_PRICING_FLAGS) -> dict:
+    """The flags among names that the subcommand has and the user set."""
+    given = {n: getattr(args, n, None) for n in names}
     return {n: v for n, v in given.items() if v is not None}
 
 
@@ -114,11 +115,11 @@ def _overrides(args) -> PricingOverrides:
     return PricingOverrides(**_given(args))
 
 
-def _reject_unread_flags(args) -> None:
-    unread = [_PRICING_FLAGS[n] for n in _UNREAD_BY_BACKEND[args.backend]
+def _reject_unread_flags(args, backend: str, why: str = "") -> None:
+    unread = [_PRICING_FLAGS[n] for n in _UNREAD_BY_BACKEND[backend]
               if n in _given(args)]
     if unread:
-        raise CliError(f"the {args.backend} backend does not read "
+        raise CliError(f"the {backend} backend{why} does not read "
                        f"{', '.join(unread)}; drop {'it' if len(unread) == 1 else 'them'}")
 
 
@@ -134,7 +135,7 @@ def _emit(report, args) -> None:
 
 
 def cmd_price(args) -> int:
-    _reject_unread_flags(args)
+    _reject_unread_flags(args, args.backend)
     theta = parse_params(args.params)
     qf = resolve_quotes(args.quotes, rate=args.rate)
     report = run_price(args.backend, theta, qf, _overrides(args))
@@ -147,17 +148,24 @@ def cmd_generate(args) -> int:
     if args.grid:
         if any(v is not None for v in (args.m, args.eta, args.j)):
             raise CliError("--grid fixes m and J itself; drop --m/--eta/--j")
+        if _given(args, ("set", "noise", "seed")):
+            raise CliError("--grid prices noise-free calls on its own strikes; "
+                           "drop --set/--noise/--seed")
         try:
             m_s, j_s, tau_s = args.grid.split(",")
             m, j, tau = int(m_s), int(j_s), float(tau_s)
         except ValueError:
             raise CliError("--grid expects 'm,J,tau'")
-        ctx = MarketContext(spot=args.spot, rate=args.rate or 0.0)
+        spot = 1.0 if args.spot is None else args.spot
+        ctx = MarketContext(spot=spot, rate=args.rate or 0.0)
         qf = run_generate_grid(theta, ctx, m, j, tau, L=_overrides(args).L)
     else:
-        base = resolve_quotes(args.set, rate=args.rate)
-        qf = run_generate(theta, base.context, base.quotes, noise=args.noise,
-                          seed=args.seed, ov=_overrides(args))
+        if args.spot is not None:
+            raise CliError("--spot is the spot of --grid only; a quote set "
+                           "carries its own; drop --spot")
+        base = resolve_quotes(args.set or DEFAULT_SET, rate=args.rate)
+        qf = run_generate(theta, base.context, base.quotes,
+                          ov=_overrides(args), **_given(args, ("noise", "seed")))
     if args.out:
         save_quote_file(qf, args.out)
     else:
@@ -166,7 +174,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    _reject_unread_flags(args)
+    _reject_unread_flags(args, args.backend)
     theta0 = parse_params(args.start)
     qf = resolve_quotes(args.quotes, rate=args.rate)
     if any(q.price is None for q in qf.quotes):
@@ -185,6 +193,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_speed(args) -> int:
+    if args.set == "set3":
+        _reject_unread_flags(args, "kswift", " (the only one set3 runs)")
     target = parse_params(args.params)
     start = parse_params(args.start)
     qf = resolve_quotes(args.set, rate=args.rate)
@@ -245,22 +255,19 @@ def build_parser() -> argparse.ArgumentParser:
                    default="swift")
     p.add_argument("--params", required=True)
     p.add_argument("--quotes", required=True)
-    p.add_argument("--chf-form", dest="form", choices=("cui", "schoutens"),
-                   help="characteristic function form of the cp pricer "
-                        f"(default {PricingOverrides.form})")
     _add_pricing_flags(p)
     p.set_defaults(func=cmd_price)
 
     p = sub.add_parser("generate", help="generate synthetic call prices")
     p.add_argument("--params", required=True)
-    p.add_argument("--set", default="set2",
-                   help="strike/maturity set or quote file (default set2)")
+    p.add_argument("--set", help="strike/maturity set or quote file "
+                   f"(default {DEFAULT_SET}; not with --grid)")
     p.add_argument("--grid", help="dyadic strike grid spec 'm,J,tau'")
-    p.add_argument("--spot", type=float, default=1.0,
+    p.add_argument("--spot", type=float,
                    help="spot for --grid generation (default 1.0)")
-    p.add_argument("--noise", type=float, default=0.0,
-                   help="additive Gaussian noise scale (default 0)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--noise", type=float,
+                   help="additive Gaussian noise scale (default 0; not with --grid)")
+    p.add_argument("--seed", type=int, help="noise seed (default 0; not with --grid)")
     _add_pricing_flags(p, with_quadrature=False)  # generate prices by swift only
     p.set_defaults(func=cmd_generate)
 
@@ -311,7 +318,7 @@ def main(argv=None) -> int:
     except ChfOverflowError as exc:
         sys.stderr.write(
             f"numerical failure: {exc}\n"
-            "remedies: lower --u-max, raise --m, or switch --chf-form\n")
+            "remedies: lower --u-max or raise --m\n")
         return EXIT_NUMERICAL
     except NoConvergenceError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")

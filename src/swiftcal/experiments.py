@@ -54,8 +54,8 @@ class PricingOverrides:
 
     m pins the wavelet scale exactly (the adaptive interval check may still
     widen the interval, but the scale never escalates).  eta and j switch to
-    fully manual mode and skip the adaptive checks.  u_max/form configure
-    the quadrature pricer; L the truncation-width rule.  ``scale_tol`` is
+    fully manual mode and skip the adaptive checks.  u_max configures the
+    quadrature pricer; L the truncation-width rule.  ``scale_tol`` is
     the fixed ``swift.SCALE_TOL``, readable here but not a setting.
     """
 
@@ -63,7 +63,6 @@ class PricingOverrides:
     eta: Optional[int] = None
     j: Optional[int] = None
     u_max: float = QuadratureConfig.u_max
-    form: str = "cui"
     L: float = DEFAULT_L
     scale_tol = SCALE_TOL
 
@@ -101,14 +100,6 @@ def swift_prices(theta: HestonParams, ctx: MarketContext,
     return prices + put_offsets(quotes, ctx), used
 
 
-def cp_prices(theta: HestonParams, ctx: MarketContext,
-              quotes: Sequence[OptionQuote],
-              ov: PricingOverrides = PricingOverrides()):
-    qc = QuadratureConfig(u_max=ov.u_max)
-    return np.array([price_cp(theta, ctx, q, qc, form=ov.form)
-                     for q in quotes]), qc
-
-
 def run_price(backend: str, theta: HestonParams, qf: QuoteFile,
               ov: PricingOverrides = PricingOverrides()) -> ExperimentReport:
     """Price every quote in the file with the selected backend."""
@@ -117,8 +108,9 @@ def run_price(backend: str, theta: HestonParams, qf: QuoteFile,
         prices, used = swift_prices(theta, qf.context, qf.quotes, ov)
         config = {repr(tau): asdict(sp) for tau, sp in used.items()}
     elif backend == "cp":
-        prices, qc = cp_prices(theta, qf.context, qf.quotes, ov)
-        config = {"nodes": qc.nodes, "u_max": qc.u_max, "form": ov.form}
+        qc = QuadratureConfig(u_max=ov.u_max)
+        prices = np.array([price_cp(theta, qf.context, q, qc) for q in qf.quotes])
+        config = {"nodes": qc.nodes, "u_max": qc.u_max}
     else:
         raise ValueError(f"unknown backend {backend!r}")
     elapsed = time.perf_counter() - t0

@@ -17,9 +17,10 @@ i.e. the *negative*-exponent transform.  Consequences worth remembering:
   fhat(u; x) = exp(-i u x) fhat(u).
 
 Two algebraically equivalent closed forms are provided: ``chf_cui`` (compact
-form with simple parameter derivatives) and ``chf_schoutens`` (the classic
-branch-cut-free form, kept as a long-maturity fallback).  Both are continuous
-in u over the full parameter domain.
+form with simple parameter derivatives), the one every pricer evaluates, and
+``chf_schoutens`` (the classic branch-cut-free form), the independent form
+the tests check ``chf_cui`` against.  Both are continuous in u over the full
+parameter domain.
 
 The stabilized compact form is written once, in ``chf_cui_parts``; ``chf_cui``
 returns its value and ``chf_gradient_from_parts`` the gradient from its
@@ -47,8 +48,7 @@ class ChfOverflowError(ArithmeticError):
     """Characteristic function evaluation left the double-precision range.
 
     Raised when an evaluation produces non-finite values.  Callers can lower
-    the frequency range (smaller quadrature cutoff / wavelet scale) or switch
-    the characteristic function form.
+    the frequency range (smaller quadrature cutoff / wavelet scale).
     """
 
 
@@ -179,9 +179,9 @@ def chf_cui(u, tau: float, theta: HestonParams, ctx: MarketContext,
 def chf_schoutens(u, tau: float, theta: HestonParams, ctx: MarketContext):
     """Characteristic function of ln(S_T/S_t), branch-cut-free classic form.
 
-    Equal to :func:`chf_cui` wherever both evaluate finitely; exposed
-    separately because reference pricers built on it behave differently in
-    the extreme-maturity regimes where the naive compact form overflows.
+    Equal to :func:`chf_cui` wherever both evaluate finitely.  No pricer
+    uses it: it is the independent form the tests check :func:`chf_cui`
+    against.
     """
     u, iu, xi, u2, d = _core_terms(u, tau, theta)
     sigma, kappa, v_bar, v0 = theta.sigma, theta.kappa, theta.v_bar, theta.v0

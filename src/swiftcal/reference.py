@@ -16,6 +16,10 @@ ubar is a matter of trial and error, and hiding that would misrepresent the
 method.  Deep out-of-the-money short-expiry prices do not converge in ubar
 at all -- tests pin that behavior down rather than masking it.
 
+fhat is the package's one stabilized form, ``heston.chf_cui``; the price
+and the price-and-gradient entry points share one inversion assembly, the
+latter sweeping ``chf_with_gradient`` on the same nodes.
+
 Puts are priced from calls via put-call parity (``swift.parity_offset``).
 """
 
@@ -26,10 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .heston import HestonParams, MarketContext, chf_cui, chf_schoutens, chf_with_gradient
+from .heston import HestonParams, MarketContext, chf_cui, chf_with_gradient
 from .swift import parity_offset
-
-CHF_FORMS = ("cui", "schoutens")
 
 
 @dataclass(frozen=True)
@@ -58,44 +60,51 @@ def _grid(qc: QuadratureConfig):
     return half * (x + 1.0), half * w
 
 
-def _chf(form: str):
-    if form == "cui":
-        return chf_cui
-    if form == "schoutens":
-        return chf_schoutens
-    raise ValueError(f"unknown characteristic function form {form!r}; "
-                     f"expected one of {CHF_FORMS}")
+def _invert(ctx: MarketContext, quote, qc: QuadratureConfig, sweep):
+    """(price, gradient or None) of one quote by the inversion formula.
+
+    ``sweep(u, tau)`` returns fhat(u) and its gradient (per ``PARAM_ORDER``)
+    or None; the price gradient is assembled only from a returned one.
+    Parity is parameter-free, so a put shares its call's gradient.
+    """
+    tau, strike = quote.maturity, quote.strike
+    x = np.log(ctx.spot / strike)
+    u, w = _grid(qc)
+
+    val_s, grad_s = sweep(-u + 1j, tau)
+    val_p, grad_p = sweep(u, tau)
+    phase_s = np.exp((1.0 + 1j * u) * x)
+    phase_p = np.exp(-1j * u * x)
+    inv_iu = 1.0 / (1j * u)
+
+    disc = np.exp(-ctx.rate * tau)
+    integrand = np.real((val_s * phase_s + val_p * phase_p) * inv_iu)
+    price = strike * (0.5 * (np.exp(x - ctx.dividend * tau) - disc)
+                      + disc / np.pi * float(w @ integrand))
+    if getattr(quote, "kind", "call") == "put":
+        price += parity_offset(ctx, strike, tau)
+    if grad_s is None:
+        return price, None
+
+    grad_integrand = np.real(
+        (grad_s * (phase_s * inv_iu) + grad_p * (phase_p * inv_iu)))
+    return price, strike * disc / np.pi * (grad_integrand @ w)
 
 
 def price_cp(theta: HestonParams, ctx: MarketContext, quote,
-             qc: QuadratureConfig = QuadratureConfig(),
-             form: str = "cui") -> float:
+             qc: QuadratureConfig = QuadratureConfig()) -> float:
     """Price one European option by Fourier inversion.
 
     Args:
         quote: anything with ``strike``, ``maturity`` and ``kind`` attributes.
         qc:    quadrature configuration (node count, truncation ubar).
-        form:  characteristic function form, "cui" or "schoutens".
 
     Raises:
         ChfOverflowError: if the characteristic function overflows at any
-            node; lower ``qc.u_max`` or switch ``form``.
+            node; lower ``qc.u_max``.
     """
-    chf = _chf(form)
-    tau, strike = quote.maturity, quote.strike
-    x = np.log(ctx.spot / strike)
-    u, w = _grid(qc)
-
-    f_shift = chf(-u + 1j, tau, theta, ctx) * np.exp((1.0 + 1j * u) * x)
-    f_plain = chf(u, tau, theta, ctx) * np.exp(-1j * u * x)
-    integrand = np.real((f_shift + f_plain) / (1j * u))
-
-    disc = np.exp(-ctx.rate * tau)
-    call = strike * (0.5 * (np.exp(x - ctx.dividend * tau) - disc)
-                     + disc / np.pi * float(w @ integrand))
-    if getattr(quote, "kind", "call") == "put":
-        return call + parity_offset(ctx, strike, tau)
-    return call
+    return _invert(ctx, quote, qc,
+                   lambda u, tau: (chf_cui(u, tau, theta, ctx), None))[0]
 
 
 def price_and_gradient_cp(theta: HestonParams, ctx: MarketContext, quote,
@@ -103,34 +112,10 @@ def price_and_gradient_cp(theta: HestonParams, ctx: MarketContext, quote,
     """Price and parameter gradient in one pass over shared quadrature nodes.
 
     The gradient integrand only replaces fhat with h * fhat, so the
-    characteristic function work is done once for both outputs.  Both come
-    from the "cui" form, the one that carries the closed-form h.  The parity
-    adjustment for puts is parameter-free, hence the gradient needs no kind
-    correction.
+    characteristic function work is done once for both outputs.
 
     Returns:
         (price, gradient) with gradient ordered per ``PARAM_ORDER``.
     """
-    tau, strike = quote.maturity, quote.strike
-    x = np.log(ctx.spot / strike)
-    u, w = _grid(qc)
-
-    val_s, grad_s = chf_with_gradient(-u + 1j, tau, theta, ctx)
-    val_p, grad_p = chf_with_gradient(u, tau, theta, ctx)
-    phase_s = np.exp((1.0 + 1j * u) * x)
-    phase_p = np.exp(-1j * u * x)
-    inv_iu = 1.0 / (1j * u)
-
-    disc = np.exp(-ctx.rate * tau)
-    integrand = np.real((val_s * phase_s + val_p * phase_p) * inv_iu)
-    call = strike * (0.5 * (np.exp(x - ctx.dividend * tau) - disc)
-                     + disc / np.pi * float(w @ integrand))
-
-    grad_integrand = np.real(
-        (grad_s * (phase_s * inv_iu) + grad_p * (phase_p * inv_iu)))
-    gradient = strike * disc / np.pi * (grad_integrand @ w)
-
-    if getattr(quote, "kind", "call") == "put":
-        call += parity_offset(ctx, strike, tau)
-    return call, gradient
-
+    return _invert(ctx, quote, qc,
+                   lambda u, tau: chf_with_gradient(u, tau, theta, ctx))

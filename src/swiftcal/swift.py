@@ -396,16 +396,31 @@ def _u_tilde(payoff: np.ndarray, sp: SwiftParams) -> np.ndarray:
     return spectrum[1:sp.j_density + 1]
 
 
+def _expand_single(ctx: MarketContext, quote: OptionQuote, sp: SwiftParams, sweep):
+    """(price, gradient or None) of one quote by the per-strike expansion.
+
+    ``sweep(omega, tau)`` returns fhat(omega) and its gradient or None.  Each
+    transform row gets one density FFT against the payoff coefficients;
+    parity goes to the price row alone.
+    """
+    omega = sp.density_freqs()
+    value, grad = sweep(omega, quote.maturity)
+    shift = np.exp(-1j * omega * math.log(ctx.spot / quote.strike))
+    payoff = payoff_coefficients(sp)
+    scale = quote.strike * math.exp(-ctx.rate * quote.maturity)
+    rows = [value] if grad is None else [value, *grad]
+    out = [scale * float(_density_at(_cosine_spectrum(row * shift, sp.j_density), sp)
+                         @ payoff) for row in rows]
+    if quote.kind == "put":
+        out[0] += parity_offset(ctx, quote.strike, quote.maturity)
+    return out[0], (None if grad is None else np.array(out[1:]))
+
+
 def price_single(theta: HestonParams, ctx: MarketContext, quote: OptionQuote,
                  sp: SwiftParams) -> float:
     """Single-quote price through the per-strike density expansion."""
-    x = math.log(ctx.spot / quote.strike)
-    density = density_coefficients(theta, quote.maturity, ctx, x, sp)
-    payoff = payoff_coefficients(sp)
-    call = quote.strike * math.exp(-ctx.rate * quote.maturity) * float(density @ payoff)
-    if quote.kind == "put":
-        return call + parity_offset(ctx, quote.strike, quote.maturity)
-    return call
+    return _expand_single(ctx, quote, sp,
+                          lambda omega, tau: (chf_cui(omega, tau, theta, ctx), None))[0]
 
 
 def price_and_gradient_single(theta: HestonParams, ctx: MarketContext,
@@ -413,27 +428,11 @@ def price_and_gradient_single(theta: HestonParams, ctx: MarketContext,
     """Price and parameter gradient through the per-strike expansion.
 
     Recomputes density, payoff and the five parameter-partial density
-    coefficient vectors from scratch (six FFTs); this is deliberately the
+    coefficient vectors from scratch (seven FFTs); this is deliberately the
     no-reuse formulation -- the multi-strike path exists precisely to beat it.
     """
-    tau = quote.maturity
-    x = math.log(ctx.spot / quote.strike)
-    omega = sp.density_freqs()
-    value, grad = chf_with_gradient(omega, tau, theta, ctx)
-    shift = np.exp(-1j * omega * x)
-
-    density = _density_at(_cosine_spectrum(value * shift, sp.j_density), sp)
-    payoff = payoff_coefficients(sp)
-    scale = quote.strike * math.exp(-ctx.rate * tau)
-    price = scale * float(density @ payoff)
-    jac = np.array([
-        scale * float(_density_at(_cosine_spectrum(grad[i] * shift, sp.j_density), sp)
-                      @ payoff)
-        for i in range(5)
-    ])
-    if quote.kind == "put":
-        price += parity_offset(ctx, quote.strike, tau)
-    return price, jac
+    return _expand_single(ctx, quote, sp,
+                          lambda omega, tau: chf_with_gradient(omega, tau, theta, ctx))
 
 
 def price_multi_strike(theta: HestonParams, ctx: MarketContext, tau: float,

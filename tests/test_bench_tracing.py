@@ -78,3 +78,27 @@ def test_tracer_sees_every_kswift_chf_frequency(monkeypatch):
             backend.prices_and_jacobian(start)
     assert tracer.counts["heston.chf_freqs"] == sum(
         sp.j_density for sp in backend.swift_params)
+
+
+def test_tracer_sees_every_quadrature_node(monkeypatch):
+    # the quadrature reference sweeps chf_cui (price) or chf_with_gradient
+    # (price and gradient) on 2 x nodes frequencies per quote, both reached
+    # through the reference module's names
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    from swiftcal.fixtures import DEFAULT_CONTEXT, PARAM_SETS, set1_quotes
+    from swiftcal.quotes import QuoteFile
+
+    exp = importlib.import_module("swiftcal.experiments")
+    ref = importlib.import_module("swiftcal.reference")
+    theta, quotes = PARAM_SETS["theta2"], set1_quotes()[:3]
+    qc = ref.QuadratureConfig()
+    tracer = Tracer()
+    with tracer.installed(), tracer.job(0):
+        exp.run_price("cp", theta, QuoteFile(context=DEFAULT_CONTEXT, quotes=quotes))
+        priced = dict(tracer.counts)
+        ref.price_and_gradient_cp(theta, DEFAULT_CONTEXT, quotes[0], qc)
+    assert priced["reference.cp_nodes"] == len(quotes) * qc.nodes
+    assert priced["heston.chf_freqs"] == 2 * len(quotes) * qc.nodes
+    assert tracer.counts["heston.chf_freqs"] == 2 * (len(quotes) + 1) * qc.nodes

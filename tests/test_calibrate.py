@@ -337,6 +337,57 @@ def test_flat_gradient_stop(theta2_start, ctx, set2_priced):
     assert res.stop_reason is StopReason.FLAT_GRADIENT
 
 
+class _FrozenBackend:
+    """Prices that never move with theta, at a fixed residual and Jacobian."""
+
+    def __init__(self, residual: float, jacobian: np.ndarray):
+        self.residual, self.jacobian = residual, jacobian
+        self.price_evals = self.jac_evals = 0
+
+    def prices(self, theta):
+        self.price_evals += 1
+        return np.full(len(self.jacobian), self.residual)
+
+    def prices_and_jacobian(self, theta):
+        self.jac_evals += 1
+        return np.full(len(self.jacobian), self.residual), self.jacobian
+
+
+def _frozen_fit(theta, backend, cfg=CalibrationConfig()):
+    quotes = [OptionQuote(1.0, 0.5, price=0.0)] * len(backend.jacobian)
+    with np.errstate(all="ignore"):
+        res = calibrate(quotes, theta, MarketContext(spot=1.0), cfg, backend)
+    assert res.stop_reason is StopReason.STAGNANT_STEP
+    assert res.theta_hat == theta and res.iterations == 0 and res.per_iteration_trace == []
+    assert backend.jac_evals == 1
+    return res
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_jacobian_stops_on_singular_system(theta2, bad):
+    # every damped solve is singular, and a non-finite mu cannot be raised
+    # any further: the run stops without pricing a trial step
+    backend = _FrozenBackend(1.0, np.full((5, 5), bad))
+    _frozen_fit(theta2, backend)
+    assert backend.price_evals == 1
+
+
+def test_step_below_eps3_stops_stagnant(theta2):
+    # a steep Jacobian and a small residual: the gradient J r = 1e-4 is far
+    # from flat, but the step ~1e-16 is below eps3 |theta|
+    backend = _FrozenBackend(1e-10, 1e6 * np.eye(5))
+    _frozen_fit(theta2, backend, CalibrationConfig(eps1=1e-12))
+    assert backend.price_evals == 1
+
+
+def test_rejected_trials_until_mu_cap_stop_stagnant(theta2):
+    # prices that never move reject every trial; mu climbs tenfold from
+    # 1e-3 * 100 to its 1e12 cap, and a tiny eps3 rules out the step test
+    backend = _FrozenBackend(100.0, 10.0 * np.eye(5))
+    _frozen_fit(theta2, backend, CalibrationConfig(eps3=1e-300))
+    assert backend.price_evals == 1 + 14  # trials at mu = 0.1, 1, ..., 1e12
+
+
 def test_start_outside_bounds_rejected(theta2, ctx, set2_priced):
     cfg = CalibrationConfig(bounds=((1e-6, 4), (1e-6, 4), (1e-4, 5),
                                     (1e-4, 50), (-0.999, 0.999)))

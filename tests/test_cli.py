@@ -1,12 +1,16 @@
 """Command-line surface: exit codes, round trips, determinism, table repro."""
 
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from swiftcal.cli import main
-from swiftcal.quotes import load_quote_file
+from swiftcal.cli import _PRICING_FLAGS, _UNREAD_BY_BACKEND, build_parser, main
+from swiftcal.experiments import PricingOverrides
+from swiftcal.fixtures import PARAM_SETS
+from swiftcal.quotes import load_quote_file, loads_quotes
 from swiftcal.reports import ExperimentReport
 
 
@@ -197,12 +201,14 @@ def test_calibrate_rejects_discretization_flags(capsys):
     ["converge", "--target", "fx", "--trials", "1", "--chf-form", "schoutens"],
     ["calibrate", "--quotes", "set2", "--start", "theta2-start", "--chf-form", "cui"],
     ["speed", "--set", "set1", "--reps", "1", "--chf-form", "cui"],
+    ["price", "--params", "theta2", "--quotes", "set2", "--backend", "cp",
+     "--chf-form", "cui"],
 ])
 def test_swift_only_commands_reject_quadrature_flags(capsys, argv):
     # generate prices with swift and converge fits with kswift: neither
-    # reaches the quadrature pricer these flags configure.  calibrate and
-    # speed keep --u-max for the cp backend, whose gradient exists in the
-    # cui form only, so just price takes --chf-form
+    # reaches the quadrature pricer --u-max configures.  calibrate and speed
+    # keep --u-max for the cp backend.  No subcommand takes a chf form: the
+    # quadrature prices through the one stabilized form
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -263,8 +269,8 @@ def test_price_cp_rejects_zero_u_max(capsys):
     pytest.param(["price", "--backend", "cp", "--m", "9", "--L", "3", "--eta", "4",
                   "--j", "16"], ["--m", "--eta", "--j", "--L"], id="price-cp-swift-flags"),
     pytest.param(["price", "--backend", "cp", "--L", "3"], ["--L"], id="price-cp-L"),
-    pytest.param(["price", "--backend", "swift", "--chf-form", "schoutens", "--u-max",
-                  "1"], ["--u-max", "--chf-form"], id="price-swift-cp-flags"),
+    pytest.param(["price", "--backend", "swift", "--u-max", "1"], ["--u-max"],
+                 id="price-swift-cp-flags"),
     pytest.param(["price", "--backend", "kswift", "--u-max", "1"], ["--u-max"],
                  id="price-kswift-u-max"),
     pytest.param(["calibrate", "--backend", "kswift", "--u-max", "1"], ["--u-max"],
@@ -288,12 +294,114 @@ def test_flags_the_backend_never_reads_rejected(capsys, priced_set2, argv, unrea
 
 def test_flags_the_backend_reads_accepted(capsys, priced_set2):
     for argv in (["price", "--backend", "cp", "--params", "theta2", "--quotes", "set2",
-                  "--u-max", "300", "--chf-form", "schoutens"],
+                  "--u-max", "300"],
                  ["price", "--backend", "kswift", "--params", "theta2", "--quotes",
                   "set2", "--m", "6", "--L", "8"],
                  ["calibrate", "--backend", "kswift", "--quotes", priced_set2,
                   "--start", "theta2", "--L", "8"]):
         assert run_cli(capsys, *argv)[0] == 0, argv
+
+
+def test_speed_set3_rejects_u_max(capsys):
+    # set3 runs the kswift backend only, which never reads --u-max
+    code, out, err = run_cli(capsys, "speed", "--set", "set3", "--reps", "1",
+                             "--u-max", "1")
+    assert code == 2
+    assert out == ""
+    assert "--u-max" in err and "set3" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--set", "set1"), ("--noise", "0.5"),
+                                        ("--seed", "3")])
+def test_generate_grid_rejects_set_mode_flags(capsys, flag, value):
+    # the grid mode prices noise-free calls on its own strikes
+    code, out, err = run_cli(capsys, "generate", "--params", "theta2", "--grid",
+                             "5,64,1.0", flag, value)
+    assert code == 2
+    assert out == ""
+    assert "--grid" in err and flag in err
+
+
+def test_generate_set_mode_rejects_spot(capsys):
+    # a quote set carries its own spot; --spot is read by --grid only
+    code, out, err = run_cli(capsys, "generate", "--params", "theta2", "--set",
+                             "set1", "--spot", "100")
+    assert code == 2
+    assert out == ""
+    assert "--spot" in err
+
+
+def test_generate_stdout_parses_back(capsys, tmp_path):
+    path = tmp_path / "set1.quotes"
+    assert run_cli(capsys, "generate", "--params", "theta2", "--set", "set1",
+                   "--out", str(path))[0] == 0
+    code, out, _ = run_cli(capsys, "generate", "--params", "theta2", "--set", "set1")
+    assert code == 0
+    assert loads_quotes(out) == load_quote_file(str(path))
+
+
+def _price_rows(capsys, path, *argv):
+    code, _, err = run_cli(capsys, "price", *argv, "--out", str(path))
+    assert code == 0, err
+    return ExperimentReport.from_json(path.read_text()).rows
+
+
+def test_params_from_json_file_and_inline_string(capsys, tmp_path):
+    theta = PARAM_SETS["theta2"]
+    fields = {f: getattr(theta, f) for f in ("kappa", "v_bar", "sigma", "rho", "v0")}
+    param_file = tmp_path / "theta2.json"
+    param_file.write_text(json.dumps(fields))
+    inline = ",".join(f"{k}={v!r}" for k, v in fields.items())
+    rows = [_price_rows(capsys, tmp_path / f"{i}.json", "--backend", "cp",
+                        "--params", spec, "--quotes", "set1")
+            for i, spec in enumerate(("theta2", str(param_file), inline))]
+    assert rows[1] == rows[0] and rows[2] == rows[0]
+
+
+@pytest.mark.parametrize("kind", ["file", "inline"])
+def test_malformed_params_exit_input_error(capsys, tmp_path, kind):
+    if kind == "file":
+        spec = tmp_path / "partial.json"
+        spec.write_text(json.dumps({"kappa": 1.0, "v_bar": 0.04}))  # 3 fields short
+    else:
+        spec = "kappa=1.0,v_bar=0.04,sigma=oops,rho=-0.5,v0=0.04"
+    code, out, err = run_cli(capsys, "price", "--backend", "cp", "--params",
+                             str(spec), "--quotes", "set1")
+    assert code == 2
+    assert out == ""
+    assert f"bad {'parameter file' if kind == 'file' else 'inline parameters'}" in err
+
+
+def test_bundled_stress_quote_set(capsys, tmp_path):
+    path = tmp_path / "stress.json"
+    rows = _price_rows(capsys, path, "--backend", "cp", "--params", "stress",
+                       "--quotes", "stress", "--u-max", "6")
+    assert ExperimentReport.from_json(path.read_text()).metadata["spot"] == 100.0
+    # a quote file keeps its quotes sorted by maturity, then strike
+    assert [(r["maturity"], r["strike"]) for r in rows] == [
+        (tau, k) for tau in (0.04, 45.0) for k in (50.0, 100.0, 200.0)]
+    for row, want in zip(rows[3:], (65.565, 46.911, 27.198)):
+        assert abs(row["price"] - want) < 1e-3
+
+
+def test_pricing_flag_tables_match_the_parser():
+    # a flag dropped from the parser cannot linger in the tables, and a
+    # PricingOverrides flag cannot bypass the unread-flag rule
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    options = {name: {opt: act for act in sub._actions for opt in act.option_strings}
+               for name, sub in subcommands.items()}
+    defined = {opt: act.dest for opts in options.values() for opt, act in opts.items()}
+    for name, flag in _PRICING_FLAGS.items():
+        assert defined.get(flag) == name, flag
+    fields = {f.name for f in dataclasses.fields(PricingOverrides)}
+    for command in ("price", "calibrate"):
+        assert set(options[command]["--backend"].choices) == set(_UNREAD_BY_BACKEND)
+        for opt, act in options[command].items():
+            if act.dest in fields:
+                assert _PRICING_FLAGS.get(act.dest) == opt, (command, opt)
+    for backend, names in _UNREAD_BY_BACKEND.items():
+        assert set(names) <= set(_PRICING_FLAGS), backend
 
 
 def test_calibrate_unpriced_quotes_rejected(capsys, tmp_path):

@@ -47,9 +47,6 @@ def test_short_maturity_stress_values(stress_theta, ctx100):
     # deep OTM short expiry: the headline number, documented as unreliable
     got = price_cp(stress_theta, ctx100, OptionQuote(200.0, 0.04), qc)
     assert abs(got - 1.079e-3) < 1e-5
-    got_sh = price_cp(stress_theta, ctx100, OptionQuote(200.0, 0.04), qc,
-                      form="schoutens")
-    assert abs(got_sh - 1.079e-3) < 1e-5
 
 
 def test_long_maturity_stress_values(stress_theta, ctx100):
@@ -57,10 +54,9 @@ def test_long_maturity_stress_values(stress_theta, ctx100):
     for strike, want in ((50.0, 65.565), (100.0, 46.911), (200.0, 27.198)):
         got = price_cp(stress_theta, ctx100, OptionQuote(strike, 45.0), qc)
         assert abs(got - want) < 1e-3
-        got_sh = price_cp(stress_theta, ctx100, OptionQuote(strike, 45.0),
-                          QuadratureConfig(nodes=64, u_max=200.0),
-                          form="schoutens")
-        assert abs(got_sh - want) < 1e-2
+        got = price_cp(stress_theta, ctx100, OptionQuote(strike, 45.0),
+                       QuadratureConfig(nodes=64, u_max=200.0))
+        assert abs(got - want) < 1e-2
 
 
 def test_node_doubling_converged_away_from_pathology(stress_theta, ctx100):
@@ -142,7 +138,3 @@ def test_quadrature_config_validation():
         QuadratureConfig(nodes=1)
     with pytest.raises(ValueError):
         QuadratureConfig(u_max=-5.0)
-    with pytest.raises(ValueError):
-        price_cp(HestonParams(kappa=1, v_bar=0.1, sigma=0.3, rho=0.0, v0=0.1),
-                 MarketContext(spot=1.0), OptionQuote(1.0, 1.0),
-                 QuadratureConfig(), form="bogus")
