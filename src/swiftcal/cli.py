@@ -163,6 +163,9 @@ def cmd_generate(args) -> int:
         if args.spot is not None:
             raise CliError("--spot is the spot of --grid only; a quote set "
                            "carries its own; drop --spot")
+        if args.seed is not None and not (args.noise or 0.0) > 0.0:
+            raise CliError("--seed seeds the noise only, which is off without "
+                           "a positive --noise; drop --seed")
         base = resolve_quotes(args.set or DEFAULT_SET, rate=args.rate)
         qf = run_generate(theta, base.context, base.quotes,
                           ov=_overrides(args), **_given(args, ("noise", "seed")))

@@ -7,7 +7,6 @@ that produced them (seeds, discretizations, quadrature setups, wall times).
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -36,7 +35,6 @@ from .swift import (
     SCALE_TOL,
     OptionQuote,
     SwiftParams,
-    _j_for,
     group_by_maturity,
     interval_params,
     price_multi_strike,
@@ -149,17 +147,16 @@ def run_generate_grid(theta: HestonParams, ctx: MarketContext, m: int,
                       L: float = DEFAULT_L) -> QuoteFile:
     """Calls at the dyadic strike grid x_k = (2k - J_d)/2^{m+1}.
 
-    The grid layout is fixed by (m, J_d); the series half-width is capped at
-    the J_d/2 validity bound, so only the central band of the grid carries
-    accurate prices (the wings are outside any coverage J_d permits).
+    The grid layout is fixed by (m, J_d), J_d a power of two of at least 4;
+    the series half-width is the J_d/2 - 1 validity bound, so only the
+    central band of the grid carries accurate prices (the wings are outside
+    any coverage J_d permits).
     """
-    c = truncation_width(theta, tau, ctx, L)
+    if j_density < 4 or j_density & (j_density - 1):
+        raise ValueError(f"grid J must be a power of two >= 4, got {j_density}")
     half = j_density / 2.0**(m + 1)
-    span = half + c
-    eta = min(max(1, math.ceil(2.0**m * span)), j_density // 2 - 1)
-    j_payoff = max(_j_for(m, eta, span), j_density)
-    sp = SwiftParams(m=m, eta=eta, j_density=j_density, j_payoff=j_payoff,
-                     c=c, x_low=-span, x_high=span)
+    sp = interval_params(m, truncation_width(theta, tau, ctx, L), -half, half,
+                         eta=j_density // 2 - 1)
     x_grid, prices = price_strike_grid(theta, ctx, tau, sp)
     quotes = [OptionQuote(strike=float(ctx.spot * np.exp(-x)), maturity=tau,
                           price=float(max(p, 0.0)))

@@ -22,10 +22,10 @@ form with simple parameter derivatives), the one every pricer evaluates, and
 the tests check ``chf_cui`` against.  Both are continuous in u over the full
 parameter domain.
 
-The stabilized compact form is written once, in ``chf_cui_parts``; ``chf_cui``
-returns its value and ``chf_gradient_from_parts`` the gradient from its
-intermediates.  A pricer sweeping one grid passes the grid's parameter-free
-terms (``chf_grid_terms``) back in as ``grid_terms`` on every sweep.
+The compact form has one evaluation, the stabilized ``chf_cui_parts``;
+``chf_cui`` returns its value and ``chf_gradient_from_parts`` the gradient
+from its intermediates.  A pricer sweeping one grid passes the grid's
+parameter-free terms (``chf_grid_terms``) back in as ``grid_terms``.
 
 Gradient ordering: all five-component parameter gradients in this package are
 ordered (v0, v_bar, sigma, kappa, rho) -- see ``PARAM_ORDER``.  Note this is
@@ -118,61 +118,30 @@ def chf_grid_terms(u):
     return u, iu, u * u - iu
 
 
-def _core_terms(u, tau: float, theta: HestonParams):
-    """Shared intermediates xi, u^2 - iu, d for both characteristic forms."""
-    u, iu, u2 = chf_grid_terms(u)
-    xi = theta.kappa + theta.sigma * theta.rho * iu
-    d = np.sqrt(xi * xi + theta.sigma**2 * u2)
-    return u, iu, xi, u2, d
-
-
 def _check_finite(values) -> None:
     # a single reduction: any inf/nan poisons the sum
     total = np.asarray(values).sum()
     if not (np.isfinite(total.real) and np.isfinite(total.imag)):
         raise ChfOverflowError(
             "characteristic function overflowed double precision; "
-            "reduce the frequency range or switch form"
+            "reduce the frequency range"
         )
 
 
-def chf_cui(u, tau: float, theta: HestonParams, ctx: MarketContext,
-            stabilized: bool = True):
+def chf_cui(u, tau: float, theta: HestonParams, ctx: MarketContext):
     """Characteristic function of ln(S_T/S_t), compact form.
 
     Accepts scalar or array ``u`` (real or complex); returns a matching
-    complex scalar/array.
-
-    The hyperbolic terms cosh(d tau/2), sinh(d tau/2) overflow for large
-    Re(d) tau.  The default evaluation is :func:`chf_cui_parts`, which
-    factors exp(d tau / 2) out of every ratio and keeps the leading
-    exponential in log space; that removes the overflow without changing the
-    value.  ``stabilized=False`` evaluates the hyperbolics directly and is
-    kept only so tests can demonstrate the overflow; do not use it for
-    pricing.
+    complex scalar/array: the value of :func:`chf_cui_parts`.  The
+    hyperbolic terms cosh(d tau/2), sinh(d tau/2) of the textbook compact
+    form overflow for large Re(d) tau; :func:`chf_cui_parts` factors
+    exp(d tau / 2) out of every ratio and keeps the leading exponential in
+    log space, which removes the overflow without changing the value.
 
     Raises:
         ChfOverflowError: if the evaluation produces non-finite values.
     """
-    if stabilized:
-        out = chf_cui_parts(u, tau, theta, ctx)[0]
-        return out if out.ndim else complex(out)
-
-    u, iu, xi, u2, d = _core_terms(u, tau, theta)
-    sigma, kappa, v_bar, v0 = theta.sigma, theta.kappa, theta.v_bar, theta.v0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sh = np.sinh(d * tau / 2.0)
-        ch = np.cosh(d * tau / 2.0)
-        big_a = v0 * u2 * sh / (d * ch + xi * sh)
-        big_d = (np.log(d) + (kappa - d) * tau / 2.0
-                 - np.log((d + xi) / 2.0 + (d - xi) * np.exp(-d * tau) / 2.0))
-        exponent = (-iu * ctx.drift * tau
-                    + kappa * v_bar * theta.rho * tau * iu / sigma
-                    - big_a
-                    + (2.0 * kappa * v_bar / sigma**2) * big_d)
-        out = np.exp(exponent)
-
-    _check_finite(out)
+    out = chf_cui_parts(u, tau, theta, ctx)[0]
     return out if out.ndim else complex(out)
 
 
@@ -183,8 +152,10 @@ def chf_schoutens(u, tau: float, theta: HestonParams, ctx: MarketContext):
     uses it: it is the independent form the tests check :func:`chf_cui`
     against.
     """
-    u, iu, xi, u2, d = _core_terms(u, tau, theta)
+    u, iu, u2 = chf_grid_terms(u)
     sigma, kappa, v_bar, v0 = theta.sigma, theta.kappa, theta.v_bar, theta.v0
+    xi = kappa + sigma * theta.rho * iu
+    d = np.sqrt(xi * xi + sigma**2 * u2)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g = (xi - d) / (xi + d)

@@ -521,7 +521,7 @@ class MultiStrikePricer:
         self.payoff = payoff_coefficients(sp)
         self.u_tilde = _u_tilde(self.payoff, sp)
         self.omega = sp.density_freqs()
-        self._sweep = _ChfSweep(self.omega, self.tau, ctx, chf_grid_terms(self.omega))
+        self._sweep = _ChfSweep(self.omega, self.tau, ctx)
         self._cols = slice(0, sp.j_density)  # this pricer's part of the sweep
         x = np.log(ctx.spot / self.strikes)
         j_d, b = sp.j_density, min(64, sp.j_density)
@@ -549,20 +549,17 @@ class _ChfSweep:
     """The characteristic sweep of one pricer, or of a block of consecutive ones.
 
     A block sweeps the members' concatenated frequencies with a per-element
-    tau.  The values and intermediates of the last sweep are kept; the
-    gradient is assembled when the first member asks for it at the current
-    parameters and dropped once every member has read it, so a block of one
-    keeps no gradient past the call.
+    tau.  The value, intermediates and gradient at the last parameters asked
+    for are kept, and recomputed only when the parameters change; the
+    gradient is assembled on the first request for it at those parameters.
     """
 
-    def __init__(self, omega, tau, ctx: MarketContext, grid_terms, members: int = 1):
+    def __init__(self, omega, tau, ctx: MarketContext):
         self.omega, self.tau, self.ctx = omega, tau, ctx
-        self.grid_terms = grid_terms
-        self.members = members
+        self.grid_terms = chf_grid_terms(omega)
         self._key = None
         self._parts = None
         self._grad = None
-        self._unread = 0
 
     def parts(self, theta: HestonParams):
         key = theta.as_array().tobytes()
@@ -575,13 +572,9 @@ class _ChfSweep:
 
     def value_and_gradient(self, theta: HestonParams):
         value, parts = self.parts(theta)
-        grad = self._grad
-        if grad is None:
-            grad = chf_gradient_from_parts(self.tau, theta, value, parts)
-            self._unread = self.members
-        self._unread -= 1
-        self._grad = grad if self._unread > 0 else None
-        return value, grad
+        if self._grad is None:
+            self._grad = chf_gradient_from_parts(self.tau, theta, value, parts)
+        return value, self._grad
 
 
 def pack_sweeps(pricers: Sequence[MultiStrikePricer]) -> None:
@@ -592,8 +585,9 @@ def pack_sweeps(pricers: Sequence[MultiStrikePricer]) -> None:
     block and reaches ``PACK_FREQS`` alone keeps its own sweep.  A block
     costs one chf call and one gradient call per evaluation where its
     members cost one each: per-call overhead dominates small sweeps.  The
-    block is swept lazily, when its first member asks at new parameters.
-    The pricers must share one market context.
+    block is swept lazily, when its first member asks at new parameters,
+    and its gradient, once assembled, serves every member until the
+    parameters change.  The pricers must share one market context.
     """
     if len({p.ctx for p in pricers}) > 1:
         raise ValueError("packed pricers must share one market context")
@@ -612,9 +606,7 @@ def _share_sweep(block: Sequence[MultiStrikePricer]) -> None:
     sweep = _ChfSweep(
         np.concatenate([p.omega for p in block]),
         np.concatenate([np.full(p.sp.j_density, p.tau) for p in block]),
-        block[0].ctx,
-        tuple(np.concatenate(t) for t in zip(*(p._sweep.grid_terms for p in block))),
-        members=len(block))
+        block[0].ctx)
     start = 0
     for p in block:
         p._sweep, p._cols = sweep, slice(start, start + p.sp.j_density)

@@ -72,3 +72,16 @@ def price_jacobian_fd(price_fun, theta, rel_step=1e-3):
     cols = [five_point_grad(lambda v: price_fun(HestonParams.from_array(v)),
                             base, i, rel_step) for i in range(5)]
     return np.column_stack(cols)
+
+
+def textbook_cosh(u, tau, theta):
+    """cosh(d tau/2) of the textbook compact chf, d^2 = xi^2 + sigma^2 (u^2 - iu).
+
+    xi = kappa + sigma rho iu.  The stabilized chf never forms this factor;
+    evaluating it shows where the direct sinh/cosh evaluation overflows.
+    """
+    u = np.asarray(u, dtype=float)
+    xi = theta.kappa + theta.sigma * theta.rho * 1j * u
+    d = np.sqrt(xi * xi + theta.sigma**2 * (u * u - 1j * u))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.cosh(d * tau / 2.0)

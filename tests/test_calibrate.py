@@ -388,6 +388,25 @@ def test_rejected_trials_until_mu_cap_stop_stagnant(theta2):
     assert backend.price_evals == 1 + 14  # trials at mu = 0.1, 1, ..., 1e12
 
 
+def test_singular_solve_at_finite_mu_retries_tenfold(theta2, monkeypatch):
+    # one singular damped solve at a finite mu: mu grows tenfold and the
+    # same linearization is solved again, without pricing a trial step
+    cal = importlib.import_module("swiftcal.calibrate")
+    mus, solve = [], cal.lm_step
+
+    def singular_once(jacobian, residual, mu):
+        mus.append(mu)
+        if len(mus) == 1:
+            raise SingularSystemError("singular damped system")
+        return solve(jacobian, residual, mu)
+
+    monkeypatch.setattr(cal, "lm_step", singular_once)
+    backend = _FrozenBackend(100.0, 10.0 * np.eye(5))
+    _frozen_fit(theta2, backend, CalibrationConfig(eps3=1e-300))
+    assert mus[:2] == pytest.approx([0.1, 1.0], rel=1e-12)
+    assert backend.price_evals == 1 + 13  # trials at mu = 1, 10, ..., 1e12
+
+
 def test_start_outside_bounds_rejected(theta2, ctx, set2_priced):
     cfg = CalibrationConfig(bounds=((1e-6, 4), (1e-6, 4), (1e-4, 5),
                                     (1e-4, 50), (-0.999, 0.999)))

@@ -7,9 +7,11 @@ import json
 import numpy as np
 import pytest
 
+from swiftcal import cli
 from swiftcal.cli import _PRICING_FLAGS, _UNREAD_BY_BACKEND, build_parser, main
 from swiftcal.experiments import PricingOverrides
 from swiftcal.fixtures import PARAM_SETS
+from swiftcal.heston import ChfOverflowError
 from swiftcal.quotes import load_quote_file, loads_quotes
 from swiftcal.reports import ExperimentReport
 
@@ -329,6 +331,39 @@ def test_generate_set_mode_rejects_spot(capsys):
     assert code == 2
     assert out == ""
     assert "--spot" in err
+
+
+@pytest.mark.parametrize("noise", [[], ["--noise", "0"]])
+def test_generate_seed_without_noise_rejected(capsys, noise):
+    # the seed drives the noise alone, so without noise it would be ignored
+    code, out, err = run_cli(capsys, "generate", "--params", "theta2", "--set",
+                             "set1", *noise, "--seed", "3")
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err and "--noise" in err
+
+
+@pytest.mark.parametrize("grid,message", [("5,64", "'m,J,tau'"),
+                                          ("5,100,1.0", "power of two")])
+def test_generate_malformed_grid_exits_input_error(capsys, grid, message):
+    # J must be a power of two: the grid is never rounded up behind the user
+    code, out, err = run_cli(capsys, "generate", "--params", "theta2", "--grid", grid)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_chf_overflow_exits_numerical(capsys, monkeypatch, long_file):
+    def overflow(*args, **kwargs):
+        raise ChfOverflowError("characteristic function overflowed")
+
+    monkeypatch.setattr(cli, "run_price", overflow)
+    code, out, err = run_cli(capsys, "price", "--backend", "cp", "--params",
+                             "theta2", "--quotes", long_file)
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err
+    assert "remedies: lower --u-max or raise --m" in err
 
 
 def test_generate_stdout_parses_back(capsys, tmp_path):

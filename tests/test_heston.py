@@ -24,7 +24,7 @@ from swiftcal.heston import (
     chf_grid_terms,
 )
 
-from conftest import five_point_grad
+from conftest import five_point_grad, textbook_cosh
 
 
 def heston_box(draw):
@@ -88,19 +88,21 @@ def test_cross_form_example(theta1, ctx):
 
 
 def test_naive_form_overflows_long_maturity(theta1, ctx):
-    # the very failure mode the stabilized evaluation exists to remove
+    # the very failure mode the stabilized evaluation exists to remove: the
+    # textbook form's cosh(d tau/2) leaves double range at u = 402
     u = np.array([200.0, 402.0])
-    with pytest.raises(ChfOverflowError):
-        chf_cui(u, 45.0, theta1, ctx, stabilized=False)
+    assert not np.isfinite(textbook_cosh(402.0, 45.0, theta1))
     stab = chf_cui(u, 45.0, theta1, ctx)
     assert np.all(np.isfinite(stab))
 
 
 def test_naive_and_stabilized_agree_when_finite(theta1, ctx):
+    # where every form is finite, the stabilized compact form matches the
+    # independent branch-cut-free one
     u = np.linspace(0.1, 20.0, 40)
-    naive = chf_cui(u, 2.0, theta1, ctx, stabilized=False)
+    reference = chf_schoutens(u, 2.0, theta1, ctx)
     stab = chf_cui(u, 2.0, theta1, ctx)
-    assert np.max(np.abs(naive - stab)) < 1e-13
+    assert np.max(np.abs(reference - stab)) < 1e-13
 
 
 def test_gradient_zero_at_zero_frequency(theta1, ctx):

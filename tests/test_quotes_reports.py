@@ -18,6 +18,7 @@ from swiftcal.quotes import (
     QuoteFile,
     dumps_quotes,
     loads_quotes,
+    parse_quote_json,
     parse_quote_text,
     quotes_to_json,
 )
@@ -80,6 +81,18 @@ def test_parse_errors_carry_line_numbers():
         parse_quote_text("rate 0.0\n0.5,1.0,call\n")  # spot missing
     with pytest.raises(QuoteParseError):
         parse_quote_text("spot 1.0\n0.5,1.0,call\nspot 2.0\n")  # late header
+    for text, line in (("spot one\n", 1),                        # header value
+                       ("spot 1.0\n0.5,1.0,call,cheap\n", 2),    # price
+                       ("spot 1.0\n\n0.5,-1.0,call\n", 3),       # strike domain
+                       ("spot -1.0\n", None),                    # spot domain
+                       ('{"quotes": []}', None),                 # JSON spot missing
+                       ('{"spot": 1.0, "quotes": [{"strike": 1.0}]}', None),
+                       ('{"spot": 1.0,\n "quotes": [', 2)):      # JSON syntax
+        with pytest.raises(QuoteParseError) as err:
+            loads_quotes(text)
+        assert err.value.line == line, text
+    with pytest.raises(QuoteParseError, match="must be an object"):
+        parse_quote_json([{"spot": 1.0}])
 
 
 def test_duplicate_quotes_rejected():

@@ -273,6 +273,15 @@ def test_invalid_swift_params_rejected():
                     x_low=0.5, x_high=1.5)
 
 
+def test_empty_strikes_and_mixed_contexts_rejected(theta2, ctx, ctx100):
+    with pytest.raises(ValueError, match="nonempty"):
+        select_truncation(theta2, 0.5, ctx, 6, [])
+    sp = select_truncation(theta2, 0.5, ctx, 6, [1.0])
+    pricers = [MultiStrikePricer(c, 0.5, [1.0], sp) for c in (ctx, ctx100)]
+    with pytest.raises(ValueError, match="one market context"):
+        pack_sweeps(pricers)
+
+
 def test_multi_strike_equals_single(theta2, ctx, set1_priced):
     tau = set1_priced.quotes[0].maturity
     strikes = [q.strike for q in set1_priced.quotes]
