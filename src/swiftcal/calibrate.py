@@ -49,6 +49,7 @@ from .heston import HestonParams, MarketContext
 from .reference import QuadratureConfig, price_and_gradient_cp
 from .swift import (
     DEFAULT_L,
+    PACK_FREQS,
     MultiStrikePricer,
     OptionQuote,
     group_by_maturity,
@@ -133,12 +134,15 @@ class CalibrationResult:
 def _selected_groups(quotes: Sequence[OptionQuote], ctx: MarketContext,
                      theta_ref: HestonParams, L: float,
                      groups: Iterable[Tuple[float, List[int]]]):
-    """Yield (tau, quote indices, strikes, SwiftParams) per maturity group,
-    the discretization selected at theta_ref."""
+    """Yield (tau, quote indices, strikes, SwiftParams, sweep) per maturity
+    group: the discretization selected at theta_ref and the selection's chf
+    sweep of its grid (see :func:`~swiftcal.swift.select_truncation`)."""
     for tau, idx in groups:
         strikes = [quotes[i].strike for i in idx]
         m = select_scale(theta_ref, tau, ctx)
-        yield tau, idx, strikes, select_truncation(theta_ref, tau, ctx, m, strikes, L=L)
+        sweep: list = []
+        sp = select_truncation(theta_ref, tau, ctx, m, strikes, L=L, sweep_out=sweep)
+        yield tau, idx, strikes, sp, sweep[0]
 
 
 class KswiftBackend:
@@ -150,7 +154,10 @@ class KswiftBackend:
     maturity group and one characteristic function sweep per block of
     groups: consecutive small groups share a sweep (see
     :func:`~swiftcal.swift.pack_sweeps`), a group of ``PACK_FREQS`` density
-    frequencies or more has its own.
+    frequencies or more has its own.  A group that sweeps alone starts from
+    the selection's sweep of its grid at ``theta_ref``, so the first
+    ``prices(theta_ref)`` sweeps only the packed blocks and the Jacobian at
+    ``theta_ref`` sweeps nothing.
 
     ``group_eval_count`` counts per-group pricing passes, letting tests
     assert that an evaluation touches each maturity exactly once.
@@ -171,11 +178,18 @@ class KswiftBackend:
         if split_groups:
             groups = [(q.maturity, [i]) for i, q in enumerate(self.quotes)]
         else:
-            groups = group_by_maturity(self.quotes).items()
-        self._pricers = [
-            (MultiStrikePricer(ctx, tau, strikes, sp), np.asarray(idx))
-            for tau, idx, strikes, sp in _selected_groups(
-                self.quotes, ctx, theta_ref, L, groups)]
+            groups = list(group_by_maturity(self.quotes).items())
+        self._pricers = []
+        for k, (tau, idx, strikes, sp, sweep) in enumerate(_selected_groups(
+                self.quotes, ctx, theta_ref, L, groups)):
+            pricer = MultiStrikePricer(ctx, tau, strikes, sp)
+            # Packing replaces an adopted sweep.  A group below PACK_FREQS
+            # that is not the last always joins a block, so its selection
+            # sweep is dropped here: holding every small group's sweep until
+            # packing made the set2 build about 5% slower (allocator traffic).
+            if split_groups or sp.j_density >= PACK_FREQS or k == len(groups) - 1:
+                pricer.adopt_sweep(sweep)
+            self._pricers.append((pricer, np.asarray(idx)))
         if not split_groups:
             pack_sweeps([p for p, _ in self._pricers])
         self._put_offsets = put_offsets(self.quotes, ctx)
@@ -207,8 +221,9 @@ class SwiftBackend:
     """Per-quote wavelet backend with no cross-quote or cross-call reuse.
 
     Uses the same frozen per-maturity discretization as ``KswiftBackend``
-    but prices quote by quote, rebuilding density and payoff coefficients
-    (six FFTs and a characteristic sweep per quote) on every evaluation.
+    (and drops the selection's sweep) but prices quote by quote, rebuilding
+    density and payoff coefficients (six FFTs and a characteristic sweep per
+    quote) on every evaluation.
     """
 
     name = "swift"
@@ -218,8 +233,8 @@ class SwiftBackend:
         self.ctx = ctx
         self.quotes = list(quotes)
         self._sp = [None] * len(self.quotes)
-        for _, idx, _, sp in _selected_groups(self.quotes, ctx, theta_ref, L,
-                                              group_by_maturity(self.quotes).items()):
+        for _, idx, _, sp, _ in _selected_groups(self.quotes, ctx, theta_ref, L,
+                                                 group_by_maturity(self.quotes).items()):
             for i in idx:
                 self._sp[i] = sp
 

@@ -7,6 +7,9 @@ that produced them (seeds, discretizations, quadrature setups, wall times).
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -34,7 +37,6 @@ from .swift import (
     DEFAULT_L,
     SCALE_TOL,
     OptionQuote,
-    SwiftParams,
     group_by_maturity,
     interval_params,
     price_multi_strike,
@@ -66,19 +68,23 @@ class PricingOverrides:
 
 
 def _swift_params_for(theta: HestonParams, tau: float, ctx: MarketContext,
-                      strikes: Sequence[float], ov: PricingOverrides) -> SwiftParams:
+                      strikes: Sequence[float], ov: PricingOverrides):
+    """(SwiftParams, the selection's chf sweep of its grid or None)."""
     if ov.eta is not None or ov.j is not None:
         if ov.m is None:
             raise ValueError("--eta/--j overrides require --m")
         x = np.log(ctx.spot / np.asarray(strikes, dtype=float))
         return interval_params(ov.m, truncation_width(theta, tau, ctx, ov.L),
-                               float(x.min()), float(x.max()), ov.eta, ov.j)
+                               float(x.min()), float(x.max()), ov.eta, ov.j), None
+    sweep: list = []
     if ov.m is not None:
         # pinned scale: forbid escalation by capping at m
-        return select_truncation(theta, tau, ctx, ov.m, strikes, L=ov.L,
-                                 max_scale=ov.m)
-    m = select_scale(theta, tau, ctx)
-    return select_truncation(theta, tau, ctx, m, strikes, L=ov.L)
+        sp = select_truncation(theta, tau, ctx, ov.m, strikes, L=ov.L,
+                               max_scale=ov.m, sweep_out=sweep)
+    else:
+        m = select_scale(theta, tau, ctx)
+        sp = select_truncation(theta, tau, ctx, m, strikes, L=ov.L, sweep_out=sweep)
+    return sp, sweep[0]
 
 
 def swift_prices(theta: HestonParams, ctx: MarketContext,
@@ -86,15 +92,19 @@ def swift_prices(theta: HestonParams, ctx: MarketContext,
                  ov: PricingOverrides = PricingOverrides()):
     """Wavelet prices for a quote list, grouped by maturity.
 
+    Each group is priced from the chf sweep its selection made at theta, so
+    a selected grid is swept once; manual ``eta``/``j`` overrides select
+    nothing and sweep in the pricer.
+
     Returns (prices, per-group SwiftParams keyed by maturity).
     """
     prices = np.empty(len(quotes))
     used = {}
     for tau, idx in group_by_maturity(quotes).items():
         strikes = [quotes[i].strike for i in idx]
-        sp = _swift_params_for(theta, tau, ctx, strikes, ov)
+        sp, sweep = _swift_params_for(theta, tau, ctx, strikes, ov)
         used[tau] = sp
-        prices[idx] = price_multi_strike(theta, ctx, tau, strikes, sp)
+        prices[idx] = price_multi_strike(theta, ctx, tau, strikes, sp, sweep=sweep)
     return prices + put_offsets(quotes, ctx), used
 
 
@@ -207,6 +217,29 @@ def run_calibrate(backend_name: str, qf: QuoteFile, theta0: HestonParams,
     return report, result
 
 
+def _openblas():
+    """numpy's bundled OpenBLAS, loaded through ctypes, or None if not found."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                        "libscipy_openblas*")
+    for path in sorted(glob.glob(libs)):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Process-pool initializer: the worker's OpenBLAS runs one thread.
+
+    The phase products are small; with every core per worker, the pool's
+    workers contend for cores and the pool runs slower than one process.
+    Does nothing where numpy's bundled OpenBLAS is not found.
+    """
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
+
+
 def _timed_calibration(backend_name, qf, theta0, config, ov, split_groups=False):
     """One timed build-plus-calibrate pass (setup counts toward solve time).
 
@@ -231,6 +264,8 @@ def run_speed(set_name: str, quotes: Sequence[OptionQuote], ctx: MarketContext,
     backend is timed over fewer repetitions (it is orders of magnitude
     slower; averaging it like the fast paths would dominate the run).
     """
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     qf = run_generate(target, ctx, quotes, ov=ov)
     plans = ([("kswift", reps, True)] if set_name == "set3" else
              [("swift", max(1, reps // 20), False),
@@ -273,10 +308,16 @@ def run_converge(target_name: str, quotes: Sequence[OptionQuote],
     trial is self-contained, so the row contents are bitwise reproducible
     for a fixed seed regardless of the worker count; wall times go to
     metadata.  ``workers > 1`` fans trials out over processes (the trials
-    are numpy-bound and too fine-grained for threads to help).
+    are numpy-bound and too fine-grained for threads to help), each
+    limited to one OpenBLAS thread; metadata records that count as
+    ``blas_threads_per_worker``, null when no limit was set.
     """
     if target_name not in CONVERGE_TARGETS:
         raise ValueError(f"target must be one of {CONVERGE_TARGETS}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     target = PARAM_SETS[target_name]
     qf = run_generate(target, ctx, quotes, ov=ov)
     rng = np.random.default_rng(seed)
@@ -284,8 +325,11 @@ def run_converge(target_name: str, quotes: Sequence[OptionQuote],
               target.as_array() * rng.uniform(0.9, 1.1, size=(trials, 5))]
     trial = partial(_timed_calibration, "kswift", qf, config=config, ov=ov)
 
+    blas_threads = None
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        blas_threads = 1 if _openblas() is not None else None
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_one_blas_thread) as pool:
             outcomes = list(pool.map(trial, starts, chunksize=4))
     else:
         outcomes = [trial(start) for start in starts]
@@ -309,6 +353,7 @@ def run_converge(target_name: str, quotes: Sequence[OptionQuote],
                        "max_iterations": config.max_iterations},
             "maturity_note": ("strike/maturity set2 substitutes for the "
                               "unavailable original maturities"),
+            "blas_threads_per_worker": blas_threads,
             "wall_times": {"mean_trial_s": float(np.mean(trial_times)),
                            "total_s": float(np.sum(trial_times))}}
     return ExperimentReport(experiment="converge", rows=[row], metadata=meta)

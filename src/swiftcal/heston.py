@@ -179,7 +179,10 @@ def chf_cui_parts(u, tau: float, theta: HestonParams, ctx: MarketContext,
     :func:`chf_grid_terms` of a one-dimensional ``u``, lets a caller that
     sweeps one grid repeatedly skip recomputing them.  ``tau`` is a scalar
     or, for a one-dimensional ``u``, one maturity per frequency: a sweep over
-    several maturities' grids at once is bitwise the per-maturity sweeps.
+    several maturities' grids at once equals the per-maturity sweeps, bitwise
+    below 16384 frequencies: from 256 KiB on, numpy evaluates
+    ``d * (1.0 + decay)`` in place with the operands swapped, and its complex
+    multiply can round a * b and b * a apart in the last bit.
 
     Returns (value, parts).  ``value`` has the shape of ``u``; ``parts`` is
     an opaque tuple consumed by :func:`chf_gradient_from_parts`; holding on

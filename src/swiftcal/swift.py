@@ -278,7 +278,8 @@ def interval_params(m: int, c: float, x_min: float, x_max: float,
 
 def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
                       m: int, strikes: Sequence[float], L: float = DEFAULT_L,
-                      max_scale: int = 12) -> SwiftParams:
+                      max_scale: int = 12,
+                      sweep_out: Optional[list] = None) -> SwiftParams:
     """Pick (eta, J_d, J_p, interval) for a strike set at maturity tau.
 
     The half-width c starts from :func:`truncation_width`; the interval is
@@ -295,7 +296,12 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
 
     Growth steps often keep the grid (m, J_d), which alone fixes the chf
     sweep and the density spectra at x_min and x_max: each is computed once
-    per grid and re-read at every step's wavelet indices.
+    per grid and re-read at every step's wavelet indices.  Growth never
+    returns to an earlier grid, so only the current one is kept.
+
+    Given a list as ``sweep_out``, selection appends the accepted grid's
+    sweep at ``theta``; adopted by the pricer built for the result
+    (:meth:`MultiStrikePricer.adopt_sweep`), it is that pricer's first sweep.
 
     Raises:
         NoConvergenceError: the mass check still fails at the scale cap.
@@ -307,24 +313,25 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
     x = np.log(ctx.spot / strikes)
     x_min, x_max = float(x.min()), float(x.max())
 
-    sweeps = {}  # (m, J_d) -> (omega, f_vals, {x: density spectrum})
+    grid = None  # (m, J_d) of the current sweep and its {x: density spectrum}
     for m_try in range(m, max_scale + 1):
         c = c0
         for _ in range(12):
             sp = interval_params(m_try, c, x_min, x_max)
-            key = (m_try, sp.j_density)
-            if key not in sweeps:
-                omega = sp.density_freqs()
-                sweeps[key] = (omega, chf_cui(omega, tau, theta, ctx), {})
-            omega, f_vals, spectra = sweeps[key]
+            if grid != (m_try, sp.j_density):
+                grid, spectra = (m_try, sp.j_density), {}
+                sweep = _ChfSweep(sp.density_freqs(), tau, ctx)
+                f_vals = sweep.parts(theta)[0]
             for xc in (x_min, x_max):
                 if xc not in spectra:
-                    spectra[xc] = _cosine_spectrum(f_vals * np.exp(-1j * omega * xc),
-                                                   sp.j_density)
+                    spectra[xc] = _cosine_spectrum(
+                        f_vals * np.exp(-1j * sweep.omega * xc), sp.j_density)
                 density = _density_at(spectra[xc], sp)
                 if abs(density_area(density, sp) - 1.0) > _AREA_TOL:
                     break
             else:
+                if sweep_out is not None:
+                    sweep_out.append(sweep)
                 return sp
             c *= 1.25
     raise NoConvergenceError(
@@ -436,12 +443,17 @@ def price_and_gradient_single(theta: HestonParams, ctx: MarketContext,
 
 
 def price_multi_strike(theta: HestonParams, ctx: MarketContext, tau: float,
-                       strikes, sp: SwiftParams) -> np.ndarray:
+                       strikes, sp: SwiftParams, sweep=None) -> np.ndarray:
     """Call prices for many strikes of one maturity, sharing F_j and U-tilde.
 
-    One-shot use of :class:`MultiStrikePricer`.
+    One-shot use of :class:`MultiStrikePricer`.  ``sweep``, the sweep
+    :func:`select_truncation` made of sp's grid at theta, spares the
+    pricer's own.
     """
-    return MultiStrikePricer(ctx, tau, strikes, sp).prices(theta)
+    pricer = MultiStrikePricer(ctx, tau, strikes, sp)
+    if sweep is not None:
+        pricer.adopt_sweep(sweep)
+    return pricer.prices(theta)
 
 
 def price_and_gradient_multi_strike(theta: HestonParams, ctx: MarketContext,
@@ -496,10 +508,9 @@ class MultiStrikePricer:
     characteristic sweep serves every strike, and the Jacobian swaps F_j for
     the partials h_i F_j, a six-column instead of a one-column product.
 
-    Construction freezes the discretization and precomputes everything
-    theta-independent: U-tilde, the grid terms of the characteristic
-    function (``grid_terms`` of :func:`~swiftcal.heston.chf_cui_parts`) and
-    the n x J_d phase matrix.  That matrix comes from two small tables:
+    Construction freezes the discretization and precomputes U-tilde and the
+    n x J_d phase matrix (the sweep forms the chf grid terms on its first
+    evaluation).  That matrix comes from two small tables:
     omega_j = omega_1 + (j - 1) delta is an arithmetic progression, so with
     j - 1 = a B + b (B = 64) each entry is e^{-i x (omega_1 + a B delta)}
     times e^{-i x b delta}, n (J_d/B + B) complex exponentials instead of
@@ -510,7 +521,11 @@ class MultiStrikePricer:
 
     The sweep is the pricer's own unless :func:`pack_sweeps` has attached it
     to a block of several small pricers; the pricer then reads its slice of
-    the block's sweep, which is bitwise the sweep it would make alone.
+    the block's sweep (bitwise its own for a block below 16384 frequencies;
+    see :func:`~swiftcal.heston.chf_cui_parts`).  A pricer that sweeps alone
+    can start from the sweep :func:`select_truncation` made of its grid
+    (:meth:`adopt_sweep`), so an evaluation at the selection's parameters
+    sweeps nothing.
     """
 
     def __init__(self, ctx: MarketContext, tau: float, strikes, sp: SwiftParams):
@@ -532,6 +547,17 @@ class MultiStrikePricer:
         self._scale = (self.strikes * math.exp(-ctx.rate * self.tau)
                        * 2.0**(sp.m / 2.0) / sp.j_density)
 
+    def adopt_sweep(self, sweep: "_ChfSweep") -> None:
+        """Take a sweep of this pricer's own grid and maturity as its sweep.
+
+        Bitwise the sweep the pricer would make, so prices and Jacobians do
+        not change; only the sweep already made is not repeated.
+        """
+        if (sweep.ctx != self.ctx or not np.array_equal(sweep.omega, self.omega)
+                or np.any(sweep.tau != self.tau)):
+            raise ValueError("a pricer adopts only a sweep of its own grid")
+        self._sweep, self._cols = sweep, slice(0, self.sp.j_density)
+
     def prices(self, theta: HestonParams) -> np.ndarray:
         f_vals = self._sweep.parts(theta)[0][self._cols]
         return self._scale * (self.phases @ (f_vals * self.u_tilde)).real
@@ -552,11 +578,15 @@ class _ChfSweep:
     tau.  The value, intermediates and gradient at the last parameters asked
     for are kept, and recomputed only when the parameters change; the
     gradient is assembled on the first request for it at those parameters.
+    :func:`select_truncation` evaluates each grid through one, and the
+    sweep of the grid it accepts can become the pricer's first
+    (:meth:`MultiStrikePricer.adopt_sweep`).  Grid terms are formed on the
+    first evaluation, so a sweep replaced before then costs nothing.
     """
 
     def __init__(self, omega, tau, ctx: MarketContext):
         self.omega, self.tau, self.ctx = omega, tau, ctx
-        self.grid_terms = chf_grid_terms(omega)
+        self._grid_terms = None
         self._key = None
         self._parts = None
         self._grad = None
@@ -564,8 +594,10 @@ class _ChfSweep:
     def parts(self, theta: HestonParams):
         key = theta.as_array().tobytes()
         if key != self._key:
+            if self._grid_terms is None:
+                self._grid_terms = chf_grid_terms(self.omega)
             self._parts = chf_cui_parts(self.omega, self.tau, theta, self.ctx,
-                                        self.grid_terms)
+                                        self._grid_terms)
             self._key = key
             self._grad = None
         return self._parts

@@ -139,19 +139,79 @@ def _nudged(theta):
     return HestonParams.from_array(theta.as_array() * [1.01, 0.99, 1.01, 0.99, 1.0])
 
 
+def _packed_jd(swift_params):
+    """J_d of the groups the packing rule puts into blocks of two or more:
+    consecutive groups fill a block until it holds PACK_FREQS frequencies."""
+    packed, block = [], []
+    for sp in swift_params:
+        block.append(sp.j_density)
+        if sum(block) >= PACK_FREQS:
+            packed += block if len(block) > 1 else []
+            block = []
+    return packed + (block if len(block) > 1 else [])
+
+
+@pytest.mark.parametrize("target", ["theta2", "fx", "ir", "eq"])
+def test_run_price_sweeps_each_selected_grid_once(ctx, target, chf_sweeps):
+    # the pricer starts from the selection's sweep of the grid it accepted,
+    # so a request sweeps the grids selection tries and nothing more
+    theta, quotes = PARAM_SETS[target], set2_quotes()
+    for tau, idx in group_by_maturity(quotes).items():
+        select_truncation(theta, tau, ctx, select_scale(theta, tau, ctx),
+                          [quotes[i].strike for i in idx])
+    selection = chf_sweeps["chf"][:]
+    chf_sweeps["chf"].clear()
+    run_price("swift", theta, QuoteFile(context=ctx, quotes=quotes))
+    assert chf_sweeps["chf"] == selection  # no second sweep of sum J_d
+    assert chf_sweeps["grad"] == []
+
+
+@pytest.mark.parametrize("target", ["fx", "ir"])
+@pytest.mark.parametrize("split", [False, True])
+def test_adopted_sweeps_bitwise_fresh_pricers(ctx, target, split, chf_sweeps):
+    # a backend's lone groups start from the selection's sweep; prices and
+    # Jacobians equal those of pricers that sweep for themselves, at the
+    # selection's parameters (adopted sweep) and after them (own sweep)
+    quotes = run_generate(PARAM_SETS[target], ctx, set2_quotes()).quotes
+    theta0 = PARAM_SETS[target]
+    backend = KswiftBackend(quotes, ctx, theta0, split_groups=split)
+    groups = ([(q.maturity, [i]) for i, q in enumerate(quotes)] if split
+              else group_by_maturity(quotes).items())
+    fresh = [(MultiStrikePricer(ctx, tau, [quotes[i].strike for i in idx], sp), idx)
+             for (tau, idx), sp in zip(groups, backend.swift_params)]
+    offsets = put_offsets(quotes, ctx)
+    chf_sweeps["chf"].clear()
+    got = backend.prices(theta0)
+    if split:
+        assert chf_sweeps["chf"] == []
+    want = np.empty(len(quotes))
+    for pricer, idx in fresh:
+        want[idx] = pricer.prices(theta0)
+    assert np.array_equal(got, want + offsets)
+    for theta in (theta0, _nudged(theta0)):
+        got_p, got_j = backend.prices_and_jacobian(theta)
+        want_j = np.empty((len(quotes), 5))
+        for pricer, idx in fresh:
+            want[idx], want_j[idx] = pricer.prices_and_jacobian(theta)
+        assert np.array_equal(got_p, want + offsets)
+        assert np.array_equal(got_j, want_j)
+
+
 @pytest.mark.parametrize("target,start", [("theta2", "theta2-start"), ("ir", "ir"),
                                           ("fx", "fx")])
 def test_kswift_sweeps_every_frequency_once(ctx, target, start, chf_sweeps):
-    # a price evaluation sweeps sum J_d, the Jacobian at the same parameters
-    # reuses it, and a Jacobian at new parameters sweeps and differentiates
-    # sum J_d again: no frequency is swept twice or skipped
+    # a price evaluation at the selection's parameters sweeps the packed
+    # blocks (a lone group starts from its selection's sweep), the Jacobian
+    # at the same parameters reuses every sweep, and a Jacobian at new
+    # parameters sweeps and differentiates sum J_d: no frequency is swept
+    # twice or skipped
     quotes = run_generate(PARAM_SETS[target], ctx, set2_quotes()).quotes
     theta0 = PARAM_SETS[start]
     backend = KswiftBackend(quotes, ctx, theta0)
     sum_jd = sum(sp.j_density for sp in backend.swift_params)
     chf_sweeps["chf"].clear()
     backend.prices(theta0)
-    assert sum(chf_sweeps["chf"]) == sum_jd
+    assert sum(chf_sweeps["chf"]) == sum(_packed_jd(backend.swift_params))
     chf_sweeps["chf"].clear()
     backend.prices_and_jacobian(theta0)
     assert chf_sweeps["chf"] == []
@@ -190,9 +250,10 @@ def test_packed_sweeps_bitwise_per_group(ctx, target, start, chf_sweeps):
         assert np.array_equal(got[1], want[1])
     if target == "ir":
         # the first block packs a small group with one that fills a block on
-        # its own; every later group is a block of one
+        # its own; every later group is a block of one, which starts from the
+        # selection's sweep and so sweeps nothing at theta0
         assert j_d[0] < PACK_FREQS <= j_d[1]
-        assert packed == [j_d[0] + j_d[1]] + j_d[2:]
+        assert packed == [j_d[0] + j_d[1]]
 
 
 def test_backend_prices_agree(theta2, ctx, set2_priced):

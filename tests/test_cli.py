@@ -3,11 +3,12 @@
 import argparse
 import dataclasses
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from swiftcal import cli
+from swiftcal import cli, experiments
 from swiftcal.cli import _PRICING_FLAGS, _UNREAD_BY_BACKEND, build_parser, main
 from swiftcal.experiments import PricingOverrides
 from swiftcal.fixtures import PARAM_SETS
@@ -508,6 +509,44 @@ def test_converge_rows_identical_across_worker_counts(tmp_path):
     seq = run_converge("eq", quotes, DEFAULT_CONTEXT, trials=4, seed=5, workers=1)
     par = run_converge("eq", quotes, DEFAULT_CONTEXT, trials=4, seed=5, workers=2)
     assert seq.rows == par.rows
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["converge", "--target", "eq", "--trials", "0"], "trials"),
+    (["converge", "--target", "eq", "--trials", "-3"], "trials"),
+    (["converge", "--target", "eq", "--trials", "1", "--workers", "0"], "workers"),
+    (["converge", "--target", "eq", "--trials", "1", "--workers", "-1"], "workers"),
+    (["speed", "--set", "set1", "--reps", "0"], "reps"),
+], ids=["trials-0", "trials-negative", "workers-0", "workers-negative", "reps-0"])
+def test_degenerate_counts_exit_input_error(capsys, argv, name):
+    # rejected up front, before a trial runs or an empty sample is reduced
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{name} must be at least 1" in err
+
+
+def _worker_blas_threads():
+    return experiments._openblas().scipy_openblas_get_num_threads64_()
+
+
+def test_pool_workers_run_one_blas_thread():
+    if experiments._openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    with ProcessPoolExecutor(max_workers=1,
+                             initializer=experiments._one_blas_thread) as pool:
+        assert pool.submit(_worker_blas_threads).result() == 1
+
+
+def test_converge_records_worker_blas_threads():
+    from swiftcal.fixtures import DEFAULT_CONTEXT, set2_quotes
+
+    quotes = set2_quotes()
+    meta = [experiments.run_converge("eq", quotes, DEFAULT_CONTEXT, trials=2,
+                                     workers=w).metadata for w in (1, 2)]
+    assert meta[0]["blas_threads_per_worker"] is None
+    assert meta[1]["blas_threads_per_worker"] == (
+        1 if experiments._openblas() is not None else None)
 
 
 def test_speed_cli_smoke(capsys, tmp_path):

@@ -282,6 +282,24 @@ def test_empty_strikes_and_mixed_contexts_rejected(theta2, ctx, ctx100):
         pack_sweeps(pricers)
 
 
+def test_selection_sweep_is_the_pricers_first(theta2, ctx, ctx100):
+    # the sweep of the accepted grid, adopted, prices bitwise as the pricer's
+    # own sweep would; a sweep of another grid, maturity or market is refused
+    strikes = [0.8, 1.0, 1.25]
+    sweep = []
+    sp = select_truncation(theta2, 0.5, ctx, 5, strikes, sweep_out=sweep)
+    assert len(sweep) == 1
+    assert np.array_equal(price_multi_strike(theta2, ctx, 0.5, strikes, sp,
+                                             sweep=sweep[0]),
+                          price_multi_strike(theta2, ctx, 0.5, strikes, sp))
+    other = select_truncation(theta2, 0.5, ctx, 6, strikes)
+    for pricer in (MultiStrikePricer(ctx, 0.5, strikes, other),
+                   MultiStrikePricer(ctx, 0.25, strikes, sp),
+                   MultiStrikePricer(ctx100, 0.5, strikes, sp)):
+        with pytest.raises(ValueError, match="own grid"):
+            pricer.adopt_sweep(sweep[0])
+
+
 def test_multi_strike_equals_single(theta2, ctx, set1_priced):
     tau = set1_priced.quotes[0].maturity
     strikes = [q.strike for q in set1_priced.quotes]
