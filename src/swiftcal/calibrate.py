@@ -29,7 +29,7 @@ Three interchangeable pricing backends are provided:
 
 * ``KswiftBackend``  - wavelet pricer, quotes grouped by maturity, all
   theta-independent work (payoff spectrum, phase factors) done once and
-  small groups swept together.
+  small groups swept together, as :func:`discretization_plan` lays them out.
 * ``SwiftBackend``   - wavelet pricer without reuse: every quote recomputes
   its density and payoff coefficients on every evaluation (the slow
   formulation the grouped one is benchmarked against).
@@ -41,7 +41,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,11 +53,13 @@ from .swift import (
     MultiStrikePricer,
     OptionQuote,
     group_by_maturity,
-    pack_sweeps,
+    interval_params,
     price_and_gradient_single,
     put_offsets,
     select_scale,
     select_truncation,
+    share_sweep,
+    truncation_width,
 )
 
 # (lo, hi) per parameter in PARAM_ORDER; wide enough for every realistic fit.
@@ -131,33 +133,66 @@ class CalibrationResult:
         return self.stop_reason is StopReason.RESIDUAL_TOL
 
 
-def _selected_groups(quotes: Sequence[OptionQuote], ctx: MarketContext,
-                     theta_ref: HestonParams, L: float,
-                     groups: Iterable[Tuple[float, List[int]]]):
-    """Yield (tau, quote indices, strikes, SwiftParams, sweep) per maturity
-    group: the discretization selected at theta_ref and the selection's chf
-    sweep of its grid (see :func:`~swiftcal.swift.select_truncation`)."""
+def discretization_plan(quotes: Sequence[OptionQuote], ctx: MarketContext,
+                        theta_ref: HestonParams, L: float = DEFAULT_L,
+                        m: Optional[int] = None, eta: Optional[int] = None,
+                        j: Optional[int] = None, split_groups: bool = False):
+    """Yield (MultiStrikePricer, quote indices) per maturity group, frozen at
+    theta_ref: the one place a quote set's discretization is chosen.
+
+    Each group's ``SwiftParams`` come from :func:`~swiftcal.swift.select_scale`
+    and :func:`~swiftcal.swift.select_truncation` (``m`` pins the scale, which
+    then never escalates), or, given ``eta`` or ``j``, from
+    :func:`~swiftcal.swift.interval_params` at scale ``m`` with no selection;
+    the group's pricer is built straight after.  Consecutive pricers fill a
+    sweep block until it holds ``PACK_FREQS`` frequencies, and the block
+    starts from its members' selection sweeps at theta_ref
+    (:func:`~swiftcal.swift.share_sweep`), so every selected grid is swept
+    once there.  A block's members are yielded when it closes, so a caller
+    that prices and drops them holds one block at a time.
+    ``split_groups=True`` makes every quote its own group and packs nothing.
+    """
+    if (eta is not None or j is not None) and m is None:
+        raise ValueError("--eta/--j overrides require --m")
+    if split_groups:
+        groups = [(q.maturity, [i]) for i, q in enumerate(quotes)]
+    else:
+        groups = group_by_maturity(quotes).items()
+    block, sweeps = [], []
     for tau, idx in groups:
         strikes = [quotes[i].strike for i in idx]
-        m = select_scale(theta_ref, tau, ctx)
-        sweep: list = []
-        sp = select_truncation(theta_ref, tau, ctx, m, strikes, L=L, sweep_out=sweep)
-        yield tau, idx, strikes, sp, sweep[0]
+        if eta is not None or j is not None:
+            x = np.log(ctx.spot / np.asarray(strikes, dtype=float))
+            sp = interval_params(m, truncation_width(theta_ref, tau, ctx, L),
+                                 float(x.min()), float(x.max()), eta, j)
+        elif m is None:
+            sp = select_truncation(theta_ref, tau, ctx,
+                                   select_scale(theta_ref, tau, ctx), strikes,
+                                   L=L, sweep_out=sweeps)
+        else:
+            sp = select_truncation(theta_ref, tau, ctx, m, strikes, L=L,
+                                   max_scale=m, sweep_out=sweeps)
+        block.append((MultiStrikePricer(ctx, tau, strikes, sp), np.asarray(idx)))
+        if split_groups or sum(p.sp.j_density for p, _ in block) >= PACK_FREQS:
+            share_sweep([p for p, _ in block], sweeps or None)
+            yield from block
+            block, sweeps = [], []
+    share_sweep([p for p, _ in block], sweeps or None)
+    yield from block
 
 
 class KswiftBackend:
     """Grouped wavelet backend: one coefficient workspace per maturity.
 
-    The discretization is selected once at construction (at ``theta_ref``,
-    normally the calibration start) and frozen for all subsequent
-    evaluations, so the per-iteration cost is one matrix product per
-    maturity group and one characteristic function sweep per block of
-    groups: consecutive small groups share a sweep (see
-    :func:`~swiftcal.swift.pack_sweeps`), a group of ``PACK_FREQS`` density
-    frequencies or more has its own.  A group that sweeps alone starts from
-    the selection's sweep of its grid at ``theta_ref``, so the first
-    ``prices(theta_ref)`` sweeps only the packed blocks and the Jacobian at
-    ``theta_ref`` sweeps nothing.
+    Reads the pricers of :func:`discretization_plan`: the discretization is
+    selected once at construction (at ``theta_ref``, normally the
+    calibration start) and frozen for all subsequent evaluations, so the
+    per-iteration cost is one matrix product per maturity group and one
+    characteristic function sweep per block of groups: consecutive small
+    groups share a sweep, a group of ``PACK_FREQS`` density frequencies or
+    more has its own.  Every block starts from the selection's sweeps at
+    ``theta_ref``, so neither ``prices(theta_ref)`` nor the Jacobian at
+    ``theta_ref`` sweeps anything.
 
     ``group_eval_count`` counts per-group pricing passes, letting tests
     assert that an evaluation touches each maturity exactly once.
@@ -175,23 +210,8 @@ class KswiftBackend:
         self.ctx = ctx
         self.quotes = list(quotes)
         self.group_eval_count = 0
-        if split_groups:
-            groups = [(q.maturity, [i]) for i, q in enumerate(self.quotes)]
-        else:
-            groups = list(group_by_maturity(self.quotes).items())
-        self._pricers = []
-        for k, (tau, idx, strikes, sp, sweep) in enumerate(_selected_groups(
-                self.quotes, ctx, theta_ref, L, groups)):
-            pricer = MultiStrikePricer(ctx, tau, strikes, sp)
-            # Packing replaces an adopted sweep.  A group below PACK_FREQS
-            # that is not the last always joins a block, so its selection
-            # sweep is dropped here: holding every small group's sweep until
-            # packing made the set2 build about 5% slower (allocator traffic).
-            if split_groups or sp.j_density >= PACK_FREQS or k == len(groups) - 1:
-                pricer.adopt_sweep(sweep)
-            self._pricers.append((pricer, np.asarray(idx)))
-        if not split_groups:
-            pack_sweeps([p for p, _ in self._pricers])
+        self._pricers = list(discretization_plan(self.quotes, ctx, theta_ref, L=L,
+                                                 split_groups=split_groups))
         self._put_offsets = put_offsets(self.quotes, ctx)
 
     @property
@@ -220,10 +240,11 @@ class KswiftBackend:
 class SwiftBackend:
     """Per-quote wavelet backend with no cross-quote or cross-call reuse.
 
-    Uses the same frozen per-maturity discretization as ``KswiftBackend``
-    (and drops the selection's sweep) but prices quote by quote, rebuilding
-    density and payoff coefficients (six FFTs and a characteristic sweep per
-    quote) on every evaluation.
+    Reads only the ``SwiftParams`` of :func:`discretization_plan`, the same
+    frozen per-maturity discretization as ``KswiftBackend``, and drops its
+    pricers and sweeps: it prices quote by quote, rebuilding density and
+    payoff coefficients (six FFTs and a characteristic sweep per quote) on
+    every evaluation.
     """
 
     name = "swift"
@@ -233,10 +254,9 @@ class SwiftBackend:
         self.ctx = ctx
         self.quotes = list(quotes)
         self._sp = [None] * len(self.quotes)
-        for _, idx, _, sp, _ in _selected_groups(self.quotes, ctx, theta_ref, L,
-                                                 group_by_maturity(self.quotes).items()):
+        for pricer, idx in discretization_plan(self.quotes, ctx, theta_ref, L=L):
             for i in idx:
-                self._sp[i] = sp
+                self._sp[i] = pricer.sp
 
     def prices(self, theta: HestonParams) -> np.ndarray:
         return self.prices_and_jacobian(theta)[0]

@@ -27,6 +27,7 @@ from .calibrate import (
     StopReason,
     SwiftBackend,
     calibrate,
+    discretization_plan,
 )
 from .fixtures import CONVERGE_TARGETS, PARAM_SETS
 from .heston import HestonParams, MarketContext, PARAM_ORDER
@@ -37,15 +38,14 @@ from .swift import (
     DEFAULT_L,
     SCALE_TOL,
     OptionQuote,
-    group_by_maturity,
     interval_params,
-    price_multi_strike,
     price_strike_grid,
     put_offsets,
-    select_scale,
-    select_truncation,
     truncation_width,
 )
+# Unused here: perfbench/tracing.py rebinds these names in this module,
+# until the benchmark counts without rebinding.
+from .swift import price_multi_strike, select_scale, select_truncation  # noqa: F401
 
 
 @dataclass
@@ -67,44 +67,20 @@ class PricingOverrides:
     scale_tol = SCALE_TOL
 
 
-def _swift_params_for(theta: HestonParams, tau: float, ctx: MarketContext,
-                      strikes: Sequence[float], ov: PricingOverrides):
-    """(SwiftParams, the selection's chf sweep of its grid or None)."""
-    if ov.eta is not None or ov.j is not None:
-        if ov.m is None:
-            raise ValueError("--eta/--j overrides require --m")
-        x = np.log(ctx.spot / np.asarray(strikes, dtype=float))
-        return interval_params(ov.m, truncation_width(theta, tau, ctx, ov.L),
-                               float(x.min()), float(x.max()), ov.eta, ov.j), None
-    sweep: list = []
-    if ov.m is not None:
-        # pinned scale: forbid escalation by capping at m
-        sp = select_truncation(theta, tau, ctx, ov.m, strikes, L=ov.L,
-                               max_scale=ov.m, sweep_out=sweep)
-    else:
-        m = select_scale(theta, tau, ctx)
-        sp = select_truncation(theta, tau, ctx, m, strikes, L=ov.L, sweep_out=sweep)
-    return sp, sweep[0]
-
-
 def swift_prices(theta: HestonParams, ctx: MarketContext,
                  quotes: Sequence[OptionQuote],
                  ov: PricingOverrides = PricingOverrides()):
-    """Wavelet prices for a quote list, grouped by maturity.
-
-    Each group is priced from the chf sweep its selection made at theta, so
-    a selected grid is swept once; manual ``eta``/``j`` overrides select
-    nothing and sweep in the pricer.
+    """Wavelet prices for a quote list from its :func:`discretization_plan` at
+    theta, so a selected grid is swept once.
 
     Returns (prices, per-group SwiftParams keyed by maturity).
     """
     prices = np.empty(len(quotes))
     used = {}
-    for tau, idx in group_by_maturity(quotes).items():
-        strikes = [quotes[i].strike for i in idx]
-        sp, sweep = _swift_params_for(theta, tau, ctx, strikes, ov)
-        used[tau] = sp
-        prices[idx] = price_multi_strike(theta, ctx, tau, strikes, sp, sweep=sweep)
+    for pricer, idx in discretization_plan(quotes, ctx, theta, L=ov.L, m=ov.m,
+                                           eta=ov.eta, j=ov.j):
+        used[pricer.tau] = pricer.sp
+        prices[idx] = pricer.prices(theta)
     return prices + put_offsets(quotes, ctx), used
 
 

@@ -27,7 +27,11 @@ payoff expansion is carried).  ``parity_offset`` is the one parity rule of the
 package; every pricer adds it to the call price of a put.  The discretization
 rule is likewise written once: ``truncation_width`` gives the cumulant
 half-width, ``interval_params`` the interval, eta and J it implies, and
-``group_by_maturity`` the quote groups that share them.
+``group_by_maturity`` the quote groups that share them.  One plan,
+``calibrate.discretization_plan``, applies it to a quote set: per group it
+selects the discretization, builds the ``MultiStrikePricer`` and packs small
+groups into sweep blocks (``share_sweep``) that start from the selection's
+sweeps.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ __all__ = [
     "payoff_coefficients", "density_area",
     "price_single", "price_and_gradient_single", "price_multi_strike",
     "price_and_gradient_multi_strike", "price_strike_grid", "MultiStrikePricer",
-    "pack_sweeps",
+    "share_sweep",
 ]
 
 OPTION_KINDS = ("call", "put")
@@ -66,8 +70,8 @@ DEFAULT_L = 10.0  # truncation-width multiplier of the cumulant rule
 # 1e-6 beyond a far right edge can already cost ~1e-5 in price.
 _AREA_TOL = 3e-8
 _TAIL_QUAD_POINTS = 129  # trapezoid points per scale in _tail_masses
-# Frequencies at which a packed sweep block closes (see pack_sweeps): below
-# this, per-call overhead outweighs the per-point cost of a sweep.
+# Frequencies at which a sweep block closes (see share_sweep): below this,
+# per-call overhead outweighs the per-point cost of a sweep.
 PACK_FREQS = 2048
 
 
@@ -300,8 +304,8 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
     returns to an earlier grid, so only the current one is kept.
 
     Given a list as ``sweep_out``, selection appends the accepted grid's
-    sweep at ``theta``; adopted by the pricer built for the result
-    (:meth:`MultiStrikePricer.adopt_sweep`), it is that pricer's first sweep.
+    sweep at ``theta``; handed to :func:`share_sweep` with the pricer built
+    for the result, it is that pricer's first sweep.
 
     Raises:
         NoConvergenceError: the mass check still fails at the scale cap.
@@ -443,17 +447,12 @@ def price_and_gradient_single(theta: HestonParams, ctx: MarketContext,
 
 
 def price_multi_strike(theta: HestonParams, ctx: MarketContext, tau: float,
-                       strikes, sp: SwiftParams, sweep=None) -> np.ndarray:
+                       strikes, sp: SwiftParams) -> np.ndarray:
     """Call prices for many strikes of one maturity, sharing F_j and U-tilde.
 
-    One-shot use of :class:`MultiStrikePricer`.  ``sweep``, the sweep
-    :func:`select_truncation` made of sp's grid at theta, spares the
-    pricer's own.
+    One-shot use of :class:`MultiStrikePricer`.
     """
-    pricer = MultiStrikePricer(ctx, tau, strikes, sp)
-    if sweep is not None:
-        pricer.adopt_sweep(sweep)
-    return pricer.prices(theta)
+    return MultiStrikePricer(ctx, tau, strikes, sp).prices(theta)
 
 
 def price_and_gradient_multi_strike(theta: HestonParams, ctx: MarketContext,
@@ -519,13 +518,13 @@ class MultiStrikePricer:
     last sweep are kept so that a gradient request at the same parameters
     (accept, then linearize) reuses them.
 
-    The sweep is the pricer's own unless :func:`pack_sweeps` has attached it
-    to a block of several small pricers; the pricer then reads its slice of
-    the block's sweep (bitwise its own for a block below 16384 frequencies;
-    see :func:`~swiftcal.heston.chf_cui_parts`).  A pricer that sweeps alone
-    can start from the sweep :func:`select_truncation` made of its grid
-    (:meth:`adopt_sweep`), so an evaluation at the selection's parameters
-    sweeps nothing.
+    The sweep is the pricer's own unless :func:`share_sweep` has attached
+    it to a block of several small pricers; the pricer then reads its slice
+    of the block's sweep (bitwise its own for a block below 16384
+    frequencies; see :func:`~swiftcal.heston.chf_cui_parts`).
+    :func:`share_sweep` can also start a pricer or a block from the sweeps
+    :func:`select_truncation` made of their grids, so an evaluation at the
+    selection's parameters sweeps nothing.
     """
 
     def __init__(self, ctx: MarketContext, tau: float, strikes, sp: SwiftParams):
@@ -547,17 +546,6 @@ class MultiStrikePricer:
         self._scale = (self.strikes * math.exp(-ctx.rate * self.tau)
                        * 2.0**(sp.m / 2.0) / sp.j_density)
 
-    def adopt_sweep(self, sweep: "_ChfSweep") -> None:
-        """Take a sweep of this pricer's own grid and maturity as its sweep.
-
-        Bitwise the sweep the pricer would make, so prices and Jacobians do
-        not change; only the sweep already made is not repeated.
-        """
-        if (sweep.ctx != self.ctx or not np.array_equal(sweep.omega, self.omega)
-                or np.any(sweep.tau != self.tau)):
-            raise ValueError("a pricer adopts only a sweep of its own grid")
-        self._sweep, self._cols = sweep, slice(0, self.sp.j_density)
-
     def prices(self, theta: HestonParams) -> np.ndarray:
         f_vals = self._sweep.parts(theta)[0][self._cols]
         return self._scale * (self.phases @ (f_vals * self.u_tilde)).real
@@ -578,9 +566,10 @@ class _ChfSweep:
     tau.  The value, intermediates and gradient at the last parameters asked
     for are kept, and recomputed only when the parameters change; the
     gradient is assembled on the first request for it at those parameters.
-    :func:`select_truncation` evaluates each grid through one, and the
-    sweep of the grid it accepts can become the pricer's first
-    (:meth:`MultiStrikePricer.adopt_sweep`).  Grid terms are formed on the
+    :func:`select_truncation` evaluates each grid through one, and
+    :func:`share_sweep` makes the sweeps of the grids it accepts the first of
+    a pricer or block; a block joins its members' values and intermediates
+    when first asked at their parameters.  Grid terms are formed on the
     first evaluation, so a sweep replaced before then costs nothing.
     """
 
@@ -590,9 +579,15 @@ class _ChfSweep:
         self._key = None
         self._parts = None
         self._grad = None
+        self._members = None  # member sweeps a block starts from
 
     def parts(self, theta: HestonParams):
         key = theta.as_array().tobytes()
+        members, self._members = self._members, None
+        if members and key == members[0]._key:
+            values, inters = zip(*(s._parts for s in members))
+            self._key, self._parts = key, (np.concatenate(values),
+                                           tuple(map(np.concatenate, zip(*inters))))
         if key != self._key:
             if self._grid_terms is None:
                 self._grid_terms = chf_grid_terms(self.omega)
@@ -609,37 +604,43 @@ class _ChfSweep:
         return value, self._grad
 
 
-def pack_sweeps(pricers: Sequence[MultiStrikePricer]) -> None:
-    """Let consecutive small pricers share one characteristic sweep.
+def share_sweep(pricers: Sequence[MultiStrikePricer], sweeps=None) -> None:
+    """Let consecutive pricers share one characteristic sweep, a block.
 
-    Pricers are taken in order into a block until it holds ``PACK_FREQS``
-    frequencies or more.  A pricer is never split, so one that starts a
-    block and reaches ``PACK_FREQS`` alone keeps its own sweep.  A block
-    costs one chf call and one gradient call per evaluation where its
-    members cost one each: per-call overhead dominates small sweeps.  The
-    block is swept lazily, when its first member asks at new parameters,
-    and its gradient, once assembled, serves every member until the
-    parameters change.  The pricers must share one market context.
+    The block sweeps the members' concatenated frequencies with a
+    per-element tau, so it costs one chf call and one gradient call per
+    evaluation where its members cost one each: per-call overhead dominates
+    small sweeps.  It is swept lazily, when its first member asks at new
+    parameters, and its gradient, once assembled, serves every member until
+    the parameters change.  The pricers must share one market context.
+
+    ``sweeps``, one per pricer, are the sweeps :func:`select_truncation`
+    made of the members' grids at one parameter vector.  The block starts
+    from them: a lone member takes its sweep as it is, several have their
+    values and intermediates concatenated when first asked at those
+    parameters, so an evaluation there sweeps nothing.
     """
     if len({p.ctx for p in pricers}) > 1:
         raise ValueError("packed pricers must share one market context")
-    block: list = []
-    for pricer in pricers:
-        block.append(pricer)
-        if sum(p.sp.j_density for p in block) >= PACK_FREQS:
-            _share_sweep(block)
-            block = []
-    _share_sweep(block)
-
-
-def _share_sweep(block: Sequence[MultiStrikePricer]) -> None:
-    if len(block) < 2:
+    if sweeps is not None:
+        # a density grid is fixed by its size and first frequency
+        if len(sweeps) != len(pricers) or any(
+                s.ctx != p.ctx or s.omega.size != p.omega.size
+                or s.omega[0] != p.omega[0] or np.any(s.tau != p.tau)
+                for p, s in zip(pricers, sweeps)):
+            raise ValueError("a pricer starts only from a sweep of its own grid")
+        if len({s._key for s in sweeps}) > 1:
+            raise ValueError("a block starts from sweeps at one parameter vector")
+    if len(pricers) == 1 and sweeps is not None:
+        pricers[0]._sweep = sweeps[0]
+    if len(pricers) < 2:
         return
-    sweep = _ChfSweep(
-        np.concatenate([p.omega for p in block]),
-        np.concatenate([np.full(p.sp.j_density, p.tau) for p in block]),
-        block[0].ctx)
+    block = _ChfSweep(
+        np.concatenate([p.omega for p in pricers]),
+        np.concatenate([np.full(p.sp.j_density, p.tau) for p in pricers]),
+        pricers[0].ctx)
+    block._members = sweeps
     start = 0
-    for p in block:
-        p._sweep, p._cols = sweep, slice(start, start + p.sp.j_density)
+    for p in pricers:
+        p._sweep, p._cols = block, slice(start, start + p.sp.j_density)
         start += p.sp.j_density

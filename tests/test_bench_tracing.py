@@ -60,24 +60,56 @@ def test_benchmark_workloads_run_on_the_public_api(monkeypatch):
 def test_tracer_sees_every_kswift_chf_frequency(monkeypatch):
     # the benchmark's heston.chf_freqs counts the chf calls made through the
     # swift module's names; a sweep that reached the chf another way would
-    # escape it and the count would fall short of sum J_d
+    # escape it and the count would fall short of sum J_d.  The backend
+    # starts from the selection's sweeps, so it sweeps away from the start.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import Tracer
 
+    from swiftcal import HestonParams
     from swiftcal.experiments import run_generate
     from swiftcal.fixtures import DEFAULT_CONTEXT, PARAM_SETS, set2_quotes
 
     cal = importlib.import_module("swiftcal.calibrate")
     quotes = run_generate(PARAM_SETS["theta2"], DEFAULT_CONTEXT, set2_quotes()).quotes
     start = PARAM_SETS["theta2-start"]
+    theta = HestonParams.from_array(start.as_array() * 1.01)
     tracer = Tracer()
     with tracer.installed():
         backend = cal.KswiftBackend(quotes, DEFAULT_CONTEXT, start)
         with tracer.job(0):
-            backend.prices(start)
-            backend.prices_and_jacobian(start)
+            backend.prices(theta)
+            backend.prices_and_jacobian(theta)
     assert tracer.counts["heston.chf_freqs"] == sum(
         sp.j_density for sp in backend.swift_params)
+
+
+def test_tracer_counts_run_price_through_the_plan(monkeypatch):
+    # run_price selects and builds through calibrate's names, where the
+    # tracer counts them: one scale selection per group, the report's sum
+    # J_d, and no chf frequency beyond the selection's own sweeps
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    from swiftcal.fixtures import DEFAULT_CONTEXT, PARAM_SETS, set2_quotes
+    from swiftcal.quotes import QuoteFile
+
+    exp = importlib.import_module("swiftcal.experiments")
+    swift = importlib.import_module("swiftcal.swift")
+    theta, quotes = PARAM_SETS["fx"], set2_quotes()
+    groups = swift.group_by_maturity(quotes)
+    tracer, selection = Tracer(), Tracer()
+    with tracer.installed(), tracer.job(0):
+        report = exp.run_price("swift", theta,
+                               QuoteFile(context=DEFAULT_CONTEXT, quotes=quotes))
+    with selection.installed(), selection.job(0):
+        for tau, idx in groups.items():
+            m = swift.select_scale(theta, tau, DEFAULT_CONTEXT)
+            swift.select_truncation(theta, tau, DEFAULT_CONTEXT, m,
+                                    [quotes[i].strike for i in idx])
+    assert tracer.counts["swift.select_scale_calls"] == len(groups)
+    assert tracer.counts["swift.sum_jd"] == sum(
+        sp["j_density"] for sp in report.metadata["config"].values())
+    assert tracer.counts["heston.chf_freqs"] == selection.counts["heston.chf_freqs"] > 0
 
 
 def test_tracer_sees_every_quadrature_node(monkeypatch):

@@ -28,7 +28,9 @@ from swiftcal import (
     select_scale,
     select_truncation,
 )
-from swiftcal.experiments import make_calibration_backend, run_generate, run_price
+from swiftcal.calibrate import discretization_plan
+from swiftcal.experiments import (PricingOverrides, make_calibration_backend,
+                                  run_generate, run_price)
 from swiftcal.fixtures import PARAM_SETS, set2_quotes
 from swiftcal.quotes import QuoteFile
 from swiftcal.swift import PACK_FREQS, group_by_maturity, put_offsets
@@ -139,39 +141,52 @@ def _nudged(theta):
     return HestonParams.from_array(theta.as_array() * [1.01, 0.99, 1.01, 0.99, 1.0])
 
 
-def _packed_jd(swift_params):
-    """J_d of the groups the packing rule puts into blocks of two or more:
-    consecutive groups fill a block until it holds PACK_FREQS frequencies."""
-    packed, block = [], []
-    for sp in swift_params:
-        block.append(sp.j_density)
-        if sum(block) >= PACK_FREQS:
-            packed += block if len(block) > 1 else []
-            block = []
-    return packed + (block if len(block) > 1 else [])
-
-
 @pytest.mark.parametrize("target", ["theta2", "fx", "ir", "eq"])
 def test_run_price_sweeps_each_selected_grid_once(ctx, target, chf_sweeps):
-    # the pricer starts from the selection's sweep of the grid it accepted,
-    # so a request sweeps the grids selection tries and nothing more
+    # every sweep block starts from the selection's sweeps of the grids it
+    # accepted, so a request sweeps the grids selection tries and nothing
+    # more, at the default scale and at a pinned one
     theta, quotes = PARAM_SETS[target], set2_quotes()
-    for tau, idx in group_by_maturity(quotes).items():
-        select_truncation(theta, tau, ctx, select_scale(theta, tau, ctx),
-                          [quotes[i].strike for i in idx])
-    selection = chf_sweeps["chf"][:]
-    chf_sweeps["chf"].clear()
-    run_price("swift", theta, QuoteFile(context=ctx, quotes=quotes))
-    assert chf_sweeps["chf"] == selection  # no second sweep of sum J_d
-    assert chf_sweeps["grad"] == []
+    for ov in (PricingOverrides(), PricingOverrides(m=6)):
+        chf_sweeps["chf"].clear()
+        for tau, idx in group_by_maturity(quotes).items():
+            m = select_scale(theta, tau, ctx) if ov.m is None else ov.m
+            select_truncation(theta, tau, ctx, m, [quotes[i].strike for i in idx],
+                              max_scale=12 if ov.m is None else ov.m)
+        selection = chf_sweeps["chf"][:]
+        chf_sweeps["chf"].clear()
+        run_price("swift", theta, QuoteFile(context=ctx, quotes=quotes), ov)
+        assert chf_sweeps["chf"] == selection, ov  # no second sweep of sum J_d
+        assert chf_sweeps["grad"] == []
+
+
+def test_manual_plan_packs_small_groups_bitwise(ctx, chf_sweeps):
+    # manual eta/j selects nothing, so its blocks sweep at the first request;
+    # packed, the groups still price bit for bit as unpacked pricers
+    theta, quotes = PARAM_SETS["fx"], set2_quotes()
+    plan = list(discretization_plan(quotes, ctx, theta, m=6, eta=40, j=128))
+    assert chf_sweeps["chf"] == []
+    assert all(p.sp.j_density == 128 for p, _ in plan)
+    got = [p.prices(theta) for p, _ in plan]
+    assert chf_sweeps["chf"] == [128 * len(plan)]  # one block below PACK_FREQS
+    want = np.empty(len(quotes))
+    for (pricer, idx), prices in zip(plan, got):
+        want[idx] = MultiStrikePricer(ctx, pricer.tau, pricer.strikes,
+                                      pricer.sp).prices(theta)
+        assert np.array_equal(prices, want[idx])
+    report = run_price("swift", theta, QuoteFile(context=ctx, quotes=quotes),
+                       PricingOverrides(m=6, eta=40, j=128))
+    assert np.array_equal([r["price"] for r in report.rows],
+                          want + put_offsets(quotes, ctx))
 
 
 @pytest.mark.parametrize("target", ["fx", "ir"])
 @pytest.mark.parametrize("split", [False, True])
 def test_adopted_sweeps_bitwise_fresh_pricers(ctx, target, split, chf_sweeps):
-    # a backend's lone groups start from the selection's sweep; prices and
+    # a backend's sweep blocks start from the selection's sweeps; prices and
     # Jacobians equal those of pricers that sweep for themselves, at the
-    # selection's parameters (adopted sweep) and after them (own sweep)
+    # selection's parameters (the selection's sweeps) and after them (the
+    # blocks' own sweeps)
     quotes = run_generate(PARAM_SETS[target], ctx, set2_quotes()).quotes
     theta0 = PARAM_SETS[target]
     backend = KswiftBackend(quotes, ctx, theta0, split_groups=split)
@@ -182,8 +197,7 @@ def test_adopted_sweeps_bitwise_fresh_pricers(ctx, target, split, chf_sweeps):
     offsets = put_offsets(quotes, ctx)
     chf_sweeps["chf"].clear()
     got = backend.prices(theta0)
-    if split:
-        assert chf_sweeps["chf"] == []
+    assert chf_sweeps["chf"] == []
     want = np.empty(len(quotes))
     for pricer, idx in fresh:
         want[idx] = pricer.prices(theta0)
@@ -200,19 +214,17 @@ def test_adopted_sweeps_bitwise_fresh_pricers(ctx, target, split, chf_sweeps):
 @pytest.mark.parametrize("target,start", [("theta2", "theta2-start"), ("ir", "ir"),
                                           ("fx", "fx")])
 def test_kswift_sweeps_every_frequency_once(ctx, target, start, chf_sweeps):
-    # a price evaluation at the selection's parameters sweeps the packed
-    # blocks (a lone group starts from its selection's sweep), the Jacobian
-    # at the same parameters reuses every sweep, and a Jacobian at new
-    # parameters sweeps and differentiates sum J_d: no frequency is swept
-    # twice or skipped
+    # a price evaluation at the selection's parameters sweeps nothing (every
+    # block starts from the selection's sweeps), the Jacobian at the same
+    # parameters reuses them, and a Jacobian at new parameters sweeps and
+    # differentiates sum J_d: no frequency is swept twice or skipped
     quotes = run_generate(PARAM_SETS[target], ctx, set2_quotes()).quotes
     theta0 = PARAM_SETS[start]
     backend = KswiftBackend(quotes, ctx, theta0)
     sum_jd = sum(sp.j_density for sp in backend.swift_params)
     chf_sweeps["chf"].clear()
     backend.prices(theta0)
-    assert sum(chf_sweeps["chf"]) == sum(_packed_jd(backend.swift_params))
-    chf_sweeps["chf"].clear()
+    assert chf_sweeps["chf"] == []
     backend.prices_and_jacobian(theta0)
     assert chf_sweeps["chf"] == []
     assert sum(chf_sweeps["grad"]) == sum_jd
@@ -240,20 +252,20 @@ def test_packed_sweeps_bitwise_per_group(ctx, target, start, chf_sweeps):
                 prices[idx] = pricer.prices(theta)
         return prices + put_offsets(quotes, ctx), jac
 
-    chf_sweeps["chf"].clear()
     prices = backend.prices(theta0)
-    packed = chf_sweeps["chf"][:]
     assert np.array_equal(prices, per_group(theta0, False)[0])
     for theta in (theta0, _nudged(theta0)):  # reused sweep, then a fresh one
-        got, want = backend.prices_and_jacobian(theta), per_group(theta, True)
+        chf_sweeps["chf"].clear()
+        got = backend.prices_and_jacobian(theta)
+        packed = chf_sweeps["chf"][:]
+        want = per_group(theta, True)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
     if target == "ir":
         # the first block packs a small group with one that fills a block on
-        # its own; every later group is a block of one, which starts from the
-        # selection's sweep and so sweeps nothing at theta0
+        # its own; every later group is a block of one
         assert j_d[0] < PACK_FREQS <= j_d[1]
-        assert packed == [j_d[0] + j_d[1]]
+        assert packed == [j_d[0] + j_d[1]] + j_d[2:]
 
 
 def test_backend_prices_agree(theta2, ctx, set2_priced):

@@ -36,7 +36,7 @@ from swiftcal.swift import (
     _next_pow2,
     _payoff_transform,
     group_by_maturity,
-    pack_sweeps,
+    share_sweep,
 )
 
 from conftest import price_jacobian_fd
@@ -279,25 +279,35 @@ def test_empty_strikes_and_mixed_contexts_rejected(theta2, ctx, ctx100):
     sp = select_truncation(theta2, 0.5, ctx, 6, [1.0])
     pricers = [MultiStrikePricer(c, 0.5, [1.0], sp) for c in (ctx, ctx100)]
     with pytest.raises(ValueError, match="one market context"):
-        pack_sweeps(pricers)
+        share_sweep(pricers)
 
 
 def test_selection_sweep_is_the_pricers_first(theta2, ctx, ctx100):
-    # the sweep of the accepted grid, adopted, prices bitwise as the pricer's
-    # own sweep would; a sweep of another grid, maturity or market is refused
+    # the sweep of the accepted grid, given to a block of one, prices bitwise
+    # as the pricer's own sweep would; a sweep of another grid, maturity or
+    # market is refused, and so is a block of sweeps at two parameter vectors
     strikes = [0.8, 1.0, 1.25]
     sweep = []
     sp = select_truncation(theta2, 0.5, ctx, 5, strikes, sweep_out=sweep)
     assert len(sweep) == 1
-    assert np.array_equal(price_multi_strike(theta2, ctx, 0.5, strikes, sp,
-                                             sweep=sweep[0]),
+    pricer = MultiStrikePricer(ctx, 0.5, strikes, sp)
+    share_sweep([pricer], sweep)
+    assert pricer._sweep is sweep[0]
+    assert np.array_equal(pricer.prices(theta2),
                           price_multi_strike(theta2, ctx, 0.5, strikes, sp))
     other = select_truncation(theta2, 0.5, ctx, 6, strikes)
     for pricer in (MultiStrikePricer(ctx, 0.5, strikes, other),
                    MultiStrikePricer(ctx, 0.25, strikes, sp),
                    MultiStrikePricer(ctx100, 0.5, strikes, sp)):
         with pytest.raises(ValueError, match="own grid"):
-            pricer.adopt_sweep(sweep[0])
+            share_sweep([pricer], sweep)
+    with pytest.raises(ValueError, match="own grid"):  # one sweep per pricer
+        share_sweep([MultiStrikePricer(ctx, 0.5, strikes, sp)] * 2, sweep)
+    theta_b = HestonParams.from_array(theta2.as_array() * 1.01)
+    sp_b = select_truncation(theta_b, 0.5, ctx, 5, strikes, sweep_out=sweep)
+    assert (sp_b.m, sp_b.j_density) == (sp.m, sp.j_density)  # one grid
+    with pytest.raises(ValueError, match="one parameter vector"):
+        share_sweep([MultiStrikePricer(ctx, 0.5, strikes, sp) for _ in sweep], sweep)
 
 
 def test_multi_strike_equals_single(theta2, ctx, set1_priced):
@@ -426,31 +436,35 @@ def test_phase_matrix_two_tables_match_direct_exponentials(ctx):
 
 def test_packed_pricers_answer_alone_in_any_call_order(theta2, theta2_start, ctx):
     # members of one shared sweep, asked out of order and at changing
-    # parameters, answer bit for bit as they do unpacked
+    # parameters, answer bit for bit as they do unpacked, also when the
+    # block starts from the selection's sweeps at theta2, asked first there
+    # or elsewhere
     strikes = [0.9, 1.0, 1.1]
     theta_b = HestonParams.from_array(theta2.as_array() * 1.01)
 
-    def pricers():
+    def pricers(sweeps):
         out = []
         for tau in (0.25, 0.5, 1.0):
             sp = select_truncation(theta2, tau, ctx, select_scale(theta2, tau, ctx),
-                                   strikes)
+                                   strikes, sweep_out=sweeps)
             out.append(MultiStrikePricer(ctx, tau, strikes, sp))
         return out
 
-    packed, alone = pricers(), pricers()
-    pack_sweeps(packed)
-    assert len({id(p._sweep) for p in packed}) == 1
     calls = [(2, "jac", theta2), (0, "price", theta_b), (1, "jac", theta2),
              (1, "jac", theta_b), (2, "jac", theta_b), (0, "jac", theta2_start),
              (0, "jac", theta2_start), (2, "price", theta2_start)]
-    for k, kind, theta in calls:
-        if kind == "price":
-            assert np.array_equal(packed[k].prices(theta), alone[k].prices(theta))
-        else:
-            got = packed[k].prices_and_jacobian(theta)
-            want = alone[k].prices_and_jacobian(theta)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (k, theta)
+    for from_selection, order in ((False, calls), (True, calls), (True, calls[1:])):
+        sweeps = []
+        packed, alone = pricers(sweeps), pricers([])
+        share_sweep(packed, sweeps if from_selection else None)
+        assert len({id(p._sweep) for p in packed}) == 1
+        for k, kind, theta in order:
+            if kind == "price":
+                assert np.array_equal(packed[k].prices(theta), alone[k].prices(theta))
+            else:
+                got = packed[k].prices_and_jacobian(theta)
+                want = alone[k].prices_and_jacobian(theta)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want)), (k, theta)
 
 
 def test_correlation_gradient_vanishes_without_vol_of_vol(ctx):
