@@ -179,10 +179,11 @@ def chf_cui_parts(u, tau: float, theta: HestonParams, ctx: MarketContext,
     :func:`chf_grid_terms` of a one-dimensional ``u``, lets a caller that
     sweeps one grid repeatedly skip recomputing them.  ``tau`` is a scalar
     or, for a one-dimensional ``u``, one maturity per frequency: a sweep over
-    several maturities' grids at once equals the per-maturity sweeps, bitwise
-    below 16384 frequencies: from 256 KiB on, numpy evaluates
-    ``d * (1.0 + decay)`` in place with the operands swapped, and its complex
-    multiply can round a * b and b * a apart in the last bit.
+    several maturities' grids at once equals the per-maturity sweeps bitwise.
+    Complex products with a temporary operand are written ``np.multiply``:
+    from 256 KiB on, numpy evaluates ``a * (b + c)`` in place with the
+    operands swapped, and a complex multiply can round a * b and b * a apart
+    in the last bit.
 
     Returns (value, parts).  ``value`` has the shape of ``u``; ``parts`` is
     an opaque tuple consumed by :func:`chf_gradient_from_parts`; holding on
@@ -206,7 +207,7 @@ def chf_cui_parts(u, tau: float, theta: HestonParams, ctx: MarketContext,
         d = np.sqrt(xi * xi + sigma**2 * u2)
         decay = np.exp(d * -tau)  # |.| <= 1 since Re(d) >= 0
         one_m = 1.0 - decay
-        a2 = d * (1.0 + decay)
+        a2 = np.multiply(d, 1.0 + decay)
         a2 += xi * one_m
         a2 *= 0.5  # v0 A2 exp(-d tau/2)
         big_a = u2 * one_m
@@ -223,7 +224,7 @@ def chf_cui_parts(u, tau: float, theta: HestonParams, ctx: MarketContext,
         np.divide(sigma**2 * u2, dpx, out=dmx,
                   where=d.real * xi.real + d.imag * xi.imag >= 0.0)
         q = 0.5 * (dpx + dmx * decay)
-        z = dmx * (decay - 1.0)
+        z = np.multiply(dmx, decay - 1.0)
         z /= 2.0 * d
         big_d = (-0.5 * tau) * (iu * (sigma * rho) + dmx)
         big_d.real -= 0.5 * np.log1p(z.real * (z.real + 2.0) + z.imag * z.imag)
@@ -286,7 +287,7 @@ def chf_gradient_from_parts(tau: float, theta: HestonParams, value, parts):
         #   (dA1/drho)/A2   = v0 iu u2 tau xi sigma (1+decay) / (4 d a2)
         # with c_rho = (xi (1+decay) + d (1-decay)) / 2.
         d_drho = siu * xi * inv_d
-        r2_rho = (0.25 * siu * xt * (xi * one_p + d * (1.0 - decay))
+        r2_rho = (0.25 * siu * xt * (xi * one_p + np.multiply(d, 1.0 - decay))
                   * inv_d * inv_a2)
         dA_drho = (0.25 * v0 * tau) * siu * xi * w - big_a * r2_rho
 

@@ -520,11 +520,11 @@ class MultiStrikePricer:
 
     The sweep is the pricer's own unless :func:`share_sweep` has attached
     it to a block of several small pricers; the pricer then reads its slice
-    of the block's sweep (bitwise its own for a block below 16384
-    frequencies; see :func:`~swiftcal.heston.chf_cui_parts`).
-    :func:`share_sweep` can also start a pricer or a block from the sweeps
-    :func:`select_truncation` made of their grids, so an evaluation at the
-    selection's parameters sweeps nothing.
+    of the block's sweep, bitwise its own (see
+    :func:`~swiftcal.heston.chf_cui_parts`).  :func:`share_sweep` can also
+    start a pricer or a block from the sweeps :func:`select_truncation` made
+    of their grids, so an evaluation at the selection's parameters sweeps
+    nothing.
     """
 
     def __init__(self, ctx: MarketContext, tau: float, strikes, sp: SwiftParams):

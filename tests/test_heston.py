@@ -232,6 +232,29 @@ def test_chf_parts_with_tau_vector_bitwise(ctx):
             start = cols.stop
 
 
+@pytest.mark.parametrize("m,j_d", [(9, 16384), (10, 32768)])
+def test_chf_blocks_from_16384_frequencies_bitwise(ctx, m, j_d):
+    # a small fx grid packed with a large one: from 256 KiB on numpy may
+    # evaluate a product with a temporary in place, operands swapped, so
+    # the chf writes those products with an explicit operand order
+    grids = [(0.12, 6, 1024), (1.43, m, j_d)]
+    freqs = [np.pi * (2 * np.arange(1, n + 1) - 1) / (2 * n) * 2.0**s
+             for _, s, n in grids]
+    u = np.concatenate(freqs)
+    tau = np.concatenate([np.full(n, t) for t, _, n in grids])
+    th = PARAM_SETS["fx"]
+    value, parts = chf_cui_parts(u, tau, th, ctx)
+    grad = chf_gradient_from_parts(tau, th, value, parts)
+    start = 0
+    for (t, _, n), g in zip(grids, freqs):
+        cols = slice(start, start + n)
+        value_t, parts_t = chf_cui_parts(g, t, th, ctx)
+        assert np.array_equal(value[cols], value_t), t
+        assert np.array_equal(grad[:, cols],
+                              chf_gradient_from_parts(t, th, value_t, parts_t)), t
+        start = cols.stop
+
+
 def test_continuity_in_u_long_maturity(stress_theta, ctx):
     # a branch-cut jump would survive step refinement; smooth growth halves
     tau = 45.0
