@@ -70,8 +70,8 @@ DEFAULT_L = 10.0  # truncation-width multiplier of the cumulant rule
 # 1e-6 beyond a far right edge can already cost ~1e-5 in price.
 _AREA_TOL = 3e-8
 _TAIL_QUAD_POINTS = 129  # trapezoid points per scale in _tail_masses
-# Frequencies at which a sweep block closes (see share_sweep): below this,
-# per-call overhead outweighs the per-point cost of a sweep.
+# Frequencies at which calibrate.discretization_plan closes a sweep block:
+# below this, per-call overhead outweighs the per-point cost of a sweep.
 PACK_FREQS = 2048
 
 
