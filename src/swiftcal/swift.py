@@ -32,10 +32,17 @@ half-width, ``interval_params`` the interval, eta and J it implies, and
 selects the discretization, builds the ``MultiStrikePricer`` and packs small
 groups into sweep blocks (``share_sweep``) that start from the selection's
 sweeps.
+
+Selection and pricer builds evaluate only the chf and the payoff transform
+point by point.  Grid-only factors come from tables: the twiddles
+e^{-i pi k/(2J)} from one cached table per size (``_twiddle_table``), the
+shifts e^{-i omega x} from two small ones (``_phase_matrix``), and
+``select_scale``'s tail grid and chf grid terms from a cache per scale set.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -189,15 +196,44 @@ def _cosine_spectrum(values: np.ndarray, j_count: int) -> np.ndarray:
     return np.fft.ifft(buf) * two_j
 
 
-def _cosine_at(spectrum: np.ndarray, k_vals: np.ndarray) -> np.ndarray:
-    """sum_{j=1}^{J} values[j-1] e^{i pi (2j-1) k / (2J)} for each k.
+@functools.lru_cache(maxsize=None)
+def _twiddle_table(two_j: int) -> np.ndarray:
+    """Read-only e^{-i pi k/two_j}, k = -two_j/2..two_j/2 - 1, built once per
+    size by the direct expression, so each entry is bitwise that value."""
+    k = np.arange(-(two_j // 2), two_j // 2)
+    table = np.exp(-1j * np.pi * k / two_j)
+    table.flags.writeable = False
+    return table
+
+
+def _twiddles(two_j: int, eta: int) -> np.ndarray:
+    """e^{-i pi k/two_j} for k = 1-eta..eta (2 eta < two_j/2), from the table."""
+    half = two_j // 2
+    return _twiddle_table(two_j)[half + 1 - eta:half + eta + 1]
+
+
+def _cosine_at(spectrum: np.ndarray, eta: int) -> np.ndarray:
+    """sum_{j=1}^{J} values[j-1] e^{i pi (2j-1) k / (2J)} for k = 1-eta..eta.
 
     Read from the :func:`_cosine_spectrum` of values: the twiddle
-    e^{-i pi k/(2J)} uses the true (possibly negative) k while the spectrum
-    index wraps mod 2J.
+    e^{-i pi k/(2J)} uses the true (possibly negative) k and comes from the
+    cached :func:`_twiddle_table`, while the spectrum index wraps mod 2J.
     """
     two_j = spectrum.size
-    return np.exp(-1j * np.pi * k_vals / two_j) * spectrum[np.mod(k_vals, two_j)]
+    wrapped = np.concatenate((spectrum[two_j + 1 - eta:], spectrum[:eta + 1]))
+    return _twiddles(two_j, eta) * wrapped
+
+
+@functools.lru_cache(maxsize=None)
+def _tail_grid(scales: tuple):
+    """(nodes, spacing, chf grid terms) of :func:`_tail_masses` at these
+    scales: the nodes flat, the spacing one row per scale; read-only."""
+    lo = 2.0**np.array(scales) * np.pi
+    u = np.linspace(lo, 4.0 * lo, _TAIL_QUAD_POINTS, axis=1)
+    grid = (u.ravel(), np.diff(u, axis=1), chf_grid_terms(u.ravel()))
+    for a in (*grid[:2], *grid[2]):
+        a.flags.writeable = False
+    return grid
 
 
 def _tail_masses(theta: HestonParams, tau: float, ctx: MarketContext,
@@ -207,12 +243,12 @@ def _tail_masses(theta: HestonParams, tau: float, ctx: MarketContext,
     Integrates |fhat| over [2^m pi, 2^{m+2} pi] by the trapezoidal rule (the
     continuation beyond two octaves is negligible whenever the result is
     anywhere near tolerance) and doubles it via Hermitian symmetry,
-    normalized by 1/(2 pi).  All scales share one characteristic sweep.
+    normalized by 1/(2 pi).  All scales share one characteristic sweep, on a
+    grid cached per scale set; the trapezoid is numpy's, term for term.
     """
-    lo = 2.0**scales * np.pi
-    u = np.linspace(lo, 4.0 * lo, _TAIL_QUAD_POINTS, axis=1)
-    vals = np.abs(chf_cui(u.ravel(), tau, theta, ctx)).reshape(u.shape)
-    return np.trapezoid(vals, u, axis=1) / np.pi
+    u, d, terms = _tail_grid(tuple(np.asarray(scales).tolist()))
+    vals = np.abs(chf_cui_parts(u, tau, theta, ctx, terms)[0]).reshape(d.shape[0], -1)
+    return (d * (vals[:, 1:] + vals[:, :-1]) / 2.0).sum(axis=1) / np.pi
 
 
 def select_scale(theta: HestonParams, tau: float, ctx: MarketContext,
@@ -301,7 +337,10 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
     Growth steps often keep the grid (m, J_d), which alone fixes the chf
     sweep and the density spectra at x_min and x_max: each is computed once
     per grid and re-read at every step's wavelet indices.  Growth never
-    returns to an earlier grid, so only the current one is kept.
+    returns to an earlier grid, so only the current one is kept.  Only the
+    chf is evaluated per point: the edge shifts e^{-i omega x} come from
+    the pricer's two small phase tables (:func:`_phase_matrix`) and the
+    twiddles from the cached :func:`_twiddle_table`.
 
     Given a list as ``sweep_out``, selection appends the accepted grid's
     sweep at ``theta``; handed to :func:`share_sweep` with the pricer built
@@ -317,7 +356,8 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
     x = np.log(ctx.spot / strikes)
     x_min, x_max = float(x.min()), float(x.max())
 
-    grid = None  # (m, J_d) of the current sweep and its {x: density spectrum}
+    edges = np.unique([x_min, x_max])  # one spectrum per distinct edge
+    grid = None  # (m, J_d) of the current sweep and its {edge: density spectrum}
     for m_try in range(m, max_scale + 1):
         c = c0
         for _ in range(12):
@@ -326,11 +366,11 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
                 grid, spectra = (m_try, sp.j_density), {}
                 sweep = _ChfSweep(sp.density_freqs(), tau, ctx)
                 f_vals = sweep.parts(theta)[0]
-            for xc in (x_min, x_max):
-                if xc not in spectra:
-                    spectra[xc] = _cosine_spectrum(
-                        f_vals * np.exp(-1j * sweep.omega * xc), sp.j_density)
-                density = _density_at(spectra[xc], sp)
+                shifts = _phase_matrix(edges, m_try, sp.j_density)
+            for e in (0, edges.size - 1):
+                if e not in spectra:
+                    spectra[e] = _cosine_spectrum(f_vals * shifts[e], sp.j_density)
+                density = _density_at(spectra[e], sp)
                 if abs(density_area(density, sp) - 1.0) > _AREA_TOL:
                     break
             else:
@@ -345,7 +385,7 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
 
 def _density_at(spectrum: np.ndarray, sp: SwiftParams) -> np.ndarray:
     """D_{m,k}, k = 1-eta..eta, from the cosine spectrum of fhat e^{-i omega x}."""
-    return 2.0**(sp.m / 2.0) / sp.j_density * _cosine_at(spectrum, sp.k_range).real
+    return 2.0**(sp.m / 2.0) / sp.j_density * _cosine_at(spectrum, sp.eta).real
 
 
 def density_coefficients(theta: HestonParams, tau: float, ctx: MarketContext,
@@ -380,7 +420,7 @@ def payoff_coefficients(sp: SwiftParams, kind: str = "call") -> np.ndarray:
     if sp.x_high == 0.0:
         return np.zeros(2 * sp.eta)
     values = _payoff_transform(sp, sp.payoff_freqs())
-    coeff = _cosine_at(_cosine_spectrum(values, sp.j_payoff), sp.k_range)
+    coeff = _cosine_at(_cosine_spectrum(values, sp.j_payoff), sp.eta)
     return 2.0**(sp.m / 2.0) / sp.j_payoff * coeff.real
 
 
@@ -399,12 +439,28 @@ def density_area(density: np.ndarray, sp: SwiftParams) -> float:
 
 def _u_tilde(payoff: np.ndarray, sp: SwiftParams) -> np.ndarray:
     """U-tilde_j = sum_k U_{m,k} e^{i u_j^d k}, j = 1..J_d, by one FFT."""
-    two_j = 2 * sp.j_density
-    k_vals = sp.k_range
+    two_j, eta = 2 * sp.j_density, sp.eta
+    terms = payoff * _twiddles(two_j, eta)
     buf = np.zeros(two_j, dtype=np.complex128)
-    buf[np.mod(k_vals, two_j)] = payoff * np.exp(-1j * np.pi * k_vals / two_j)
+    buf[:eta + 1] = terms[eta - 1:]
+    buf[two_j + 1 - eta:] = terms[:eta - 1]
     spectrum = np.fft.ifft(buf) * two_j
     return spectrum[1:sp.j_density + 1]
+
+
+def _phase_matrix(x: np.ndarray, m: int, j_d: int) -> np.ndarray:
+    """e^{-i x_s omega_j}, one row per log-moneyness x_s, j = 1..J_d at scale m.
+
+    Built from two small tables: omega_j = omega_1 + (j - 1) delta is an
+    arithmetic progression, so with j - 1 = a B + b (B = 64) each entry is
+    e^{-i x (omega_1 + a B delta)} times e^{-i x b delta}, n (J_d/B + B)
+    complex exponentials instead of n J_d.
+    """
+    b = min(64, j_d)
+    delta = np.pi * 2.0**m / j_d
+    coarse = np.exp(-1j * np.outer(x, delta / 2.0 + delta * b * np.arange(j_d // b)))
+    fine = np.exp(-1j * np.outer(x, delta * np.arange(b)))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(x), j_d)
 
 
 def _expand_single(ctx: MarketContext, quote: OptionQuote, sp: SwiftParams, sweep):
@@ -508,15 +564,12 @@ class MultiStrikePricer:
     the partials h_i F_j, a six-column instead of a one-column product.
 
     Construction freezes the discretization and precomputes U-tilde and the
-    n x J_d phase matrix (the sweep forms the chf grid terms on its first
-    evaluation).  That matrix comes from two small tables:
-    omega_j = omega_1 + (j - 1) delta is an arithmetic progression, so with
-    j - 1 = a B + b (B = 64) each entry is e^{-i x (omega_1 + a B delta)}
-    times e^{-i x b delta}, n (J_d/B + B) complex exponentials instead of
-    n J_d.  Repeated evaluation -- the inner loop of calibration -- costs one
-    characteristic sweep plus a matrix product, and the intermediates of the
-    last sweep are kept so that a gradient request at the same parameters
-    (accept, then linearize) reuses them.
+    n x J_d phase matrix of :func:`_phase_matrix` (the sweep forms the chf
+    grid terms on its first evaluation).  Repeated evaluation -- the inner
+    loop of calibration -- costs one characteristic sweep plus a matrix
+    product, and the intermediates of the last sweep are kept so that a
+    gradient request at the same parameters (accept, then linearize) reuses
+    them.
 
     The sweep is the pricer's own unless :func:`share_sweep` has attached
     it to a block of several small pricers; the pricer then reads its slice
@@ -537,12 +590,8 @@ class MultiStrikePricer:
         self.omega = sp.density_freqs()
         self._sweep = _ChfSweep(self.omega, self.tau, ctx)
         self._cols = slice(0, sp.j_density)  # this pricer's part of the sweep
-        x = np.log(ctx.spot / self.strikes)
-        j_d, b = sp.j_density, min(64, sp.j_density)
-        delta = np.pi * 2.0**sp.m / j_d
-        coarse = np.exp(-1j * np.outer(x, delta / 2.0 + delta * b * np.arange(j_d // b)))
-        fine = np.exp(-1j * np.outer(x, delta * np.arange(b)))
-        self.phases = (coarse[:, :, None] * fine[:, None, :]).reshape(len(x), j_d)
+        self.phases = _phase_matrix(np.log(ctx.spot / self.strikes), sp.m,
+                                    sp.j_density)
         self._scale = (self.strikes * math.exp(-ctx.rate * self.tau)
                        * 2.0**(sp.m / 2.0) / sp.j_density)
 

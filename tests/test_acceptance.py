@@ -244,8 +244,12 @@ def test_realistic_convergence(ctx):
 
 
 def test_speed_properties(theta2, theta2_start, ctx):
-    """Wall-time ratios (hardware-independent form of the timing table)."""
-    rep1 = run_speed("set1", set1_quotes(), ctx, theta2, theta2_start, reps=3)
+    """Wall-time ratios (hardware-independent form of the timing table).
+
+    The grouped set1 fit takes tens of milliseconds, so its minimum is taken
+    over 10 fits: over 3, a loaded host read 13x against the 50x gate.
+    """
+    rep1 = run_speed("set1", set1_quotes(), ctx, theta2, theta2_start, reps=10)
     times1 = rep1.metadata["wall_times"]
     ratio_naive = times1["swift"]["min_s"] / times1["kswift"]["min_s"]
     ratio_cp = times1["cp"]["min_s"] / times1["kswift"]["min_s"]

@@ -134,3 +134,21 @@ def test_tracer_sees_every_quadrature_node(monkeypatch):
     assert priced["reference.cp_nodes"] == len(quotes) * qc.nodes
     assert priced["heston.chf_freqs"] == 2 * len(quotes) * qc.nodes
     assert tracer.counts["heston.chf_freqs"] == 2 * (len(quotes) + 1) * qc.nodes
+
+
+def test_tracer_counts_the_tail_sweep_of_select_scale(monkeypatch):
+    # select_scale sweeps a cached 13 x 129 tail grid; the sweep must still go
+    # through the swift module's chf names, so the benchmark counts every
+    # frequency, also when the grid comes from the cache
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    from swiftcal.fixtures import DEFAULT_CONTEXT, PARAM_SETS
+
+    swift = importlib.import_module("swiftcal.swift")
+    theta = PARAM_SETS["fx"]
+    swift.select_scale(theta, 1.0, DEFAULT_CONTEXT)  # the grid is cached now
+    tracer = Tracer()
+    with tracer.installed(), tracer.job(0):
+        swift.select_scale(theta, 0.5, DEFAULT_CONTEXT)
+    assert tracer.counts["heston.chf_freqs"] == 13 * swift._TAIL_QUAD_POINTS == 13 * 129

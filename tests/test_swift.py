@@ -31,12 +31,21 @@ from swiftcal import (
 from swiftcal.reference import QuadratureConfig, price_cp
 from swiftcal.fixtures import PARAM_SETS, set1_quotes, set2_quotes
 from swiftcal.swift import (
+    _AREA_TOL,
+    DEFAULT_L,
     MultiStrikePricer,
+    _cosine_at,
     _j_for,
     _next_pow2,
     _payoff_transform,
+    _tail_masses,
+    _twiddle_table,
+    _twiddles,
+    _u_tilde,
     group_by_maturity,
+    interval_params,
     share_sweep,
+    truncation_width,
 )
 
 from conftest import price_jacobian_fd
@@ -432,6 +441,118 @@ def test_phase_matrix_two_tables_match_direct_exponentials(ctx):
         x = np.log(ctx.spot / strikes)
         direct = np.exp(-1j * np.outer(x, omega))
         assert np.max(np.abs(pricer.phases - direct)) < 1e-12
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("j_density,j_payoff", [(4, 8), (64, 256), (1024, 4096)])
+def test_twiddle_tables_are_the_direct_exponentials_bitwise(j_density, j_payoff):
+    # the cached tables replace np.exp(-1j pi k / 2J) for the density (2J_d)
+    # and payoff (2J_p) sizes, negative k and the widest eta = J/2 - 1 included
+    rng = np.random.default_rng(5)
+    for j in (j_density, j_payoff):
+        two_j = 2 * j
+        for eta in sorted({1, max(1, j // 4), max(1, j // 2 - 1)}):
+            k = np.arange(1 - eta, eta + 1)
+            direct = np.exp(-1j * np.pi * k / two_j)
+            assert _bits(_twiddles(two_j, eta)) == _bits(direct)
+            spectrum = rng.standard_normal(two_j) + 1j * rng.standard_normal(two_j)
+            assert _bits(_cosine_at(spectrum, eta)) == _bits(
+                direct * spectrum[np.mod(k, two_j)])
+        table = _twiddle_table(two_j)
+        assert table.size == two_j and _twiddle_table(two_j) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+    # U-tilde scatters the payoff terms at the wrapped density indices
+    eta = j_density // 2 - 1
+    sp = SwiftParams(m=2, eta=eta, j_density=j_density, j_payoff=j_payoff,
+                     c=1.0, x_low=-1.0, x_high=1.0)
+    payoff = rng.standard_normal(2 * eta)
+    k, two_j = sp.k_range, 2 * j_density
+    buf = np.zeros(two_j, dtype=np.complex128)
+    buf[np.mod(k, two_j)] = payoff * np.exp(-1j * np.pi * k / two_j)
+    direct = (np.fft.ifft(buf) * two_j)[1:j_density + 1]
+    assert _bits(_u_tilde(payoff, sp)) == _bits(direct)
+
+
+def test_pricer_phases_are_the_two_table_product_bitwise(ctx):
+    # the coarse/fine product the pricer has always been built from
+    for sp in (SMALL_SP, dataclasses.replace(SMALL_SP, m=0, eta=1, j_density=4),
+               SwiftParams(m=9, eta=2000, j_density=4096, j_payoff=8192, c=1.0,
+                           x_low=-3.0, x_high=3.0)):
+        strikes = np.array([q.strike for q in set2_quotes()])
+        x = np.log(ctx.spot / strikes)
+        j_d, b = sp.j_density, min(64, sp.j_density)
+        delta = np.pi * 2.0**sp.m / j_d
+        coarse = np.exp(-1j * np.outer(x, delta / 2.0 + delta * b * np.arange(j_d // b)))
+        fine = np.exp(-1j * np.outer(x, delta * np.arange(b)))
+        direct = (coarse[:, :, None] * fine[:, None, :]).reshape(len(x), j_d)
+        assert _bits(MultiStrikePricer(ctx, 1.0, strikes, sp).phases) == _bits(direct)
+
+
+@pytest.mark.parametrize("name", ["theta2", "fx", "ir", "eq"])
+def test_tail_masses_bitwise_the_direct_trapezoid(name, ctx):
+    # the cached grid changes no mass: numpy's linspace and trapezoid on a
+    # fresh sweep give the same bits, at the default cap and at a low one
+    theta = PARAM_SETS[name]
+    for tau in (0.1, 1.0, 5.0):
+        for cap in (12, 3, 12):
+            lo = 2.0**np.arange(cap + 1) * np.pi
+            u = np.linspace(lo, 4.0 * lo, 129, axis=1)
+            vals = np.abs(chf_cui(u.ravel(), tau, theta, ctx)).reshape(u.shape)
+            direct = np.trapezoid(vals, u, axis=1) / np.pi
+            assert _bits(_tail_masses(theta, tau, ctx, np.arange(cap + 1))) == _bits(direct)
+        m = select_scale(theta, tau, ctx)
+        if m > 0:
+            with pytest.raises(NoConvergenceError):
+                select_scale(theta, tau, ctx, max_scale=m - 1)
+
+
+def reference_truncation(theta, tau, ctx, m, strikes, max_scale=12):
+    """select_truncation's rule, spelled out on density_coefficients: grow
+    the cumulant half-width by 1.25 until the mass at both edges is within
+    _AREA_TOL, and escalate the scale after 12 steps."""
+    x = np.log(ctx.spot / np.asarray(strikes, dtype=float))
+    x_min, x_max = float(x.min()), float(x.max())
+    c0 = truncation_width(theta, tau, ctx, DEFAULT_L)
+    for m_try in range(m, max_scale + 1):
+        c = c0
+        for _ in range(12):
+            sp = interval_params(m_try, c, x_min, x_max)
+            if all(abs(density_area(density_coefficients(theta, tau, ctx, xc, sp), sp)
+                       - 1.0) <= _AREA_TOL for xc in (x_min, x_max)):
+                return sp
+            c *= 1.25
+    raise NoConvergenceError("reference selection hit the scale cap")
+
+
+@pytest.mark.parametrize("name", ["theta2", "fx", "ir", "eq", "fx-mirrored"])
+def test_select_truncation_matches_the_reference_rule(name, ctx):
+    # the edge shifts come from the phase tables, not direct exponentials;
+    # the selected discretization must not notice.  The set2 targets' heavy
+    # left tails make the x_min check bind; fx with rho mirrored to +0.9
+    # has the heavy right tail that makes the x_max check bind.
+    if name == "fx-mirrored":
+        theta = dataclasses.replace(PARAM_SETS["fx"], rho=0.9)
+    else:
+        theta = PARAM_SETS[name]
+    quotes = set2_quotes()
+    for tau, idx in group_by_maturity(quotes).items():
+        strikes = [quotes[i].strike for i in idx]
+        m = select_scale(theta, tau, ctx)
+        assert select_truncation(theta, tau, ctx, m, strikes) == \
+            reference_truncation(theta, tau, ctx, m, strikes)
+
+
+def test_select_truncation_matches_the_reference_rule_at_long_maturity(
+        stress_theta, ctx100):
+    for strike in (50.0, 100.0, 200.0):
+        assert select_truncation(stress_theta, 45.0, ctx100, 3, [strike],
+                                 max_scale=3) == \
+            reference_truncation(stress_theta, 45.0, ctx100, 3, [strike], max_scale=3)
 
 
 def test_packed_pricers_answer_alone_in_any_call_order(theta2, theta2_start, ctx):
