@@ -38,6 +38,7 @@ Three interchangeable pricing backends are provided:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -62,7 +63,8 @@ from .swift import (
     truncation_width,
 )
 
-# (lo, hi) per parameter in PARAM_ORDER; wide enough for every realistic fit.
+# The parameter box: (lo, hi) per parameter in PARAM_ORDER, wide enough for
+# every realistic fit.
 DEFAULT_BOUNDS: Tuple[Tuple[float, float], ...] = (
     (1e-6, 4.0),      # v0
     (1e-6, 4.0),      # v_bar
@@ -70,6 +72,7 @@ DEFAULT_BOUNDS: Tuple[Tuple[float, float], ...] = (
     (1e-4, 50.0),     # kappa
     (-0.999, 0.999),  # rho
 )
+_LO, _HI = np.array(DEFAULT_BOUNDS).T
 
 _MU0 = 1e-3  # initial damping per unit of max diag(J J^T)
 _MU_MIN, _MU_MAX = 1e-12, 1e12
@@ -88,30 +91,23 @@ class StopReason(Enum):
 
 @dataclass(frozen=True)
 class CalibrationConfig:
-    """Stopping tolerances, iteration cap and parameter box.
+    """Stopping tolerances and iteration cap.
 
-    The damping schedule is fixed (see the module docstring).
+    The damping schedule is fixed (see the module docstring) and the
+    parameter box is ``DEFAULT_BOUNDS``.
     """
 
     eps1: float = 1e-6
     eps2: float = 1e-12
     eps3: float = 1e-12
     max_iterations: int = 100
-    bounds: Tuple[Tuple[float, float], ...] = DEFAULT_BOUNDS
 
     def __post_init__(self):
-        if min(self.eps1, self.eps2, self.eps3) <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(0 < e < math.inf for e in (self.eps1, self.eps2, self.eps3)):
+            raise ValueError("tolerances must be positive and finite, got "
+                             f"{self.eps1}, {self.eps2}, {self.eps3}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-
-    def clip(self, vec: np.ndarray) -> np.ndarray:
-        lo = np.array([b[0] for b in self.bounds])
-        hi = np.array([b[1] for b in self.bounds])
-        return np.clip(vec, lo, hi)
-
-    def contains(self, vec: np.ndarray) -> bool:
-        return bool(np.all(vec == self.clip(vec)))
 
 
 @dataclass
@@ -140,13 +136,13 @@ def discretization_plan(quotes: Sequence[OptionQuote], ctx: MarketContext,
     """Yield (MultiStrikePricer, quote indices) per maturity group, frozen at
     theta_ref: the one place a quote set's discretization is chosen.
 
-    Each group's ``SwiftParams`` come from :func:`~swiftcal.swift.select_scale`
-    and :func:`~swiftcal.swift.select_truncation` (``m`` pins the scale, which
-    then never escalates), or, given ``eta`` or ``j``, from
-    :func:`~swiftcal.swift.interval_params` at scale ``m`` with no selection;
-    the group's pricer is built straight after.  Consecutive pricers fill a
-    sweep block until it holds ``PACK_FREQS`` frequencies, and the block
-    starts from its members' selection sweeps at theta_ref
+    Each group's ``SwiftParams`` come from
+    :func:`~swiftcal.swift.select_truncation` at the scale ``m`` pins or
+    :func:`~swiftcal.swift.select_scale` picks, or, given ``eta`` or ``j``,
+    from :func:`~swiftcal.swift.interval_params` at scale ``m`` with no
+    selection; the group's pricer is built straight after.  Consecutive
+    pricers fill a sweep block until it holds ``PACK_FREQS`` frequencies,
+    and the block starts from its members' selection sweeps at theta_ref
     (:func:`~swiftcal.swift.share_sweep`), so every selected grid is swept
     once there.  A block's members are yielded when it closes, so a caller
     that prices and drops them holds one block at a time.
@@ -165,13 +161,10 @@ def discretization_plan(quotes: Sequence[OptionQuote], ctx: MarketContext,
             x = np.log(ctx.spot / np.asarray(strikes, dtype=float))
             sp = interval_params(m, truncation_width(theta_ref, tau, ctx, L),
                                  float(x.min()), float(x.max()), eta, j)
-        elif m is None:
-            sp = select_truncation(theta_ref, tau, ctx,
-                                   select_scale(theta_ref, tau, ctx), strikes,
-                                   L=L, sweep_out=sweeps)
         else:
-            sp = select_truncation(theta_ref, tau, ctx, m, strikes, L=L,
-                                   max_scale=m, sweep_out=sweeps)
+            scale = select_scale(theta_ref, tau, ctx) if m is None else m
+            sp = select_truncation(theta_ref, tau, ctx, scale, strikes, L=L,
+                                   sweep_out=sweeps)
         block.append((MultiStrikePricer(ctx, tau, strikes, sp), np.asarray(idx)))
         if split_groups or sum(p.sp.j_density for p, _ in block) >= PACK_FREQS:
             share_sweep([p for p, _ in block], sweeps or None)
@@ -194,9 +187,6 @@ class KswiftBackend:
     ``theta_ref``, so neither ``prices(theta_ref)`` nor the Jacobian at
     ``theta_ref`` sweeps anything.
 
-    ``group_eval_count`` counts per-group pricing passes, letting tests
-    assert that an evaluation touches each maturity exactly once.
-
     ``split_groups=True`` degrades every group to a single quote and packs
     nothing (the worst-case protocol for this backend: full coefficient
     reuse is lost and the characteristic function is swept once per quote).
@@ -209,7 +199,6 @@ class KswiftBackend:
                  split_groups: bool = False):
         self.ctx = ctx
         self.quotes = list(quotes)
-        self.group_eval_count = 0
         self._pricers = list(discretization_plan(self.quotes, ctx, theta_ref, L=L,
                                                  split_groups=split_groups))
         self._put_offsets = put_offsets(self.quotes, ctx)
@@ -223,7 +212,6 @@ class KswiftBackend:
         out = np.empty(len(self.quotes))
         for pricer, idx in self._pricers:
             out[idx] = pricer.prices(theta)
-            self.group_eval_count += 1
         return out + self._put_offsets
 
     def prices_and_jacobian(self, theta: HestonParams):
@@ -233,7 +221,6 @@ class KswiftBackend:
             p, j = pricer.prices_and_jacobian(theta)
             prices[idx] = p
             jac[idx] = j
-            self.group_eval_count += 1
         return prices + self._put_offsets, jac
 
 
@@ -325,7 +312,7 @@ def lm_step(jacobian: np.ndarray, residual: np.ndarray, mu: float) -> np.ndarray
 
 
 def _bounded_step(jac: np.ndarray, residual: np.ndarray, mu: float,
-                  theta: np.ndarray, config: CalibrationConfig) -> np.ndarray:
+                  theta: np.ndarray) -> np.ndarray:
     """Damped step with active-set treatment of the parameter box.
 
     Solves the damped normal equations; any parameter the raw step would
@@ -338,8 +325,6 @@ def _bounded_step(jac: np.ndarray, residual: np.ndarray, mu: float,
     free parameters use the whole linear model.  Returns the displacement
     delta with theta - delta inside the box.
     """
-    lo = np.array([b[0] for b in config.bounds])
-    hi = np.array([b[1] for b in config.bounds])
     n_par = theta.size
     free = np.ones(n_par, dtype=bool)
     delta = np.zeros(n_par)
@@ -349,12 +334,12 @@ def _bounded_step(jac: np.ndarray, residual: np.ndarray, mu: float,
         r_eff = residual - jac[~free].T @ delta[~free]
         delta[free] = lm_step(jac[free], r_eff, mu)
         target = theta - delta
-        viol = free & ((target < lo) | (target > hi))
+        viol = free & ((target < _LO) | (target > _HI))
         if not viol.any():
             break
-        delta[viol] = np.where(target[viol] < lo[viol],
-                               theta[viol] - lo[viol],
-                               theta[viol] - hi[viol])
+        delta[viol] = np.where(target[viol] < _LO[viol],
+                               theta[viol] - _LO[viol],
+                               theta[viol] - _HI[viol])
         free &= ~viol
     return delta
 
@@ -374,8 +359,8 @@ def calibrate(quotes: Sequence[OptionQuote], theta0: HestonParams,
     t_start = time.perf_counter()
     observed = _observed(quotes)
     theta_vec = np.asarray(theta0.as_array(), dtype=float)
-    if not config.contains(theta_vec):
-        raise ValueError("initial guess lies outside the configured bounds")
+    if not np.array_equal(theta_vec, np.clip(theta_vec, _LO, _HI)):
+        raise ValueError("initial guess lies outside DEFAULT_BOUNDS")
 
     r = backend.prices(HestonParams.from_array(theta_vec)) - observed
     objective = 0.5 * float(r @ r)
@@ -403,7 +388,7 @@ def calibrate(quotes: Sequence[OptionQuote], theta0: HestonParams,
 
         while True:  # damping adjustments until a step is accepted
             try:
-                delta = _bounded_step(jac, r, mu, theta_vec, config)
+                delta = _bounded_step(jac, r, mu, theta_vec)
             except SingularSystemError:
                 if not mu < _MU_MAX:  # a NaN mu (non-finite Jacobian) never grows
                     stop = StopReason.STAGNANT_STEP
@@ -413,7 +398,7 @@ def calibrate(quotes: Sequence[OptionQuote], theta0: HestonParams,
             if np.linalg.norm(delta) <= config.eps3 * np.linalg.norm(theta_vec):
                 stop = StopReason.STAGNANT_STEP
                 break
-            theta_try = config.clip(theta_vec - delta)
+            theta_try = np.clip(theta_vec - delta, _LO, _HI)
             r_try = backend.prices(HestonParams.from_array(theta_try)) - observed
             obj_try = 0.5 * float(r_try @ r_try)
             if obj_try < objective:

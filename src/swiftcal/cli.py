@@ -37,7 +37,7 @@ from .fixtures import (
 )
 from .heston import ChfOverflowError, HestonParams, MarketContext
 from .quotes import QuoteFile, QuoteParseError, dumps_quotes, load_quote_file, save_quote_file
-from .swift import DEFAULT_L, NoConvergenceError
+from .swift import DEFAULT_L, MAX_SCALE, NoConvergenceError
 
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
@@ -220,7 +220,8 @@ def cmd_converge(args) -> int:
 
 def _add_pricing_flags(p, with_swift=True, with_quadrature=True):
     if with_swift:
-        p.add_argument("--m", type=int, help="pin the wavelet scale")
+        p.add_argument("--m", type=int,
+                       help=f"pin the wavelet scale, 0 to {MAX_SCALE}")
         p.add_argument("--eta", type=int, help="manual series half-width")
         p.add_argument("--j", type=int, help="manual J (density and payoff)")
     p.add_argument("--L", type=float, help="truncation-width multiplier "

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -52,11 +53,12 @@ from .swift import price_multi_strike, select_scale, select_truncation  # noqa: 
 class PricingOverrides:
     """Optional discretization overrides from the command line.
 
-    m pins the wavelet scale exactly (the adaptive interval check may still
-    widen the interval, but the scale never escalates).  eta and j switch to
-    fully manual mode and skip the adaptive checks.  u_max configures the
-    quadrature pricer; L the truncation-width rule.  ``scale_tol`` is
-    the fixed ``swift.SCALE_TOL``, readable here but not a setting.
+    m pins the wavelet scale, 0 to ``swift.MAX_SCALE``, in place of
+    ``select_scale`` (the adaptive interval check may still widen the
+    interval).  eta and j switch to fully manual mode and skip the adaptive
+    checks.  u_max configures the quadrature pricer; L the truncation-width
+    rule.  ``scale_tol`` is the fixed ``swift.SCALE_TOL``, readable here but
+    not a setting.
     """
 
     m: Optional[int] = None
@@ -113,10 +115,13 @@ def run_generate(theta: HestonParams, ctx: MarketContext,
                  ov: PricingOverrides = PricingOverrides()) -> QuoteFile:
     """Synthetic call prices for a strike/maturity set via the wavelet pricer.
 
-    Additive Gaussian noise (scale ``noise``, seeded) is optional and off by
-    default; prices are clamped at zero (deep out-of-the-money strikes price
-    to numerical zero, which may land a hair negative).
+    Additive Gaussian noise (scale ``noise``, finite and nonnegative,
+    seeded) is optional and off by default; prices are clamped at zero (deep
+    out-of-the-money strikes price to numerical zero, which may land a hair
+    negative).
     """
+    if not 0.0 <= noise < math.inf:
+        raise ValueError(f"noise must be nonnegative and finite, got {noise}")
     prices, _ = swift_prices(theta, ctx, quotes, ov)
     if noise > 0.0:
         rng = np.random.default_rng(seed)
@@ -140,6 +145,8 @@ def run_generate_grid(theta: HestonParams, ctx: MarketContext, m: int,
     """
     if j_density < 4 or j_density & (j_density - 1):
         raise ValueError(f"grid J must be a power of two >= 4, got {j_density}")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"grid tau must be positive and finite, got {tau}")
     half = j_density / 2.0**(m + 1)
     sp = interval_params(m, truncation_width(theta, tau, ctx, L), -half, half,
                          eta=j_density // 2 - 1)

@@ -35,6 +35,7 @@ ordered (v0, v_bar, sigma, kappa, rho) -- see ``PARAM_ORDER``.  Note this is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,15 +72,11 @@ class HestonParams:
     v0: float
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.v_bar <= 0:
-            raise ValueError(f"v_bar must be positive, got {self.v_bar}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.v0 <= 0:
-            raise ValueError(f"v0 must be positive, got {self.v0}")
-        if not -1.0 <= self.rho <= 1.0:
+        for name in ("kappa", "v_bar", "sigma", "v0"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not -1.0 <= self.rho <= 1.0:  # NaN fails this too
             raise ValueError(f"rho must be in [-1, 1], got {self.rho}")
 
     def as_array(self) -> np.ndarray:
@@ -102,8 +99,11 @@ class MarketContext:
     dividend: float = 0.0
 
     def __post_init__(self):
-        if self.spot <= 0:
-            raise ValueError(f"spot must be positive, got {self.spot}")
+        if not 0 < self.spot < math.inf:
+            raise ValueError(f"spot must be positive and finite, got {self.spot}")
+        if not (math.isfinite(self.rate) and math.isfinite(self.dividend)):
+            raise ValueError(f"rate and dividend must be finite, "
+                             f"got {self.rate} and {self.dividend}")
 
     @property
     def drift(self) -> float:

@@ -25,6 +25,7 @@ Puts are priced from calls via put-call parity (``swift.parity_offset``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,8 +45,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.nodes < 2:
             raise ValueError(f"nodes must be >= 2, got {self.nodes}")
-        if self.u_max <= 0:
-            raise ValueError(f"u_max must be positive, got {self.u_max}")
+        if not 0 < self.u_max < math.inf:
+            raise ValueError(f"u_max must be positive and finite, got {self.u_max}")
 
 
 @lru_cache(maxsize=32)

@@ -72,6 +72,7 @@ __all__ = [
 
 OPTION_KINDS = ("call", "put")
 SCALE_TOL = 1e-7  # transform tail mass a selected scale may leave out
+MAX_SCALE = 12  # finest wavelet scale: select_scale's last, SwiftParams' limit
 DEFAULT_L = 10.0  # truncation-width multiplier of the cumulant rule
 # Density mass defect select_truncation accepts; strict, since a defect of
 # 1e-6 beyond a far right edge can already cost ~1e-5 in price.
@@ -83,7 +84,7 @@ PACK_FREQS = 2048
 
 
 class NoConvergenceError(RuntimeError):
-    """Discretization selection hit its scale cap without meeting tolerance."""
+    """Discretization selection could not meet its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -99,12 +100,12 @@ class OptionQuote:
     kind: str = "call"
 
     def __post_init__(self):
-        if self.strike <= 0:
-            raise ValueError(f"strike must be positive, got {self.strike}")
-        if self.maturity <= 0:
-            raise ValueError(f"maturity must be positive, got {self.maturity}")
-        if self.price is not None and self.price < 0:
-            raise ValueError(f"price must be nonnegative, got {self.price}")
+        if not 0 < self.strike < math.inf:
+            raise ValueError(f"strike must be positive and finite, got {self.strike}")
+        if not 0 < self.maturity < math.inf:
+            raise ValueError(f"maturity must be positive and finite, got {self.maturity}")
+        if self.price is not None and not 0 <= self.price < math.inf:
+            raise ValueError(f"price must be nonnegative and finite, got {self.price}")
         if self.kind not in OPTION_KINDS:
             raise ValueError(f"kind must be one of {OPTION_KINDS}, got {self.kind!r}")
 
@@ -114,7 +115,8 @@ class SwiftParams:
     """Discretization tuple for the wavelet pricer.
 
     Attributes:
-        m:         wavelet scale (resolution 2^-m in log-moneyness).
+        m:         wavelet scale (resolution 2^-m in log-moneyness), 0 to
+                   ``MAX_SCALE``.
         eta:       series truncation half-width; k runs over [1 - eta, eta].
         j_density: cosine terms J_d for the density coefficients (power of two,
                    more than 2*eta, which is all the density needs).  J_d
@@ -137,6 +139,8 @@ class SwiftParams:
     x_high: float
 
     def __post_init__(self):
+        if not 0 <= self.m <= MAX_SCALE:
+            raise ValueError(f"m must be in [0, {MAX_SCALE}], got {self.m}")
         if self.eta < 1:
             raise ValueError(f"eta must be positive, got {self.eta}")
         for name, j in (("j_density", self.j_density), ("j_payoff", self.j_payoff)):
@@ -252,22 +256,23 @@ def _tail_masses(theta: HestonParams, tau: float, ctx: MarketContext,
 
 
 def select_scale(theta: HestonParams, tau: float, ctx: MarketContext,
-                 tol: float = SCALE_TOL, max_scale: int = 12) -> int:
-    """Smallest scale m whose estimated projection-error bound is within tol.
+                 tol: float = SCALE_TOL) -> int:
+    """Smallest scale m whose estimated projection-error bound is within tol:
+    the one rule that chooses m.
 
     Every pricing and calibration path selects at the default ``SCALE_TOL``.
 
     Raises:
-        NoConvergenceError: no scale up to ``max_scale`` meets ``tol``.
+        NoConvergenceError: no scale up to ``MAX_SCALE`` meets ``tol``.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
     passed = np.flatnonzero(_tail_masses(theta, tau, ctx,
-                                         np.arange(max_scale + 1)) <= tol)
+                                         np.arange(MAX_SCALE + 1)) <= tol)
     if passed.size:
         return int(passed[0])
     raise NoConvergenceError(
-        f"transform tail mass still above {tol} at scale cap {max_scale}")
+        f"transform tail mass still above {tol} at scale {MAX_SCALE}")
 
 
 def _next_pow2(n: float) -> int:
@@ -287,6 +292,8 @@ def _j_for(m: int, eta: int, span: float) -> int:
 def truncation_width(theta: HestonParams, tau: float, ctx: MarketContext,
                      L: float) -> float:
     """Cumulant half-width c = |c1| + L sqrt(c2) of the truncation rule."""
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"L must be positive and finite, got {L}")
     c1, c2 = cumulants(theta, tau, ctx)
     return abs(c1) + L * math.sqrt(c2)
 
@@ -318,9 +325,8 @@ def interval_params(m: int, c: float, x_min: float, x_max: float,
 
 def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
                       m: int, strikes: Sequence[float], L: float = DEFAULT_L,
-                      max_scale: int = 12,
                       sweep_out: Optional[list] = None) -> SwiftParams:
-    """Pick (eta, J_d, J_p, interval) for a strike set at maturity tau.
+    """Pick (eta, J_d, J_p, interval) at scale m for a strike set at maturity tau.
 
     The half-width c starts from :func:`truncation_width`; the interval is
     the per-strike log-moneyness range extended by c on both sides, with eta,
@@ -330,16 +336,16 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
     grid too coarse for the density fails the check.  On failure the
     interval -- and eta with it -- is grown geometrically (heavy-tailed
     parameter sets leak mass past the cumulant interval, and what leaks past
-    the right edge gets amplified by the call payoff); if growth alone cannot
-    pass, the scale escalates.  The mass defect accepted is the fixed
-    ``_AREA_TOL``; L defaults to ``DEFAULT_L``.
+    the right edge gets amplified by the call payoff), up to 12 steps.  The
+    scale stays m: :func:`select_scale` alone chooses it.  The mass defect
+    accepted is the fixed ``_AREA_TOL``; L defaults to ``DEFAULT_L``.
 
-    Growth steps often keep the grid (m, J_d), which alone fixes the chf
-    sweep and the density spectra at x_min and x_max: each is computed once
-    per grid and re-read at every step's wavelet indices.  Growth never
-    returns to an earlier grid, so only the current one is kept.  Only the
-    chf is evaluated per point: the edge shifts e^{-i omega x} come from
-    the pricer's two small phase tables (:func:`_phase_matrix`) and the
+    Growth steps often keep J_d, which with m alone fixes the chf sweep and
+    the density spectra at x_min and x_max: each is computed once per grid
+    and re-read at every step's wavelet indices.  Growth never returns to an
+    earlier grid, so only the current one is kept.  Only the chf is
+    evaluated per point: the edge shifts e^{-i omega x} come from the
+    pricer's two small phase tables (:func:`_phase_matrix`) and the
     twiddles from the cached :func:`_twiddle_table`.
 
     Given a list as ``sweep_out``, selection appends the accepted grid's
@@ -347,39 +353,37 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
     for the result, it is that pricer's first sweep.
 
     Raises:
-        NoConvergenceError: the mass check still fails at the scale cap.
+        NoConvergenceError: the mass check still fails after 12 growth steps.
     """
     strikes = np.asarray(strikes, dtype=float)
     if strikes.size == 0:
         raise ValueError("strikes must be nonempty")
-    c0 = truncation_width(theta, tau, ctx, L)
+    c = truncation_width(theta, tau, ctx, L)
     x = np.log(ctx.spot / strikes)
     x_min, x_max = float(x.min()), float(x.max())
 
     edges = np.unique([x_min, x_max])  # one spectrum per distinct edge
-    grid = None  # (m, J_d) of the current sweep and its {edge: density spectrum}
-    for m_try in range(m, max_scale + 1):
-        c = c0
-        for _ in range(12):
-            sp = interval_params(m_try, c, x_min, x_max)
-            if grid != (m_try, sp.j_density):
-                grid, spectra = (m_try, sp.j_density), {}
-                sweep = _ChfSweep(sp.density_freqs(), tau, ctx)
-                f_vals = sweep.parts(theta)[0]
-                shifts = _phase_matrix(edges, m_try, sp.j_density)
-            for e in (0, edges.size - 1):
-                if e not in spectra:
-                    spectra[e] = _cosine_spectrum(f_vals * shifts[e], sp.j_density)
-                density = _density_at(spectra[e], sp)
-                if abs(density_area(density, sp) - 1.0) > _AREA_TOL:
-                    break
-            else:
-                if sweep_out is not None:
-                    sweep_out.append(sweep)
-                return sp
-            c *= 1.25
+    j_d = None  # J_d of the current sweep; spectra: its {edge: density spectrum}
+    for _ in range(12):
+        sp = interval_params(m, c, x_min, x_max)
+        if sp.j_density != j_d:
+            j_d, spectra = sp.j_density, {}
+            sweep = _ChfSweep(sp.density_freqs(), tau, ctx)
+            f_vals = sweep.parts(theta)[0]
+            shifts = _phase_matrix(edges, m, j_d)
+        for e in (0, edges.size - 1):
+            if e not in spectra:
+                spectra[e] = _cosine_spectrum(f_vals * shifts[e], j_d)
+            density = _density_at(spectra[e], sp)
+            if abs(density_area(density, sp) - 1.0) > _AREA_TOL:
+                break
+        else:
+            if sweep_out is not None:
+                sweep_out.append(sweep)
+            return sp
+        c *= 1.25
     raise NoConvergenceError(
-        f"density mass check failed up to scale cap {max_scale} "
+        f"density mass check failed at scale {m} after 12 growth steps "
         f"(tau={tau}, strikes in [{strikes.min():.4g}, {strikes.max():.4g}])")
 
 

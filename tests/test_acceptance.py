@@ -53,8 +53,7 @@ def test_stress_long_maturity(stress_theta, ctx100):
     swift_err = cp_err = 0.0
     qc6 = QuadratureConfig(nodes=64, u_max=6.0)
     for strike, want in LONG_TABLE.items():
-        sp = select_truncation(stress_theta, 45.0, ctx100, 3, [strike],
-                               max_scale=3)
+        sp = select_truncation(stress_theta, 45.0, ctx100, 3, [strike])
         p_swift = price_single(stress_theta, ctx100, OptionQuote(strike, 45.0), sp)
         p_cp = price_cp(stress_theta, ctx100, OptionQuote(strike, 45.0), qc6)
         swift_err = max(swift_err, abs(p_swift - want))
@@ -72,8 +71,7 @@ def test_stress_long_maturity(stress_theta, ctx100):
     qc_ref = QuadratureConfig(nodes=256, u_max=12.0)
     mutual = 0.0
     for strike in LONG_TABLE:
-        sp = select_truncation(stress_theta, 45.0, ctx100, 6, [strike], L=12.0,
-                               max_scale=6)
+        sp = select_truncation(stress_theta, 45.0, ctx100, 6, [strike], L=12.0)
         p_swift = price_single(stress_theta, ctx100, OptionQuote(strike, 45.0), sp)
         p_cp = price_cp(stress_theta, ctx100, OptionQuote(strike, 45.0), qc_ref)
         mutual = max(mutual, abs(p_swift - p_cp))
@@ -85,8 +83,7 @@ def test_stress_short_maturity(stress_theta, ctx100):
     """Short-maturity stress prices and the documented deep-OTM pathology."""
     qc = QuadratureConfig(nodes=64, u_max=200.0)
     for strike, want in ((50.0, 50.000), (100.0, 1.046)):
-        sp = select_truncation(stress_theta, 0.04, ctx100, 7, [strike],
-                               max_scale=7)
+        sp = select_truncation(stress_theta, 0.04, ctx100, 7, [strike])
         p_swift = price_single(stress_theta, ctx100, OptionQuote(strike, 0.04), sp)
         p_cp = price_cp(stress_theta, ctx100, OptionQuote(strike, 0.04), qc)
         check(f"stress short maturity: strike {strike:.0f} within 1e-3",
@@ -107,7 +104,7 @@ def test_stress_short_maturity(stress_theta, ctx100):
 
 def test_overflow_handling(stress_theta, ctx100):
     """Naive hyperbolics overflow at 45y; the stabilized path prices finitely."""
-    sp7 = select_truncation(stress_theta, 0.04, ctx100, 7, [100.0], max_scale=7)
+    sp7 = select_truncation(stress_theta, 0.04, ctx100, 7, [100.0])
     freqs = sp7.density_freqs()  # scale-7 frequency grid, up to ~2^7 pi
     check("overflow: naive hyperbolic evaluation overflows at tau=45",
           not np.all(np.isfinite(textbook_cosh(freqs, 45.0, stress_theta))))
@@ -115,8 +112,7 @@ def test_overflow_handling(stress_theta, ctx100):
     prices = []
     for tau, m_pin, u_max in ((45.0, 3, 6.0), (0.04, 7, 200.0)):
         for strike in (50.0, 100.0, 200.0):
-            sp = select_truncation(stress_theta, tau, ctx100, m_pin,
-                                   [strike], max_scale=m_pin)
+            sp = select_truncation(stress_theta, tau, ctx100, m_pin, [strike])
             prices.append(price_single(stress_theta, ctx100,
                                        OptionQuote(strike, tau), sp))
             prices.append(price_cp(stress_theta, ctx100, OptionQuote(strike, tau),

@@ -56,6 +56,21 @@ def chf_sweeps(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def group_evals(monkeypatch):
+    """Per-group pricing passes: MultiStrikePricer price and Jacobian calls."""
+    calls = []
+    for name in ("prices", "prices_and_jacobian"):
+        method = getattr(MultiStrikePricer, name)
+
+        def counted(self, theta, _method=method):
+            calls.append(self)
+            return _method(self, theta)
+
+        monkeypatch.setattr(MultiStrikePricer, name, counted)
+    return calls
+
+
 def test_lm_step_zero_residual():
     jac = np.random.default_rng(0).normal(size=(5, 12))
     delta = lm_step(jac, np.zeros(12), mu=0.1)
@@ -105,26 +120,25 @@ def test_residuals_nonzero_from_perturbed_start(theta2_start, ctx, set2_priced):
     assert np.linalg.norm(r) > 1e-4  # the sigma perturbation is visible
 
 
-def test_kswift_backend_groups_by_maturity(theta2, ctx, set2_priced):
+def test_kswift_backend_groups_by_maturity(theta2, ctx, set2_priced, group_evals):
     backend = KswiftBackend(set2_priced.quotes, ctx, theta2)
     n_groups = len({q.maturity for q in set2_priced.quotes})
-    before = backend.group_eval_count
     backend.prices(theta2)
-    assert backend.group_eval_count - before == n_groups
-    before = backend.group_eval_count
+    assert len(group_evals) == len(set(group_evals)) == n_groups
+    group_evals.clear()
     backend.prices_and_jacobian(theta2)
-    assert backend.group_eval_count - before == n_groups
+    assert len(group_evals) == len(set(group_evals)) == n_groups
 
 
 def test_kswift_packs_small_groups_split_protocol_does_not(theta2, theta2_start, ctx,
-                                                           set2_priced, chf_sweeps):
+                                                           set2_priced, chf_sweeps,
+                                                           group_evals):
     quotes = set2_priced.quotes
     backend = KswiftBackend(quotes, ctx, theta2_start)
     n_groups = len(backend.swift_params)
     chf_sweeps["chf"].clear()
-    before = backend.group_eval_count
     backend.prices(theta2)
-    assert backend.group_eval_count - before == n_groups
+    assert len(group_evals) == n_groups
     assert 0 < len(chf_sweeps["chf"]) < n_groups
     # set3: every quote its own group and its own sweep, so the speed
     # comparison still measures per-quote recomputation
@@ -151,8 +165,7 @@ def test_run_price_sweeps_each_selected_grid_once(ctx, target, chf_sweeps):
         chf_sweeps["chf"].clear()
         for tau, idx in group_by_maturity(quotes).items():
             m = select_scale(theta, tau, ctx) if ov.m is None else ov.m
-            select_truncation(theta, tau, ctx, m, [quotes[i].strike for i in idx],
-                              max_scale=12 if ov.m is None else ov.m)
+            select_truncation(theta, tau, ctx, m, [quotes[i].strike for i in idx])
         selection = chf_sweeps["chf"][:]
         chf_sweeps["chf"].clear()
         run_price("swift", theta, QuoteFile(context=ctx, quotes=quotes), ov)
@@ -481,8 +494,7 @@ def test_singular_solve_at_finite_mu_retries_tenfold(theta2, monkeypatch):
 
 
 def test_start_outside_bounds_rejected(theta2, ctx, set2_priced):
-    cfg = CalibrationConfig(bounds=((1e-6, 4), (1e-6, 4), (1e-4, 5),
-                                    (1e-4, 50), (-0.999, 0.999)))
+    cfg = CalibrationConfig()  # kappa = 60 lies outside DEFAULT_BOUNDS
     bad = HestonParams(kappa=60.0, v_bar=0.04, sigma=0.3, rho=0.0, v0=0.04)
     backend = KswiftBackend(set2_priced.quotes, ctx, theta2)
     with pytest.raises(ValueError):

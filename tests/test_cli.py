@@ -260,6 +260,107 @@ def test_calibrate_rejects_zero_config_flag(capsys, priced_set2, flag):
     assert "positive" in err
 
 
+@pytest.fixture
+def grids_built(monkeypatch):
+    """Frequency grids built: a discretization's density or payoff grid, or
+    the quadrature nodes."""
+    from swiftcal import reference, swift
+
+    built = []
+    for owner, name in ((swift.SwiftParams, "density_freqs"),
+                        (swift.SwiftParams, "payoff_freqs"), (reference, "_grid")):
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original):
+            built.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return built
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["price", "--params", "theta2", "--quotes", "set1", "--m", "13"],
+                 id="m-13"),
+    pytest.param(["price", "--params", "theta2", "--quotes", "set1", "--m", "-1"],
+                 id="m-negative"),
+    pytest.param(["price", "--params", "theta2", "--quotes", "set1", "--m", "40",
+                  "--eta", "5", "--j", "64"], id="m-40-manual"),
+    pytest.param(["generate", "--params", "theta2", "--grid", "13,8,1.0"], id="grid-13"),
+])
+def test_scale_outside_the_range_exits_input_error(capsys, grids_built, argv):
+    # a scale past swift.MAX_SCALE would size grids of 2^m points; the check
+    # fires when the SwiftParams is built, before any grid
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "m must be in [0, 12]" in err
+    assert grids_built == []
+
+
+def test_scale_range_named_in_help(capsys):
+    with pytest.raises(SystemExit):
+        main(["price", "--help"])
+    assert "0 to 12" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field,row", [
+    ("price", "0.5,1.0,call,nan"), ("strike", "0.5,nan,call,0.1"),
+    ("spot", "0.5,1.0,call,0.1")])
+def test_non_finite_quote_file_exits_input_error(capsys, tmp_path, grids_built,
+                                                 field, row):
+    path = tmp_path / "nan.quotes"
+    path.write_text(f"spot {'nan' if field == 'spot' else '1.0'}\n{row}\n")
+    code, out, err = run_cli(capsys, "calibrate", "--quotes", str(path), "--start",
+                             "theta2-start", "--allow-partial")
+    assert code == 2
+    assert out == ""
+    assert f"{field} must be" in err and "finite" in err
+    assert grids_built == []
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_inline_params_exit_input_error(capsys, grids_built, value):
+    code, out, err = run_cli(capsys, "price", "--params",
+                             f"kappa=1.0,v_bar=0.04,sigma=0.3,rho=-0.5,v0={value}",
+                             "--quotes", "set1")
+    assert code == 2
+    assert out == ""
+    assert "bad inline parameters" in err and "v0 must be positive and finite" in err
+    assert grids_built == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["price", "--params", "theta2", "--quotes", "set1", "--rate", "nan"],
+                 "rate and dividend must be finite", id="rate"),
+    pytest.param(["price", "--backend", "cp", "--params", "theta2", "--quotes", "set1",
+                  "--u-max", "nan"], "u_max must be positive and finite", id="u-max"),
+    pytest.param(["calibrate", "--quotes", "PRICED", "--start", "theta2-start",
+                  "--eps1", "nan"], "tolerances must be positive and finite", id="eps1"),
+    pytest.param(["generate", "--params", "theta2", "--set", "set1", "--noise", "-1"],
+                 "noise must be nonnegative and finite", id="noise-negative"),
+    pytest.param(["generate", "--params", "theta2", "--set", "set1", "--noise", "nan"],
+                 "noise must be nonnegative and finite", id="noise-nan"),
+    pytest.param(["price", "--params", "theta2", "--quotes", "set1", "--m", "5",
+                  "--L", "0"], "L must be positive and finite", id="L-zero"),
+    pytest.param(["price", "--params", "theta2", "--quotes", "set1", "--L", "nan"],
+                 "L must be positive and finite", id="L-nan"),
+    pytest.param(["generate", "--params", "theta2", "--grid", "5,16,nan"],
+                 "grid tau must be positive and finite", id="grid-tau-nan"),
+])
+def test_non_finite_or_negative_flag_exits_input_error(capsys, tmp_path, grids_built,
+                                                       argv, message):
+    # no NaN runs silently: each is refused where it enters, before pricing
+    priced = tmp_path / "priced.quotes"
+    priced.write_text("spot 1.0\n0.5,1.0,call,0.1\n")
+    code, out, err = run_cli(capsys, *(str(priced) if a == "PRICED" else a
+                                       for a in argv))
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert grids_built == []
+
+
 def test_price_cp_rejects_zero_u_max(capsys):
     code, out, err = run_cli(capsys, "price", "--backend", "cp", "--params",
                              "theta2", "--quotes", "set2", "--u-max", "0")

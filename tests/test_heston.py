@@ -335,6 +335,16 @@ def test_parameter_validation():
         HestonParams(kappa=1.0, v_bar=0.1, sigma=0.2, rho=-1.5, v0=0.05)
     with pytest.raises(ValueError):
         MarketContext(spot=-10.0)
+    # a NaN or infinity never gets in to run silently
+    base = dict(kappa=1.0, v_bar=0.1, sigma=0.2, rho=0.0, v0=0.05)
+    for name in base:
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                HestonParams(**{**base, name: bad})
+    for name in ("spot", "rate", "dividend"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=name):
+                MarketContext(**{"spot": 1.0, name: bad})
 
 
 def test_param_vector_round_trip(theta1):

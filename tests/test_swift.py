@@ -33,6 +33,8 @@ from swiftcal.fixtures import PARAM_SETS, set1_quotes, set2_quotes
 from swiftcal.swift import (
     _AREA_TOL,
     DEFAULT_L,
+    MAX_SCALE,
+    SCALE_TOL,
     MultiStrikePricer,
     _cosine_at,
     _j_for,
@@ -161,7 +163,8 @@ def test_select_scale_behaviors(stress_theta, theta2, ctx100, ctx):
     assert select_scale(stress_theta, 45.0, ctx100, 1e-6) <= 3
     assert m1 >= 7
     with pytest.raises(NoConvergenceError):
-        select_scale(stress_theta, 0.04, ctx100, 1e-6, max_scale=3)
+        # the tail mass at MAX_SCALE is about 1.5e-158 here
+        select_scale(stress_theta, 0.04, ctx100, 1e-200)
     with pytest.raises(ValueError):
         select_scale(theta2, 1.0, ctx, 2.0)
 
@@ -169,8 +172,7 @@ def test_select_scale_behaviors(stress_theta, theta2, ctx100, ctx):
 def test_scale_three_prices_long_maturity_rows(stress_theta, ctx100):
     # the published long-maturity stress values, scale pinned at 3
     for strike, want in ((50.0, 65.565), (100.0, 46.911), (200.0, 27.198)):
-        sp = select_truncation(stress_theta, 45.0, ctx100, 3, [strike],
-                               max_scale=3)
+        sp = select_truncation(stress_theta, 45.0, ctx100, 3, [strike])
         assert sp.m == 3
         p = price_single(stress_theta, ctx100, OptionQuote(strike, 45.0), sp)
         assert abs(p - want) < 1e-3
@@ -179,13 +181,12 @@ def test_scale_three_prices_long_maturity_rows(stress_theta, ctx100):
 def test_scale_seven_prices_short_maturity_rows(stress_theta, ctx100):
     # scale 3 underprices two-week expiries; scale 7 suffices
     for strike, want in ((50.0, 50.000), (100.0, 1.046)):
-        sp = select_truncation(stress_theta, 0.04, ctx100, 7, [strike],
-                               max_scale=7)
+        sp = select_truncation(stress_theta, 0.04, ctx100, 7, [strike])
         p = price_single(stress_theta, ctx100, OptionQuote(strike, 0.04), sp)
         assert abs(p - want) < 1e-3
-    with pytest.raises(NoConvergenceError):
+    with pytest.raises(NoConvergenceError, match="at scale 3"):
         # the density cannot be recovered at scale 3 for this expiry
-        select_truncation(stress_theta, 0.04, ctx100, 3, [100.0], max_scale=3)
+        select_truncation(stress_theta, 0.04, ctx100, 3, [100.0])
 
 
 def test_select_truncation_symmetric_for_atm(theta2, ctx):
@@ -196,11 +197,11 @@ def test_select_truncation_symmetric_for_atm(theta2, ctx):
 
 def test_select_truncation_interval_straddles_zero(stress_theta, ctx100):
     # deep OTM short expiry: upper end clamps to the payoff kink
-    sp = select_truncation(stress_theta, 0.04, ctx100, 7, [200.0], max_scale=8)
+    sp = select_truncation(stress_theta, 0.04, ctx100, 7, [200.0])
     assert sp.x_high == 0.0
     assert price_single(stress_theta, ctx100, OptionQuote(200.0, 0.04), sp) == 0.0
     # deep ITM short expiry: lower end clamps instead
-    sp2 = select_truncation(stress_theta, 0.04, ctx100, 7, [50.0], max_scale=8)
+    sp2 = select_truncation(stress_theta, 0.04, ctx100, 7, [50.0])
     assert sp2.x_low == 0.0 or sp2.x_low < 0.0  # clamp only when needed
     assert sp2.x_high > math.log(2.0)
 
@@ -264,8 +265,7 @@ def test_density_grid_keeps_prices_and_reference_error(name, ctx):
 def test_low_and_high_truncation_multiplier_agree(stress_theta, ctx100):
     # the adaptive mass check compensates a too-small initial multiplier
     for L in (6.0, 10.0):
-        sp = select_truncation(stress_theta, 0.04, ctx100, 7, [100.0], L=L,
-                               max_scale=7)
+        sp = select_truncation(stress_theta, 0.04, ctx100, 7, [100.0], L=L)
         p = price_single(stress_theta, ctx100, OptionQuote(100.0, 0.04), sp)
         assert abs(p - 1.046) < 1e-3, L
 
@@ -280,6 +280,10 @@ def test_invalid_swift_params_rejected():
     with pytest.raises(ValueError):  # interval must straddle zero
         SwiftParams(m=3, eta=4, j_density=64, j_payoff=64, c=1.0,
                     x_low=0.5, x_high=1.5)
+    for m in (-1, MAX_SCALE + 1):  # the scale range, checked before any grid
+        with pytest.raises(ValueError, match=r"m must be in \[0, 12\]"):
+            dataclasses.replace(SMALL_SP, m=m)
+    assert dataclasses.replace(SMALL_SP, m=MAX_SCALE).m == MAX_SCALE
 
 
 def test_empty_strikes_and_mixed_contexts_rejected(theta2, ctx, ctx100):
@@ -496,37 +500,36 @@ def test_pricer_phases_are_the_two_table_product_bitwise(ctx):
 @pytest.mark.parametrize("name", ["theta2", "fx", "ir", "eq"])
 def test_tail_masses_bitwise_the_direct_trapezoid(name, ctx):
     # the cached grid changes no mass: numpy's linspace and trapezoid on a
-    # fresh sweep give the same bits, at the default cap and at a low one
+    # fresh sweep give the same bits, at every scale and at the lowest few
     theta = PARAM_SETS[name]
     for tau in (0.1, 1.0, 5.0):
-        for cap in (12, 3, 12):
+        for cap in (MAX_SCALE, 3, MAX_SCALE):
             lo = 2.0**np.arange(cap + 1) * np.pi
             u = np.linspace(lo, 4.0 * lo, 129, axis=1)
             vals = np.abs(chf_cui(u.ravel(), tau, theta, ctx)).reshape(u.shape)
             direct = np.trapezoid(vals, u, axis=1) / np.pi
             assert _bits(_tail_masses(theta, tau, ctx, np.arange(cap + 1))) == _bits(direct)
+        # the selected scale is the first whose tail mass is within tolerance
         m = select_scale(theta, tau, ctx)
-        if m > 0:
-            with pytest.raises(NoConvergenceError):
-                select_scale(theta, tau, ctx, max_scale=m - 1)
+        masses = _tail_masses(theta, tau, ctx, np.arange(MAX_SCALE + 1))
+        assert masses[m] <= SCALE_TOL
+        assert np.all(masses[:m] > SCALE_TOL)
 
 
-def reference_truncation(theta, tau, ctx, m, strikes, max_scale=12):
+def reference_truncation(theta, tau, ctx, m, strikes):
     """select_truncation's rule, spelled out on density_coefficients: grow
     the cumulant half-width by 1.25 until the mass at both edges is within
-    _AREA_TOL, and escalate the scale after 12 steps."""
+    _AREA_TOL, at most 12 steps, at scale m."""
     x = np.log(ctx.spot / np.asarray(strikes, dtype=float))
     x_min, x_max = float(x.min()), float(x.max())
-    c0 = truncation_width(theta, tau, ctx, DEFAULT_L)
-    for m_try in range(m, max_scale + 1):
-        c = c0
-        for _ in range(12):
-            sp = interval_params(m_try, c, x_min, x_max)
-            if all(abs(density_area(density_coefficients(theta, tau, ctx, xc, sp), sp)
-                       - 1.0) <= _AREA_TOL for xc in (x_min, x_max)):
-                return sp
-            c *= 1.25
-    raise NoConvergenceError("reference selection hit the scale cap")
+    c = truncation_width(theta, tau, ctx, DEFAULT_L)
+    for _ in range(12):
+        sp = interval_params(m, c, x_min, x_max)
+        if all(abs(density_area(density_coefficients(theta, tau, ctx, xc, sp), sp)
+                   - 1.0) <= _AREA_TOL for xc in (x_min, x_max)):
+            return sp
+        c *= 1.25
+    raise NoConvergenceError("reference selection failed at scale m")
 
 
 @pytest.mark.parametrize("name", ["theta2", "fx", "ir", "eq", "fx-mirrored"])
@@ -550,9 +553,36 @@ def test_select_truncation_matches_the_reference_rule(name, ctx):
 def test_select_truncation_matches_the_reference_rule_at_long_maturity(
         stress_theta, ctx100):
     for strike in (50.0, 100.0, 200.0):
-        assert select_truncation(stress_theta, 45.0, ctx100, 3, [strike],
-                                 max_scale=3) == \
-            reference_truncation(stress_theta, 45.0, ctx100, 3, [strike], max_scale=3)
+        assert select_truncation(stress_theta, 45.0, ctx100, 3, [strike]) == \
+            reference_truncation(stress_theta, 45.0, ctx100, 3, [strike])
+
+
+@pytest.mark.parametrize("name", ["stress", "theta2", "fx", "ir", "eq"])
+def test_select_truncation_keeps_the_pinned_scale(name, ctx, ctx100):
+    # select_scale alone chooses m: at a pinned scale selection grows the
+    # interval and returns that scale, or raises; it never moves to another
+    if name == "stress":
+        theta, context = PARAM_SETS["stress"], ctx100
+        groups = [(tau, strikes) for tau in (45.0, 0.04)
+                  for strikes in ([50.0], [100.0], [200.0], [50.0, 100.0, 200.0])]
+    else:
+        theta, context, quotes = PARAM_SETS[name], ctx, set2_quotes()
+        groups = [(tau, [quotes[i].strike for i in idx])
+                  for tau, idx in group_by_maturity(quotes).items()]
+    kept = failed = 0
+    for tau, strikes in groups:
+        for m in range(3, 9):
+            try:
+                sp = select_truncation(theta, tau, context, m, strikes)
+            except NoConvergenceError as exc:
+                assert f"at scale {m} " in str(exc)
+                failed += 1
+                continue
+            assert sp.m == m, (tau, strikes, m)
+            kept += 1
+    assert kept > 0
+    if name == "stress":  # scale 3 cannot hold the two-week density
+        assert failed > 0
 
 
 def test_packed_pricers_answer_alone_in_any_call_order(theta2, theta2_start, ctx):
