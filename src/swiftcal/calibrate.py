@@ -49,18 +49,15 @@ import numpy as np
 from .heston import HestonParams, MarketContext
 from .reference import QuadratureConfig, price_and_gradient_cp
 from .swift import (
-    DEFAULT_L,
     PACK_FREQS,
     MultiStrikePricer,
     OptionQuote,
     group_by_maturity,
-    interval_params,
     price_and_gradient_single,
     put_offsets,
     select_scale,
     select_truncation,
     share_sweep,
-    truncation_width,
 )
 
 # The parameter box: (lo, hi) per parameter in PARAM_ORDER, wide enough for
@@ -130,26 +127,22 @@ class CalibrationResult:
 
 
 def discretization_plan(quotes: Sequence[OptionQuote], ctx: MarketContext,
-                        theta_ref: HestonParams, L: float = DEFAULT_L,
-                        m: Optional[int] = None, eta: Optional[int] = None,
-                        j: Optional[int] = None, split_groups: bool = False):
+                        theta_ref: HestonParams, m: Optional[int] = None,
+                        split_groups: bool = False):
     """Yield (MultiStrikePricer, quote indices) per maturity group, frozen at
     theta_ref: the one place a quote set's discretization is chosen.
 
-    Each group's ``SwiftParams`` come from
-    :func:`~swiftcal.swift.select_truncation` at the scale ``m`` pins or
-    :func:`~swiftcal.swift.select_scale` picks, or, given ``eta`` or ``j``,
-    from :func:`~swiftcal.swift.interval_params` at scale ``m`` with no
-    selection; the group's pricer is built straight after.  Consecutive
-    pricers fill a sweep block until it holds ``PACK_FREQS`` frequencies,
-    and the block starts from its members' selection sweeps at theta_ref
+    Every group gets its scale from :func:`~swiftcal.swift.select_scale`, or
+    from ``m`` when it pins one, and its interval from one
+    :func:`~swiftcal.swift.select_truncation` call, which checks the density
+    mass; the group's pricer is built straight after.  Consecutive pricers
+    fill a sweep block until it holds ``PACK_FREQS`` frequencies, and the
+    block starts from its members' selection sweeps at theta_ref
     (:func:`~swiftcal.swift.share_sweep`), so every selected grid is swept
     once there.  A block's members are yielded when it closes, so a caller
     that prices and drops them holds one block at a time.
     ``split_groups=True`` makes every quote its own group and packs nothing.
     """
-    if (eta is not None or j is not None) and m is None:
-        raise ValueError("--eta/--j overrides require --m")
     if split_groups:
         groups = [(q.maturity, [i]) for i, q in enumerate(quotes)]
     else:
@@ -157,20 +150,14 @@ def discretization_plan(quotes: Sequence[OptionQuote], ctx: MarketContext,
     block, sweeps = [], []
     for tau, idx in groups:
         strikes = [quotes[i].strike for i in idx]
-        if eta is not None or j is not None:
-            x = np.log(ctx.spot / np.asarray(strikes, dtype=float))
-            sp = interval_params(m, truncation_width(theta_ref, tau, ctx, L),
-                                 float(x.min()), float(x.max()), eta, j)
-        else:
-            scale = select_scale(theta_ref, tau, ctx) if m is None else m
-            sp = select_truncation(theta_ref, tau, ctx, scale, strikes, L=L,
-                                   sweep_out=sweeps)
+        scale = select_scale(theta_ref, tau, ctx) if m is None else m
+        sp = select_truncation(theta_ref, tau, ctx, scale, strikes, sweep_out=sweeps)
         block.append((MultiStrikePricer(ctx, tau, strikes, sp), np.asarray(idx)))
         if split_groups or sum(p.sp.j_density for p, _ in block) >= PACK_FREQS:
-            share_sweep([p for p, _ in block], sweeps or None)
+            share_sweep([p for p, _ in block], sweeps)
             yield from block
             block, sweeps = [], []
-    share_sweep([p for p, _ in block], sweeps or None)
+    share_sweep([p for p, _ in block], sweeps)
     yield from block
 
 
@@ -195,11 +182,10 @@ class KswiftBackend:
     name = "kswift"
 
     def __init__(self, quotes: Sequence[OptionQuote], ctx: MarketContext,
-                 theta_ref: HestonParams, L: float = DEFAULT_L,
-                 split_groups: bool = False):
+                 theta_ref: HestonParams, split_groups: bool = False):
         self.ctx = ctx
         self.quotes = list(quotes)
-        self._pricers = list(discretization_plan(self.quotes, ctx, theta_ref, L=L,
+        self._pricers = list(discretization_plan(self.quotes, ctx, theta_ref,
                                                  split_groups=split_groups))
         self._put_offsets = put_offsets(self.quotes, ctx)
 
@@ -237,11 +223,11 @@ class SwiftBackend:
     name = "swift"
 
     def __init__(self, quotes: Sequence[OptionQuote], ctx: MarketContext,
-                 theta_ref: HestonParams, L: float = DEFAULT_L):
+                 theta_ref: HestonParams):
         self.ctx = ctx
         self.quotes = list(quotes)
         self._sp = [None] * len(self.quotes)
-        for pricer, idx in discretization_plan(self.quotes, ctx, theta_ref, L=L):
+        for pricer, idx in discretization_plan(self.quotes, ctx, theta_ref):
             for i in idx:
                 self._sp[i] = pricer.sp
 

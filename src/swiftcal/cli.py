@@ -37,7 +37,7 @@ from .fixtures import (
 )
 from .heston import ChfOverflowError, HestonParams, MarketContext
 from .quotes import QuoteFile, QuoteParseError, dumps_quotes, load_quote_file, save_quote_file
-from .swift import DEFAULT_L, MAX_SCALE, NoConvergenceError
+from .swift import MAX_SCALE, NoConvergenceError
 
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
@@ -45,10 +45,8 @@ EXIT_NOT_CALIBRATED = 4
 
 _PARAM_FIELDS = ("kappa", "v_bar", "sigma", "rho", "v0")
 # pricing flags by attribute name, and those each backend never reads
-_PRICING_FLAGS = {"m": "--m", "eta": "--eta", "j": "--j", "u_max": "--u-max",
-                  "L": "--L"}
-_UNREAD_BY_BACKEND = {"swift": ("u_max",), "kswift": ("u_max",),
-                      "cp": ("m", "eta", "j", "L")}
+_PRICING_FLAGS = {"m": "--m", "u_max": "--u-max"}
+_UNREAD_BY_BACKEND = {"swift": ("u_max",), "kswift": ("u_max",), "cp": ("m",)}
 DEFAULT_SET = "set2"  # strike/maturity set generate prices without --grid
 
 
@@ -146,8 +144,8 @@ def cmd_price(args) -> int:
 def cmd_generate(args) -> int:
     theta = parse_params(args.params)
     if args.grid:
-        if any(v is not None for v in (args.m, args.eta, args.j)):
-            raise CliError("--grid fixes m and J itself; drop --m/--eta/--j")
+        if args.m is not None:
+            raise CliError("--grid fixes m and J itself; drop --m")
         if _given(args, ("set", "noise", "seed")):
             raise CliError("--grid prices noise-free calls on its own strikes; "
                            "drop --set/--noise/--seed")
@@ -158,7 +156,7 @@ def cmd_generate(args) -> int:
             raise CliError("--grid expects 'm,J,tau'")
         spot = 1.0 if args.spot is None else args.spot
         ctx = MarketContext(spot=spot, rate=args.rate or 0.0)
-        qf = run_generate_grid(theta, ctx, m, j, tau, L=_overrides(args).L)
+        qf = run_generate_grid(theta, ctx, m, j, tau)
     else:
         if args.spot is not None:
             raise CliError("--spot is the spot of --grid only; a quote set "
@@ -222,10 +220,6 @@ def _add_pricing_flags(p, with_swift=True, with_quadrature=True):
     if with_swift:
         p.add_argument("--m", type=int,
                        help=f"pin the wavelet scale, 0 to {MAX_SCALE}")
-        p.add_argument("--eta", type=int, help="manual series half-width")
-        p.add_argument("--j", type=int, help="manual J (density and payoff)")
-    p.add_argument("--L", type=float, help="truncation-width multiplier "
-                   f"(default {DEFAULT_L:g})")
     if with_quadrature:
         p.add_argument("--u-max", dest="u_max", type=float, help="quadrature "
                        f"truncation ubar (default {PricingOverrides.u_max:g})")

@@ -51,22 +51,19 @@ from .swift import price_multi_strike, select_scale, select_truncation  # noqa: 
 
 @dataclass
 class PricingOverrides:
-    """Optional discretization overrides from the command line.
+    """Optional pricing overrides from the command line.
 
     m pins the wavelet scale, 0 to ``swift.MAX_SCALE``, in place of
-    ``select_scale`` (the adaptive interval check may still widen the
-    interval).  eta and j switch to fully manual mode and skip the adaptive
-    checks.  u_max configures the quadrature pricer; L the truncation-width
-    rule.  ``scale_tol`` is the fixed ``swift.SCALE_TOL``, readable here but
-    not a setting.
+    ``select_scale``; the interval is still selected and its density mass
+    checked.  u_max configures the quadrature pricer.  ``scale_tol`` and
+    ``L`` are the fixed ``swift.SCALE_TOL`` and ``swift.DEFAULT_L``,
+    readable here but not settings.
     """
 
     m: Optional[int] = None
-    eta: Optional[int] = None
-    j: Optional[int] = None
     u_max: float = QuadratureConfig.u_max
-    L: float = DEFAULT_L
     scale_tol = SCALE_TOL
+    L = DEFAULT_L
 
 
 def swift_prices(theta: HestonParams, ctx: MarketContext,
@@ -79,8 +76,7 @@ def swift_prices(theta: HestonParams, ctx: MarketContext,
     """
     prices = np.empty(len(quotes))
     used = {}
-    for pricer, idx in discretization_plan(quotes, ctx, theta, L=ov.L, m=ov.m,
-                                           eta=ov.eta, j=ov.j):
+    for pricer, idx in discretization_plan(quotes, ctx, theta, m=ov.m):
         used[pricer.tau] = pricer.sp
         prices[idx] = pricer.prices(theta)
     return prices + put_offsets(quotes, ctx), used
@@ -134,22 +130,22 @@ def run_generate(theta: HestonParams, ctx: MarketContext,
 
 
 def run_generate_grid(theta: HestonParams, ctx: MarketContext, m: int,
-                      j_density: int, tau: float,
-                      L: float = DEFAULT_L) -> QuoteFile:
+                      j_density: int, tau: float) -> QuoteFile:
     """Calls at the dyadic strike grid x_k = (2k - J_d)/2^{m+1}.
 
     The grid layout is fixed by (m, J_d), J_d a power of two of at least 4;
     the series half-width is the J_d/2 - 1 validity bound, so only the
     central band of the grid carries accurate prices (the wings are outside
-    any coverage J_d permits).
+    any coverage J_d permits).  ``SwiftParams`` bounds m and J_d, and the
+    J_p the payoff needs, before any grid is built.
     """
     if j_density < 4 or j_density & (j_density - 1):
         raise ValueError(f"grid J must be a power of two >= 4, got {j_density}")
     if not 0.0 < tau < math.inf:
         raise ValueError(f"grid tau must be positive and finite, got {tau}")
     half = j_density / 2.0**(m + 1)
-    sp = interval_params(m, truncation_width(theta, tau, ctx, L), -half, half,
-                         eta=j_density // 2 - 1)
+    sp = interval_params(m, truncation_width(theta, tau, ctx, DEFAULT_L), -half,
+                         half, eta=j_density // 2 - 1)
     x_grid, prices = price_strike_grid(theta, ctx, tau, sp)
     quotes = [OptionQuote(strike=float(ctx.spot * np.exp(-x)), maturity=tau,
                           price=float(max(p, 0.0)))
@@ -162,9 +158,9 @@ def make_calibration_backend(name: str, quotes, ctx, theta_ref,
                              split_groups: bool = False):
     """The calibration backend named swift, kswift or cp, configured from ov."""
     if name == "kswift":
-        return KswiftBackend(quotes, ctx, theta_ref, L=ov.L, split_groups=split_groups)
+        return KswiftBackend(quotes, ctx, theta_ref, split_groups=split_groups)
     if name == "swift":
-        return SwiftBackend(quotes, ctx, theta_ref, L=ov.L)
+        return SwiftBackend(quotes, ctx, theta_ref)
     if name == "cp":
         return CpBackend(quotes, ctx, qc=QuadratureConfig(u_max=ov.u_max))
     raise ValueError(f"unknown backend {name!r}; expected swift, kswift or cp")

@@ -61,9 +61,9 @@ from .heston import (
 )
 
 __all__ = [
-    "OptionQuote", "SwiftParams", "NoConvergenceError", "group_by_maturity",
-    "parity_offset", "put_offsets", "truncation_width", "interval_params",
-    "select_scale", "select_truncation", "density_coefficients",
+    "OptionQuote", "SwiftParams", "NoConvergenceError", "GridSizeError",
+    "group_by_maturity", "parity_offset", "put_offsets", "truncation_width",
+    "interval_params", "select_scale", "select_truncation", "density_coefficients",
     "payoff_coefficients", "density_area",
     "price_single", "price_and_gradient_single", "price_multi_strike",
     "price_and_gradient_multi_strike", "price_strike_grid", "MultiStrikePricer",
@@ -73,6 +73,7 @@ __all__ = [
 OPTION_KINDS = ("call", "put")
 SCALE_TOL = 1e-7  # transform tail mass a selected scale may leave out
 MAX_SCALE = 12  # finest wavelet scale: select_scale's last, SwiftParams' limit
+MAX_J = 2**20  # largest J_d or J_p a SwiftParams may hold (16 MiB per array)
 DEFAULT_L = 10.0  # truncation-width multiplier of the cumulant rule
 # Density mass defect select_truncation accepts; strict, since a defect of
 # 1e-6 beyond a far right edge can already cost ~1e-5 in price.
@@ -85,6 +86,10 @@ PACK_FREQS = 2048
 
 class NoConvergenceError(RuntimeError):
     """Discretization selection could not meet its tolerance."""
+
+
+class GridSizeError(ValueError):
+    """A discretization asks for more than ``MAX_J`` cosine terms."""
 
 
 @dataclass(frozen=True)
@@ -124,7 +129,8 @@ class SwiftParams:
                    product.
         j_payoff:  cosine terms J_p for the payoff coefficients (power of two,
                    more than 2*eta; selection sizes it by the payoff rule of
-                   :func:`_j_for`).  Paid once per pricer build.
+                   :func:`_j_for`).  Paid once per pricer build.  Neither J
+                   may exceed ``MAX_J``.
         c:         payoff truncation half-width from the cumulant rule.
         x_low:     left end of the extended truncation interval (<= 0).
         x_high:    right end of the extended truncation interval (>= 0).
@@ -146,6 +152,8 @@ class SwiftParams:
         for name, j in (("j_density", self.j_density), ("j_payoff", self.j_payoff)):
             if j < 2 or (j & (j - 1)) != 0:
                 raise ValueError(f"{name} must be a power of two >= 2, got {j}")
+            if j > MAX_J:
+                raise GridSizeError(f"{name} = {j}, above MAX_J = {MAX_J}")
             if 2 * self.eta >= j:
                 raise ValueError(f"need 2*eta < {name}: eta={self.eta}, {name}={j}")
         if self.c <= 0:
@@ -299,28 +307,25 @@ def truncation_width(theta: HestonParams, tau: float, ctx: MarketContext,
 
 
 def interval_params(m: int, c: float, x_min: float, x_max: float,
-                    eta: Optional[int] = None, j: Optional[int] = None) -> SwiftParams:
+                    eta: Optional[int] = None) -> SwiftParams:
     """Discretization at scale m for log-moneyness in [x_min, x_max].
 
     The interval is [x_min - c, x_max + c] clamped to straddle 0 (the payoff
     kink must stay inside the expansion window).  eta defaults to the
-    smallest half-width covering it at scale m.  Without j, J_d is the
-    smallest power of two above 2 eta (the density coefficients need only
-    that many distinct cosine terms) and J_p comes from :func:`_j_for` (the
-    payoff jumps at x_high, so its expansion needs the finer grid); a given
-    j sets both.
+    smallest half-width covering it at scale m; ``generate --grid`` passes
+    the half-width its grid fixes.  J_d is the smallest power of two above
+    2 eta (the density coefficients need only that many distinct cosine
+    terms) and J_p comes from :func:`_j_for` (the payoff jumps at x_high, so
+    its expansion needs the finer grid).
     """
     x_low = min(x_min - c, 0.0)
     x_high = max(x_max + c, 0.0)
     span = max(abs(x_low), x_high)
     if eta is None:
         eta = max(1, math.ceil(2.0**m * span))
-    if j is None:
-        j_density, j_payoff = _next_pow2(2 * eta + 1), _j_for(m, eta, span)
-    else:
-        j_density = j_payoff = j
-    return SwiftParams(m=m, eta=eta, j_density=j_density, j_payoff=j_payoff,
-                       c=c, x_low=x_low, x_high=x_high)
+    return SwiftParams(m=m, eta=eta, j_density=_next_pow2(2 * eta + 1),
+                       j_payoff=_j_for(m, eta, span), c=c, x_low=x_low,
+                       x_high=x_high)
 
 
 def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
@@ -353,7 +358,8 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
     for the result, it is that pricer's first sweep.
 
     Raises:
-        NoConvergenceError: the mass check still fails after 12 growth steps.
+        NoConvergenceError: the mass check still fails after 12 growth
+            steps, or the interval needs a grid above ``MAX_J`` at scale m.
     """
     strikes = np.asarray(strikes, dtype=float)
     if strikes.size == 0:
@@ -365,7 +371,11 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
     edges = np.unique([x_min, x_max])  # one spectrum per distinct edge
     j_d = None  # J_d of the current sweep; spectra: its {edge: density spectrum}
     for _ in range(12):
-        sp = interval_params(m, c, x_min, x_max)
+        try:
+            sp = interval_params(m, c, x_min, x_max)
+        except GridSizeError as exc:  # refused before any grid is built
+            raise NoConvergenceError(
+                f"the interval at scale {m} needs {exc} (tau={tau})") from None
         if sp.j_density != j_d:
             j_d, spectra = sp.j_density, {}
             sweep = _ChfSweep(sp.density_freqs(), tau, ctx)
@@ -620,10 +630,9 @@ class _ChfSweep:
     for are kept, and recomputed only when the parameters change; the
     gradient is assembled on the first request for it at those parameters.
     :func:`select_truncation` evaluates each grid through one, and
-    :func:`share_sweep` makes the sweeps of the grids it accepts the first of
-    a pricer or block; a block joins its members' values and intermediates
-    when first asked at their parameters.  Grid terms are formed on the
-    first evaluation, so a sweep replaced before then costs nothing.
+    :func:`share_sweep` starts a pricer or block from the sweeps of the
+    grids selection accepted.  Grid terms are formed on the first
+    evaluation, so a sweep replaced before then costs nothing.
     """
 
     def __init__(self, omega, tau, ctx: MarketContext):
@@ -632,15 +641,9 @@ class _ChfSweep:
         self._key = None
         self._parts = None
         self._grad = None
-        self._members = None  # member sweeps a block starts from
 
     def parts(self, theta: HestonParams):
         key = theta.as_array().tobytes()
-        members, self._members = self._members, None
-        if members and key == members[0]._key:
-            values, inters = zip(*(s._parts for s in members))
-            self._key, self._parts = key, (np.concatenate(values),
-                                           tuple(map(np.concatenate, zip(*inters))))
         if key != self._key:
             if self._grid_terms is None:
                 self._grid_terms = chf_grid_terms(self.omega)
@@ -663,15 +666,15 @@ def share_sweep(pricers: Sequence[MultiStrikePricer], sweeps=None) -> None:
     The block sweeps the members' concatenated frequencies with a
     per-element tau, so it costs one chf call and one gradient call per
     evaluation where its members cost one each: per-call overhead dominates
-    small sweeps.  It is swept lazily, when its first member asks at new
-    parameters, and its gradient, once assembled, serves every member until
-    the parameters change.  The pricers must share one market context.
+    small sweeps.  It is swept when a member asks at new parameters, and its
+    gradient, once assembled, serves every member until the parameters
+    change.  The pricers must share one market context.
 
     ``sweeps``, one per pricer, are the sweeps :func:`select_truncation`
     made of the members' grids at one parameter vector.  The block starts
     from them: a lone member takes its sweep as it is, several have their
-    values and intermediates concatenated when first asked at those
-    parameters, so an evaluation there sweeps nothing.
+    values and intermediates concatenated here, so an evaluation at those
+    parameters sweeps nothing.  Without ``sweeps`` the block starts empty.
     """
     if len({p.ctx for p in pricers}) > 1:
         raise ValueError("packed pricers must share one market context")
@@ -692,7 +695,10 @@ def share_sweep(pricers: Sequence[MultiStrikePricer], sweeps=None) -> None:
         np.concatenate([p.omega for p in pricers]),
         np.concatenate([np.full(p.sp.j_density, p.tau) for p in pricers]),
         pricers[0].ctx)
-    block._members = sweeps
+    if sweeps is not None:
+        values, inters = zip(*(s._parts for s in sweeps))
+        block._key, block._parts = sweeps[0]._key, (
+            np.concatenate(values), tuple(map(np.concatenate, zip(*inters))))
     start = 0
     for p in pricers:
         p._sweep, p._cols = block, slice(start, start + p.sp.j_density)

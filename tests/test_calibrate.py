@@ -28,7 +28,6 @@ from swiftcal import (
     select_scale,
     select_truncation,
 )
-from swiftcal.calibrate import discretization_plan
 from swiftcal.experiments import (PricingOverrides, make_calibration_backend,
                                   run_generate, run_price)
 from swiftcal.fixtures import PARAM_SETS, set2_quotes
@@ -171,26 +170,6 @@ def test_run_price_sweeps_each_selected_grid_once(ctx, target, chf_sweeps):
         run_price("swift", theta, QuoteFile(context=ctx, quotes=quotes), ov)
         assert chf_sweeps["chf"] == selection, ov  # no second sweep of sum J_d
         assert chf_sweeps["grad"] == []
-
-
-def test_manual_plan_packs_small_groups_bitwise(ctx, chf_sweeps):
-    # manual eta/j selects nothing, so its blocks sweep at the first request;
-    # packed, the groups still price bit for bit as unpacked pricers
-    theta, quotes = PARAM_SETS["fx"], set2_quotes()
-    plan = list(discretization_plan(quotes, ctx, theta, m=6, eta=40, j=128))
-    assert chf_sweeps["chf"] == []
-    assert all(p.sp.j_density == 128 for p, _ in plan)
-    got = [p.prices(theta) for p, _ in plan]
-    assert chf_sweeps["chf"] == [128 * len(plan)]  # one block below PACK_FREQS
-    want = np.empty(len(quotes))
-    for (pricer, idx), prices in zip(plan, got):
-        want[idx] = MultiStrikePricer(ctx, pricer.tau, pricer.strikes,
-                                      pricer.sp).prices(theta)
-        assert np.array_equal(prices, want[idx])
-    report = run_price("swift", theta, QuoteFile(context=ctx, quotes=quotes),
-                       PricingOverrides(m=6, eta=40, j=128))
-    assert np.array_equal([r["price"] for r in report.rows],
-                          want + put_offsets(quotes, ctx))
 
 
 @pytest.mark.parametrize("target", ["fx", "ir"])

@@ -217,29 +217,13 @@ def test_swift_only_commands_reject_quadrature_flags(capsys, argv):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flag", ["--m", "--eta", "--j"])
+@pytest.mark.parametrize("flag", ["--m"])
 def test_generate_grid_rejects_discretization_flags(capsys, flag):
     code, out, err = run_cli(capsys, "generate", "--params", "theta2", "--grid",
                              "5,256,1.0", flag, "9")
     assert code == 2
     assert out == ""
     assert "--grid" in err
-
-
-def test_price_swift_manual_eta_and_j(capsys, tmp_path):
-    path = tmp_path / "manual.json"
-    code, _, _ = run_cli(capsys, "price", "--backend", "swift", "--params",
-                         "theta2", "--quotes", "set2", "--m", "5", "--eta", "40",
-                         "--j", "256", "--out", str(path))
-    assert code == 0
-    config = ExperimentReport.from_json(path.read_text()).metadata["config"]
-    assert len(config) == 8  # one entry per set2 maturity
-    for sp in config.values():
-        assert (sp["m"], sp["eta"], sp["j_density"], sp["j_payoff"]) == (5, 40, 256, 256)
-    code, _, err = run_cli(capsys, "price", "--backend", "swift", "--params",
-                           "theta2", "--quotes", "set2", "--eta", "40")
-    assert code == 2
-    assert "--m" in err
 
 
 @pytest.fixture(scope="module")
@@ -284,8 +268,6 @@ def grids_built(monkeypatch):
                  id="m-13"),
     pytest.param(["price", "--params", "theta2", "--quotes", "set1", "--m", "-1"],
                  id="m-negative"),
-    pytest.param(["price", "--params", "theta2", "--quotes", "set1", "--m", "40",
-                  "--eta", "5", "--j", "64"], id="m-40-manual"),
     pytest.param(["generate", "--params", "theta2", "--grid", "13,8,1.0"], id="grid-13"),
 ])
 def test_scale_outside_the_range_exits_input_error(capsys, grids_built, argv):
@@ -295,6 +277,45 @@ def test_scale_outside_the_range_exits_input_error(capsys, grids_built, argv):
     assert code == 2
     assert out == ""
     assert "m must be in [0, 12]" in err
+    assert grids_built == []
+
+
+@pytest.mark.parametrize("flag", ["--eta", "--j", "--L"])
+@pytest.mark.parametrize("argv", [
+    ["price", "--params", "theta2", "--quotes", "set2"],
+    ["generate", "--params", "theta2"],
+    ["calibrate", "--quotes", "set2", "--start", "theta2-start"],
+], ids=["price", "generate", "calibrate"])
+def test_removed_discretization_flags_exit_input_error(capsys, grids_built, argv,
+                                                       flag):
+    # every group's interval is selected and mass-checked at the fixed
+    # cumulant multiplier; no flag sets eta, J or L
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "8"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert grids_built == []
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    pytest.param(["price", "--params",
+                  "kappa=1e-4,v_bar=4,sigma=5,rho=0.999,v0=4", "--quotes", "CORNER"],
+                 3, "scale 8 needs j_density = 8388608, above MAX_J", id="corner"),
+    pytest.param(["generate", "--params", "theta2", "--grid", "5,2097152,1.0"],
+                 2, "j_density = 2097152, above MAX_J", id="grid"),
+])
+def test_grid_above_max_j_refused_before_it_is_built(capsys, tmp_path, grids_built,
+                                                     argv, code, message):
+    # a point inside the calibration box at tau=45 would need 2^23 density
+    # terms at its selected scale (2^26 after growth); a --grid J above
+    # swift.MAX_J is refused the same way
+    corner = tmp_path / "corner.quotes"
+    corner.write_text("spot 1.0\n45,0.9,call\n45,1.1,call\n")
+    got, out, err = run_cli(capsys, *(str(corner) if a == "CORNER" else a
+                                      for a in argv))
+    assert got == code
+    assert out == ""
+    assert message in err
     assert grids_built == []
 
 
@@ -341,10 +362,6 @@ def test_non_finite_inline_params_exit_input_error(capsys, grids_built, value):
                  "noise must be nonnegative and finite", id="noise-negative"),
     pytest.param(["generate", "--params", "theta2", "--set", "set1", "--noise", "nan"],
                  "noise must be nonnegative and finite", id="noise-nan"),
-    pytest.param(["price", "--params", "theta2", "--quotes", "set1", "--m", "5",
-                  "--L", "0"], "L must be positive and finite", id="L-zero"),
-    pytest.param(["price", "--params", "theta2", "--quotes", "set1", "--L", "nan"],
-                 "L must be positive and finite", id="L-nan"),
     pytest.param(["generate", "--params", "theta2", "--grid", "5,16,nan"],
                  "grid tau must be positive and finite", id="grid-tau-nan"),
 ])
@@ -370,9 +387,8 @@ def test_price_cp_rejects_zero_u_max(capsys):
 
 
 @pytest.mark.parametrize("argv,unread", [
-    pytest.param(["price", "--backend", "cp", "--m", "9", "--L", "3", "--eta", "4",
-                  "--j", "16"], ["--m", "--eta", "--j", "--L"], id="price-cp-swift-flags"),
-    pytest.param(["price", "--backend", "cp", "--L", "3"], ["--L"], id="price-cp-L"),
+    pytest.param(["price", "--backend", "cp", "--m", "9"], ["--m"],
+                 id="price-cp-swift-flags"),
     pytest.param(["price", "--backend", "swift", "--u-max", "1"], ["--u-max"],
                  id="price-swift-cp-flags"),
     pytest.param(["price", "--backend", "kswift", "--u-max", "1"], ["--u-max"],
@@ -381,8 +397,6 @@ def test_price_cp_rejects_zero_u_max(capsys):
                  id="calibrate-kswift-u-max"),
     pytest.param(["calibrate", "--backend", "swift", "--u-max", "1"], ["--u-max"],
                  id="calibrate-swift-u-max"),
-    pytest.param(["calibrate", "--backend", "cp", "--L", "3"], ["--L"],
-                 id="calibrate-cp-L"),
 ])
 def test_flags_the_backend_never_reads_rejected(capsys, priced_set2, argv, unread):
     # the subcommand takes these flags for another backend; the chosen one
@@ -400,9 +414,9 @@ def test_flags_the_backend_reads_accepted(capsys, priced_set2):
     for argv in (["price", "--backend", "cp", "--params", "theta2", "--quotes", "set2",
                   "--u-max", "300"],
                  ["price", "--backend", "kswift", "--params", "theta2", "--quotes",
-                  "set2", "--m", "6", "--L", "8"],
+                  "set2", "--m", "6"],
                  ["calibrate", "--backend", "kswift", "--quotes", priced_set2,
-                  "--start", "theta2", "--L", "8"]):
+                  "--start", "theta2"]):
         assert run_cli(capsys, *argv)[0] == 0, argv
 
 
@@ -539,6 +553,31 @@ def test_pricing_flag_tables_match_the_parser():
                 assert _PRICING_FLAGS.get(act.dest) == opt, (command, opt)
     for backend, names in _UNREAD_BY_BACKEND.items():
         assert set(names) <= set(_PRICING_FLAGS), backend
+
+
+def test_cli_surface_pinned():
+    # the options each subcommand accepts and the settable pricing fields;
+    # a flag or setting added or dropped changes this test and the README's
+    # flag list together
+    common = {"-h", "--help", "--out", "--rate"}
+    config = {"--eps1", "--eps2", "--eps3", "--max-iter"}
+    want = {
+        "price": common | {"--backend", "--params", "--quotes", "--m", "--u-max"},
+        "generate": common | {"--params", "--set", "--grid", "--spot", "--noise",
+                              "--seed", "--m"},
+        "calibrate": common | config | {"--backend", "--quotes", "--start",
+                                        "--allow-partial", "--u-max"},
+        "speed": common | config | {"--set", "--params", "--start", "--reps", "--m",
+                                    "--u-max"},
+        "converge": common | config | {"--target", "--trials", "--seed", "--workers",
+                                       "--m"},
+    }
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    got = {name: {opt for act in sub._actions for opt in act.option_strings}
+           for name, sub in subcommands.items()}
+    assert got == want
+    assert [f.name for f in dataclasses.fields(PricingOverrides)] == ["m", "u_max"]
 
 
 def test_calibrate_unpriced_quotes_rejected(capsys, tmp_path):

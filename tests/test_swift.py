@@ -33,8 +33,10 @@ from swiftcal.fixtures import PARAM_SETS, set1_quotes, set2_quotes
 from swiftcal.swift import (
     _AREA_TOL,
     DEFAULT_L,
+    MAX_J,
     MAX_SCALE,
     SCALE_TOL,
+    GridSizeError,
     MultiStrikePricer,
     _cosine_at,
     _j_for,
@@ -270,6 +272,26 @@ def test_low_and_high_truncation_multiplier_agree(stress_theta, ctx100):
         assert abs(p - 1.046) < 1e-3, L
 
 
+@pytest.mark.parametrize("L", [0.0, -1.0, math.nan, math.inf])
+def test_truncation_multiplier_outside_the_positive_reals_rejected(theta2, ctx, L):
+    # no CLI path sets L; the library calls that take it still refuse a
+    # multiplier that sizes no interval
+    with pytest.raises(ValueError, match="L must be positive and finite"):
+        truncation_width(theta2, 0.5, ctx, L)
+    with pytest.raises(ValueError, match="L must be positive and finite"):
+        select_truncation(theta2, 0.5, ctx, 5, [1.0], L=L)
+
+
+def test_selection_refuses_a_grid_above_max_j(ctx):
+    # a point inside the calibration box whose tau=45 cumulant interval needs
+    # 2^23 density terms at its selected scale: refused before the sweep
+    corner = HestonParams(kappa=1e-4, v_bar=4.0, sigma=5.0, rho=0.999, v0=4.0)
+    assert select_scale(corner, 45.0, ctx) == 8
+    with pytest.raises(NoConvergenceError,
+                       match=r"scale 8 needs j_density = 8388608, above MAX_J"):
+        select_truncation(corner, 45.0, ctx, 8, [0.9, 1.1])
+
+
 def test_invalid_swift_params_rejected():
     with pytest.raises(ValueError):  # 2 eta >= J
         SwiftParams(m=3, eta=32, j_density=64, j_payoff=64, c=1.0,
@@ -284,6 +306,10 @@ def test_invalid_swift_params_rejected():
         with pytest.raises(ValueError, match=r"m must be in \[0, 12\]"):
             dataclasses.replace(SMALL_SP, m=m)
     assert dataclasses.replace(SMALL_SP, m=MAX_SCALE).m == MAX_SCALE
+    for name in ("j_density", "j_payoff"):  # the grid size, likewise
+        with pytest.raises(GridSizeError, match=f"{name} = {2 * MAX_J}, above MAX_J"):
+            dataclasses.replace(SMALL_SP, **{name: 2 * MAX_J})
+    assert dataclasses.replace(SMALL_SP, j_payoff=MAX_J).j_payoff == MAX_J
 
 
 def test_empty_strikes_and_mixed_contexts_rejected(theta2, ctx, ctx100):
