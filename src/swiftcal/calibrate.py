@@ -29,7 +29,8 @@ Three interchangeable pricing backends are provided:
 
 * ``KswiftBackend``  - wavelet pricer, quotes grouped by maturity, all
   theta-independent work (payoff spectrum, phase factors) done once and
-  small groups swept together, as :func:`discretization_plan` lays them out.
+  all groups swept together, on the pricers :func:`discretization_plan`
+  lays out.
 * ``SwiftBackend``   - wavelet pricer without reuse: every quote recomputes
   its density and payoff coefficients on every evaluation (the slow
   formulation the grouped one is benchmarked against).
@@ -49,7 +50,6 @@ import numpy as np
 from .heston import HestonParams, MarketContext
 from .reference import QuadratureConfig, price_and_gradient_cp
 from .swift import (
-    PACK_FREQS,
     MultiStrikePricer,
     OptionQuote,
     group_by_maturity,
@@ -135,30 +135,24 @@ def discretization_plan(quotes: Sequence[OptionQuote], ctx: MarketContext,
     Every group gets its scale from :func:`~swiftcal.swift.select_scale`, or
     from ``m`` when it pins one, and its interval from one
     :func:`~swiftcal.swift.select_truncation` call, which checks the density
-    mass; the group's pricer is built straight after.  Consecutive pricers
-    fill a sweep block until it holds ``PACK_FREQS`` frequencies, and the
-    block starts from its members' selection sweeps at theta_ref
-    (:func:`~swiftcal.swift.share_sweep`), so every selected grid is swept
-    once there.  A block's members are yielded when it closes, so a caller
-    that prices and drops them holds one block at a time.
-    ``split_groups=True`` makes every quote its own group and packs nothing.
+    mass; the group's pricer is built straight after and starts from the
+    selection's sweep at theta_ref (:func:`~swiftcal.swift.share_sweep`), so
+    every selected grid is swept once there.  Pricers are yielded one at a
+    time, so a caller that prices and drops them holds one group at a time.
+    ``split_groups=True`` makes every quote its own group.
     """
     if split_groups:
         groups = [(q.maturity, [i]) for i, q in enumerate(quotes)]
     else:
         groups = group_by_maturity(quotes).items()
-    block, sweeps = [], []
     for tau, idx in groups:
         strikes = [quotes[i].strike for i in idx]
         scale = select_scale(theta_ref, tau, ctx) if m is None else m
+        sweeps = []
         sp = select_truncation(theta_ref, tau, ctx, scale, strikes, sweep_out=sweeps)
-        block.append((MultiStrikePricer(ctx, tau, strikes, sp), np.asarray(idx)))
-        if split_groups or sum(p.sp.j_density for p, _ in block) >= PACK_FREQS:
-            share_sweep([p for p, _ in block], sweeps)
-            yield from block
-            block, sweeps = [], []
-    share_sweep([p for p, _ in block], sweeps)
-    yield from block
+        pricer = MultiStrikePricer(ctx, tau, strikes, sp)
+        share_sweep([pricer], sweeps)
+        yield pricer, np.asarray(idx)
 
 
 class KswiftBackend:
@@ -168,13 +162,13 @@ class KswiftBackend:
     selected once at construction (at ``theta_ref``, normally the
     calibration start) and frozen for all subsequent evaluations, so the
     per-iteration cost is one matrix product per maturity group and one
-    characteristic function sweep per block of groups: consecutive small
-    groups share a sweep, a group of ``PACK_FREQS`` density frequencies or
-    more has its own.  Every block starts from the selection's sweeps at
+    characteristic function sweep for all groups, a block
+    (:func:`~swiftcal.swift.share_sweep`) that a large quote set splits
+    across threads.  The block starts from the selection's sweeps at
     ``theta_ref``, so neither ``prices(theta_ref)`` nor the Jacobian at
     ``theta_ref`` sweeps anything.
 
-    ``split_groups=True`` degrades every group to a single quote and packs
+    ``split_groups=True`` degrades every group to a single quote and shares
     nothing (the worst-case protocol for this backend: full coefficient
     reuse is lost and the characteristic function is swept once per quote).
     """
@@ -187,6 +181,8 @@ class KswiftBackend:
         self.quotes = list(quotes)
         self._pricers = list(discretization_plan(self.quotes, ctx, theta_ref,
                                                  split_groups=split_groups))
+        if not split_groups:
+            share_sweep([p for p, _ in self._pricers])
         self._put_offsets = put_offsets(self.quotes, ctx)
 
     @property

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import heston
 from .calibrate import (
     _MU0,
     CalibrationConfig,
@@ -208,12 +209,14 @@ def _openblas():
 
 
 def _one_blas_thread() -> None:
-    """Process-pool initializer: the worker's OpenBLAS runs one thread.
+    """Process-pool initializer: the worker runs one OpenBLAS thread and
+    sweeps the chf in one chunk, on its own thread.
 
-    The phase products are small; with every core per worker, the pool's
-    workers contend for cores and the pool runs slower than one process.
-    Does nothing where numpy's bundled OpenBLAS is not found.
+    With every core per worker, the pool's workers contend for cores and the
+    pool runs slower than one process.  The OpenBLAS limit is skipped where
+    numpy's bundled OpenBLAS is not found.
     """
+    heston._max_chunks = 1
     lib = _openblas()
     if lib is not None:
         lib.scipy_openblas_set_num_threads64_(1)
@@ -242,6 +245,8 @@ def run_speed(set_name: str, quotes: Sequence[OptionQuote], ctx: MarketContext,
     sense for the grouped backend, so that is all it runs.  The no-reuse
     backend is timed over fewer repetitions (it is orders of magnitude
     slower; averaging it like the fast paths would dominate the run).
+    Repetitions alternate between the backends, one of each per round, so
+    load on the host during the run falls on every backend alike.
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
@@ -250,16 +255,19 @@ def run_speed(set_name: str, quotes: Sequence[OptionQuote], ctx: MarketContext,
              [("swift", max(1, reps // 20), False),
               ("kswift", reps, False),
               ("cp", reps, False)])
+    samples = {name: [] for name, _, _ in plans}
+    results = {}
+    for i in range(reps):
+        for name, n, split in plans:
+            if i < n:
+                dt, results[name] = _timed_calibration(name, qf, start, config, ov,
+                                                       split_groups=split)
+                samples[name].append(dt)
     rows, times = [], {}
-    for name, n, split in plans:
-        samples = []
-        result = None
-        for _ in range(n):
-            dt, result = _timed_calibration(name, qf, start, config, ov,
-                                            split_groups=split)
-            samples.append(dt)
-        times[name] = {"mean_s": float(np.mean(samples)),
-                       "min_s": float(np.min(samples)), "reps": n}
+    for name, n, _ in plans:
+        result = results[name]
+        times[name] = {"mean_s": float(np.mean(samples[name])),
+                       "min_s": float(np.min(samples[name])), "reps": n}
         rows.append({"set": set_name, "method": name,
                      "iterations": result.iterations,
                      "stop_reason": result.stop_reason.value,
@@ -288,8 +296,9 @@ def run_converge(target_name: str, quotes: Sequence[OptionQuote],
     for a fixed seed regardless of the worker count; wall times go to
     metadata.  ``workers > 1`` fans trials out over processes (the trials
     are numpy-bound and too fine-grained for threads to help), each
-    limited to one OpenBLAS thread; metadata records that count as
-    ``blas_threads_per_worker``, null when no limit was set.
+    limited to one OpenBLAS thread and one chf chunk; metadata records
+    those counts as ``blas_threads_per_worker`` and
+    ``chf_threads_per_worker``, null when no limit was set.
     """
     if target_name not in CONVERGE_TARGETS:
         raise ValueError(f"target must be one of {CONVERGE_TARGETS}")
@@ -304,9 +313,10 @@ def run_converge(target_name: str, quotes: Sequence[OptionQuote],
               target.as_array() * rng.uniform(0.9, 1.1, size=(trials, 5))]
     trial = partial(_timed_calibration, "kswift", qf, config=config, ov=ov)
 
-    blas_threads = None
+    blas_threads = chf_threads = None
     if workers > 1:
         blas_threads = 1 if _openblas() is not None else None
+        chf_threads = 1
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_one_blas_thread) as pool:
             outcomes = list(pool.map(trial, starts, chunksize=4))
@@ -333,6 +343,7 @@ def run_converge(target_name: str, quotes: Sequence[OptionQuote],
             "maturity_note": ("strike/maturity set2 substitutes for the "
                               "unavailable original maturities"),
             "blas_threads_per_worker": blas_threads,
+            "chf_threads_per_worker": chf_threads,
             "wall_times": {"mean_trial_s": float(np.mean(trial_times)),
                            "total_s": float(np.sum(trial_times))}}
     return ExperimentReport(experiment="converge", rows=[row], metadata=meta)

@@ -25,7 +25,9 @@ parameter domain.
 The compact form has one evaluation, the stabilized ``chf_cui_parts``;
 ``chf_cui`` returns its value and ``chf_gradient_from_parts`` the gradient
 from its intermediates.  A pricer sweeping one grid passes the grid's
-parameter-free terms (``chf_grid_terms``) back in as ``grid_terms``.
+parameter-free terms (``chf_grid_terms``) back in as ``grid_terms``.  Both
+split a large sweep into contiguous chunks, one thread each, with results
+bitwise those of one chunk.
 
 Gradient ordering: all five-component parameter gradients in this package are
 ordered (v0, v_bar, sigma, kappa, rho) -- see ``PARAM_ORDER``.  Note this is
@@ -35,7 +37,11 @@ ordered (v0, v_bar, sigma, kappa, rho) -- see ``PARAM_ORDER``.  Note this is
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +49,13 @@ import numpy as np
 # Canonical ordering of the five model parameters in every gradient,
 # Jacobian column, bounds vector and calibration step of this package.
 PARAM_ORDER = ("v0", "v_bar", "sigma", "kappa", "rho")
+
+# A sweep is split into chunks of at least this many frequencies: below it,
+# handing a chunk to another thread costs more than the thread saves.
+_CHUNK_FLOOR = 8192
+_max_chunks = None  # chunks per sweep at most; None: one per usable CPU
+_pool = None  # (pid, executor) of the chunk worker threads, made on first use
+_pool_lock = threading.Lock()
 
 
 class ChfOverflowError(ArithmeticError):
@@ -170,6 +183,53 @@ def chf_schoutens(u, tau: float, theta: HestonParams, ctx: MarketContext):
     return out if out.ndim else complex(out)
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunk_edges(n: int) -> tuple:
+    """Edges of the contiguous chunks an n-frequency sweep is split into: at
+    most one per usable CPU (or ``_max_chunks``), none below ``_CHUNK_FLOOR``."""
+    if n < 2 * _CHUNK_FLOOR:
+        return 0, n
+    count = min(n // _CHUNK_FLOOR, _max_chunks or _usable_cpus())
+    return tuple(n * i // count for i in range(count + 1))
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The worker threads, made on first use in each process: a forked child
+    inherits the parent's executor but none of its threads."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            _pool = (os.getpid(), ThreadPoolExecutor(
+                max_workers=max(1, _usable_cpus() - 1),
+                thread_name_prefix="swiftcal-chf"))
+        return _pool[1]
+
+
+def _run(lanes) -> list:
+    """Results of the lanes' callables, in order.  Each lane runs on one
+    thread, the last on the calling thread and the others on the worker
+    threads; an exception in any lane is raised here."""
+    def run(lane):
+        return [task() for task in lane]
+
+    futures = [_executor().submit(run, lane) for lane in lanes[:-1]]
+    try:
+        last = run(lanes[-1])
+    finally:
+        wait(futures)
+    return [out for f in futures for out in f.result()] + last
+
+
+def _at(tau, a: int, b: int):
+    """The maturity of frequencies a..b-1: a scalar tau, or its slice."""
+    return tau if np.ndim(tau) == 0 else tau[a:b]
+
+
 def chf_cui_parts(u, tau: float, theta: HestonParams, ctx: MarketContext,
                   grid_terms=None):
     """fhat(u) plus the stabilized intermediates the gradient reuses.
@@ -185,11 +245,20 @@ def chf_cui_parts(u, tau: float, theta: HestonParams, ctx: MarketContext,
     operands swapped, and a complex multiply can round a * b and b * a apart
     in the last bit.
 
+    A large sweep is evaluated in contiguous chunks, at most one per usable
+    CPU and none below ``_CHUNK_FLOOR`` frequencies: all chunks but the last
+    run on worker threads, the last on the calling thread.  Every value is
+    elementwise, so the result is bitwise that of one chunk; a small sweep
+    is one chunk through the same code.
+
     Returns (value, parts).  ``value`` has the shape of ``u``; ``parts`` is
-    an opaque tuple consumed by :func:`chf_gradient_from_parts`; holding on
-    to it lets a pricer reuse the transcendental-heavy work of a price
-    evaluation when the gradient at the same parameters is requested next
-    (the gradient assembly itself is purely rational in these intermediates).
+    an opaque sequence of per-chunk intermediates, in frequency order,
+    consumed by :func:`chf_gradient_from_parts`; holding on to it lets a
+    pricer reuse the transcendental-heavy work of a price evaluation when
+    the gradient at the same parameters is requested next (the gradient
+    assembly itself is purely rational in these intermediates).  The parts
+    of consecutive sweeps, listed one after the other, are the parts of
+    their concatenated frequencies.
 
     Raises:
         ChfOverflowError: if the evaluation produces non-finite values.
@@ -197,6 +266,19 @@ def chf_cui_parts(u, tau: float, theta: HestonParams, ctx: MarketContext,
     shape = np.shape(u)
     if grid_terms is None:
         grid_terms = chf_grid_terms(np.ravel(u))
+    value = np.empty(grid_terms[0].size, dtype=np.complex128)
+    edges = _chunk_edges(value.size)
+    if len(edges) == 2:  # one chunk, on the calling thread
+        return value.reshape(shape), [_parts_chunk(grid_terms, tau, theta, ctx, value)]
+    parts = _run([[functools.partial(_parts_chunk, [g[a:b] for g in grid_terms],
+                                     _at(tau, a, b), theta, ctx, value[a:b])]
+                  for a, b in zip(edges, edges[1:])])
+    return value.reshape(shape), parts
+
+
+def _parts_chunk(grid_terms, tau, theta: HestonParams, ctx: MarketContext, out):
+    """One chunk of :func:`chf_cui_parts`: writes fhat into ``out`` and
+    returns the chunk's intermediates."""
     u, iu, u2 = grid_terms
     sigma, kappa, v_bar, v0, rho = (
         theta.sigma, theta.kappa, theta.v_bar, theta.v0, theta.rho)
@@ -230,12 +312,12 @@ def chf_cui_parts(u, tau: float, theta: HestonParams, ctx: MarketContext,
         big_d.real -= 0.5 * np.log1p(z.real * (z.real + 2.0) + z.imag * z.imag)
         big_d.imag += np.arctan2(d.imag, d.real)
         big_d.imag -= np.arctan2(q.imag, q.real)
-        value = iu * (tau * (kappa * v_bar * rho / sigma - ctx.drift))
-        value -= big_a
-        value += (2.0 * kappa * v_bar / sigma**2) * big_d
-        np.exp(value, out=value)
-    _check_finite(value)
-    return value.reshape(shape), (u, iu, xi, u2, d, decay, a2, big_a, big_d)
+        np.multiply(iu, tau * (kappa * v_bar * rho / sigma - ctx.drift), out=out)
+        out -= big_a
+        out += (2.0 * kappa * v_bar / sigma**2) * big_d
+        np.exp(out, out=out)
+    _check_finite(out)
+    return u, iu, xi, u2, d, decay, a2, big_a, big_d
 
 
 def chf_gradient_from_parts(tau: float, theta: HestonParams, value, parts):
@@ -247,7 +329,9 @@ def chf_gradient_from_parts(tau: float, theta: HestonParams, value, parts):
     exponentials are evaluated, which is what makes reusing the price
     evaluation's characteristic values during calibration worthwhile.  The
     divisions share three reciprocals, 1/d, 1/a2 and 1/(sigma iu), and the
-    five rows are written into one preallocated array.
+    five rows are written into one preallocated array, chunk by chunk of
+    ``parts``; the chunks are spread over the same threads as the value's,
+    in contiguous runs of about equal size.
 
     The h components are assembled from the closed-form partials of the
     intermediates (d, A1, A2, A, log B) with every unbounded factor
@@ -259,6 +343,26 @@ def chf_gradient_from_parts(tau: float, theta: HestonParams, value, parts):
     Returns:
         complex array of shape (5,) + value.shape, ordered per ``PARAM_ORDER``.
     """
+    flat = np.ravel(value)
+    grad = np.empty((5, flat.size), dtype=np.complex128)
+    if len(parts) == 1:  # one chunk, on the calling thread
+        _gradient_chunk(tau, theta, flat, parts[0], grad)
+        return grad.reshape((5,) + np.shape(value))
+    lanes = len(_chunk_edges(flat.size)) - 1
+    runs = [[] for _ in range(lanes)]
+    start = 0
+    for chunk in parts:
+        stop = start + chunk[0].size
+        runs[(start + stop) * lanes // (2 * flat.size)].append(functools.partial(
+            _gradient_chunk, _at(tau, start, stop), theta, flat[start:stop], chunk,
+            grad[:, start:stop]))
+        start = stop
+    _run([run for run in runs if run])
+    return grad.reshape((5,) + np.shape(value))
+
+
+def _gradient_chunk(tau, theta: HestonParams, value, parts, out) -> None:
+    """One chunk of :func:`chf_gradient_from_parts`, written into ``out``."""
     u, iu, xi, u2, d, decay, a2, big_a, big_d = parts
     sigma, kappa, v_bar, v0, rho = (
         theta.sigma, theta.kappa, theta.v_bar, theta.v0, theta.rho)
@@ -266,7 +370,6 @@ def chf_gradient_from_parts(tau: float, theta: HestonParams, value, parts):
 
     zero_mask = (u == 0)
     has_zero = bool(zero_mask.any())
-    grad = np.empty((5, u.size), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if has_zero:
             # guard the divisions below; masked entries are zeroed at the end
@@ -299,25 +402,24 @@ def chf_gradient_from_parts(tau: float, theta: HestonParams, value, parts):
         dA_dsigma = ((0.25 * v0 * tau) * u2 * one_p * d_dsigma * inv_a2
                      - big_a * r2_sigma)
 
-        grad[0] = (-1.0 / v0) * big_a
-        grad[1] = (two_kvb / v_bar) * big_d + (kappa * rho * tau / sigma) * iu
-        grad[2] = ((-kappa * v_bar * rho * tau / sigma**2) * iu - dA_dsigma
-                   - (2.0 * two_kvb / sigma) * big_d
-                   + two_kvb * (d_dsigma * inv_d - r2_sigma))
+        out[0] = (-1.0 / v0) * big_a
+        out[1] = (two_kvb / v_bar) * big_d + (kappa * rho * tau / sigma) * iu
+        out[2] = ((-kappa * v_bar * rho * tau / sigma**2) * iu - dA_dsigma
+                  - (2.0 * two_kvb / sigma) * big_d
+                  + two_kvb * (d_dsigma * inv_d - r2_sigma))
         # d/dkappa acts through xi (1/(sigma iu) times the rho-derivative)
         # plus the explicit exp(kappa tau / 2) factor inside log B.
-        grad[3] = ((v_bar * rho * tau / sigma) * iu
-                   - (dA_drho + two_kvb * r2_rho) * inv_siu
-                   + (2.0 * v_bar / sigma**2) * big_d
-                   + two_kvb * (xi * inv_d * inv_d + 0.5 * tau))
-        grad[4] = ((kappa * v_bar * tau / sigma) * iu - dA_drho
-                   + two_kvb * (d_drho * inv_d - r2_rho))
-        grad *= np.ravel(value)
+        out[3] = ((v_bar * rho * tau / sigma) * iu
+                  - (dA_drho + two_kvb * r2_rho) * inv_siu
+                  + (2.0 * v_bar / sigma**2) * big_d
+                  + two_kvb * (xi * inv_d * inv_d + 0.5 * tau))
+        out[4] = ((kappa * v_bar * tau / sigma) * iu - dA_drho
+                  + two_kvb * (d_drho * inv_d - r2_rho))
+        out *= value
         if has_zero:
-            grad[:, zero_mask] = 0.0
+            out[:, zero_mask] = 0.0
 
-    _check_finite(grad)
-    return grad.reshape((5,) + np.shape(value))
+    _check_finite(out)
 
 
 def chf_with_gradient(u, tau: float, theta: HestonParams, ctx: MarketContext):

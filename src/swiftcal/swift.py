@@ -29,9 +29,10 @@ rule is likewise written once: ``truncation_width`` gives the cumulant
 half-width, ``interval_params`` the interval, eta and J it implies, and
 ``group_by_maturity`` the quote groups that share them.  One plan,
 ``calibrate.discretization_plan``, applies it to a quote set: per group it
-selects the discretization, builds the ``MultiStrikePricer`` and packs small
-groups into sweep blocks (``share_sweep``) that start from the selection's
-sweeps.
+selects the discretization and builds the ``MultiStrikePricer``, which starts
+from the selection's sweep.  A calibration backend then joins all its
+pricers into one sweep block (``share_sweep``), so each evaluation makes one
+chf call, split across threads when large (``heston.chf_cui_parts``).
 
 Selection and pricer builds evaluate only the chf and the payoff transform
 point by point.  Grid-only factors come from tables: the twiddles
@@ -79,9 +80,6 @@ DEFAULT_L = 10.0  # truncation-width multiplier of the cumulant rule
 # 1e-6 beyond a far right edge can already cost ~1e-5 in price.
 _AREA_TOL = 3e-8
 _TAIL_QUAD_POINTS = 129  # trapezoid points per scale in _tail_masses
-# Frequencies at which calibrate.discretization_plan closes a sweep block:
-# below this, per-call overhead outweighs the per-point cost of a sweep.
-PACK_FREQS = 2048
 
 
 class NoConvergenceError(RuntimeError):
@@ -169,13 +167,21 @@ class SwiftParams:
 
     def density_freqs(self) -> np.ndarray:
         """Scaled density frequencies omega_j = u_j^d 2^m, j = 1..J_d."""
-        j = np.arange(1, self.j_density + 1)
-        return np.pi * (2 * j - 1) / (2 * self.j_density) * 2.0**self.m
+        return _scaled_freqs(self.m, self.j_density)
 
     def payoff_freqs(self) -> np.ndarray:
         """Scaled payoff frequencies omega_j = u_j^p 2^m, j = 1..J_p."""
-        j = np.arange(1, self.j_payoff + 1)
-        return np.pi * (2 * j - 1) / (2 * self.j_payoff) * 2.0**self.m
+        return _scaled_freqs(self.m, self.j_payoff)
+
+
+@functools.lru_cache(maxsize=32)
+def _scaled_freqs(m: int, j_count: int) -> np.ndarray:
+    """Read-only pi (2j - 1)/(2J) 2^m, j = 1..J: the grid of a scale and size,
+    shared by selection, pricer builds and calibrations that revisit it."""
+    j = np.arange(1, j_count + 1)
+    omega = np.pi * (2 * j - 1) / (2 * j_count) * 2.0**m
+    omega.flags.writeable = False
+    return omega
 
 
 def group_by_maturity(quotes: Sequence[OptionQuote]) -> dict:
@@ -578,16 +584,19 @@ class MultiStrikePricer:
     the partials h_i F_j, a six-column instead of a one-column product.
 
     Construction freezes the discretization and precomputes U-tilde and the
-    n x J_d phase matrix of :func:`_phase_matrix` (the sweep forms the chf
-    grid terms on its first evaluation).  Repeated evaluation -- the inner
-    loop of calibration -- costs one characteristic sweep plus a matrix
-    product, and the intermediates of the last sweep are kept so that a
-    gradient request at the same parameters (accept, then linearize) reuses
-    them.
+    phase matrix of :func:`_phase_matrix` (the sweep forms the chf grid terms
+    on its first evaluation).  Only the real part of the phase product is
+    needed, Re(P c) = Re(P) Re(c) - Im(P) Im(c), so the pricer keeps conj(P)
+    as an n x 2J_d real matrix, ``real_phases``, whose product with c viewed
+    as interleaved reals is that sum: half the flops of the complex product.
+    Repeated evaluation -- the inner loop of calibration -- costs one
+    characteristic sweep plus a matrix product, and the intermediates of the
+    last sweep are kept so that a gradient request at the same parameters
+    (accept, then linearize) reuses them.
 
     The sweep is the pricer's own unless :func:`share_sweep` has attached
-    it to a block of several small pricers; the pricer then reads its slice
-    of the block's sweep, bitwise its own (see
+    it to a block of several pricers; the pricer then reads its slice of the
+    block's sweep, bitwise its own (see
     :func:`~swiftcal.heston.chf_cui_parts`).  :func:`share_sweep` can also
     start a pricer or a block from the sweeps :func:`select_truncation` made
     of their grids, so an evaluation at the selection's parameters sweeps
@@ -604,35 +613,38 @@ class MultiStrikePricer:
         self.omega = sp.density_freqs()
         self._sweep = _ChfSweep(self.omega, self.tau, ctx)
         self._cols = slice(0, sp.j_density)  # this pricer's part of the sweep
-        self.phases = _phase_matrix(np.log(ctx.spot / self.strikes), sp.m,
-                                    sp.j_density)
+        # conj(e^{-i x omega}) is e^{-i (-x) omega} bit for bit: no conj pass
+        self.real_phases = _phase_matrix(-np.log(ctx.spot / self.strikes), sp.m,
+                                         sp.j_density).view(np.float64)
         self._scale = (self.strikes * math.exp(-ctx.rate * self.tau)
                        * 2.0**(sp.m / 2.0) / sp.j_density)
 
     def prices(self, theta: HestonParams) -> np.ndarray:
         f_vals = self._sweep.parts(theta)[0][self._cols]
-        return self._scale * (self.phases @ (f_vals * self.u_tilde)).real
+        return self._scale * (self.real_phases
+                              @ (f_vals * self.u_tilde).view(np.float64))
 
     def prices_and_jacobian(self, theta: HestonParams):
         value, grad = self._sweep.value_and_gradient(theta)
         cols = np.empty((6, self.sp.j_density), dtype=np.complex128)
         np.multiply(value[self._cols], self.u_tilde, out=cols[0])
         np.multiply(grad[:, self._cols], self.u_tilde, out=cols[1:])
-        out = (self.phases @ cols.T).real
+        out = self.real_phases @ cols.view(np.float64).T
         return self._scale * out[:, 0], self._scale[:, None] * out[:, 1:]
 
 
 class _ChfSweep:
-    """The characteristic sweep of one pricer, or of a block of consecutive ones.
+    """The characteristic sweep of one pricer, or of a block of several.
 
     A block sweeps the members' concatenated frequencies with a per-element
-    tau.  The value, intermediates and gradient at the last parameters asked
-    for are kept, and recomputed only when the parameters change; the
-    gradient is assembled on the first request for it at those parameters.
-    :func:`select_truncation` evaluates each grid through one, and
-    :func:`share_sweep` starts a pricer or block from the sweeps of the
-    grids selection accepted.  Grid terms are formed on the first
-    evaluation, so a sweep replaced before then costs nothing.
+    tau, in one :func:`~swiftcal.heston.chf_cui_parts` call that splits a
+    large sweep across threads.  The value, intermediates and gradient at
+    the last parameters asked for are kept, and recomputed only when the
+    parameters change; the gradient is assembled on the first request for
+    it at those parameters.  :func:`select_truncation` evaluates each grid
+    through one, and :func:`share_sweep` starts a pricer or block from the
+    sweeps of the grids selection accepted.  Grid terms are formed on the
+    first evaluation, so a sweep replaced before then costs nothing.
     """
 
     def __init__(self, omega, tau, ctx: MarketContext):
@@ -661,44 +673,47 @@ class _ChfSweep:
 
 
 def share_sweep(pricers: Sequence[MultiStrikePricer], sweeps=None) -> None:
-    """Let consecutive pricers share one characteristic sweep, a block.
+    """Let pricers share one characteristic sweep, a block.
 
     The block sweeps the members' concatenated frequencies with a
     per-element tau, so it costs one chf call and one gradient call per
-    evaluation where its members cost one each: per-call overhead dominates
-    small sweeps.  It is swept when a member asks at new parameters, and its
-    gradient, once assembled, serves every member until the parameters
-    change.  The pricers must share one market context.
+    evaluation where its members cost one each, and a large block is split
+    across threads (:func:`~swiftcal.heston.chf_cui_parts`).  It is swept
+    when a member asks at new parameters, and its gradient, once assembled,
+    serves every member until the parameters change.  The pricers must
+    share one market context.
 
-    ``sweeps``, one per pricer, are the sweeps :func:`select_truncation`
-    made of the members' grids at one parameter vector.  The block starts
-    from them: a lone member takes its sweep as it is, several have their
-    values and intermediates concatenated here, so an evaluation at those
-    parameters sweeps nothing.  Without ``sweeps`` the block starts empty.
+    The block starts from ``sweeps``, one per pricer, by default the
+    members' own: sweeps of the members' grids at one parameter vector,
+    such as the ones :func:`select_truncation` made, or sweeps not yet
+    evaluated, which start it empty.  A lone member takes its sweep as it
+    is; several have their values concatenated and their intermediates
+    listed, not copied, so an evaluation at those parameters sweeps nothing.
     """
     if len({p.ctx for p in pricers}) > 1:
-        raise ValueError("packed pricers must share one market context")
-    if sweeps is not None:
-        # a density grid is fixed by its size and first frequency
-        if len(sweeps) != len(pricers) or any(
-                s.ctx != p.ctx or s.omega.size != p.omega.size
-                or s.omega[0] != p.omega[0] or np.any(s.tau != p.tau)
-                for p, s in zip(pricers, sweeps)):
-            raise ValueError("a pricer starts only from a sweep of its own grid")
-        if len({s._key for s in sweeps}) > 1:
-            raise ValueError("a block starts from sweeps at one parameter vector")
-    if len(pricers) == 1 and sweeps is not None:
-        pricers[0]._sweep = sweeps[0]
+        raise ValueError("pricers sharing a sweep must share one market context")
+    if sweeps is None:
+        sweeps = [p._sweep for p in pricers]
+    # a density grid is fixed by its size and first frequency
+    if len(sweeps) != len(pricers) or any(
+            s.ctx != p.ctx or s.omega.size != p.omega.size
+            or s.omega[0] != p.omega[0] or np.any(s.tau != p.tau)
+            for p, s in zip(pricers, sweeps)):
+        raise ValueError("a pricer starts only from a sweep of its own grid")
+    if len({s._key for s in sweeps}) > 1:
+        raise ValueError("a block starts from sweeps at one parameter vector")
     if len(pricers) < 2:
+        for p, s in zip(pricers, sweeps):
+            p._sweep = s
         return
     block = _ChfSweep(
         np.concatenate([p.omega for p in pricers]),
-        np.concatenate([np.full(p.sp.j_density, p.tau) for p in pricers]),
+        np.repeat([p.tau for p in pricers], [p.sp.j_density for p in pricers]),
         pricers[0].ctx)
-    if sweeps is not None:
-        values, inters = zip(*(s._parts for s in sweeps))
+    if sweeps[0]._key is not None:
         block._key, block._parts = sweeps[0]._key, (
-            np.concatenate(values), tuple(map(np.concatenate, zip(*inters))))
+            np.concatenate([s._parts[0] for s in sweeps]),
+            [chunk for s in sweeps for chunk in s._parts[1]])
     start = 0
     for p in pricers:
         p._sweep, p._cols = block, slice(start, start + p.sp.j_density)

@@ -6,7 +6,10 @@ instead of in a later traced benchmark run.
 """
 
 import importlib
+import threading
 from pathlib import Path
+
+import numpy as np
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = ("swift", "calibrate", "reference", "experiments")
@@ -152,3 +155,34 @@ def test_tracer_counts_the_tail_sweep_of_select_scale(monkeypatch):
     with tracer.installed(), tracer.job(0):
         swift.select_scale(theta, 0.5, DEFAULT_CONTEXT)
     assert tracer.counts["heston.chf_freqs"] == 13 * swift._TAIL_QUAD_POINTS == 13 * 129
+
+
+def test_tracer_sees_a_split_sweep_as_one_span_from_the_caller(monkeypatch):
+    # a sweep split across threads is one heston.chf and one heston.grad span,
+    # opened by the calling thread and counting every frequency; the worker
+    # threads call heston's private chunk functions, which the tracer never
+    # rebinds, so no span comes from them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    from swiftcal.fixtures import DEFAULT_CONTEXT, PARAM_SETS
+
+    heston = importlib.import_module("swiftcal.heston")
+    swift = importlib.import_module("swiftcal.swift")
+    monkeypatch.setattr(heston, "_max_chunks", 2)  # split on a one-CPU host too
+    theta = PARAM_SETS["fx"]
+    sweep = swift._ChfSweep(np.linspace(0.1, 300.0, 32768), 1.3, DEFAULT_CONTEXT)
+    tracer, threads = Tracer(), []
+    opened = tracer.open
+
+    def open_span(name, layer):
+        threads.append(threading.get_ident())
+        return opened(name, layer)
+
+    monkeypatch.setattr(tracer, "open", open_span)
+    with tracer.installed(), tracer.job(0):
+        sweep.value_and_gradient(theta)
+    assert len(sweep.parts(theta)[1]) == 2
+    assert [s[0] for s in tracer.spans] == ["bench.job", "heston.chf", "heston.grad"]
+    assert tracer.counts["heston.chf_freqs"] == 32768
+    assert set(threads) == {threading.get_ident()}

@@ -32,7 +32,7 @@ from swiftcal.experiments import (PricingOverrides, make_calibration_backend,
                                   run_generate, run_price)
 from swiftcal.fixtures import PARAM_SETS, set2_quotes
 from swiftcal.quotes import QuoteFile
-from swiftcal.swift import PACK_FREQS, group_by_maturity, put_offsets
+from swiftcal.swift import group_by_maturity, put_offsets
 
 
 @pytest.fixture
@@ -253,11 +253,8 @@ def test_packed_sweeps_bitwise_per_group(ctx, target, start, chf_sweeps):
         want = per_group(theta, True)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
-    if target == "ir":
-        # the first block packs a small group with one that fills a block on
-        # its own; every later group is a block of one
-        assert j_d[0] < PACK_FREQS <= j_d[1]
-        assert packed == [j_d[0] + j_d[1]] + j_d[2:]
+        # every group shares the backend's one sweep
+        assert packed == ([] if theta is theta0 else [sum(j_d)])
 
 
 def test_backend_prices_agree(theta2, ctx, set2_priced):

@@ -3,7 +3,12 @@
 import argparse
 import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,9 @@ from swiftcal.fixtures import PARAM_SETS
 from swiftcal.heston import ChfOverflowError
 from swiftcal.quotes import load_quote_file, loads_quotes
 from swiftcal.reports import ExperimentReport
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -678,6 +686,17 @@ def test_pool_workers_run_one_blas_thread():
         assert pool.submit(_worker_blas_threads).result() == 1
 
 
+def _worker_max_chunks():
+    from swiftcal import heston
+    return heston._max_chunks
+
+
+def test_pool_workers_sweep_in_one_chunk():
+    with ProcessPoolExecutor(max_workers=1,
+                             initializer=experiments._one_blas_thread) as pool:
+        assert pool.submit(_worker_max_chunks).result() == 1
+
+
 def test_converge_records_worker_blas_threads():
     from swiftcal.fixtures import DEFAULT_CONTEXT, set2_quotes
 
@@ -687,6 +706,55 @@ def test_converge_records_worker_blas_threads():
     assert meta[0]["blas_threads_per_worker"] is None
     assert meta[1]["blas_threads_per_worker"] == (
         1 if experiments._openblas() is not None else None)
+    assert meta[0]["chf_threads_per_worker"] is None
+    assert meta[1]["chf_threads_per_worker"] == 1
+
+
+_FORKED_POOL_SCRIPT = """
+from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
+from swiftcal import heston
+from swiftcal.experiments import run_converge
+from swiftcal.fixtures import DEFAULT_CONTEXT, PARAM_SETS, set2_quotes
+
+
+def sweep():
+    return heston.chf_cui_parts(np.linspace(0.0, 100.0, 32768), 1.0,
+                                PARAM_SETS["fx"], DEFAULT_CONTEXT)[0]
+
+
+heston._max_chunks = 2  # the parent's chunk threads exist, also on one CPU
+value = sweep()
+assert heston._pool is not None
+with ProcessPoolExecutor(max_workers=1) as pool:  # a child splitting a sweep
+    assert np.array_equal(pool.submit(sweep).result(), value)
+for target in ("fx", "ir", "eq"):
+    rows = [run_converge(target, set2_quotes(), DEFAULT_CONTEXT, trials=3, seed=0,
+                         workers=w).rows for w in (1, 2)]
+    assert rows[0] == rows[1], target
+print("ok")
+"""
+
+
+def test_forked_pool_workers_remake_the_chunk_threads(tmp_path):
+    # a forked worker inherits the parent's chunk executor without its
+    # threads; it must sweep on threads of its own, not wait forever on a
+    # submit, and pool workers give the serial rows.  Run in its own session
+    # so a hang can be killed whole.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen([sys.executable, "-c", _FORKED_POOL_SCRIPT], env=env,
+                            cwd=tmp_path, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a forked child hung after the parent swept on threads")
+    assert proc.returncode == 0, err
+    assert out.strip() == "ok"
 
 
 def test_speed_cli_smoke(capsys, tmp_path):

@@ -4,6 +4,9 @@ The finite-difference and Monte Carlo comparisons here are deliberately
 independent of the closed forms they validate.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,7 @@ from swiftcal import (
     chf_with_gradient,
     cumulants,
 )
+from swiftcal import heston
 from swiftcal.fixtures import PARAM_SETS
 from swiftcal.heston import (
     chf_cui_parts,
@@ -187,7 +191,7 @@ def test_log_b_matches_two_log_form(ctx):
         u = rng.uniform(0.0, 300.0, 40)
         u = np.concatenate([u, -u + 1j, rng.uniform(-300.0, 300.0, 40) + 2j])
         try:
-            _, (_, _, xi, _, d, decay, _, _, big_d) = chf_cui_parts(u, tau, th, ctx)
+            _, ((_, _, xi, _, d, decay, _, _, big_d),) = chf_cui_parts(u, tau, th, ctx)
         except ChfOverflowError:
             continue
         q = (d + xi) / 2.0 + (d - xi) * decay / 2.0
@@ -253,6 +257,72 @@ def test_chf_blocks_from_16384_frequencies_bitwise(ctx, m, j_d):
         assert np.array_equal(grad[:, cols],
                               chf_gradient_from_parts(t, th, value_t, parts_t)), t
         start = cols.stop
+
+
+@pytest.mark.parametrize("n", [8191, 8192, 16383, 16384, 16385, 47104])
+def test_chunked_sweep_bitwise_one_chunk(ctx, monkeypatch, n):
+    # a sweep split across threads is the one-chunk sweep bit for bit, for
+    # a scalar and a per-frequency tau, with u = 0 (exact-zero gradient) in
+    # the first chunk; the cap forces the split on a one-CPU host too
+    u = np.linspace(0.0, 400.0, n)
+    for name in ("fx", "ir", "eq"):
+        th = PARAM_SETS[name]
+        for tau in (1.3, np.linspace(0.05, 10.0, n)):
+            out = {}
+            for cap in (1, 4):
+                monkeypatch.setattr(heston, "_max_chunks", cap)
+                value, parts = chf_cui_parts(u, tau, th, ctx)
+                out[cap] = (value, chf_gradient_from_parts(tau, th, value, parts))
+                assert len(parts) == (1 if cap == 1 else max(1, min(4, n // 8192)))
+                assert sum(chunk[0].size for chunk in parts) == n
+            assert out[4][0].tobytes() == out[1][0].tobytes(), (n, name)
+            assert out[4][1].tobytes() == out[1][1].tobytes(), (n, name)
+            assert np.all(out[4][1][:, 0] == 0.0)
+
+
+def test_concurrent_split_sweeps_keep_their_own_chunks(ctx, monkeypatch):
+    # several caller threads split sweeps over the one executor at once, with
+    # frequent thread switches: every result is its serial sweep bit for bit
+    u = np.linspace(0.0, 300.0, 32768)
+    thetas = [PARAM_SETS[name] for name in ("fx", "ir", "eq", "theta2", "stress")]
+    monkeypatch.setattr(heston, "_max_chunks", 1)
+    want = []
+    for th in thetas:
+        value, parts = chf_cui_parts(u, 1.3, th, ctx)
+        want.append((value, chf_gradient_from_parts(1.3, th, value, parts)))
+    monkeypatch.setattr(heston, "_max_chunks", 3)
+    got = [None] * len(thetas)
+
+    def sweep(k):
+        for _ in range(3):
+            value, parts = chf_cui_parts(u, 1.3, thetas[k], ctx)
+            got[k] = (value, chf_gradient_from_parts(1.3, thetas[k], value, parts))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=sweep, args=(k,)) for k in range(len(thetas))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (gv, gg), (wv, wg) in zip(got, want):
+        assert gv.tobytes() == wv.tobytes() and gg.tobytes() == wg.tobytes()
+
+
+def test_overflow_in_a_worker_chunk_is_raised_in_the_caller(ctx, monkeypatch):
+    # the first chunk runs on a worker thread, the last on the caller: only
+    # the first overflows here (E[(S_T/S_t)^a] explodes at u = a i, large a)
+    monkeypatch.setattr(heston, "_max_chunks", 2)
+    th = PARAM_SETS["theta1"]
+    u = np.linspace(0.0, 100.0, 32768).astype(np.complex128)
+    u[:16384] = 500j
+    with pytest.raises(ChfOverflowError):
+        chf_cui_parts(u, 10.0, th, ctx)
+    assert np.all(np.isfinite(chf_cui_parts(u[16384:], 10.0, th, ctx)[0]))
 
 
 def test_continuity_in_u_long_maturity(stress_theta, ctx):

@@ -17,6 +17,7 @@ from swiftcal import (
     OptionQuote,
     SwiftParams,
     chf_cui,
+    chf_with_gradient,
     density_area,
     density_coefficients,
     payoff_coefficients,
@@ -42,6 +43,8 @@ from swiftcal.swift import (
     _j_for,
     _next_pow2,
     _payoff_transform,
+    _phase_matrix,
+    _scaled_freqs,
     _tail_masses,
     _twiddle_table,
     _twiddles,
@@ -467,10 +470,9 @@ def test_phase_matrix_two_tables_match_direct_exponentials(ctx):
     omega = sp.density_freqs()
     for quotes in (set1_quotes(), set2_quotes()):
         strikes = np.array([q.strike for q in quotes])
-        pricer = MultiStrikePricer(ctx, 1.0, strikes, sp)
         x = np.log(ctx.spot / strikes)
         direct = np.exp(-1j * np.outer(x, omega))
-        assert np.max(np.abs(pricer.phases - direct)) < 1e-12
+        assert np.max(np.abs(_phase_matrix(x, sp.m, sp.j_density) - direct)) < 1e-12
 
 
 def _bits(a):
@@ -508,8 +510,23 @@ def test_twiddle_tables_are_the_direct_exponentials_bitwise(j_density, j_payoff)
     assert _bits(_u_tilde(payoff, sp)) == _bits(direct)
 
 
+def test_frequency_grids_are_cached_read_only_direct_expressions():
+    # selection, pricer builds and later calibrations share one grid per
+    # (m, J); each is bitwise the expression it replaces
+    for m, j in ((0, 2), (5, 64), (9, 16384)):
+        grid = _scaled_freqs(m, j)
+        jj = np.arange(1, j + 1)
+        assert _bits(grid) == _bits(np.pi * (2 * jj - 1) / (2 * j) * 2.0**m)
+        assert _scaled_freqs(m, j) is grid and not grid.flags.writeable
+    sp = SwiftParams(m=5, eta=20, j_density=64, j_payoff=256, c=1.0,
+                     x_low=-1.0, x_high=1.0)
+    assert sp.density_freqs() is _scaled_freqs(5, 64)
+    assert sp.payoff_freqs() is _scaled_freqs(5, 256)
+
+
 def test_pricer_phases_are_the_two_table_product_bitwise(ctx):
-    # the coarse/fine product the pricer has always been built from
+    # the coarse/fine product the pricer has always been built from, kept
+    # conjugated as interleaved reals
     for sp in (SMALL_SP, dataclasses.replace(SMALL_SP, m=0, eta=1, j_density=4),
                SwiftParams(m=9, eta=2000, j_density=4096, j_payoff=8192, c=1.0,
                            x_low=-3.0, x_high=3.0)):
@@ -520,7 +537,26 @@ def test_pricer_phases_are_the_two_table_product_bitwise(ctx):
         coarse = np.exp(-1j * np.outer(x, delta / 2.0 + delta * b * np.arange(j_d // b)))
         fine = np.exp(-1j * np.outer(x, delta * np.arange(b)))
         direct = (coarse[:, :, None] * fine[:, None, :]).reshape(len(x), j_d)
-        assert _bits(MultiStrikePricer(ctx, 1.0, strikes, sp).phases) == _bits(direct)
+        assert _bits(MultiStrikePricer(ctx, 1.0, strikes, sp).real_phases) == _bits(
+            np.conj(direct).view(np.float64))
+
+
+@pytest.mark.parametrize("quotes", [set1_quotes(), set2_quotes()], ids=["set1", "set2"])
+def test_real_phase_product_is_the_complex_product(theta2, ctx, quotes):
+    # prices and Jacobian columns are Re(P c) with P the complex phase matrix,
+    # taken as a real product of half the flops
+    for tau, idx in group_by_maturity(quotes).items():
+        strikes = np.array([quotes[i].strike for i in idx])
+        sp = select_truncation(theta2, tau, ctx, select_scale(theta2, tau, ctx), strikes)
+        pricer = MultiStrikePricer(ctx, tau, strikes, sp)
+        value, grad = chf_with_gradient(pricer.omega, tau, theta2, ctx)
+        phases = _phase_matrix(np.log(ctx.spot / strikes), sp.m, sp.j_density)
+        scale = strikes * math.exp(-ctx.rate * tau) * 2.0**(sp.m / 2.0) / sp.j_density
+        want = scale[:, None] * (phases @ (np.vstack([value, grad]) * pricer.u_tilde).T).real
+        prices, jac = pricer.prices_and_jacobian(theta2)
+        for got in (np.column_stack([prices, jac]),
+                    np.column_stack([pricer.prices(theta2), jac])):
+            assert np.all(np.abs(got - want) <= 1e-13 * np.max(np.abs(want), axis=0)), tau
 
 
 @pytest.mark.parametrize("name", ["theta2", "fx", "ir", "eq"])
@@ -635,6 +671,11 @@ def test_packed_pricers_answer_alone_in_any_call_order(theta2, theta2_start, ctx
         packed, alone = pricers(sweeps), pricers([])
         share_sweep(packed, sweeps if from_selection else None)
         assert len({id(p._sweep) for p in packed}) == 1
+        if from_selection:  # the block lists the members' intermediates, not copies
+            chunks = [c for s in sweeps for c in s._parts[1]]
+            block = packed[0]._sweep._parts[1]
+            assert len(block) == len(chunks)
+            assert all(a is b for bc, c in zip(block, chunks) for a, b in zip(bc, c))
         for k, kind, theta in order:
             if kind == "price":
                 assert np.array_equal(packed[k].prices(theta), alone[k].prices(theta))
