@@ -25,7 +25,6 @@ from .heston import (
     MarketContext,
     PARAM_ORDER,
     chf_cui,
-    chf_schoutens,
     chf_with_gradient,
     cumulants,
 )
@@ -38,12 +37,8 @@ from .swift import (
     OptionQuote,
     SwiftParams,
     density_area,
-    density_coefficients,
     payoff_coefficients,
-    price_and_gradient_multi_strike,
-    price_and_gradient_single,
     price_multi_strike,
-    price_single,
     price_strike_grid,
     select_scale,
     select_truncation,
@@ -58,10 +53,9 @@ __all__ = [
     "NoConvergenceError", "OptionQuote", "PARAM_ORDER", "QuadratureConfig",
     "QuoteFile", "QuoteParseError", "SingularSystemError", "StopReason",
     "SwiftBackend", "SwiftParams", "calibrate",
-    "chf_cui", "chf_schoutens", "chf_with_gradient", "cumulants",
-    "density_area", "density_coefficients", "lm_step", "load_quote_file",
-    "payoff_coefficients", "price_and_gradient_cp",
-    "price_and_gradient_multi_strike", "price_and_gradient_single",
-    "price_cp", "price_multi_strike", "price_single", "price_strike_grid",
+    "chf_cui", "chf_with_gradient", "cumulants", "density_area",
+    "lm_step", "load_quote_file", "payoff_coefficients",
+    "price_and_gradient_cp", "price_cp", "price_multi_strike",
+    "price_strike_grid",
     "residuals", "save_quote_file", "select_scale", "select_truncation",
 ]

@@ -31,9 +31,10 @@ Three interchangeable pricing backends are provided:
   theta-independent work (payoff spectrum, phase factors) done once and
   all groups swept together, on the pricers :func:`discretization_plan`
   lays out.
-* ``SwiftBackend``   - wavelet pricer without reuse: every quote recomputes
-  its density and payoff coefficients on every evaluation (the slow
-  formulation the grouped one is benchmarked against).
+* ``SwiftBackend``   - the same pricer without reuse: every evaluation
+  rebuilds a one-quote pricer per quote, payoff spectrum, phase row and
+  characteristic sweep included (the slow formulation the grouped one is
+  benchmarked against).
 * ``CpBackend``      - the quadrature reference pricer.
 """
 
@@ -53,7 +54,6 @@ from .swift import (
     MultiStrikePricer,
     OptionQuote,
     group_by_maturity,
-    price_and_gradient_single,
     put_offsets,
     select_scale,
     select_truncation,
@@ -211,9 +211,10 @@ class SwiftBackend:
 
     Reads only the ``SwiftParams`` of :func:`discretization_plan`, the same
     frozen per-maturity discretization as ``KswiftBackend``, and drops its
-    pricers and sweeps: it prices quote by quote, rebuilding density and
-    payoff coefficients (six FFTs and a characteristic sweep per quote) on
-    every evaluation.
+    pricers and sweeps: every evaluation prices each quote through a fresh
+    one-quote :class:`~swiftcal.swift.MultiStrikePricer`, so the payoff
+    spectrum, the phase row and the characteristic sweep are all rebuilt
+    per quote and per call.
     """
 
     name = "swift"
@@ -226,14 +227,16 @@ class SwiftBackend:
         for pricer, idx in discretization_plan(self.quotes, ctx, theta_ref):
             for i in idx:
                 self._sp[i] = pricer.sp
+        self._put_offsets = put_offsets(self.quotes, ctx)
 
     def prices(self, theta: HestonParams) -> np.ndarray:
         return self.prices_and_jacobian(theta)[0]
 
     def prices_and_jacobian(self, theta: HestonParams):
-        rows = [price_and_gradient_single(theta, self.ctx, q, sp)
-                for q, sp in zip(self.quotes, self._sp)]
-        return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+        rows = [MultiStrikePricer(self.ctx, q.maturity, [q.strike], sp)
+                .prices_and_jacobian(theta) for q, sp in zip(self.quotes, self._sp)]
+        return (np.array([p[0] for p, _ in rows]) + self._put_offsets,
+                np.array([j[0] for _, j in rows]))
 
 
 class CpBackend:

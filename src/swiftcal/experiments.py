@@ -137,16 +137,16 @@ def run_generate_grid(theta: HestonParams, ctx: MarketContext, m: int,
     The grid layout is fixed by (m, J_d), J_d a power of two of at least 4;
     the series half-width is the J_d/2 - 1 validity bound, so only the
     central band of the grid carries accurate prices (the wings are outside
-    any coverage J_d permits).  ``SwiftParams`` bounds m and J_d, and the
-    J_p the payoff needs, before any grid is built.
+    any coverage J_d permits).  :func:`~swiftcal.swift.interval_params`
+    bounds m, and ``SwiftParams`` J_d and the J_p the payoff needs, before
+    any grid is built.
     """
     if j_density < 4 or j_density & (j_density - 1):
         raise ValueError(f"grid J must be a power of two >= 4, got {j_density}")
     if not 0.0 < tau < math.inf:
         raise ValueError(f"grid tau must be positive and finite, got {tau}")
-    half = j_density / 2.0**(m + 1)
-    sp = interval_params(m, truncation_width(theta, tau, ctx, DEFAULT_L), -half,
-                         half, eta=j_density // 2 - 1)
+    sp = interval_params(m, truncation_width(theta, tau, ctx, DEFAULT_L),
+                         eta=j_density // 2 - 1)
     x_grid, prices = price_strike_grid(theta, ctx, tau, sp)
     quotes = [OptionQuote(strike=float(ctx.spot * np.exp(-x)), maturity=tau,
                           price=float(max(p, 0.0)))

@@ -16,11 +16,10 @@ i.e. the *negative*-exponent transform.  Consequences worth remembering:
 * the conditional transform of y = ln(S_T / K) given x = ln(S_t / K) is
   fhat(u; x) = exp(-i u x) fhat(u).
 
-Two algebraically equivalent closed forms are provided: ``chf_cui`` (compact
-form with simple parameter derivatives), the one every pricer evaluates, and
-``chf_schoutens`` (the classic branch-cut-free form), the independent form
-the tests check ``chf_cui`` against.  Both are continuous in u over the full
-parameter domain.
+One closed form is provided, ``chf_cui``: the compact form with simple
+parameter derivatives, continuous in u over the full parameter domain, and
+the one every pricer evaluates.  The test suite checks it against the
+classic branch-cut-free form, which it keeps as an oracle.
 
 The compact form has one evaluation, the stabilized ``chf_cui_parts``;
 ``chf_cui`` returns its value and ``chf_gradient_from_parts`` the gradient
@@ -155,31 +154,6 @@ def chf_cui(u, tau: float, theta: HestonParams, ctx: MarketContext):
         ChfOverflowError: if the evaluation produces non-finite values.
     """
     out = chf_cui_parts(u, tau, theta, ctx)[0]
-    return out if out.ndim else complex(out)
-
-
-def chf_schoutens(u, tau: float, theta: HestonParams, ctx: MarketContext):
-    """Characteristic function of ln(S_T/S_t), branch-cut-free classic form.
-
-    Equal to :func:`chf_cui` wherever both evaluate finitely.  No pricer
-    uses it: it is the independent form the tests check :func:`chf_cui`
-    against.
-    """
-    u, iu, u2 = chf_grid_terms(u)
-    sigma, kappa, v_bar, v0 = theta.sigma, theta.kappa, theta.v_bar, theta.v0
-    xi = kappa + sigma * theta.rho * iu
-    d = np.sqrt(xi * xi + sigma**2 * u2)
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g = (xi - d) / (xi + d)
-        decay = np.exp(-d * tau)
-        one_m_gdecay = 1.0 - g * decay
-        term_vbar = (kappa * v_bar / sigma**2) * (
-            (xi - d) * tau - 2.0 * np.log(one_m_gdecay / (1.0 - g)))
-        term_v0 = (v0 / sigma**2) * (xi - d) * (1.0 - decay) / one_m_gdecay
-        out = np.exp(-iu * ctx.drift * tau + term_vbar + term_v0)
-
-    _check_finite(out)
     return out if out.ndim else complex(out)
 
 

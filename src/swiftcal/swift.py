@@ -10,11 +10,12 @@ DFTs.  A European call is then
     price = K e^{-r tau} sum_k D_{m,k}(x) U_{m,k},
 
 where D are the density coefficients at log-moneyness x = ln(S0/K) and U the
-strike-free payoff coefficients.  Equivalently, interchanging the k and j
-sums factors the valuation into an x-independent part (reused across all
-strikes of one maturity) and J_d phase factors per strike -- the multi-strike
-path.  Choosing strikes on the dyadic grid x_k = (2k - J_d)/2^{m+1} turns the
-whole strike sweep into one more FFT.
+strike-free payoff coefficients.  Interchanging the k and j sums factors
+the valuation into an x-independent part (reused across all strikes of one
+maturity) and J_d phase factors per strike: ``MultiStrikePricer``, the
+kernel every quote is priced through, a lone quote included (the per-strike
+sum above is kept only as a test oracle).  Choosing strikes on the dyadic
+grid x_k = (2k - J_d)/2^{m+1} turns the whole strike sweep into one more FFT.
 
 Coordinate convention for the coefficient integrals: the cosine-expansion
 frequencies act in the scaled variable z = 2^m y, i.e. the transform of the
@@ -57,18 +58,15 @@ from .heston import (
     chf_cui_parts,
     chf_gradient_from_parts,
     chf_grid_terms,
-    chf_with_gradient,
     cumulants,
 )
 
 __all__ = [
     "OptionQuote", "SwiftParams", "NoConvergenceError", "GridSizeError",
     "group_by_maturity", "parity_offset", "put_offsets", "truncation_width",
-    "interval_params", "select_scale", "select_truncation", "density_coefficients",
-    "payoff_coefficients", "density_area",
-    "price_single", "price_and_gradient_single", "price_multi_strike",
-    "price_and_gradient_multi_strike", "price_strike_grid", "MultiStrikePricer",
-    "share_sweep",
+    "interval_params", "select_scale", "select_truncation",
+    "payoff_coefficients", "density_area", "price_multi_strike",
+    "price_strike_grid", "MultiStrikePricer", "share_sweep",
 ]
 
 OPTION_KINDS = ("call", "put")
@@ -143,8 +141,7 @@ class SwiftParams:
     x_high: float
 
     def __post_init__(self):
-        if not 0 <= self.m <= MAX_SCALE:
-            raise ValueError(f"m must be in [0, {MAX_SCALE}], got {self.m}")
+        _check_scale(self.m)
         if self.eta < 1:
             raise ValueError(f"eta must be positive, got {self.eta}")
         for name, j in (("j_density", self.j_density), ("j_payoff", self.j_payoff)):
@@ -172,6 +169,11 @@ class SwiftParams:
     def payoff_freqs(self) -> np.ndarray:
         """Scaled payoff frequencies omega_j = u_j^p 2^m, j = 1..J_p."""
         return _scaled_freqs(self.m, self.j_payoff)
+
+
+def _check_scale(m: int) -> None:
+    if not 0 <= m <= MAX_SCALE:
+        raise ValueError(f"m must be in [0, {MAX_SCALE}], got {m}")
 
 
 @functools.lru_cache(maxsize=32)
@@ -312,18 +314,25 @@ def truncation_width(theta: HestonParams, tau: float, ctx: MarketContext,
     return abs(c1) + L * math.sqrt(c2)
 
 
-def interval_params(m: int, c: float, x_min: float, x_max: float,
+def interval_params(m: int, c: float, x_min: Optional[float] = None,
+                    x_max: Optional[float] = None,
                     eta: Optional[int] = None) -> SwiftParams:
     """Discretization at scale m for log-moneyness in [x_min, x_max].
 
-    The interval is [x_min - c, x_max + c] clamped to straddle 0 (the payoff
+    m is checked against [0, ``MAX_SCALE``] before any 2^m is formed.  The
+    interval is [x_min - c, x_max + c] clamped to straddle 0 (the payoff
     kink must stay inside the expansion window).  eta defaults to the
     smallest half-width covering it at scale m; ``generate --grid`` passes
-    the half-width its grid fixes.  J_d is the smallest power of two above
+    the half-width its grid fixes and no range, which is then the grid's,
+    |x| <= (eta + 1)/2^m.  J_d is the smallest power of two above
     2 eta (the density coefficients need only that many distinct cosine
     terms) and J_p comes from :func:`_j_for` (the payoff jumps at x_high, so
     its expansion needs the finer grid).
     """
+    _check_scale(m)
+    if x_min is None:
+        x_max = (eta + 1) / 2.0**m
+        x_min = -x_max
     x_low = min(x_min - c, 0.0)
     x_high = max(x_max + c, 0.0)
     span = max(abs(x_low), x_high)
@@ -408,17 +417,6 @@ def _density_at(spectrum: np.ndarray, sp: SwiftParams) -> np.ndarray:
     return 2.0**(sp.m / 2.0) / sp.j_density * _cosine_at(spectrum, sp.eta).real
 
 
-def density_coefficients(theta: HestonParams, tau: float, ctx: MarketContext,
-                         x: float, sp: SwiftParams) -> np.ndarray:
-    """Density coefficients D_{m,k}(x), k = 1-eta..eta, via one length-2J_d FFT.
-
-    D_{m,k}(x) = (2^{m/2}/J_d) sum_j Re( fhat(u_j 2^m) e^{-i u_j 2^m x} e^{i k u_j} ).
-    """
-    omega = sp.density_freqs()
-    values = chf_cui(omega, tau, theta, ctx) * np.exp(-1j * omega * x)
-    return _density_at(_cosine_spectrum(values, sp.j_density), sp)
-
-
 def _payoff_transform(sp: SwiftParams, omega: np.ndarray) -> np.ndarray:
     """integral over [0, x_high] of (e^y - 1) e^{-i omega y} dy, closed form."""
     iw = 1j * omega
@@ -483,45 +481,6 @@ def _phase_matrix(x: np.ndarray, m: int, j_d: int) -> np.ndarray:
     return (coarse[:, :, None] * fine[:, None, :]).reshape(len(x), j_d)
 
 
-def _expand_single(ctx: MarketContext, quote: OptionQuote, sp: SwiftParams, sweep):
-    """(price, gradient or None) of one quote by the per-strike expansion.
-
-    ``sweep(omega, tau)`` returns fhat(omega) and its gradient or None.  Each
-    transform row gets one density FFT against the payoff coefficients;
-    parity goes to the price row alone.
-    """
-    omega = sp.density_freqs()
-    value, grad = sweep(omega, quote.maturity)
-    shift = np.exp(-1j * omega * math.log(ctx.spot / quote.strike))
-    payoff = payoff_coefficients(sp)
-    scale = quote.strike * math.exp(-ctx.rate * quote.maturity)
-    rows = [value] if grad is None else [value, *grad]
-    out = [scale * float(_density_at(_cosine_spectrum(row * shift, sp.j_density), sp)
-                         @ payoff) for row in rows]
-    if quote.kind == "put":
-        out[0] += parity_offset(ctx, quote.strike, quote.maturity)
-    return out[0], (None if grad is None else np.array(out[1:]))
-
-
-def price_single(theta: HestonParams, ctx: MarketContext, quote: OptionQuote,
-                 sp: SwiftParams) -> float:
-    """Single-quote price through the per-strike density expansion."""
-    return _expand_single(ctx, quote, sp,
-                          lambda omega, tau: (chf_cui(omega, tau, theta, ctx), None))[0]
-
-
-def price_and_gradient_single(theta: HestonParams, ctx: MarketContext,
-                              quote: OptionQuote, sp: SwiftParams):
-    """Price and parameter gradient through the per-strike expansion.
-
-    Recomputes density, payoff and the five parameter-partial density
-    coefficient vectors from scratch (seven FFTs); this is deliberately the
-    no-reuse formulation -- the multi-strike path exists precisely to beat it.
-    """
-    return _expand_single(ctx, quote, sp,
-                          lambda omega, tau: chf_with_gradient(omega, tau, theta, ctx))
-
-
 def price_multi_strike(theta: HestonParams, ctx: MarketContext, tau: float,
                        strikes, sp: SwiftParams) -> np.ndarray:
     """Call prices for many strikes of one maturity, sharing F_j and U-tilde.
@@ -529,15 +488,6 @@ def price_multi_strike(theta: HestonParams, ctx: MarketContext, tau: float,
     One-shot use of :class:`MultiStrikePricer`.
     """
     return MultiStrikePricer(ctx, tau, strikes, sp).prices(theta)
-
-
-def price_and_gradient_multi_strike(theta: HestonParams, ctx: MarketContext,
-                                    tau: float, strikes, sp: SwiftParams):
-    """Prices and the n x 5 Jacobian in one shared-factor pass.
-
-    One-shot use of :meth:`MultiStrikePricer.prices_and_jacobian`.
-    """
-    return MultiStrikePricer(ctx, tau, strikes, sp).prices_and_jacobian(theta)
 
 
 def price_strike_grid(theta: HestonParams, ctx: MarketContext, tau: float,

@@ -24,11 +24,9 @@ from swiftcal import (
     chf_cui,
     chf_with_gradient,
     density_area,
-    density_coefficients,
     payoff_coefficients,
     price_cp,
     price_multi_strike,
-    price_single,
     price_strike_grid,
     select_scale,
     select_truncation,
@@ -38,6 +36,7 @@ from swiftcal.fixtures import set1_quotes, set2_quotes
 from swiftcal.swift import _payoff_transform
 
 from conftest import price_jacobian_fd, textbook_cosh
+from oracles import density_coefficients, per_strike_price
 
 LONG_TABLE = {50.0: 65.565, 100.0: 46.911, 200.0: 27.198}
 
@@ -54,7 +53,7 @@ def test_stress_long_maturity(stress_theta, ctx100):
     qc6 = QuadratureConfig(nodes=64, u_max=6.0)
     for strike, want in LONG_TABLE.items():
         sp = select_truncation(stress_theta, 45.0, ctx100, 3, [strike])
-        p_swift = price_single(stress_theta, ctx100, OptionQuote(strike, 45.0), sp)
+        p_swift = price_multi_strike(stress_theta, ctx100, 45.0, [strike], sp)[0]
         p_cp = price_cp(stress_theta, ctx100, OptionQuote(strike, 45.0), qc6)
         swift_err = max(swift_err, abs(p_swift - want))
         cp_err = max(cp_err, abs(p_cp - want))
@@ -72,7 +71,7 @@ def test_stress_long_maturity(stress_theta, ctx100):
     mutual = 0.0
     for strike in LONG_TABLE:
         sp = select_truncation(stress_theta, 45.0, ctx100, 6, [strike], L=12.0)
-        p_swift = price_single(stress_theta, ctx100, OptionQuote(strike, 45.0), sp)
+        p_swift = price_multi_strike(stress_theta, ctx100, 45.0, [strike], sp)[0]
         p_cp = price_cp(stress_theta, ctx100, OptionQuote(strike, 45.0), qc_ref)
         mutual = max(mutual, abs(p_swift - p_cp))
     check("stress long maturity: refined mutual agreement <= 1e-6",
@@ -84,7 +83,7 @@ def test_stress_short_maturity(stress_theta, ctx100):
     qc = QuadratureConfig(nodes=64, u_max=200.0)
     for strike, want in ((50.0, 50.000), (100.0, 1.046)):
         sp = select_truncation(stress_theta, 0.04, ctx100, 7, [strike])
-        p_swift = price_single(stress_theta, ctx100, OptionQuote(strike, 0.04), sp)
+        p_swift = price_multi_strike(stress_theta, ctx100, 0.04, [strike], sp)[0]
         p_cp = price_cp(stress_theta, ctx100, OptionQuote(strike, 0.04), qc)
         check(f"stress short maturity: strike {strike:.0f} within 1e-3",
               abs(p_swift - want) < 1e-3 and abs(p_cp - want) < 1e-3,
@@ -113,8 +112,8 @@ def test_overflow_handling(stress_theta, ctx100):
     for tau, m_pin, u_max in ((45.0, 3, 6.0), (0.04, 7, 200.0)):
         for strike in (50.0, 100.0, 200.0):
             sp = select_truncation(stress_theta, tau, ctx100, m_pin, [strike])
-            prices.append(price_single(stress_theta, ctx100,
-                                       OptionQuote(strike, tau), sp))
+            prices.append(price_multi_strike(stress_theta, ctx100, tau,
+                                             [strike], sp)[0])
             prices.append(price_cp(stress_theta, ctx100, OptionQuote(strike, tau),
                                    QuadratureConfig(64, u_max)))
     check("overflow: stabilized default prices every stress row finitely",
@@ -326,12 +325,13 @@ def test_oracle_suite(theta2, stress_theta, ctx, ctx100):
     check("oracles: grid pricer vs multi-strike <= 1e-10", dev_grid <= 1e-10,
           f"max dev {dev_grid:.1e}")
 
-    # put-call parity through the pricing pipeline
+    # put-call parity of the per-strike expansion (every package path:
+    # test_calibrate.py::test_put_parity_on_every_pricing_path)
     sp_p = select_truncation(theta2, 0.75, ctx, 6, [0.9, 1.1])
     worst_par = 0.0
     for strike in (0.9, 1.1):
-        call = price_single(theta2, ctx, OptionQuote(strike, 0.75, kind="call"), sp_p)
-        put = price_single(theta2, ctx, OptionQuote(strike, 0.75, kind="put"), sp_p)
+        call = per_strike_price(theta2, ctx, OptionQuote(strike, 0.75, kind="call"), sp_p)
+        put = per_strike_price(theta2, ctx, OptionQuote(strike, 0.75, kind="put"), sp_p)
         worst_par = max(worst_par, abs(call - put - (ctx.spot - strike)))
     check("oracles: put-call parity <= 1e-9", worst_par <= 1e-9,
           f"max dev {worst_par:.1e}")

@@ -21,9 +21,7 @@ from swiftcal import (
     calibrate,
     lm_step,
     price_and_gradient_cp,
-    price_and_gradient_single,
     price_cp,
-    price_single,
     residuals,
     select_scale,
     select_truncation,
@@ -33,6 +31,8 @@ from swiftcal.experiments import (PricingOverrides, make_calibration_backend,
 from swiftcal.fixtures import PARAM_SETS, set2_quotes
 from swiftcal.quotes import QuoteFile
 from swiftcal.swift import group_by_maturity, put_offsets
+
+from oracles import per_strike_price, per_strike_price_and_gradient
 
 
 @pytest.fixture
@@ -264,6 +264,13 @@ def test_backend_prices_agree(theta2, ctx, set2_priced):
     reference = CpBackend(quotes, ctx).prices(theta2)
     assert np.max(np.abs(fast - slow)) < 1e-10
     assert np.max(np.abs(fast - reference)) < 1e-7
+    # the two wavelet backends run one kernel on one discretization, so
+    # Jacobians agree too; fx has the largest grids of the fixtures
+    for theta in (theta2, PARAM_SETS["fx"]):
+        grouped = KswiftBackend(quotes, ctx, theta).prices_and_jacobian(theta)
+        alone = SwiftBackend(quotes, ctx, theta).prices_and_jacobian(theta)
+        for got, want in zip(alone, grouped):
+            assert np.max(np.abs(got - want)) < 1e-10, theta
 
 
 def test_backend_supports_puts_via_parity(theta2, ctx):
@@ -288,10 +295,10 @@ def _parity_paths(theta, ctx, quotes):
 
     report = run_price("swift", theta, QuoteFile(context=ctx, quotes=quotes))
     return {
-        "price_single": (np.array([price_single(theta, ctx, q, sp[q.maturity])
-                                   for q in quotes]), None),
-        "price_and_gradient_single": rows(
-            lambda q: price_and_gradient_single(theta, ctx, q, sp[q.maturity])),
+        "per_strike_price": (np.array([per_strike_price(theta, ctx, q, sp[q.maturity])
+                                       for q in quotes]), None),
+        "per_strike_price_and_gradient": rows(
+            lambda q: per_strike_price_and_gradient(theta, ctx, q, sp[q.maturity])),
         "kswift": KswiftBackend(quotes, ctx, theta).prices_and_jacobian(theta),
         "kswift_prices": (KswiftBackend(quotes, ctx, theta).prices(theta), None),
         "swift": SwiftBackend(quotes, ctx, theta).prices_and_jacobian(theta),

@@ -277,10 +277,17 @@ def grids_built(monkeypatch):
     pytest.param(["price", "--params", "theta2", "--quotes", "set1", "--m", "-1"],
                  id="m-negative"),
     pytest.param(["generate", "--params", "theta2", "--grid", "13,8,1.0"], id="grid-13"),
+    # 2.0**m overflows a float at m = 5000 and is 0.0 at m = -5000
+    pytest.param(["price", "--params", "theta2", "--quotes", "set2", "--m", "5000"],
+                 id="m-5000"),
+    pytest.param(["generate", "--params", "theta2", "--grid", "5000,64,1.0"],
+                 id="grid-5000"),
+    pytest.param(["generate", "--params", "theta2", "--grid=-5000,8,1.0"],
+                 id="grid-negative-5000"),
 ])
 def test_scale_outside_the_range_exits_input_error(capsys, grids_built, argv):
     # a scale past swift.MAX_SCALE would size grids of 2^m points; the check
-    # fires when the SwiftParams is built, before any grid
+    # fires in swift.interval_params, before any 2^m is formed or grid built
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -16,7 +16,6 @@ from swiftcal import (
     HestonParams,
     MarketContext,
     chf_cui,
-    chf_schoutens,
     chf_with_gradient,
     cumulants,
 )
@@ -29,6 +28,7 @@ from swiftcal.heston import (
 )
 
 from conftest import five_point_grad, textbook_cosh
+from oracles import chf_schoutens
 
 
 def heston_box(draw):

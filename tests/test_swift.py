@@ -2,6 +2,7 @@
 or quadrature oracle, plus the discretization-selection behaviors."""
 
 import dataclasses
+import importlib
 import math
 import time
 
@@ -19,12 +20,8 @@ from swiftcal import (
     chf_cui,
     chf_with_gradient,
     density_area,
-    density_coefficients,
     payoff_coefficients,
-    price_and_gradient_multi_strike,
-    price_and_gradient_single,
     price_multi_strike,
-    price_single,
     price_strike_grid,
     select_scale,
     select_truncation,
@@ -56,6 +53,7 @@ from swiftcal.swift import (
 )
 
 from conftest import price_jacobian_fd
+from oracles import density_coefficients, per_strike_price, per_strike_price_and_gradient
 
 
 def direct_density(theta, tau, ctx, x, sp):
@@ -76,6 +74,13 @@ def direct_payoff(sp):
     pref = 2.0**(sp.m / 2.0) / sp.j_payoff
     return np.array([pref * np.sum(np.real(vals * np.exp(1j * k * u)))
                      for k in sp.k_range])
+
+
+@pytest.mark.parametrize("module", ["swiftcal", "swiftcal.swift"])
+def test_every_exported_name_resolves(module):
+    # a stale __all__ entry breaks `from module import *`
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def sinc_basis(m, k, y):
@@ -128,8 +133,8 @@ def test_payoff_boundary_robustness(theta2, ctx):
     sp_wide = SwiftParams(m=sp.m, eta=sp.eta + 1, j_density=sp.j_density,
                           j_payoff=sp.j_payoff, c=sp.c + width,
                           x_low=sp.x_low - width, x_high=sp.x_high + width)
-    p = price_single(theta2, ctx, OptionQuote(strike, tau), sp)
-    p_wide = price_single(theta2, ctx, OptionQuote(strike, tau), sp_wide)
+    p = price_multi_strike(theta2, ctx, tau, [strike], sp)[0]
+    p_wide = price_multi_strike(theta2, ctx, tau, [strike], sp_wide)[0]
     assert abs(p - p_wide) < 1e-10
 
 
@@ -179,7 +184,7 @@ def test_scale_three_prices_long_maturity_rows(stress_theta, ctx100):
     for strike, want in ((50.0, 65.565), (100.0, 46.911), (200.0, 27.198)):
         sp = select_truncation(stress_theta, 45.0, ctx100, 3, [strike])
         assert sp.m == 3
-        p = price_single(stress_theta, ctx100, OptionQuote(strike, 45.0), sp)
+        p = price_multi_strike(stress_theta, ctx100, 45.0, [strike], sp)[0]
         assert abs(p - want) < 1e-3
 
 
@@ -187,7 +192,7 @@ def test_scale_seven_prices_short_maturity_rows(stress_theta, ctx100):
     # scale 3 underprices two-week expiries; scale 7 suffices
     for strike, want in ((50.0, 50.000), (100.0, 1.046)):
         sp = select_truncation(stress_theta, 0.04, ctx100, 7, [strike])
-        p = price_single(stress_theta, ctx100, OptionQuote(strike, 0.04), sp)
+        p = price_multi_strike(stress_theta, ctx100, 0.04, [strike], sp)[0]
         assert abs(p - want) < 1e-3
     with pytest.raises(NoConvergenceError, match="at scale 3"):
         # the density cannot be recovered at scale 3 for this expiry
@@ -204,7 +209,7 @@ def test_select_truncation_interval_straddles_zero(stress_theta, ctx100):
     # deep OTM short expiry: upper end clamps to the payoff kink
     sp = select_truncation(stress_theta, 0.04, ctx100, 7, [200.0])
     assert sp.x_high == 0.0
-    assert price_single(stress_theta, ctx100, OptionQuote(200.0, 0.04), sp) == 0.0
+    assert price_multi_strike(stress_theta, ctx100, 0.04, [200.0], sp)[0] == 0.0
     # deep ITM short expiry: lower end clamps instead
     sp2 = select_truncation(stress_theta, 0.04, ctx100, 7, [50.0])
     assert sp2.x_low == 0.0 or sp2.x_low < 0.0  # clamp only when needed
@@ -271,7 +276,7 @@ def test_low_and_high_truncation_multiplier_agree(stress_theta, ctx100):
     # the adaptive mass check compensates a too-small initial multiplier
     for L in (6.0, 10.0):
         sp = select_truncation(stress_theta, 0.04, ctx100, 7, [100.0], L=L)
-        p = price_single(stress_theta, ctx100, OptionQuote(100.0, 0.04), sp)
+        p = price_multi_strike(stress_theta, ctx100, 0.04, [100.0], sp)[0]
         assert abs(p - 1.046) < 1e-3, L
 
 
@@ -358,7 +363,7 @@ def test_multi_strike_equals_single(theta2, ctx, set1_priced):
     sp = select_truncation(theta2, tau, ctx, select_scale(theta2, tau, ctx, 1e-7),
                            strikes)
     multi = price_multi_strike(theta2, ctx, tau, strikes, sp)
-    single = np.array([price_single(theta2, ctx, OptionQuote(k, tau), sp)
+    single = np.array([per_strike_price(theta2, ctx, OptionQuote(k, tau), sp)
                        for k in strikes])
     assert np.max(np.abs(multi - single)) < 1e-10
 
@@ -366,7 +371,7 @@ def test_multi_strike_equals_single(theta2, ctx, set1_priced):
 def test_multi_strike_single_entry_degenerate(theta2, ctx):
     sp = select_truncation(theta2, 0.5, ctx, 5, [1.1])
     multi = price_multi_strike(theta2, ctx, 0.5, [1.1], sp)
-    single = price_single(theta2, ctx, OptionQuote(1.1, 0.5), sp)
+    single = per_strike_price(theta2, ctx, OptionQuote(1.1, 0.5), sp)
     assert multi.shape == (1,)
     assert abs(multi[0] - single) < 1e-13
 
@@ -430,8 +435,8 @@ def test_put_call_parity(theta2, ctx):
     ctx_r = MarketContext(spot=1.0, rate=0.03, dividend=0.01)
     sp = select_truncation(theta2, 0.75, ctx_r, 6, [0.9, 1.1])
     for strike in (0.9, 1.1):
-        call = price_single(theta2, ctx_r, OptionQuote(strike, 0.75, kind="call"), sp)
-        put = price_single(theta2, ctx_r, OptionQuote(strike, 0.75, kind="put"), sp)
+        call = per_strike_price(theta2, ctx_r, OptionQuote(strike, 0.75, kind="call"), sp)
+        put = per_strike_price(theta2, ctx_r, OptionQuote(strike, 0.75, kind="put"), sp)
         want = ctx_r.spot * np.exp(-0.01 * 0.75) - strike * np.exp(-0.03 * 0.75)
         assert abs(call - put - want) < 1e-9
 
@@ -447,7 +452,7 @@ def test_price_jacobian_matches_finite_differences(theta2, ctx):
     strikes = np.array([0.8, 0.9, 1.0, 1.1, 1.3])
     sp = select_truncation(theta2, 0.5, ctx, select_scale(theta2, 0.5, ctx, 1e-7),
                            strikes)
-    _, jac = price_and_gradient_multi_strike(theta2, ctx, 0.5, strikes, sp)
+    _, jac = MultiStrikePricer(ctx, 0.5, strikes, sp).prices_and_jacobian(theta2)
     fd = price_jacobian_fd(
         lambda th: price_multi_strike(th, ctx, 0.5, strikes, sp), theta2)
     rel = np.abs(jac - fd) / np.maximum(np.abs(fd), 1e-12)
@@ -457,9 +462,9 @@ def test_price_jacobian_matches_finite_differences(theta2, ctx):
 def test_single_quote_gradient_matches_multi(theta2, ctx):
     strikes = np.array([0.9, 1.2])
     sp = select_truncation(theta2, 0.5, ctx, 6, strikes)
-    prices, jac = price_and_gradient_multi_strike(theta2, ctx, 0.5, strikes, sp)
+    prices, jac = MultiStrikePricer(ctx, 0.5, strikes, sp).prices_and_jacobian(theta2)
     for i, strike in enumerate(strikes):
-        p, g = price_and_gradient_single(theta2, ctx, OptionQuote(strike, 0.5), sp)
+        p, g = per_strike_price_and_gradient(theta2, ctx, OptionQuote(strike, 0.5), sp)
         assert abs(p - prices[i]) < 1e-12
         assert np.max(np.abs(g - jac[i])) < 1e-12
 
@@ -692,7 +697,7 @@ def test_correlation_gradient_vanishes_without_vol_of_vol(ctx):
     th = HestonParams(kappa=1.5, v_bar=0.04, sigma=1e-5, rho=-0.5, v0=0.04)
     strikes = np.array([0.9, 1.0, 1.1])
     sp = select_truncation(th, 0.5, ctx, 8, strikes)
-    _, jac = price_and_gradient_multi_strike(th, ctx, 0.5, strikes, sp)
+    _, jac = MultiStrikePricer(ctx, 0.5, strikes, sp).prices_and_jacobian(th)
     assert np.max(np.abs(jac[:, 4])) < 1e-6  # rho column
 
 
@@ -711,8 +716,8 @@ def test_gradient_call_cost_bounded(theta2, ctx, set1_priced):
         return min(out)
 
     t_price = best(lambda: price_multi_strike(theta2, ctx, tau, strikes, sp))
-    t_both = best(lambda: price_and_gradient_multi_strike(theta2, ctx, tau,
-                                                          strikes, sp))
+    t_both = best(lambda: MultiStrikePricer(ctx, tau, strikes, sp)
+                  .prices_and_jacobian(theta2))
     assert t_both <= 2.5 * t_price, (t_price, t_both)
 
 
@@ -731,7 +736,7 @@ def test_zero_volatility_limit_approaches_intrinsic(ctx100):
                                          2 * eta + 1)))
         sp = SwiftParams(m=m, eta=eta, j_density=j, j_payoff=j, c=2.0,
                          x_low=-2.0, x_high=x + 2.0)
-        p = price_single(th, ctx100, OptionQuote(strike, 1.0), sp)
+        p = price_multi_strike(th, ctx100, 1.0, [strike], sp)[0]
         errs[m] = abs(p - (ctx100.spot - strike))
     assert errs[12] < 5e-4
     assert errs[12] < 0.1 * errs[8]
