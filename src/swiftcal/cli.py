@@ -108,11 +108,6 @@ def _given(args, names=_PRICING_FLAGS) -> dict:
     return {n: v for n, v in given.items() if v is not None}
 
 
-def _overrides(args) -> PricingOverrides:
-    # a flag the subcommand lacks or the user left unset keeps the default
-    return PricingOverrides(**_given(args))
-
-
 def _reject_unread_flags(args, backend: str, why: str = "") -> None:
     unread = [_PRICING_FLAGS[n] for n in _UNREAD_BY_BACKEND[backend]
               if n in _given(args)]
@@ -136,7 +131,8 @@ def cmd_price(args) -> int:
     _reject_unread_flags(args, args.backend)
     theta = parse_params(args.params)
     qf = resolve_quotes(args.quotes, rate=args.rate)
-    report = run_price(args.backend, theta, qf, _overrides(args))
+    # a flag the user left unset keeps the default
+    report = run_price(args.backend, theta, qf, PricingOverrides(**_given(args)))
     _emit(report, args)
     return 0
 
@@ -166,7 +162,7 @@ def cmd_generate(args) -> int:
                            "a positive --noise; drop --seed")
         base = resolve_quotes(args.set or DEFAULT_SET, rate=args.rate)
         qf = run_generate(theta, base.context, base.quotes,
-                          ov=_overrides(args), **_given(args, ("noise", "seed")))
+                          **_given(args, ("noise", "seed", "m")))
     if args.out:
         save_quote_file(qf, args.out)
     else:
@@ -182,7 +178,7 @@ def cmd_calibrate(args) -> int:
         raise CliError("calibration needs observed prices; run 'generate' "
                        "first or supply a priced quote file")
     report, result = run_calibrate(args.backend, qf, theta0, _config(args),
-                                   _overrides(args))
+                                   **_given(args, ("u_max",)))
     _emit(report, args)
     if result.stop_reason is not StopReason.RESIDUAL_TOL and not args.allow_partial:
         sys.stderr.write(
@@ -201,7 +197,7 @@ def cmd_speed(args) -> int:
     qf = resolve_quotes(args.set, rate=args.rate)
     report = run_speed(args.set, qf.quotes, qf.context, target, start,
                        reps=args.reps, config=_config(args),
-                       ov=_overrides(args))
+                       **_given(args, ("u_max",)))
     _emit(report, args)
     return 0
 
@@ -210,8 +206,7 @@ def cmd_converge(args) -> int:
     qf = resolve_quotes("set2", rate=args.rate)
     report = run_converge(args.target, qf.quotes, qf.context,
                           trials=args.trials, seed=args.seed,
-                          config=_config(args), ov=_overrides(args),
-                          workers=args.workers)
+                          config=_config(args), workers=args.workers)
     _emit(report, args)
     return 0
 
@@ -249,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("price", help="price a quote file")
-    p.add_argument("--backend", choices=("swift", "kswift", "cp"),
-                   default="swift")
+    p.add_argument("--backend", choices=("swift", "cp"), default="swift")
     p.add_argument("--params", required=True)
     p.add_argument("--quotes", required=True)
     _add_pricing_flags(p)
@@ -269,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pricing_flags(p, with_quadrature=False)  # generate prices by swift only
     p.set_defaults(func=cmd_generate)
 
-    # no abbreviations: a dropped --m would otherwise parse as --max-iter
+    # no abbreviations where the fits select per group: a dropped --m would
+    # otherwise parse as --max-iter
     p = sub.add_parser("calibrate", help="fit the five parameters to quotes",
                        allow_abbrev=False)
     p.add_argument("--backend", choices=("swift", "kswift", "cp"),
@@ -282,25 +277,44 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("speed", help="calibration timing comparison")
+    p = sub.add_parser("speed", help="calibration timing comparison",
+                       allow_abbrev=False)
     p.add_argument("--set", choices=("set1", "set2", "set3"), default="set2")
     p.add_argument("--params", default="theta2", help="target parameters")
     p.add_argument("--start", default="theta2-start")
     p.add_argument("--reps", type=int, default=100)
-    _add_pricing_flags(p)
+    _add_pricing_flags(p, with_swift=False)  # the fits select per group
     _add_config_flags(p)
     p.set_defaults(func=cmd_speed)
 
-    p = sub.add_parser("converge", help="random-start convergence study")
+    p = sub.add_parser("converge", help="random-start convergence study",
+                       allow_abbrev=False)
     p.add_argument("--target", choices=CONVERGE_TARGETS, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=min(8, os.cpu_count() or 1))
-    _add_pricing_flags(p, with_quadrature=False)  # converge fits with kswift only
+    # kswift fits only, each selecting per group
+    _add_pricing_flags(p, with_swift=False, with_quadrature=False)
     _add_config_flags(p)
     p.set_defaults(func=cmd_converge)
 
     return ap
+
+
+def _remedy(args, exc) -> str:
+    """The remedy line for a numerical failure, naming only flags that the
+    failing subcommand takes and its backend reads; empty when none helps."""
+    if isinstance(exc, ChfOverflowError):
+        # a smaller scale or cutoff lowers the frequency range swept
+        unread = _UNREAD_BY_BACKEND.get(getattr(args, "backend", None), ())
+        if getattr(args, "grid", None):
+            unread = ("m",)  # --grid fixes m itself and refuses --m
+        flags = [flag for name, flag in _PRICING_FLAGS.items()
+                 if hasattr(args, name) and name not in unread]
+        return f"remedy: lower {' or '.join(flags)}\n" if flags else ""
+    if getattr(args, "m", None) is not None:  # the pinned scale failed selection
+        return "remedy: drop --m, so that every group selects its scale\n"
+    return ""
 
 
 def main(argv=None) -> int:
@@ -313,13 +327,8 @@ def main(argv=None) -> int:
     except QuoteParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except ChfOverflowError as exc:
-        sys.stderr.write(
-            f"numerical failure: {exc}\n"
-            "remedies: lower --u-max or raise --m\n")
-        return EXIT_NUMERICAL
-    except NoConvergenceError as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
+    except (ChfOverflowError, NoConvergenceError) as exc:
+        sys.stderr.write(f"numerical failure: {exc}\n{_remedy(args, exc)}")
         return EXIT_NUMERICAL
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -52,12 +52,12 @@ from .swift import price_multi_strike, select_scale, select_truncation  # noqa: 
 
 @dataclass
 class PricingOverrides:
-    """Optional pricing overrides from the command line.
+    """Optional pricing overrides of ``price``.
 
-    m pins the wavelet scale, 0 to ``swift.MAX_SCALE``, in place of
+    m pins the swift backend's scale, 0 to ``swift.MAX_SCALE``, in place of
     ``select_scale``; the interval is still selected and its density mass
-    checked.  u_max configures the quadrature pricer.  ``scale_tol`` and
-    ``L`` are the fixed ``swift.SCALE_TOL`` and ``swift.DEFAULT_L``,
+    checked.  u_max configures the cp backend's quadrature.  ``scale_tol``
+    and ``L`` are the fixed ``swift.SCALE_TOL`` and ``swift.DEFAULT_L``,
     readable here but not settings.
     """
 
@@ -68,16 +68,15 @@ class PricingOverrides:
 
 
 def swift_prices(theta: HestonParams, ctx: MarketContext,
-                 quotes: Sequence[OptionQuote],
-                 ov: PricingOverrides = PricingOverrides()):
+                 quotes: Sequence[OptionQuote], m: Optional[int] = None):
     """Wavelet prices for a quote list from its :func:`discretization_plan` at
-    theta, so a selected grid is swept once.
+    theta, so a selected grid is swept once; m pins the scale of every group.
 
     Returns (prices, per-group SwiftParams keyed by maturity).
     """
     prices = np.empty(len(quotes))
     used = {}
-    for pricer, idx in discretization_plan(quotes, ctx, theta, m=ov.m):
+    for pricer, idx in discretization_plan(quotes, ctx, theta, m=m):
         used[pricer.tau] = pricer.sp
         prices[idx] = pricer.prices(theta)
     return prices + put_offsets(quotes, ctx), used
@@ -85,10 +84,10 @@ def swift_prices(theta: HestonParams, ctx: MarketContext,
 
 def run_price(backend: str, theta: HestonParams, qf: QuoteFile,
               ov: PricingOverrides = PricingOverrides()) -> ExperimentReport:
-    """Price every quote in the file with the selected backend."""
+    """Price every quote in the file with the swift or the cp backend."""
     t0 = time.perf_counter()
-    if backend in ("swift", "kswift"):
-        prices, used = swift_prices(theta, qf.context, qf.quotes, ov)
+    if backend == "swift":
+        prices, used = swift_prices(theta, qf.context, qf.quotes, ov.m)
         config = {repr(tau): asdict(sp) for tau, sp in used.items()}
     elif backend == "cp":
         qc = QuadratureConfig(u_max=ov.u_max)
@@ -108,18 +107,17 @@ def run_price(backend: str, theta: HestonParams, qf: QuoteFile,
 
 def run_generate(theta: HestonParams, ctx: MarketContext,
                  quotes: Sequence[OptionQuote], noise: float = 0.0,
-                 seed: int = 0,
-                 ov: PricingOverrides = PricingOverrides()) -> QuoteFile:
+                 seed: int = 0, m: Optional[int] = None) -> QuoteFile:
     """Synthetic call prices for a strike/maturity set via the wavelet pricer.
 
     Additive Gaussian noise (scale ``noise``, finite and nonnegative,
     seeded) is optional and off by default; prices are clamped at zero (deep
     out-of-the-money strikes price to numerical zero, which may land a hair
-    negative).
+    negative).  m pins the wavelet scale, as ``price --m`` does.
     """
     if not 0.0 <= noise < math.inf:
         raise ValueError(f"noise must be nonnegative and finite, got {noise}")
-    prices, _ = swift_prices(theta, ctx, quotes, ov)
+    prices, _ = swift_prices(theta, ctx, quotes, m)
     if noise > 0.0:
         rng = np.random.default_rng(seed)
         prices = prices + noise * rng.standard_normal(len(prices))
@@ -155,25 +153,25 @@ def run_generate_grid(theta: HestonParams, ctx: MarketContext, m: int,
 
 
 def make_calibration_backend(name: str, quotes, ctx, theta_ref,
-                             ov: PricingOverrides = PricingOverrides(),
+                             u_max: float = QuadratureConfig.u_max,
                              split_groups: bool = False):
-    """The calibration backend named swift, kswift or cp, configured from ov."""
+    """The calibration backend named swift, kswift or cp (u_max: cp's quadrature)."""
     if name == "kswift":
         return KswiftBackend(quotes, ctx, theta_ref, split_groups=split_groups)
     if name == "swift":
         return SwiftBackend(quotes, ctx, theta_ref)
     if name == "cp":
-        return CpBackend(quotes, ctx, qc=QuadratureConfig(u_max=ov.u_max))
+        return CpBackend(quotes, ctx, qc=QuadratureConfig(u_max=u_max))
     raise ValueError(f"unknown backend {name!r}; expected swift, kswift or cp")
 
 
 def run_calibrate(backend_name: str, qf: QuoteFile, theta0: HestonParams,
                   config: CalibrationConfig = CalibrationConfig(),
-                  ov: PricingOverrides = PricingOverrides()):
-    """Calibrate a quote file; returns (report, CalibrationResult)."""
+                  u_max: float = QuadratureConfig.u_max):
+    """Calibrate a quote file (u_max: cp's quadrature); returns (report, result)."""
     t0 = time.perf_counter()
     backend = make_calibration_backend(backend_name, qf.quotes, qf.context,
-                                       theta0, ov)
+                                       theta0, u_max)
     setup_s = time.perf_counter() - t0
     result = calibrate(qf.quotes, theta0, qf.context, config, backend)
     fitted = result.theta_hat
@@ -222,14 +220,15 @@ def _one_blas_thread() -> None:
         lib.scipy_openblas_set_num_threads64_(1)
 
 
-def _timed_calibration(backend_name, qf, theta0, config, ov, split_groups=False):
+def _timed_calibration(backend_name, qf, theta0, config,
+                       u_max=QuadratureConfig.u_max, split_groups=False):
     """One timed build-plus-calibrate pass (setup counts toward solve time).
 
     Module-level, so process pools can run it.
     """
     t0 = time.perf_counter()
     backend = make_calibration_backend(backend_name, qf.quotes, qf.context,
-                                       theta0, ov, split_groups=split_groups)
+                                       theta0, u_max, split_groups=split_groups)
     result = calibrate(qf.quotes, theta0, qf.context, config, backend)
     return time.perf_counter() - t0, result
 
@@ -237,8 +236,10 @@ def _timed_calibration(backend_name, qf, theta0, config, ov, split_groups=False)
 def run_speed(set_name: str, quotes: Sequence[OptionQuote], ctx: MarketContext,
               target: HestonParams, start: HestonParams, reps: int = 100,
               config: CalibrationConfig = CalibrationConfig(),
-              ov: PricingOverrides = PricingOverrides()) -> ExperimentReport:
+              u_max: float = QuadratureConfig.u_max) -> ExperimentReport:
     """Calibration wall times per backend on one strike/maturity set.
+
+    Quotes and fits select every group's scale; u_max sets cp's quadrature.
 
     set3 is the set2 data with every maturity group split to a single quote
     (full per-quote recomputation inside the grouped backend); it only makes
@@ -250,7 +251,7 @@ def run_speed(set_name: str, quotes: Sequence[OptionQuote], ctx: MarketContext,
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
-    qf = run_generate(target, ctx, quotes, ov=ov)
+    qf = run_generate(target, ctx, quotes)
     plans = ([("kswift", reps, True)] if set_name == "set3" else
              [("swift", max(1, reps // 20), False),
               ("kswift", reps, False),
@@ -260,8 +261,8 @@ def run_speed(set_name: str, quotes: Sequence[OptionQuote], ctx: MarketContext,
     for i in range(reps):
         for name, n, split in plans:
             if i < n:
-                dt, results[name] = _timed_calibration(name, qf, start, config, ov,
-                                                       split_groups=split)
+                dt, results[name] = _timed_calibration(name, qf, start, config,
+                                                       u_max, split_groups=split)
                 samples[name].append(dt)
     rows, times = [], {}
     for name, n, _ in plans:
@@ -287,9 +288,10 @@ def run_speed(set_name: str, quotes: Sequence[OptionQuote], ctx: MarketContext,
 def run_converge(target_name: str, quotes: Sequence[OptionQuote],
                  ctx: MarketContext, trials: int = 100, seed: int = 0,
                  config: CalibrationConfig = CalibrationConfig(),
-                 ov: PricingOverrides = PricingOverrides(),
                  workers: int = 1) -> ExperimentReport:
     """Repeated calibrations from uniform +-10% starts around a named target.
+
+    Quotes and kswift fits select every group's scale; nothing sets it.
 
     Start vectors are drawn up front from the seeded generator and each
     trial is self-contained, so the row contents are bitwise reproducible
@@ -307,11 +309,11 @@ def run_converge(target_name: str, quotes: Sequence[OptionQuote],
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     target = PARAM_SETS[target_name]
-    qf = run_generate(target, ctx, quotes, ov=ov)
+    qf = run_generate(target, ctx, quotes)
     rng = np.random.default_rng(seed)
     starts = [HestonParams.from_array(vec) for vec in
               target.as_array() * rng.uniform(0.9, 1.1, size=(trials, 5))]
-    trial = partial(_timed_calibration, "kswift", qf, config=config, ov=ov)
+    trial = partial(_timed_calibration, "kswift", qf, config=config)
 
     blas_threads = chf_threads = None
     if workers > 1:

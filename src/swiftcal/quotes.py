@@ -56,14 +56,6 @@ class QuoteFile:
                     f"kind={q.kind})")
             seen.add(key)
 
-    @property
-    def maturities(self):
-        out = []
-        for q in self.quotes:
-            if not out or out[-1] != q.maturity:
-                out.append(q.maturity)
-        return out
-
 
 def parse_quote_text(text: str) -> QuoteFile:
     header = {}

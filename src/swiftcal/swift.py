@@ -127,17 +127,14 @@ class SwiftParams:
                    more than 2*eta; selection sizes it by the payoff rule of
                    :func:`_j_for`).  Paid once per pricer build.  Neither J
                    may exceed ``MAX_J``.
-        c:         payoff truncation half-width from the cumulant rule.
-        x_low:     left end of the extended truncation interval (<= 0).
-        x_high:    right end of the extended truncation interval (>= 0).
+        x_high:    the call payoff is expanded over [0, x_high] (>= 0); the
+                   density's range is its wavelets', k/2^m for k in [1-eta, eta].
     """
 
     m: int
     eta: int
     j_density: int
     j_payoff: int
-    c: float
-    x_low: float
     x_high: float
 
     def __post_init__(self):
@@ -151,11 +148,8 @@ class SwiftParams:
                 raise GridSizeError(f"{name} = {j}, above MAX_J = {MAX_J}")
             if 2 * self.eta >= j:
                 raise ValueError(f"need 2*eta < {name}: eta={self.eta}, {name}={j}")
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
-        if not (self.x_low <= 0.0 <= self.x_high):
-            raise ValueError(
-                f"interval must straddle 0, got [{self.x_low}, {self.x_high}]")
+        if not self.x_high >= 0.0:
+            raise ValueError(f"x_high must be nonnegative, got {self.x_high}")
 
     @property
     def k_range(self) -> np.ndarray:
@@ -321,42 +315,41 @@ def interval_params(m: int, c: float, x_min: Optional[float] = None,
 
     m is checked against [0, ``MAX_SCALE``] before any 2^m is formed.  The
     interval is [x_min - c, x_max + c] clamped to straddle 0 (the payoff
-    kink must stay inside the expansion window).  eta defaults to the
-    smallest half-width covering it at scale m; ``generate --grid`` passes
-    the half-width its grid fixes and no range, which is then the grid's,
-    |x| <= (eta + 1)/2^m.  J_d is the smallest power of two above
-    2 eta (the density coefficients need only that many distinct cosine
-    terms) and J_p comes from :func:`_j_for` (the payoff jumps at x_high, so
-    its expansion needs the finer grid).
+    kink must stay inside the expansion window); its right end is x_high.
+    eta defaults to the smallest half-width covering it at scale m;
+    ``generate --grid`` passes the half-width its grid fixes and no range,
+    which is then the grid's, |x| <= (eta + 1)/2^m.  J_d is the smallest
+    power of two above 2 eta (the density coefficients need only that many
+    distinct cosine terms) and J_p comes from :func:`_j_for` (the payoff
+    jumps at x_high, so its expansion needs the finer grid).
     """
     _check_scale(m)
     if x_min is None:
         x_max = (eta + 1) / 2.0**m
         x_min = -x_max
-    x_low = min(x_min - c, 0.0)
     x_high = max(x_max + c, 0.0)
-    span = max(abs(x_low), x_high)
+    span = max(abs(min(x_min - c, 0.0)), x_high)
     if eta is None:
         eta = max(1, math.ceil(2.0**m * span))
     return SwiftParams(m=m, eta=eta, j_density=_next_pow2(2 * eta + 1),
-                       j_payoff=_j_for(m, eta, span), c=c, x_low=x_low,
-                       x_high=x_high)
+                       j_payoff=_j_for(m, eta, span), x_high=x_high)
 
 
 def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
                       m: int, strikes: Sequence[float], L: float = DEFAULT_L,
                       sweep_out: Optional[list] = None) -> SwiftParams:
-    """Pick (eta, J_d, J_p, interval) at scale m for a strike set at maturity tau.
+    """Pick (eta, J_d, J_p, x_high) at scale m for a strike set at maturity tau.
 
     The half-width c starts from :func:`truncation_width`; the interval is
     the per-strike log-moneyness range extended by c on both sides, with eta,
     J_d and J_p from :func:`interval_params` (J_d just above 2 eta, J_p by
     the payoff rule).  The recovered density mass is checked at the extreme
-    log-moneyness values, from the same J_d coefficients pricing uses, so a
-    grid too coarse for the density fails the check.  On failure the
-    interval -- and eta with it -- is grown geometrically (heavy-tailed
-    parameter sets leak mass past the cumulant interval, and what leaks past
-    the right edge gets amplified by the call payoff), up to 12 steps.  The
+    log-moneyness values, once per distinct value, from the same J_d
+    coefficients pricing uses, so a grid too coarse for the density fails
+    the check.  On failure the interval -- and eta with it -- is grown
+    geometrically (heavy-tailed parameter sets leak mass past the cumulant
+    interval, and what leaks past the right edge gets amplified by the call
+    payoff), up to 12 steps.  The
     scale stays m: :func:`select_scale` alone chooses it.  The mass defect
     accepted is the fixed ``_AREA_TOL``; L defaults to ``DEFAULT_L``.
 
@@ -383,7 +376,7 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
     x = np.log(ctx.spot / strikes)
     x_min, x_max = float(x.min()), float(x.max())
 
-    edges = np.unique([x_min, x_max])  # one spectrum per distinct edge
+    edges = np.unique([x_min, x_max])  # a one-strike group has one edge
     j_d = None  # J_d of the current sweep; spectra: its {edge: density spectrum}
     for _ in range(12):
         try:
@@ -396,7 +389,7 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
             sweep = _ChfSweep(sp.density_freqs(), tau, ctx)
             f_vals = sweep.parts(theta)[0]
             shifts = _phase_matrix(edges, m, j_d)
-        for e in (0, edges.size - 1):
+        for e in range(edges.size):
             if e not in spectra:
                 spectra[e] = _cosine_spectrum(f_vals * shifts[e], j_d)
             density = _density_at(spectra[e], sp)
@@ -424,17 +417,13 @@ def _payoff_transform(sp: SwiftParams, omega: np.ndarray) -> np.ndarray:
     return (np.exp(sp.x_high) * phase - 1.0) / (1.0 - iw) + (phase - 1.0) / iw
 
 
-def payoff_coefficients(sp: SwiftParams, kind: str = "call") -> np.ndarray:
-    """Payoff coefficients U_{m,k}, k = 1-eta..eta, via one length-2J_p FFT.
+def payoff_coefficients(sp: SwiftParams) -> np.ndarray:
+    """Call payoff coefficients U_{m,k}, k = 1-eta..eta, via one length-2J_p FFT.
 
     The call payoff vanishes on y <= 0, so the closed-form antiderivative is
     taken over [0, x_high].  Only calls carry an expansion; puts are priced
-    via parity, so asking for put coefficients is an error by design.
+    via parity (:func:`parity_offset`).
     """
-    if kind != "call":
-        raise ValueError(
-            f"payoff expansion only exists for calls (got {kind!r}); "
-            "puts are priced via put-call parity")
     if sp.x_high == 0.0:
         return np.zeros(2 * sp.eta)
     values = _payoff_transform(sp, sp.payoff_freqs())
@@ -495,8 +484,9 @@ def price_strike_grid(theta: HestonParams, ctx: MarketContext, tau: float,
     """Call prices at the J_d dyadic grid points x_k = (2k - J_d)/2^{m+1}.
 
     One length-2J_d FFT prices the whole grid.  Accuracy holds for grid
-    points inside [x_low, x_high]; points beyond the truncation interval are
-    returned but carry no coverage guarantee.
+    points whose density lies inside the wavelet range y = k/2^m,
+    k = 1-eta..eta: about |x| <= eta/2^m - c for a cumulant half-width c.
+    Points beyond it are returned but carry no coverage guarantee.
 
     Returns:
         (x_grid, prices): parallel arrays of length J_d; the strike behind

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the pass/fail lines;
 each criterion also asserts, so a plain ``pytest`` run enforces them all.
 """
 
+import dataclasses
 import math
 import time
 
@@ -272,7 +273,7 @@ def test_oracle_suite(theta2, stress_theta, ctx, ctx100):
         j = 64
         c = float(rng.uniform(0.8, 2.0))
         sp = SwiftParams(m=int(rng.integers(2, 5)), eta=eta, j_density=j,
-                         j_payoff=j, c=c, x_low=-c, x_high=c)
+                         j_payoff=j, x_high=c)
         tau = float(rng.uniform(0.1, 1.5))
         x = float(rng.uniform(-0.5, 0.5))
         omega = sp.density_freqs()
@@ -294,8 +295,7 @@ def test_oracle_suite(theta2, stress_theta, ctx, ctx100):
           f"max dev {worst_fft:.1e}")
 
     # payoff coefficients vs adaptive quadrature of the defining inner product
-    sp_q = SwiftParams(m=3, eta=8, j_density=2**17, j_payoff=2**17,
-                       c=1.0, x_low=-1.0, x_high=1.0)
+    sp_q = SwiftParams(m=3, eta=8, j_density=2**17, j_payoff=2**17, x_high=1.0)
     coeffs = payoff_coefficients(sp_q)
     worst_quad = 0.0
     for i, k in enumerate(sp_q.k_range):
@@ -315,10 +315,9 @@ def test_oracle_suite(theta2, stress_theta, ctx, ctx100):
 
     # strike-grid pricer vs the per-strike path at grid strikes
     sp0 = select_truncation(theta2, 1.0, ctx, 5, [0.5, 2.0])
-    spg = SwiftParams(m=5, eta=sp0.eta, j_density=256, j_payoff=256,
-                      c=sp0.c, x_low=sp0.x_low, x_high=sp0.x_high)
+    spg = dataclasses.replace(sp0, j_density=256, j_payoff=256)
     x_grid, grid_prices = price_strike_grid(theta2, ctx, 1.0, spg)
-    inside = (x_grid >= spg.x_low) & (x_grid <= spg.x_high)
+    inside = np.abs(x_grid) <= spg.x_high  # the interval: the strikes are symmetric
     multi = price_multi_strike(theta2, ctx, 1.0,
                                ctx.spot * np.exp(-x_grid[inside]), spg)
     dev_grid = float(np.max(np.abs(multi - grid_prices[inside])))

@@ -20,6 +20,7 @@ from swiftcal.fixtures import PARAM_SETS
 from swiftcal.heston import ChfOverflowError
 from swiftcal.quotes import load_quote_file, loads_quotes
 from swiftcal.reports import ExperimentReport
+from swiftcal.swift import SwiftParams
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -91,6 +92,7 @@ def test_pinned_scale_too_coarse_exits_numerical(capsys, short_file):
                            "stress", "--quotes", short_file, "--m", "3")
     assert code == 3
     assert "numerical failure" in err
+    assert "remedy: drop --m" in err
 
 
 def test_malformed_quote_file_exits_input_error(capsys, tmp_path):
@@ -198,11 +200,14 @@ def test_calibrate_cli_round_trip(capsys, tmp_path):
 
 
 def test_calibrate_rejects_discretization_flags(capsys):
-    # the calibration backends select their own discretization per group
-    with pytest.raises(SystemExit) as exc:
-        main(["calibrate", "--quotes", "set2", "--start", "theta2-start",
-              "--m", "9"])
-    assert exc.value.code == 2
+    # the calibration backends select their own discretization per group,
+    # in calibrate and in the fits speed and converge time
+    for argv in (["calibrate", "--quotes", "set2", "--start", "theta2-start"],
+                 ["speed", "--set", "set1", "--reps", "1"],
+                 ["converge", "--target", "fx", "--trials", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--m", "9"])
+        assert exc.value.code == 2, argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -406,8 +411,6 @@ def test_price_cp_rejects_zero_u_max(capsys):
                  id="price-cp-swift-flags"),
     pytest.param(["price", "--backend", "swift", "--u-max", "1"], ["--u-max"],
                  id="price-swift-cp-flags"),
-    pytest.param(["price", "--backend", "kswift", "--u-max", "1"], ["--u-max"],
-                 id="price-kswift-u-max"),
     pytest.param(["calibrate", "--backend", "kswift", "--u-max", "1"], ["--u-max"],
                  id="calibrate-kswift-u-max"),
     pytest.param(["calibrate", "--backend", "swift", "--u-max", "1"], ["--u-max"],
@@ -428,7 +431,7 @@ def test_flags_the_backend_never_reads_rejected(capsys, priced_set2, argv, unrea
 def test_flags_the_backend_reads_accepted(capsys, priced_set2):
     for argv in (["price", "--backend", "cp", "--params", "theta2", "--quotes", "set2",
                   "--u-max", "300"],
-                 ["price", "--backend", "kswift", "--params", "theta2", "--quotes",
+                 ["price", "--backend", "swift", "--params", "theta2", "--quotes",
                   "set2", "--m", "6"],
                  ["calibrate", "--backend", "kswift", "--quotes", priced_set2,
                   "--start", "theta2"]):
@@ -484,17 +487,32 @@ def test_generate_malformed_grid_exits_input_error(capsys, grid, message):
     assert message in err
 
 
-def test_chf_overflow_exits_numerical(capsys, monkeypatch, long_file):
+def test_chf_overflow_exits_numerical(capsys, monkeypatch, long_file, priced_set2):
+    # the remedy names only flags the subcommand takes and its backend
+    # reads; a smaller cutoff or scale lowers the frequency range swept
     def overflow(*args, **kwargs):
         raise ChfOverflowError("characteristic function overflowed")
 
-    monkeypatch.setattr(cli, "run_price", overflow)
-    code, out, err = run_cli(capsys, "price", "--backend", "cp", "--params",
-                             "theta2", "--quotes", long_file)
-    assert code == 3
-    assert out == ""
-    assert "numerical failure" in err
-    assert "remedies: lower --u-max or raise --m" in err
+    for runner, argv, remedy in (
+            ("run_price", ["price", "--backend", "cp", "--params", "theta2",
+                           "--quotes", long_file], "remedy: lower --u-max\n"),
+            ("run_price", ["price", "--params", "theta2", "--quotes", long_file],
+             "remedy: lower --m\n"),
+            ("run_generate", ["generate", "--params", "theta2"], "remedy: lower --m\n"),
+            ("run_generate_grid", ["generate", "--params", "theta2", "--grid",
+                                   "5,64,1.0"], None),
+            ("run_calibrate", ["calibrate", "--quotes", priced_set2, "--start",
+                               "theta2"], None),
+            ("run_converge", ["converge", "--target", "fx", "--trials", "1"], None)):
+        monkeypatch.setattr(cli, runner, overflow)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "numerical failure" in err
+        if remedy is None:  # no flag the run reads lowers the range swept
+            assert "remed" not in err, argv
+        else:
+            assert err.endswith(remedy), argv
 
 
 def test_generate_stdout_parses_back(capsys, tmp_path):
@@ -561,19 +579,21 @@ def test_pricing_flag_tables_match_the_parser():
     for name, flag in _PRICING_FLAGS.items():
         assert defined.get(flag) == name, flag
     fields = {f.name for f in dataclasses.fields(PricingOverrides)}
+    backends = set()
     for command in ("price", "calibrate"):
-        assert set(options[command]["--backend"].choices) == set(_UNREAD_BY_BACKEND)
+        backends |= set(options[command]["--backend"].choices)
         for opt, act in options[command].items():
             if act.dest in fields:
                 assert _PRICING_FLAGS.get(act.dest) == opt, (command, opt)
+    assert backends == set(_UNREAD_BY_BACKEND)
     for backend, names in _UNREAD_BY_BACKEND.items():
         assert set(names) <= set(_PRICING_FLAGS), backend
 
 
 def test_cli_surface_pinned():
-    # the options each subcommand accepts and the settable pricing fields;
-    # a flag or setting added or dropped changes this test and the README's
-    # flag list together
+    # the options each subcommand accepts, the price backends and the
+    # settable pricing and discretization fields; a flag or setting added
+    # or dropped changes this test and the README's flag list together
     common = {"-h", "--help", "--out", "--rate"}
     config = {"--eps1", "--eps2", "--eps3", "--max-iter"}
     want = {
@@ -582,17 +602,20 @@ def test_cli_surface_pinned():
                               "--seed", "--m"},
         "calibrate": common | config | {"--backend", "--quotes", "--start",
                                         "--allow-partial", "--u-max"},
-        "speed": common | config | {"--set", "--params", "--start", "--reps", "--m",
+        "speed": common | config | {"--set", "--params", "--start", "--reps",
                                     "--u-max"},
-        "converge": common | config | {"--target", "--trials", "--seed", "--workers",
-                                       "--m"},
+        "converge": common | config | {"--target", "--trials", "--seed", "--workers"},
     }
     subcommands = next(a for a in build_parser()._actions
                        if isinstance(a, argparse._SubParsersAction)).choices
     got = {name: {opt for act in sub._actions for opt in act.option_strings}
            for name, sub in subcommands.items()}
     assert got == want
+    backend = next(a for a in subcommands["price"]._actions if a.dest == "backend")
+    assert backend.choices == ("swift", "cp")
     assert [f.name for f in dataclasses.fields(PricingOverrides)] == ["m", "u_max"]
+    assert [f.name for f in dataclasses.fields(SwiftParams)] == [
+        "m", "eta", "j_density", "j_payoff", "x_high"]
 
 
 def test_calibrate_unpriced_quotes_rejected(capsys, tmp_path):

@@ -42,7 +42,6 @@ def test_text_parse_basics():
     assert [q.maturity for q in qf.quotes] == [0.5, 0.5, 1.5]
     assert qf.quotes[1].kind == "put"
     assert qf.quotes[1].price is None
-    assert qf.maturities == [0.5, 1.5]
 
 
 def test_text_round_trip_value_identical():

@@ -26,6 +26,7 @@ from swiftcal import (
     select_scale,
     select_truncation,
 )
+from swiftcal.calibrate import discretization_plan
 from swiftcal.reference import QuadratureConfig, price_cp
 from swiftcal.fixtures import PARAM_SETS, set1_quotes, set2_quotes
 from swiftcal.swift import (
@@ -87,8 +88,7 @@ def sinc_basis(m, k, y):
     return 2.0**(m / 2.0) * np.sinc(2.0**m * y - k)
 
 
-SMALL_SP = SwiftParams(m=3, eta=12, j_density=64, j_payoff=64,
-                       c=1.5, x_low=-1.5, x_high=1.5)
+SMALL_SP = SwiftParams(m=3, eta=12, j_density=64, j_payoff=64, x_high=1.5)
 
 
 def test_density_fft_equals_direct_sum(theta2, ctx):
@@ -109,18 +109,12 @@ def test_payoff_fft_equals_direct_sum():
 
 def test_payoff_coefficients_match_quadrature():
     # generous J so the cosine expansion converges well past the tolerance
-    sp = SwiftParams(m=3, eta=8, j_density=2**17, j_payoff=2**17,
-                     c=1.0, x_low=-1.0, x_high=1.0)
+    sp = SwiftParams(m=3, eta=8, j_density=2**17, j_payoff=2**17, x_high=1.0)
     coeffs = payoff_coefficients(sp)
     for i, k in enumerate(sp.k_range):
         val, err = quad(lambda y: sinc_basis(sp.m, k, y) * (np.exp(y) - 1.0),
                         0.0, sp.x_high, limit=400, epsabs=1e-13, epsrel=1e-12)
         assert abs(coeffs[i] - val) <= 1e-8 * max(abs(val), 1e-300), k
-
-
-def test_put_payoff_coefficients_rejected():
-    with pytest.raises(ValueError):
-        payoff_coefficients(SMALL_SP, kind="put")
 
 
 def test_payoff_boundary_robustness(theta2, ctx):
@@ -130,9 +124,7 @@ def test_payoff_boundary_robustness(theta2, ctx):
     m = select_scale(theta2, tau, ctx, 1e-7)
     sp = select_truncation(theta2, tau, ctx, m, [strike])
     width = 2.0**-sp.m
-    sp_wide = SwiftParams(m=sp.m, eta=sp.eta + 1, j_density=sp.j_density,
-                          j_payoff=sp.j_payoff, c=sp.c + width,
-                          x_low=sp.x_low - width, x_high=sp.x_high + width)
+    sp_wide = dataclasses.replace(sp, eta=sp.eta + 1, x_high=sp.x_high + width)
     p = price_multi_strike(theta2, ctx, tau, [strike], sp)[0]
     p_wide = price_multi_strike(theta2, ctx, tau, [strike], sp_wide)[0]
     assert abs(p - p_wide) < 1e-10
@@ -152,9 +144,7 @@ def test_density_area_detects_halved_eta(theta2, ctx):
     # area statistic must flag; the default 10-sigma interval is so generous
     # that half of it still holds all but ~1e-6 of the mass
     sp = select_truncation(theta2, 1.0, ctx, 4, [1.0], L=6.0)
-    half = SwiftParams(m=sp.m, eta=sp.eta // 2, j_density=sp.j_density,
-                       j_payoff=sp.j_payoff, c=sp.c, x_low=sp.x_low,
-                       x_high=sp.x_high)
+    half = dataclasses.replace(sp, eta=sp.eta // 2)
     dens = density_coefficients(theta2, 1.0, ctx, 0.0, half)
     assert density_area(dens, half) < 1.0 - 1e-3
 
@@ -199,10 +189,22 @@ def test_scale_seven_prices_short_maturity_rows(stress_theta, ctx100):
         select_truncation(stress_theta, 0.04, ctx100, 3, [100.0])
 
 
+def _grown_width(theta, tau, ctx, x_max, sp):
+    """The half-width c behind a selection's x_high = max(x_max + c, 0):
+    the cumulant width grown by the selection's 1.25 steps."""
+    c = truncation_width(theta, tau, ctx, DEFAULT_L)
+    while max(x_max + c, 0.0) < sp.x_high:
+        c *= 1.25
+    assert max(x_max + c, 0.0) == sp.x_high
+    return c
+
+
 def test_select_truncation_symmetric_for_atm(theta2, ctx):
+    # at the money the interval is [-c, c]: x_high is the (grown) cumulant
+    # width, and the discretization is the symmetric interval's
     sp = select_truncation(theta2, 0.5, ctx, 5, [ctx.spot])
-    assert sp.x_low == -sp.x_high
-    assert sp.x_high == sp.c
+    c = _grown_width(theta2, 0.5, ctx, 0.0, sp)
+    assert sp == interval_params(5, c, 0.0, 0.0)
 
 
 def test_select_truncation_interval_straddles_zero(stress_theta, ctx100):
@@ -210,9 +212,8 @@ def test_select_truncation_interval_straddles_zero(stress_theta, ctx100):
     sp = select_truncation(stress_theta, 0.04, ctx100, 7, [200.0])
     assert sp.x_high == 0.0
     assert price_multi_strike(stress_theta, ctx100, 0.04, [200.0], sp)[0] == 0.0
-    # deep ITM short expiry: lower end clamps instead
+    # deep ITM short expiry: the window reaches past the strike's x = ln 2
     sp2 = select_truncation(stress_theta, 0.04, ctx100, 7, [50.0])
-    assert sp2.x_low == 0.0 or sp2.x_low < 0.0  # clamp only when needed
     assert sp2.x_high > math.log(2.0)
 
 
@@ -238,9 +239,13 @@ def _set2_selections(theta, ctx):
 
 @pytest.mark.parametrize("name", ["theta2", "fx", "ir", "eq"])
 def test_select_truncation_sizes_density_and_payoff_grids(name, ctx):
-    # J_d just above 2 eta; J_p by the payoff rule over the same interval
-    for _, _, sp in _set2_selections(PARAM_SETS[name], ctx):
-        span = max(abs(sp.x_low), sp.x_high)
+    # J_d just above 2 eta; J_p by the payoff rule over the same interval,
+    # [x_min - c, x_max + c] clamped to straddle 0
+    theta = PARAM_SETS[name]
+    for tau, strikes, sp in _set2_selections(theta, ctx):
+        x = np.log(ctx.spot / np.asarray(strikes))
+        c = _grown_width(theta, tau, ctx, x.max(), sp)
+        span = max(abs(min(x.min() - c, 0.0)), sp.x_high)
         assert sp.j_density == _next_pow2(2 * sp.eta + 1)
         assert sp.j_payoff == _j_for(sp.m, sp.eta, span)
 
@@ -302,14 +307,12 @@ def test_selection_refuses_a_grid_above_max_j(ctx):
 
 def test_invalid_swift_params_rejected():
     with pytest.raises(ValueError):  # 2 eta >= J
-        SwiftParams(m=3, eta=32, j_density=64, j_payoff=64, c=1.0,
-                    x_low=-1.0, x_high=1.0)
+        SwiftParams(m=3, eta=32, j_density=64, j_payoff=64, x_high=1.0)
     with pytest.raises(ValueError):  # J not a power of two
-        SwiftParams(m=3, eta=4, j_density=48, j_payoff=64, c=1.0,
-                    x_low=-1.0, x_high=1.0)
-    with pytest.raises(ValueError):  # interval must straddle zero
-        SwiftParams(m=3, eta=4, j_density=64, j_payoff=64, c=1.0,
-                    x_low=0.5, x_high=1.5)
+        SwiftParams(m=3, eta=4, j_density=48, j_payoff=64, x_high=1.0)
+    for x_high in (-0.5, math.nan):  # the payoff window [0, x_high]
+        with pytest.raises(ValueError, match="x_high must be nonnegative"):
+            SwiftParams(m=3, eta=4, j_density=64, j_payoff=64, x_high=x_high)
     for m in (-1, MAX_SCALE + 1):  # the scale range, checked before any grid
         with pytest.raises(ValueError, match=r"m must be in \[0, 12\]"):
             dataclasses.replace(SMALL_SP, m=m)
@@ -395,12 +398,11 @@ def test_coefficient_set_fields(theta2, ctx):
 
 def test_grid_pricer_matches_multi_strike(theta2, ctx):
     sp0 = select_truncation(theta2, 1.0, ctx, 5, [0.5, 2.0])
-    sp = SwiftParams(m=5, eta=sp0.eta, j_density=256, j_payoff=256,
-                     c=sp0.c, x_low=sp0.x_low, x_high=sp0.x_high)
+    sp = dataclasses.replace(sp0, j_density=256, j_payoff=256)
     x_grid, grid_prices = price_strike_grid(theta2, ctx, 1.0, sp)
     k = np.arange(sp.j_density)
     assert np.allclose(x_grid, (2.0 * k - sp.j_density) / 2.0**(sp.m + 1))
-    inside = (x_grid >= sp.x_low) & (x_grid <= sp.x_high)
+    inside = np.abs(x_grid) <= sp.x_high  # the interval: the strikes are symmetric
     strikes = ctx.spot * np.exp(-x_grid[inside])
     multi = price_multi_strike(theta2, ctx, 1.0, strikes, sp)
     assert np.max(np.abs(multi - grid_prices[inside])) < 1e-10
@@ -410,20 +412,18 @@ def test_grid_monotone_in_strike_without_correlation(ctx):
     th = HestonParams(kappa=1.5768, v_bar=0.0398, sigma=0.0175, rho=0.0,
                       v0=0.0175)
     sp0 = select_truncation(th, 1.0, ctx, 5, [0.5, 2.0])
-    sp = SwiftParams(m=5, eta=sp0.eta, j_density=256, j_payoff=256,
-                     c=sp0.c, x_low=sp0.x_low, x_high=sp0.x_high)
+    sp = dataclasses.replace(sp0, j_density=256, j_payoff=256)
     x_grid, prices = price_strike_grid(th, ctx, 1.0, sp)
-    usable = (x_grid >= sp.x_low + sp.c) & (x_grid <= sp.x_high - sp.c)
+    usable = np.abs(x_grid) <= math.log(2.0)  # the strikes' own range
     order = np.argsort(-x_grid[usable])  # ascending strike
     assert np.all(np.diff(prices[usable][order]) <= 1e-12)
 
 
 def test_grid_spline_interpolation(theta2, ctx):
     sp0 = select_truncation(theta2, 1.0, ctx, 5, [0.5, 2.0])
-    sp = SwiftParams(m=5, eta=sp0.eta, j_density=256, j_payoff=256,
-                     c=sp0.c, x_low=sp0.x_low, x_high=sp0.x_high)
+    sp = dataclasses.replace(sp0, j_density=256, j_payoff=256)
     x_grid, prices = price_strike_grid(theta2, ctx, 1.0, sp)
-    inside = (x_grid >= sp.x_low) & (x_grid <= sp.x_high)
+    inside = np.abs(x_grid) <= sp.x_high  # the interval: the strikes are symmetric
     spline = CubicSpline(x_grid[inside], prices[inside], bc_type="natural")
     rng = np.random.default_rng(7)
     x_probe = rng.uniform(-0.6, 0.6, 100)
@@ -470,8 +470,7 @@ def test_single_quote_gradient_matches_multi(theta2, ctx):
 
 
 def test_phase_matrix_two_tables_match_direct_exponentials(ctx):
-    sp = SwiftParams(m=9, eta=4096, j_density=16384, j_payoff=16384, c=1.0,
-                     x_low=-8.0, x_high=8.0)
+    sp = SwiftParams(m=9, eta=4096, j_density=16384, j_payoff=16384, x_high=8.0)
     omega = sp.density_freqs()
     for quotes in (set1_quotes(), set2_quotes()):
         strikes = np.array([q.strike for q in quotes])
@@ -505,8 +504,7 @@ def test_twiddle_tables_are_the_direct_exponentials_bitwise(j_density, j_payoff)
             table[0] = 0.0
     # U-tilde scatters the payoff terms at the wrapped density indices
     eta = j_density // 2 - 1
-    sp = SwiftParams(m=2, eta=eta, j_density=j_density, j_payoff=j_payoff,
-                     c=1.0, x_low=-1.0, x_high=1.0)
+    sp = SwiftParams(m=2, eta=eta, j_density=j_density, j_payoff=j_payoff, x_high=1.0)
     payoff = rng.standard_normal(2 * eta)
     k, two_j = sp.k_range, 2 * j_density
     buf = np.zeros(two_j, dtype=np.complex128)
@@ -523,8 +521,7 @@ def test_frequency_grids_are_cached_read_only_direct_expressions():
         jj = np.arange(1, j + 1)
         assert _bits(grid) == _bits(np.pi * (2 * jj - 1) / (2 * j) * 2.0**m)
         assert _scaled_freqs(m, j) is grid and not grid.flags.writeable
-    sp = SwiftParams(m=5, eta=20, j_density=64, j_payoff=256, c=1.0,
-                     x_low=-1.0, x_high=1.0)
+    sp = SwiftParams(m=5, eta=20, j_density=64, j_payoff=256, x_high=1.0)
     assert sp.density_freqs() is _scaled_freqs(5, 64)
     assert sp.payoff_freqs() is _scaled_freqs(5, 256)
 
@@ -533,8 +530,7 @@ def test_pricer_phases_are_the_two_table_product_bitwise(ctx):
     # the coarse/fine product the pricer has always been built from, kept
     # conjugated as interleaved reals
     for sp in (SMALL_SP, dataclasses.replace(SMALL_SP, m=0, eta=1, j_density=4),
-               SwiftParams(m=9, eta=2000, j_density=4096, j_payoff=8192, c=1.0,
-                           x_low=-3.0, x_high=3.0)):
+               SwiftParams(m=9, eta=2000, j_density=4096, j_payoff=8192, x_high=3.0)):
         strikes = np.array([q.strike for q in set2_quotes()])
         x = np.log(ctx.spot / strikes)
         j_d, b = sp.j_density, min(64, sp.j_density)
@@ -622,6 +618,25 @@ def test_select_truncation_matches_the_reference_rule_at_long_maturity(
     for strike in (50.0, 100.0, 200.0):
         assert select_truncation(stress_theta, 45.0, ctx100, 3, [strike]) == \
             reference_truncation(stress_theta, 45.0, ctx100, 3, [strike])
+
+
+@pytest.mark.parametrize("name", ["theta2", "fx"])
+def test_one_strike_selection_checks_its_edge_once_per_step(name, ctx, monkeypatch):
+    # a one-strike group's two extremes are one edge, whose mass each growth
+    # step checks once: the set3 protocol, every set2 quote its own group
+    from swiftcal import swift
+
+    calls = {"interval_params": 0, "density_area": 0}
+    for attr in calls:
+        def counted(*args, _attr=attr, _original=getattr(swift, attr)):
+            calls[_attr] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(swift, attr, counted)
+    plan = list(discretization_plan(set2_quotes(), ctx, PARAM_SETS[name],
+                                    split_groups=True))
+    assert len(plan) == 40
+    assert calls["density_area"] == calls["interval_params"], calls
 
 
 @pytest.mark.parametrize("name", ["stress", "theta2", "fx", "ir", "eq"])
@@ -734,8 +749,7 @@ def test_zero_volatility_limit_approaches_intrinsic(ctx100):
         eta = math.ceil(2.0**m * (x + 2.0))
         j = 1 << math.ceil(math.log2(max((math.pi / 2) * (2.0**m * (x + 2) + eta),
                                          2 * eta + 1)))
-        sp = SwiftParams(m=m, eta=eta, j_density=j, j_payoff=j, c=2.0,
-                         x_low=-2.0, x_high=x + 2.0)
+        sp = SwiftParams(m=m, eta=eta, j_density=j, j_payoff=j, x_high=x + 2.0)
         p = price_multi_strike(th, ctx100, 1.0, [strike], sp)[0]
         errs[m] = abs(p - (ctx100.spot - strike))
     assert errs[12] < 5e-4
