@@ -49,7 +49,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .heston import HestonParams, MarketContext
-from .reference import QuadratureConfig, price_and_gradient_cp
+from .reference import QuadratureConfig, price_and_gradient_cp, price_cp
 from .swift import (
     MultiStrikePricer,
     OptionQuote,
@@ -251,7 +251,7 @@ class CpBackend:
         self.qc = qc
 
     def prices(self, theta: HestonParams) -> np.ndarray:
-        return self.prices_and_jacobian(theta)[0]
+        return np.array([price_cp(theta, self.ctx, q, self.qc) for q in self.quotes])
 
     def prices_and_jacobian(self, theta: HestonParams):
         rows = [price_and_gradient_cp(theta, self.ctx, q, self.qc)

@@ -1,8 +1,8 @@
 """Command-line surface: price | generate | calibrate | speed | converge.
 
-Exit codes: 0 success, 2 input/parse error, 3 numerical failure (overflow or
-discretization selection failure), 4 calibration finished without reaching
-the residual tolerance (suppressed by --allow-partial).
+Exit codes: 0 success, 2 input/parse error, 3 numerical failure (overflow,
+failed selection, or a swift call price outside its no-arbitrage band), 4 fit
+short of the residual tolerance (suppressed by --allow-partial).
 
 Parameter arguments accept a named fixture (theta1, theta2, theta2-start,
 stress, fx, ir, eq), a JSON file with kappa/v_bar/sigma/rho/v0 fields, or an

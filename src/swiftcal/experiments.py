@@ -39,15 +39,20 @@ from .reports import ExperimentReport
 from .swift import (
     DEFAULT_L,
     SCALE_TOL,
+    NoConvergenceError,
     OptionQuote,
-    interval_params,
+    SwiftParams,
+    _check_scale,
     price_strike_grid,
     put_offsets,
-    truncation_width,
 )
 # Unused here: perfbench/tracing.py rebinds these names in this module,
 # until the benchmark counts without rebinding.
 from .swift import price_multi_strike, select_scale, select_truncation  # noqa: F401
+
+# Slack of the no-arbitrage band per unit of discounted strike: far above the
+# wavelet pricer's error on the benchmark sets, far below a failed expansion.
+_BAND_TOL = 1e-4
 
 
 @dataclass
@@ -73,12 +78,28 @@ def swift_prices(theta: HestonParams, ctx: MarketContext,
     theta, so a selected grid is swept once; m pins the scale of every group.
 
     Returns (prices, per-group SwiftParams keyed by maturity).
+
+    Raises:
+        NoConvergenceError: a call price, before a put's parity offset, lies
+            outside [max(F - P, 0) - d, F + d], F = S e^{-q tau} and
+            P = K e^{-r tau}, d = ``_BAND_TOL`` P: the discretization did not
+            resolve it.  The message names tau and K.
     """
     prices = np.empty(len(quotes))
     used = {}
     for pricer, idx in discretization_plan(quotes, ctx, theta, m=m):
         used[pricer.tau] = pricer.sp
-        prices[idx] = pricer.prices(theta)
+        calls = pricer.prices(theta)
+        fwd = ctx.spot * math.exp(-ctx.dividend * pricer.tau)
+        pv = pricer.strikes * math.exp(-ctx.rate * pricer.tau)
+        lo, hi = np.maximum(fwd - pv, 0.0) - _BAND_TOL * pv, fwd + _BAND_TOL * pv
+        outside = np.flatnonzero(~((calls >= lo) & (calls <= hi)))
+        if outside.size:
+            i = outside[0]
+            raise NoConvergenceError(
+                f"call price {calls[i]:.6g} at tau={pricer.tau:g}, K={pricer.strikes[i]:g} "
+                f"lies outside its no-arbitrage band [{lo[i]:.6g}, {hi[i]:.6g}]")
+        prices[idx] = calls
     return prices + put_offsets(quotes, ctx), used
 
 
@@ -133,18 +154,19 @@ def run_generate_grid(theta: HestonParams, ctx: MarketContext, m: int,
     """Calls at the dyadic strike grid x_k = (2k - J_d)/2^{m+1}.
 
     The grid layout is fixed by (m, J_d), J_d a power of two of at least 4;
-    the series half-width is the J_d/2 - 1 validity bound, so only the
-    central band of the grid carries accurate prices (the wings are outside
-    any coverage J_d permits).  :func:`~swiftcal.swift.interval_params`
-    bounds m, and ``SwiftParams`` J_d and the J_p the payoff needs, before
-    any grid is built.
+    the series half-width is the J_d/2 - 1 validity bound and the payoff
+    window ends at its wavelet range's edge, x_high = eta/2^m.  Only the
+    central band carries accurate prices (the wings' densities leave that
+    range).  m is checked before any 2^m is formed, and J_d before any grid
+    is built.
     """
     if j_density < 4 or j_density & (j_density - 1):
         raise ValueError(f"grid J must be a power of two >= 4, got {j_density}")
     if not 0.0 < tau < math.inf:
         raise ValueError(f"grid tau must be positive and finite, got {tau}")
-    sp = interval_params(m, truncation_width(theta, tau, ctx, DEFAULT_L),
-                         eta=j_density // 2 - 1)
+    _check_scale(m)
+    eta = j_density // 2 - 1
+    sp = SwiftParams(m=m, eta=eta, j_density=j_density, x_high=eta / 2.0**m)
     x_grid, prices = price_strike_grid(theta, ctx, tau, sp)
     quotes = [OptionQuote(strike=float(ctx.spot * np.exp(-x)), maturity=tau,
                           price=float(max(p, 0.0)))

@@ -4,8 +4,10 @@ The risk-neutral density of y = ln(S_T/K) given x = ln(S_t/K) is projected
 onto the Shannon scaling family phi_{m,k}(y) = 2^{m/2} sinc(2^m y - k) at
 scale m, with k truncated to the symmetric range [1 - eta, eta].  Density and
 payoff coefficients come from cosine expansions of sinc evaluated at the
-half-integer frequencies u_j = pi (2j - 1) / (2J); both reduce to length-2J
-DFTs.  A European call is then
+half-integer frequencies u_j = pi (2j - 1) / (2J_d) of one grid, J_d the
+power of two just above 2 eta; both reduce to length-2J_d DFTs.  One grid
+serves both because the payoff window [0, x_high] lies inside the wavelet
+range, x_high <= eta/2^m.  A European call is then
 
     price = K e^{-r tau} sum_k D_{m,k}(x) U_{m,k},
 
@@ -27,7 +29,7 @@ Puts are priced from calls via put-call parity throughout (exact; no second
 payoff expansion is carried).  ``parity_offset`` is the one parity rule of the
 package; every pricer adds it to the call price of a put.  The discretization
 rule is likewise written once: ``truncation_width`` gives the cumulant
-half-width, ``interval_params`` the interval, eta and J it implies, and
+half-width, ``interval_params`` the eta, J_d and x_high it implies, and
 ``group_by_maturity`` the quote groups that share them.  One plan,
 ``calibrate.discretization_plan``, applies it to a quote set: per group it
 selects the discretization and builds the ``MultiStrikePricer``, which starts
@@ -72,7 +74,7 @@ __all__ = [
 OPTION_KINDS = ("call", "put")
 SCALE_TOL = 1e-7  # transform tail mass a selected scale may leave out
 MAX_SCALE = 12  # finest wavelet scale: select_scale's last, SwiftParams' limit
-MAX_J = 2**20  # largest J_d or J_p a SwiftParams may hold (16 MiB per array)
+MAX_J = 2**20  # largest J_d a SwiftParams may hold (16 MiB per array)
 DEFAULT_L = 10.0  # truncation-width multiplier of the cumulant rule
 # Density mass defect select_truncation accepts; strict, since a defect of
 # 1e-6 beyond a far right edge can already cost ~1e-5 in price.
@@ -81,7 +83,7 @@ _TAIL_QUAD_POINTS = 129  # trapezoid points per scale in _tail_masses
 
 
 class NoConvergenceError(RuntimeError):
-    """Discretization selection could not meet its tolerance."""
+    """A discretization could not meet its tolerance or resolve a price."""
 
 
 class GridSizeError(ValueError):
@@ -118,38 +120,37 @@ class SwiftParams:
     Attributes:
         m:         wavelet scale (resolution 2^-m in log-moneyness), 0 to
                    ``MAX_SCALE``.
-        eta:       series truncation half-width; k runs over [1 - eta, eta].
-        j_density: cosine terms J_d for the density coefficients (power of two,
-                   more than 2*eta, which is all the density needs).  J_d
-                   sets the cost of every characteristic sweep and phase
-                   product.
-        j_payoff:  cosine terms J_p for the payoff coefficients (power of two,
-                   more than 2*eta; selection sizes it by the payoff rule of
-                   :func:`_j_for`).  Paid once per pricer build.  Neither J
-                   may exceed ``MAX_J``.
-        x_high:    the call payoff is expanded over [0, x_high] (>= 0); the
-                   density's range is its wavelets', k/2^m for k in [1-eta, eta].
+        eta:       series truncation half-width; k runs over [1 - eta, eta],
+                   so the wavelet range is [(1 - eta)/2^m, eta/2^m].
+        j_density: cosine terms J_d of the one frequency grid (power of two,
+                   more than 2*eta, at most ``MAX_J``).  It sizes both the
+                   density and the payoff expansion, and sets the cost of
+                   every characteristic sweep and phase product.
+        x_high:    the call payoff is expanded over [0, x_high].  The window
+                   lies inside the wavelet range, 0 <= x_high <= eta/2^m,
+                   the invariant under which J_d terms resolve the payoff as
+                   well as the density (past it, the payoff needs more).
     """
 
     m: int
     eta: int
     j_density: int
-    j_payoff: int
     x_high: float
 
     def __post_init__(self):
         _check_scale(self.m)
         if self.eta < 1:
             raise ValueError(f"eta must be positive, got {self.eta}")
-        for name, j in (("j_density", self.j_density), ("j_payoff", self.j_payoff)):
-            if j < 2 or (j & (j - 1)) != 0:
-                raise ValueError(f"{name} must be a power of two >= 2, got {j}")
-            if j > MAX_J:
-                raise GridSizeError(f"{name} = {j}, above MAX_J = {MAX_J}")
-            if 2 * self.eta >= j:
-                raise ValueError(f"need 2*eta < {name}: eta={self.eta}, {name}={j}")
-        if not self.x_high >= 0.0:
-            raise ValueError(f"x_high must be nonnegative, got {self.x_high}")
+        j = self.j_density
+        if j < 2 or (j & (j - 1)) != 0:
+            raise ValueError(f"j_density must be a power of two >= 2, got {j}")
+        if j > MAX_J:
+            raise GridSizeError(f"j_density = {j}, above MAX_J = {MAX_J}")
+        if 2 * self.eta >= j:
+            raise ValueError(f"need 2*eta < j_density: eta={self.eta}, j_density={j}")
+        if not 0.0 <= self.x_high <= self.eta / 2.0**self.m:
+            raise ValueError(f"x_high must be nonnegative and at most eta/2^m = "
+                             f"{self.eta / 2.0**self.m}, got {self.x_high}")
 
     @property
     def k_range(self) -> np.ndarray:
@@ -157,12 +158,8 @@ class SwiftParams:
         return np.arange(1 - self.eta, self.eta + 1)
 
     def density_freqs(self) -> np.ndarray:
-        """Scaled density frequencies omega_j = u_j^d 2^m, j = 1..J_d."""
+        """Scaled frequencies omega_j = u_j 2^m, j = 1..J_d, of both expansions."""
         return _scaled_freqs(self.m, self.j_density)
-
-    def payoff_freqs(self) -> np.ndarray:
-        """Scaled payoff frequencies omega_j = u_j^p 2^m, j = 1..J_p."""
-        return _scaled_freqs(self.m, self.j_payoff)
 
 
 def _check_scale(m: int) -> None:
@@ -289,16 +286,6 @@ def _next_pow2(n: float) -> int:
     return 1 << max(1, math.ceil(math.log2(max(n, 2.0))))
 
 
-def _j_for(m: int, eta: int, span: float) -> int:
-    """Payoff J_p: smallest power of two with 2*eta < J and
-    J >= pi/2 (2^m span + eta), the SWIFT rule for a payoff that jumps at the
-    interval edge."""
-    j = _next_pow2((np.pi / 2.0) * (2.0**m * span + eta))
-    while j <= 2 * eta:
-        j *= 2
-    return j
-
-
 def truncation_width(theta: HestonParams, tau: float, ctx: MarketContext,
                      L: float) -> float:
     """Cumulant half-width c = |c1| + L sqrt(c2) of the truncation rule."""
@@ -308,50 +295,39 @@ def truncation_width(theta: HestonParams, tau: float, ctx: MarketContext,
     return abs(c1) + L * math.sqrt(c2)
 
 
-def interval_params(m: int, c: float, x_min: Optional[float] = None,
-                    x_max: Optional[float] = None,
-                    eta: Optional[int] = None) -> SwiftParams:
+def interval_params(m: int, c: float, x_min: float, x_max: float) -> SwiftParams:
     """Discretization at scale m for log-moneyness in [x_min, x_max].
 
     m is checked against [0, ``MAX_SCALE``] before any 2^m is formed.  The
     interval is [x_min - c, x_max + c] clamped to straddle 0 (the payoff
     kink must stay inside the expansion window); its right end is x_high.
-    eta defaults to the smallest half-width covering it at scale m;
-    ``generate --grid`` passes the half-width its grid fixes and no range,
-    which is then the grid's, |x| <= (eta + 1)/2^m.  J_d is the smallest
-    power of two above 2 eta (the density coefficients need only that many
-    distinct cosine terms) and J_p comes from :func:`_j_for` (the payoff
-    jumps at x_high, so its expansion needs the finer grid).
+    eta is the smallest half-width whose wavelet range covers it at scale m,
+    so x_high <= eta/2^m, and J_d is the smallest power of two above 2 eta.
     """
     _check_scale(m)
-    if x_min is None:
-        x_max = (eta + 1) / 2.0**m
-        x_min = -x_max
     x_high = max(x_max + c, 0.0)
     span = max(abs(min(x_min - c, 0.0)), x_high)
-    if eta is None:
-        eta = max(1, math.ceil(2.0**m * span))
-    return SwiftParams(m=m, eta=eta, j_density=_next_pow2(2 * eta + 1),
-                       j_payoff=_j_for(m, eta, span), x_high=x_high)
+    eta = max(1, math.ceil(2.0**m * span))
+    return SwiftParams(m=m, eta=eta, j_density=_next_pow2(2 * eta + 1), x_high=x_high)
 
 
 def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
                       m: int, strikes: Sequence[float], L: float = DEFAULT_L,
                       sweep_out: Optional[list] = None) -> SwiftParams:
-    """Pick (eta, J_d, J_p, x_high) at scale m for a strike set at maturity tau.
+    """Pick (eta, J_d, x_high) at scale m for a strike set at maturity tau.
 
     The half-width c starts from :func:`truncation_width`; the interval is
     the per-strike log-moneyness range extended by c on both sides, with eta,
-    J_d and J_p from :func:`interval_params` (J_d just above 2 eta, J_p by
-    the payoff rule).  The recovered density mass is checked at the extreme
-    log-moneyness values, once per distinct value, from the same J_d
-    coefficients pricing uses, so a grid too coarse for the density fails
-    the check.  On failure the interval -- and eta with it -- is grown
-    geometrically (heavy-tailed parameter sets leak mass past the cumulant
-    interval, and what leaks past the right edge gets amplified by the call
-    payoff), up to 12 steps.  The
-    scale stays m: :func:`select_scale` alone chooses it.  The mass defect
-    accepted is the fixed ``_AREA_TOL``; L defaults to ``DEFAULT_L``.
+    J_d and x_high from :func:`interval_params` (J_d just above 2 eta, the
+    payoff window inside the wavelet range).  The recovered density mass is
+    checked at the extreme log-moneyness values, once per distinct value,
+    from the same J_d coefficients pricing uses, so a grid too coarse for the
+    density fails the check.  On failure the interval -- and eta with it --
+    is grown geometrically (heavy-tailed parameter sets leak mass past the
+    cumulant interval, and what leaks past the right edge gets amplified by
+    the call payoff), up to 12 steps.  The scale stays m:
+    :func:`select_scale` alone chooses it.  The mass defect accepted is the
+    fixed ``_AREA_TOL``; L defaults to ``DEFAULT_L``.
 
     Growth steps often keep J_d, which with m alone fixes the chf sweep and
     the density spectra at x_min and x_max: each is computed once per grid
@@ -418,17 +394,18 @@ def _payoff_transform(sp: SwiftParams, omega: np.ndarray) -> np.ndarray:
 
 
 def payoff_coefficients(sp: SwiftParams) -> np.ndarray:
-    """Call payoff coefficients U_{m,k}, k = 1-eta..eta, via one length-2J_p FFT.
+    """Call payoff coefficients U_{m,k}, k = 1-eta..eta, via one length-2J_d FFT.
 
     The call payoff vanishes on y <= 0, so the closed-form antiderivative is
-    taken over [0, x_high].  Only calls carry an expansion; puts are priced
-    via parity (:func:`parity_offset`).
+    taken over [0, x_high].  The expansion runs on the density's own
+    frequency grid, which resolves it because x_high <= eta/2^m.  Only calls
+    carry an expansion; puts are priced via parity (:func:`parity_offset`).
     """
     if sp.x_high == 0.0:
         return np.zeros(2 * sp.eta)
-    values = _payoff_transform(sp, sp.payoff_freqs())
-    coeff = _cosine_at(_cosine_spectrum(values, sp.j_payoff), sp.eta)
-    return 2.0**(sp.m / 2.0) / sp.j_payoff * coeff.real
+    values = _payoff_transform(sp, sp.density_freqs())
+    coeff = _cosine_at(_cosine_spectrum(values, sp.j_density), sp.eta)
+    return 2.0**(sp.m / 2.0) / sp.j_density * coeff.real
 
 
 def density_area(density: np.ndarray, sp: SwiftParams) -> float:

@@ -272,8 +272,9 @@ def test_oracle_suite(theta2, stress_theta, ctx, ctx100):
         eta = int(rng.integers(4, 16))
         j = 64
         c = float(rng.uniform(0.8, 2.0))
-        sp = SwiftParams(m=int(rng.integers(2, 5)), eta=eta, j_density=j,
-                         j_payoff=j, x_high=c)
+        m = int(rng.integers(2, 5))
+        # the payoff window ends inside the wavelet range
+        sp = SwiftParams(m=m, eta=eta, j_density=j, x_high=min(c, eta / 2.0**m))
         tau = float(rng.uniform(0.1, 1.5))
         x = float(rng.uniform(-0.5, 0.5))
         omega = sp.density_freqs()
@@ -284,7 +285,7 @@ def test_oracle_suite(theta2, stress_theta, ctx, ctx100):
                              for k in sp.k_range])
         worst_fft = max(worst_fft, float(np.max(np.abs(
             density_coefficients(theta2, tau, ctx, x, sp) - direct_d))))
-        omega_p = sp.payoff_freqs()
+        omega_p = sp.density_freqs()
         u_p = omega_p / 2.0**sp.m
         vals_p = _payoff_transform(sp, omega_p)
         direct_p = np.array([pref * np.sum(np.real(vals_p * np.exp(1j * k * u_p)))
@@ -295,7 +296,7 @@ def test_oracle_suite(theta2, stress_theta, ctx, ctx100):
           f"max dev {worst_fft:.1e}")
 
     # payoff coefficients vs adaptive quadrature of the defining inner product
-    sp_q = SwiftParams(m=3, eta=8, j_density=2**17, j_payoff=2**17, x_high=1.0)
+    sp_q = SwiftParams(m=3, eta=8, j_density=2**17, x_high=1.0)
     coeffs = payoff_coefficients(sp_q)
     worst_quad = 0.0
     for i, k in enumerate(sp_q.k_range):
@@ -315,7 +316,7 @@ def test_oracle_suite(theta2, stress_theta, ctx, ctx100):
 
     # strike-grid pricer vs the per-strike path at grid strikes
     sp0 = select_truncation(theta2, 1.0, ctx, 5, [0.5, 2.0])
-    spg = dataclasses.replace(sp0, j_density=256, j_payoff=256)
+    spg = dataclasses.replace(sp0, j_density=256)
     x_grid, grid_prices = price_strike_grid(theta2, ctx, 1.0, spg)
     inside = np.abs(x_grid) <= spg.x_high  # the interval: the strikes are symmetric
     multi = price_multi_strike(theta2, ctx, 1.0,

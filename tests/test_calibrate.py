@@ -158,9 +158,10 @@ def _nudged(theta):
 def test_run_price_sweeps_each_selected_grid_once(ctx, target, chf_sweeps):
     # every sweep block starts from the selection's sweeps of the grids it
     # accepted, so a request sweeps the grids selection tries and nothing
-    # more, at the default scale and at a pinned one
+    # more, at the default scale and at a pinned one (scale 6 is too coarse
+    # for fx: run_price refuses its out-of-band calls)
     theta, quotes = PARAM_SETS[target], set2_quotes()
-    for ov in (PricingOverrides(), PricingOverrides(m=6)):
+    for ov in (PricingOverrides(), PricingOverrides(m=7)):
         chf_sweeps["chf"].clear()
         for tau, idx in group_by_maturity(quotes).items():
             m = select_scale(theta, tau, ctx) if ov.m is None else ov.m
@@ -271,6 +272,21 @@ def test_backend_prices_agree(theta2, ctx, set2_priced):
         alone = SwiftBackend(quotes, ctx, theta).prices_and_jacobian(theta)
         for got, want in zip(alone, grouped):
             assert np.max(np.abs(got - want)) < 1e-10, theta
+
+
+def test_cp_prices_assemble_no_gradient(theta2, ctx, set1_priced, monkeypatch):
+    # a price-only evaluation (every LM trial step) prices through price_cp,
+    # bitwise the prices of prices_and_jacobian
+    from swiftcal import reference
+
+    backend = CpBackend(set1_priced.quotes, ctx)
+    want = backend.prices_and_jacobian(theta2)[0]
+
+    def no_gradient(*args, **kwargs):
+        raise AssertionError("a price-only evaluation swept the gradient")
+
+    monkeypatch.setattr(reference, "chf_with_gradient", no_gradient)
+    assert np.array_equal(backend.prices(theta2), want)
 
 
 def test_backend_supports_puts_via_parity(theta2, ctx):

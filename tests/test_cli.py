@@ -19,6 +19,7 @@ from swiftcal.experiments import PricingOverrides
 from swiftcal.fixtures import PARAM_SETS
 from swiftcal.heston import ChfOverflowError
 from swiftcal.quotes import load_quote_file, loads_quotes
+from swiftcal.reference import QuadratureConfig, price_cp
 from swiftcal.reports import ExperimentReport
 from swiftcal.swift import SwiftParams
 
@@ -95,6 +96,26 @@ def test_pinned_scale_too_coarse_exits_numerical(capsys, short_file):
     assert "remedy: drop --m" in err
 
 
+@pytest.mark.parametrize("argv,where,remedy", [
+    pytest.param(["price", "--params", "fx", "--quotes", "stress"], "tau=45, K=",
+                 False, id="price-fx-stress"),
+    pytest.param(["price", "--params", "eq", "--quotes", "set2", "--m", "4"], "K=",
+                 True, id="price-eq-m4"),
+    pytest.param(["generate", "--params", "eq", "--m", "4"], "K=0.9371",
+                 True, id="generate-eq-m4"),
+])
+def test_price_outside_the_no_arbitrage_band_exits_numerical(capsys, argv, where,
+                                                             remedy):
+    # an unresolved expansion prices a call past [max(F - K e^{-r tau}, 0), F]:
+    # fx's tau=45 density leaks past its interval (calls of order 1e33), and
+    # scale 4 cannot hold eq's short expiries (negative calls)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "outside its no-arbitrage band" in err and where in err
+    assert ("remedy: drop --m" in err) == remedy
+
+
 def test_malformed_quote_file_exits_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.quotes"
     bad.write_text("spot 1.0\n0.5,oops,call\n")
@@ -163,6 +184,21 @@ def test_generate_grid_matches_dyadic_definition(capsys, tmp_path):
     want_x = (2.0 * k - 256) / 2.0**6
     got_x = np.sort(np.log(qf.context.spot / np.array([q.strike for q in qf.quotes])))
     assert np.allclose(np.sort(want_x), got_x, atol=1e-12)
+
+
+def test_generate_grid_central_band_matches_reference(capsys, tmp_path):
+    # the payoff window ends where the grid's wavelet range does, eta/2^m:
+    # fx's wide density makes it the grid whose central band that decides
+    path = tmp_path / "grid.quotes"
+    code, _, _ = run_cli(capsys, "generate", "--params", "fx", "--grid",
+                         "9,8192,2.0", "--out", str(path))
+    assert code == 0
+    qf = load_quote_file(str(path))
+    band = [q for q in qf.quotes if abs(np.log(qf.context.spot / q.strike)) <= 0.5]
+    assert len(band) == 513
+    qc = QuadratureConfig(nodes=1536, u_max=2400.0)
+    err = max(abs(q.price - price_cp(PARAM_SETS["fx"], qf.context, q, qc)) for q in band)
+    assert err <= 1e-7
 
 
 def test_json_quote_file_through_cli(capsys, tmp_path):
@@ -259,13 +295,12 @@ def test_calibrate_rejects_zero_config_flag(capsys, priced_set2, flag):
 
 @pytest.fixture
 def grids_built(monkeypatch):
-    """Frequency grids built: a discretization's density or payoff grid, or
-    the quadrature nodes."""
+    """Frequency grids built: a discretization's one grid, which its density
+    and payoff expansions share, or the quadrature nodes."""
     from swiftcal import reference, swift
 
     built = []
-    for owner, name in ((swift.SwiftParams, "density_freqs"),
-                        (swift.SwiftParams, "payoff_freqs"), (reference, "_grid")):
+    for owner, name in ((swift.SwiftParams, "density_freqs"), (reference, "_grid")):
         original = getattr(owner, name)
 
         def counted(*args, _name=name, _original=original):
@@ -292,7 +327,7 @@ def grids_built(monkeypatch):
 ])
 def test_scale_outside_the_range_exits_input_error(capsys, grids_built, argv):
     # a scale past swift.MAX_SCALE would size grids of 2^m points; the check
-    # fires in swift.interval_params, before any 2^m is formed or grid built
+    # fires before any 2^m is formed or grid built
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -615,7 +650,7 @@ def test_cli_surface_pinned():
     assert backend.choices == ("swift", "cp")
     assert [f.name for f in dataclasses.fields(PricingOverrides)] == ["m", "u_max"]
     assert [f.name for f in dataclasses.fields(SwiftParams)] == [
-        "m", "eta", "j_density", "j_payoff", "x_high"]
+        "m", "eta", "j_density", "x_high"]
 
 
 def test_calibrate_unpriced_quotes_rejected(capsys, tmp_path):

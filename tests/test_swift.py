@@ -38,7 +38,6 @@ from swiftcal.swift import (
     GridSizeError,
     MultiStrikePricer,
     _cosine_at,
-    _j_for,
     _next_pow2,
     _payoff_transform,
     _phase_matrix,
@@ -69,10 +68,10 @@ def direct_density(theta, tau, ctx, x, sp):
 
 def direct_payoff(sp):
     """Defining sum for the payoff coefficients, no FFT."""
-    omega = sp.payoff_freqs()
+    omega = sp.density_freqs()
     u = omega / 2.0**sp.m
     vals = _payoff_transform(sp, omega)
-    pref = 2.0**(sp.m / 2.0) / sp.j_payoff
+    pref = 2.0**(sp.m / 2.0) / sp.j_density
     return np.array([pref * np.sum(np.real(vals * np.exp(1j * k * u)))
                      for k in sp.k_range])
 
@@ -88,7 +87,7 @@ def sinc_basis(m, k, y):
     return 2.0**(m / 2.0) * np.sinc(2.0**m * y - k)
 
 
-SMALL_SP = SwiftParams(m=3, eta=12, j_density=64, j_payoff=64, x_high=1.5)
+SMALL_SP = SwiftParams(m=3, eta=12, j_density=64, x_high=1.5)
 
 
 def test_density_fft_equals_direct_sum(theta2, ctx):
@@ -109,7 +108,7 @@ def test_payoff_fft_equals_direct_sum():
 
 def test_payoff_coefficients_match_quadrature():
     # generous J so the cosine expansion converges well past the tolerance
-    sp = SwiftParams(m=3, eta=8, j_density=2**17, j_payoff=2**17, x_high=1.0)
+    sp = SwiftParams(m=3, eta=8, j_density=2**17, x_high=1.0)
     coeffs = payoff_coefficients(sp)
     for i, k in enumerate(sp.k_range):
         val, err = quad(lambda y: sinc_basis(sp.m, k, y) * (np.exp(y) - 1.0),
@@ -144,7 +143,8 @@ def test_density_area_detects_halved_eta(theta2, ctx):
     # area statistic must flag; the default 10-sigma interval is so generous
     # that half of it still holds all but ~1e-6 of the mass
     sp = select_truncation(theta2, 1.0, ctx, 4, [1.0], L=6.0)
-    half = dataclasses.replace(sp, eta=sp.eta // 2)
+    eta = sp.eta // 2  # the payoff window shrinks with the wavelet range
+    half = dataclasses.replace(sp, eta=eta, x_high=min(sp.x_high, eta / 2.0**sp.m))
     dens = density_coefficients(theta2, 1.0, ctx, 0.0, half)
     assert density_area(dens, half) < 1.0 - 1e-3
 
@@ -239,20 +239,23 @@ def _set2_selections(theta, ctx):
 
 @pytest.mark.parametrize("name", ["theta2", "fx", "ir", "eq"])
 def test_select_truncation_sizes_density_and_payoff_grids(name, ctx):
-    # J_d just above 2 eta; J_p by the payoff rule over the same interval,
+    # one grid for density and payoff: J_d just above 2 eta, and the payoff
+    # window inside the wavelet range, which covers the interval
     # [x_min - c, x_max + c] clamped to straddle 0
     theta = PARAM_SETS[name]
     for tau, strikes, sp in _set2_selections(theta, ctx):
         x = np.log(ctx.spot / np.asarray(strikes))
         c = _grown_width(theta, tau, ctx, x.max(), sp)
         span = max(abs(min(x.min() - c, 0.0)), sp.x_high)
+        assert sp.eta == max(1, math.ceil(2.0**sp.m * span))
         assert sp.j_density == _next_pow2(2 * sp.eta + 1)
-        assert sp.j_payoff == _j_for(sp.m, sp.eta, span)
+        assert sp.x_high <= sp.eta / 2.0**sp.m
 
 
 @pytest.mark.parametrize("name", ["theta1", "theta2", "fx", "ir", "eq"])
 def test_density_grid_keeps_prices_and_reference_error(name, ctx):
-    """The selected J_d prices like J_d = J_p and no worse against the oracle.
+    """The selected J_d prices like the finer grid of the SWIFT payoff rule,
+    J >= pi/2 (2^m span + eta), and no worse against the oracle.
 
     The oracle is the quadrature pricer at (1536 nodes, u_max 2400), checked
     converged against (2048, 3200).  Errors are per unit strike, the scale
@@ -263,7 +266,12 @@ def test_density_grid_keeps_prices_and_reference_error(name, ctx):
     err_new = err_old = 0.0
     for tau, strikes, sp in _set2_selections(theta, ctx):
         new = MultiStrikePricer(ctx, tau, strikes, sp).prices(theta)
-        full = dataclasses.replace(sp, j_density=sp.j_payoff)
+        x = np.log(ctx.spot / np.asarray(strikes))
+        c = _grown_width(theta, tau, ctx, x.max(), sp)
+        span = max(abs(min(x.min() - c, 0.0)), sp.x_high)
+        j_rule = max(_next_pow2(np.pi / 2.0 * (2.0**sp.m * span + sp.eta)),
+                     sp.j_density)
+        full = dataclasses.replace(sp, j_density=j_rule)
         old = MultiStrikePricer(ctx, tau, strikes, full).prices(theta)
         k = np.asarray(strikes)
         assert np.max(np.abs(new - old) / k) <= 1e-8, tau
@@ -307,20 +315,24 @@ def test_selection_refuses_a_grid_above_max_j(ctx):
 
 def test_invalid_swift_params_rejected():
     with pytest.raises(ValueError):  # 2 eta >= J
-        SwiftParams(m=3, eta=32, j_density=64, j_payoff=64, x_high=1.0)
+        SwiftParams(m=3, eta=32, j_density=64, x_high=1.0)
     with pytest.raises(ValueError):  # J not a power of two
-        SwiftParams(m=3, eta=4, j_density=48, j_payoff=64, x_high=1.0)
+        SwiftParams(m=3, eta=4, j_density=48, x_high=0.5)
     for x_high in (-0.5, math.nan):  # the payoff window [0, x_high]
         with pytest.raises(ValueError, match="x_high must be nonnegative"):
-            SwiftParams(m=3, eta=4, j_density=64, j_payoff=64, x_high=x_high)
+            SwiftParams(m=3, eta=4, j_density=64, x_high=x_high)
+    # the window ends inside the wavelet range, at eta/2^m = 0.5 at most
+    with pytest.raises(ValueError, match=r"at most eta/2\^m = 0.5, got"):
+        SwiftParams(m=3, eta=4, j_density=64, x_high=0.5 + 1e-12)
+    assert SwiftParams(m=3, eta=4, j_density=64, x_high=0.5).x_high == 0.5
     for m in (-1, MAX_SCALE + 1):  # the scale range, checked before any grid
         with pytest.raises(ValueError, match=r"m must be in \[0, 12\]"):
             dataclasses.replace(SMALL_SP, m=m)
-    assert dataclasses.replace(SMALL_SP, m=MAX_SCALE).m == MAX_SCALE
-    for name in ("j_density", "j_payoff"):  # the grid size, likewise
-        with pytest.raises(GridSizeError, match=f"{name} = {2 * MAX_J}, above MAX_J"):
-            dataclasses.replace(SMALL_SP, **{name: 2 * MAX_J})
-    assert dataclasses.replace(SMALL_SP, j_payoff=MAX_J).j_payoff == MAX_J
+    assert dataclasses.replace(SMALL_SP, m=MAX_SCALE, x_high=0.0).m == MAX_SCALE
+    # the grid size, likewise
+    with pytest.raises(GridSizeError, match=f"j_density = {2 * MAX_J}, above MAX_J"):
+        dataclasses.replace(SMALL_SP, j_density=2 * MAX_J)
+    assert dataclasses.replace(SMALL_SP, j_density=MAX_J).j_density == MAX_J
 
 
 def test_empty_strikes_and_mixed_contexts_rejected(theta2, ctx, ctx100):
@@ -398,7 +410,7 @@ def test_coefficient_set_fields(theta2, ctx):
 
 def test_grid_pricer_matches_multi_strike(theta2, ctx):
     sp0 = select_truncation(theta2, 1.0, ctx, 5, [0.5, 2.0])
-    sp = dataclasses.replace(sp0, j_density=256, j_payoff=256)
+    sp = dataclasses.replace(sp0, j_density=256)
     x_grid, grid_prices = price_strike_grid(theta2, ctx, 1.0, sp)
     k = np.arange(sp.j_density)
     assert np.allclose(x_grid, (2.0 * k - sp.j_density) / 2.0**(sp.m + 1))
@@ -412,7 +424,7 @@ def test_grid_monotone_in_strike_without_correlation(ctx):
     th = HestonParams(kappa=1.5768, v_bar=0.0398, sigma=0.0175, rho=0.0,
                       v0=0.0175)
     sp0 = select_truncation(th, 1.0, ctx, 5, [0.5, 2.0])
-    sp = dataclasses.replace(sp0, j_density=256, j_payoff=256)
+    sp = dataclasses.replace(sp0, j_density=256)
     x_grid, prices = price_strike_grid(th, ctx, 1.0, sp)
     usable = np.abs(x_grid) <= math.log(2.0)  # the strikes' own range
     order = np.argsort(-x_grid[usable])  # ascending strike
@@ -421,7 +433,7 @@ def test_grid_monotone_in_strike_without_correlation(ctx):
 
 def test_grid_spline_interpolation(theta2, ctx):
     sp0 = select_truncation(theta2, 1.0, ctx, 5, [0.5, 2.0])
-    sp = dataclasses.replace(sp0, j_density=256, j_payoff=256)
+    sp = dataclasses.replace(sp0, j_density=256)
     x_grid, prices = price_strike_grid(theta2, ctx, 1.0, sp)
     inside = np.abs(x_grid) <= sp.x_high  # the interval: the strikes are symmetric
     spline = CubicSpline(x_grid[inside], prices[inside], bc_type="natural")
@@ -470,7 +482,7 @@ def test_single_quote_gradient_matches_multi(theta2, ctx):
 
 
 def test_phase_matrix_two_tables_match_direct_exponentials(ctx):
-    sp = SwiftParams(m=9, eta=4096, j_density=16384, j_payoff=16384, x_high=8.0)
+    sp = SwiftParams(m=9, eta=4096, j_density=16384, x_high=8.0)
     omega = sp.density_freqs()
     for quotes in (set1_quotes(), set2_quotes()):
         strikes = np.array([q.strike for q in quotes])
@@ -483,12 +495,12 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
-@pytest.mark.parametrize("j_density,j_payoff", [(4, 8), (64, 256), (1024, 4096)])
-def test_twiddle_tables_are_the_direct_exponentials_bitwise(j_density, j_payoff):
-    # the cached tables replace np.exp(-1j pi k / 2J) for the density (2J_d)
-    # and payoff (2J_p) sizes, negative k and the widest eta = J/2 - 1 included
+@pytest.mark.parametrize("j_density,j_wide", [(4, 8), (64, 256), (1024, 4096)])
+def test_twiddle_tables_are_the_direct_exponentials_bitwise(j_density, j_wide):
+    # the cached tables replace np.exp(-1j pi k / 2J) at two sizes each,
+    # negative k and the widest eta = J/2 - 1 included
     rng = np.random.default_rng(5)
-    for j in (j_density, j_payoff):
+    for j in (j_density, j_wide):
         two_j = 2 * j
         for eta in sorted({1, max(1, j // 4), max(1, j // 2 - 1)}):
             k = np.arange(1 - eta, eta + 1)
@@ -504,7 +516,7 @@ def test_twiddle_tables_are_the_direct_exponentials_bitwise(j_density, j_payoff)
             table[0] = 0.0
     # U-tilde scatters the payoff terms at the wrapped density indices
     eta = j_density // 2 - 1
-    sp = SwiftParams(m=2, eta=eta, j_density=j_density, j_payoff=j_payoff, x_high=1.0)
+    sp = SwiftParams(m=2, eta=eta, j_density=j_density, x_high=0.25)
     payoff = rng.standard_normal(2 * eta)
     k, two_j = sp.k_range, 2 * j_density
     buf = np.zeros(two_j, dtype=np.complex128)
@@ -521,16 +533,15 @@ def test_frequency_grids_are_cached_read_only_direct_expressions():
         jj = np.arange(1, j + 1)
         assert _bits(grid) == _bits(np.pi * (2 * jj - 1) / (2 * j) * 2.0**m)
         assert _scaled_freqs(m, j) is grid and not grid.flags.writeable
-    sp = SwiftParams(m=5, eta=20, j_density=64, j_payoff=256, x_high=1.0)
+    sp = SwiftParams(m=5, eta=20, j_density=64, x_high=0.5)
     assert sp.density_freqs() is _scaled_freqs(5, 64)
-    assert sp.payoff_freqs() is _scaled_freqs(5, 256)
 
 
 def test_pricer_phases_are_the_two_table_product_bitwise(ctx):
     # the coarse/fine product the pricer has always been built from, kept
     # conjugated as interleaved reals
-    for sp in (SMALL_SP, dataclasses.replace(SMALL_SP, m=0, eta=1, j_density=4),
-               SwiftParams(m=9, eta=2000, j_density=4096, j_payoff=8192, x_high=3.0)):
+    for sp in (SMALL_SP, dataclasses.replace(SMALL_SP, m=0, eta=1, j_density=4, x_high=1.0),
+               SwiftParams(m=9, eta=2000, j_density=4096, x_high=3.0)):
         strikes = np.array([q.strike for q in set2_quotes()])
         x = np.log(ctx.spot / strikes)
         j_d, b = sp.j_density, min(64, sp.j_density)
@@ -749,7 +760,7 @@ def test_zero_volatility_limit_approaches_intrinsic(ctx100):
         eta = math.ceil(2.0**m * (x + 2.0))
         j = 1 << math.ceil(math.log2(max((math.pi / 2) * (2.0**m * (x + 2) + eta),
                                          2 * eta + 1)))
-        sp = SwiftParams(m=m, eta=eta, j_density=j, j_payoff=j, x_high=x + 2.0)
+        sp = SwiftParams(m=m, eta=eta, j_density=j, x_high=x + 2.0)
         p = price_multi_strike(th, ctx100, 1.0, [strike], sp)[0]
         errs[m] = abs(p - (ctx100.spot - strike))
     assert errs[12] < 5e-4
