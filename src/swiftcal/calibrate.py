@@ -260,7 +260,7 @@ class CpBackend:
 
 
 def residuals(theta: HestonParams, quotes: Sequence[OptionQuote],
-              ctx: MarketContext, backend) -> np.ndarray:
+              backend) -> np.ndarray:
     """Model-minus-market residuals in quote order."""
     observed = _observed(quotes)
     return backend.prices(theta) - observed

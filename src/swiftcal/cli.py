@@ -35,7 +35,7 @@ from .fixtures import (
     fixture_dir,
     quote_set_context,
 )
-from .heston import ChfOverflowError, HestonParams, MarketContext
+from .heston import ChfOverflowError, HestonParams, MarketContext, _usable_cpus
 from .quotes import QuoteFile, QuoteParseError, dumps_quotes, load_quote_file, save_quote_file
 from .swift import MAX_SCALE, NoConvergenceError
 
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=CONVERGE_TARGETS, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=min(8, os.cpu_count() or 1))
+    p.add_argument("--workers", type=int, default=min(8, _usable_cpus()))
     # kswift fits only, each selecting per group
     _add_pricing_flags(p, with_swift=False, with_quadrature=False)
     _add_config_flags(p)

@@ -7,10 +7,7 @@ that produced them (seeds, discretizations, quadrature setups, wall times).
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -19,11 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import heston
 from .calibrate import (
     _MU0,
     CalibrationConfig,
-    CalibrationResult,
     CpBackend,
     KswiftBackend,
     StopReason,
@@ -217,31 +212,6 @@ def run_calibrate(backend_name: str, qf: QuoteFile, theta0: HestonParams,
     return report, result
 
 
-def _openblas():
-    """numpy's bundled OpenBLAS, loaded through ctypes, or None if not found."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                        "libscipy_openblas*")
-    for path in sorted(glob.glob(libs)):
-        lib = ctypes.CDLL(path)
-        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            return lib
-    return None
-
-
-def _one_blas_thread() -> None:
-    """Process-pool initializer: the worker runs one OpenBLAS thread and
-    sweeps the chf in one chunk, on its own thread.
-
-    With every core per worker, the pool's workers contend for cores and the
-    pool runs slower than one process.  The OpenBLAS limit is skipped where
-    numpy's bundled OpenBLAS is not found.
-    """
-    heston._max_chunks = 1
-    lib = _openblas()
-    if lib is not None:
-        lib.scipy_openblas_set_num_threads64_(1)
-
-
 def _timed_calibration(backend_name, qf, theta0, config,
                        u_max=QuadratureConfig.u_max, split_groups=False):
     """One timed build-plus-calibrate pass (setup counts toward solve time).
@@ -319,10 +289,10 @@ def run_converge(target_name: str, quotes: Sequence[OptionQuote],
     trial is self-contained, so the row contents are bitwise reproducible
     for a fixed seed regardless of the worker count; wall times go to
     metadata.  ``workers > 1`` fans trials out over processes (the trials
-    are numpy-bound and too fine-grained for threads to help), each
-    limited to one OpenBLAS thread and one chf chunk; metadata records
-    those counts as ``blas_threads_per_worker`` and
-    ``chf_threads_per_worker``, null when no limit was set.
+    are numpy-bound and too fine-grained for threads to help).  Every
+    process, parent or worker, runs the library alike: it splits long chf
+    sweeps over the CPUs it may run on, and BLAS keeps the thread count the
+    environment sets.
     """
     if target_name not in CONVERGE_TARGETS:
         raise ValueError(f"target must be one of {CONVERGE_TARGETS}")
@@ -337,12 +307,8 @@ def run_converge(target_name: str, quotes: Sequence[OptionQuote],
               target.as_array() * rng.uniform(0.9, 1.1, size=(trials, 5))]
     trial = partial(_timed_calibration, "kswift", qf, config=config)
 
-    blas_threads = chf_threads = None
     if workers > 1:
-        blas_threads = 1 if _openblas() is not None else None
-        chf_threads = 1
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(trial, starts, chunksize=4))
     else:
         outcomes = [trial(start) for start in starts]
@@ -366,8 +332,6 @@ def run_converge(target_name: str, quotes: Sequence[OptionQuote],
                        "max_iterations": config.max_iterations},
             "maturity_note": ("strike/maturity set2 substitutes for the "
                               "unavailable original maturities"),
-            "blas_threads_per_worker": blas_threads,
-            "chf_threads_per_worker": chf_threads,
             "wall_times": {"mean_trial_s": float(np.mean(trial_times)),
                            "total_s": float(np.sum(trial_times))}}
     return ExperimentReport(experiment="converge", rows=[row], metadata=meta)

@@ -52,7 +52,9 @@ PARAM_ORDER = ("v0", "v_bar", "sigma", "kappa", "rho")
 # A sweep is split into chunks of at least this many frequencies: below it,
 # handing a chunk to another thread costs more than the thread saves.
 _CHUNK_FLOOR = 8192
-_max_chunks = None  # chunks per sweep at most; None: one per usable CPU
+# Chunks per sweep at most; None: one per usable CPU.  A test seam: only tests
+# set it, to force splits on small hosts.
+_max_chunks = None
 _pool = None  # (pid, executor) of the chunk worker threads, made on first use
 _pool_lock = threading.Lock()
 

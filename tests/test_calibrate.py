@@ -108,14 +108,14 @@ def test_lm_step_singular_raises():
 
 def test_residuals_order_and_objective(theta2, ctx, set2_priced):
     backend = KswiftBackend(set2_priced.quotes, ctx, theta2)
-    r = residuals(theta2, set2_priced.quotes, ctx, backend)
+    r = residuals(theta2, set2_priced.quotes, backend)
     assert r.shape == (len(set2_priced.quotes),)
     assert np.linalg.norm(r) < 1e-9  # self-consistency at the generator
 
 
 def test_residuals_nonzero_from_perturbed_start(theta2_start, ctx, set2_priced):
     backend = KswiftBackend(set2_priced.quotes, ctx, theta2_start)
-    r = residuals(theta2_start, set2_priced.quotes, ctx, backend)
+    r = residuals(theta2_start, set2_priced.quotes, backend)
     assert np.linalg.norm(r) > 1e-4  # the sigma perturbation is visible
 
 

@@ -7,13 +7,12 @@ import os
 import signal
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from swiftcal import cli, experiments
+from swiftcal import cli
 from swiftcal.cli import _PRICING_FLAGS, _UNREAD_BY_BACKEND, build_parser, main
 from swiftcal.experiments import PricingOverrides
 from swiftcal.fixtures import PARAM_SETS
@@ -739,40 +738,11 @@ def test_degenerate_counts_exit_input_error(capsys, argv, name):
     assert f"{name} must be at least 1" in err
 
 
-def _worker_blas_threads():
-    return experiments._openblas().scipy_openblas_get_num_threads64_()
-
-
-def test_pool_workers_run_one_blas_thread():
-    if experiments._openblas() is None:
-        pytest.skip("numpy's bundled OpenBLAS not found")
-    with ProcessPoolExecutor(max_workers=1,
-                             initializer=experiments._one_blas_thread) as pool:
-        assert pool.submit(_worker_blas_threads).result() == 1
-
-
-def _worker_max_chunks():
-    from swiftcal import heston
-    return heston._max_chunks
-
-
-def test_pool_workers_sweep_in_one_chunk():
-    with ProcessPoolExecutor(max_workers=1,
-                             initializer=experiments._one_blas_thread) as pool:
-        assert pool.submit(_worker_max_chunks).result() == 1
-
-
-def test_converge_records_worker_blas_threads():
-    from swiftcal.fixtures import DEFAULT_CONTEXT, set2_quotes
-
-    quotes = set2_quotes()
-    meta = [experiments.run_converge("eq", quotes, DEFAULT_CONTEXT, trials=2,
-                                     workers=w).metadata for w in (1, 2)]
-    assert meta[0]["blas_threads_per_worker"] is None
-    assert meta[1]["blas_threads_per_worker"] == (
-        1 if experiments._openblas() is not None else None)
-    assert meta[0]["chf_threads_per_worker"] is None
-    assert meta[1]["chf_threads_per_worker"] == 1
+def test_converge_workers_default_counts_usable_cpus(monkeypatch):
+    # one CPU-count rule: the default pool fits the CPUs the process may run
+    # on (as the chf chunker counts them), not the host's
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli.build_parser().parse_args(["converge", "--target", "fx"]).workers == 1
 
 
 _FORKED_POOL_SCRIPT = """
