@@ -10,6 +10,20 @@ steepest-descent step, small mu the Gauss-Newton step; the Gauss-Newton
 Hessian approximation J J^T is used throughout (the second-order residual
 term is never formed).
 
+Jacobian schedule (the secant L-M variant of Madsen, Nielsen & Tingleff,
+*Methods for Non-Linear Least Squares Problems*, 2004, section 3.4): the
+backend's analytic J is assembled at the start, and after an accepted step
+s = theta_new - theta_old (the clipped step taken), y = r_new - r_old, it is
+kept and updated by Broyden's rank-one formula
+
+    J <- J + s (y - J^T s)^T / (s^T s)
+
+when the actual reduction of f is at least 0.75 of the reduction the linear
+model r + J^T s predicted.  Otherwise J is assembled afresh at theta_new.
+A trial step rejected under an updated J is retried at the same mu on a
+fresh J, and a FlatGradient or StagnantStep stop is only ever reported on a
+fresh J, so no stop reason rests on a secant approximation.
+
 Stopping criteria, checked in order each iteration:
 
     ||r||        <= eps1   -> ResidualTol   (the only "calibrated" outcome)
@@ -18,9 +32,9 @@ Stopping criteria, checked in order each iteration:
 
 Damping schedule (the reference literature defers to a library and states
 none): mu starts at 1e-3 * max diag(J J^T), is divided by 10 on every
-accepted step and multiplied by 10 on every rejection, clamped to
-[1e-12, 1e12].  Iterates are projected onto per-parameter boxes after each
-trial step.
+accepted step and multiplied by 10 on every singular damped solve and on
+every rejection under a fresh J, clamped to [1e-12, 1e12].  Iterates are
+projected onto per-parameter boxes after each trial step.
 
 Parameter vectors, Jacobian columns and bounds are all ordered per
 ``PARAM_ORDER`` = (v0, v_bar, sigma, kappa, rho).
@@ -73,6 +87,9 @@ _LO, _HI = np.array(DEFAULT_BOUNDS).T
 
 _MU0 = 1e-3  # initial damping per unit of max diag(J J^T)
 _MU_MIN, _MU_MAX = 1e-12, 1e12
+# Gain ratio (actual over linear-model reduction of the objective) at or
+# above which an accepted step updates the Jacobian by secant.
+_GAIN_SECANT = 0.75
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -111,6 +128,7 @@ class CalibrationConfig:
 class CalibrationResult:
     theta_hat: HestonParams
     iterations: int
+    jacobian_evals: int
     stop_reason: StopReason
     final_objective: float
     wall_time: float
@@ -334,10 +352,11 @@ def calibrate(quotes: Sequence[OptionQuote], theta0: HestonParams,
               ) -> CalibrationResult:
     """Levenberg-Marquardt driver; see the module docstring for the scheme.
 
-    ``iterations`` counts accepted steps (equivalently Jacobian
-    evaluations beyond the initial one); a start that already satisfies the
-    residual tolerance returns with ``iterations == 0``.  Rejected trial
-    steps only adjust mu.  The trace records (objective, mu, step norm) per
+    ``iterations`` counts accepted steps and ``jacobian_evals`` the fresh
+    Jacobian assemblies (``backend.prices_and_jacobian`` calls); a start
+    that already satisfies the residual tolerance returns with both 0.
+    Rejected trial steps adjust mu, or under a secant-updated Jacobian ask
+    for a fresh one.  The trace records (objective, mu, step norm) per
     accepted step.  ``MaxIterations`` is reported in ``stop_reason`` rather
     than raised.
     """
@@ -350,7 +369,9 @@ def calibrate(quotes: Sequence[OptionQuote], theta0: HestonParams,
     r = backend.prices(HestonParams.from_array(theta_vec)) - observed
     objective = 0.5 * float(r @ r)
     mu: Optional[float] = None
-    iterations = 0
+    iterations = jacobian_evals = 0
+    jac: Optional[np.ndarray] = None  # 5 x n; None: assemble afresh at theta_vec
+    fresh = False  # jac is the backend's Jacobian at theta_vec, not a secant update
     trace: List[Tuple[float, float, float]] = []
     stop: Optional[StopReason] = None
 
@@ -362,16 +383,18 @@ def calibrate(quotes: Sequence[OptionQuote], theta0: HestonParams,
             stop = StopReason.MAX_ITERATIONS
             break
 
-        _, jac_rows = backend.prices_and_jacobian(HestonParams.from_array(theta_vec))
-        jac = jac_rows.T  # 5 x n
+        if jac is None:
+            _, jac_rows = backend.prices_and_jacobian(HestonParams.from_array(theta_vec))
+            jac, fresh = jac_rows.T, True
+            jacobian_evals += 1
         grad = jac @ r
         if np.max(np.abs(grad)) <= config.eps2:
             stop = StopReason.FLAT_GRADIENT
-            break
-        if mu is None:
+        elif mu is None:
             mu = _MU0 * float(np.max(np.sum(jac * jac, axis=1)))
 
-        while True:  # damping adjustments until a step is accepted
+        accepted = False
+        while stop is None:  # damping adjustments until a step is accepted
             try:
                 delta = _bounded_step(jac, r, mu, theta_vec)
             except SingularSystemError:
@@ -387,21 +410,39 @@ def calibrate(quotes: Sequence[OptionQuote], theta0: HestonParams,
             r_try = backend.prices(HestonParams.from_array(theta_try)) - observed
             obj_try = 0.5 * float(r_try @ r_try)
             if obj_try < objective:
-                theta_vec, r, objective = theta_try, r_try, obj_try
-                mu = max(mu / 10.0, _MU_MIN)
-                iterations += 1
-                trace.append((objective, mu, float(np.linalg.norm(delta))))
+                accepted = True
+                break
+            if not fresh:  # retry at this mu on a fresh Jacobian
                 break
             if mu >= _MU_MAX:
                 stop = StopReason.STAGNANT_STEP
                 break
             mu = min(mu * 10.0, _MU_MAX)
-        if stop is not None:
-            break
+        if not accepted:
+            if fresh:
+                break
+            # no rejection or stop rests on a secant-updated Jacobian
+            jac, stop = None, None
+            continue
+
+        step = theta_try - theta_vec  # the clipped step actually taken
+        linear = jac.T @ step  # the linear model's change of r
+        predicted = -float(step @ grad) - 0.5 * float(linear @ linear)
+        if objective - obj_try >= _GAIN_SECANT * predicted > 0.0:  # gain ratio
+            # a new array: the backend's own Jacobian is never written to
+            jac = jac + np.outer(step, r_try - r - linear) / float(step @ step)
+            fresh = False
+        else:
+            jac = None
+        theta_vec, r, objective = theta_try, r_try, obj_try
+        mu = max(mu / 10.0, _MU_MIN)
+        iterations += 1
+        trace.append((objective, mu, float(np.linalg.norm(delta))))
 
     return CalibrationResult(
         theta_hat=HestonParams.from_array(theta_vec),
         iterations=iterations,
+        jacobian_evals=jacobian_evals,
         stop_reason=stop,
         final_objective=objective,
         wall_time=time.perf_counter() - t_start,

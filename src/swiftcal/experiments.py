@@ -204,6 +204,7 @@ def run_calibrate(backend_name: str, qf: QuoteFile, theta0: HestonParams,
                    "eps3": config.eps3, "max_iterations": config.max_iterations,
                    "mu0": _MU0},
         "n_quotes": len(qf.quotes),
+        "jacobian_evals": result.jacobian_evals,
         "wall_times": {"setup_s": setup_s, "calibrate_s": result.wall_time},
     }
     if hasattr(backend, "swift_params"):
@@ -268,6 +269,7 @@ def run_speed(set_name: str, quotes: Sequence[OptionQuote], ctx: MarketContext,
     meta = {"set": set_name, "n_quotes": len(qf.quotes), "reps": reps,
             "target": {p: getattr(target, p) for p in PARAM_ORDER},
             "start": {p: getattr(start, p) for p in PARAM_ORDER},
+            "jacobian_evals": {name: r.jacobian_evals for name, r in results.items()},
             "wall_times": times}
     if "kswift" in times and "cp" in times:
         meta["ratio_cp_over_kswift"] = times["cp"]["mean_s"] / times["kswift"]["mean_s"]

@@ -387,10 +387,15 @@ def _density_at(spectrum: np.ndarray, sp: SwiftParams) -> np.ndarray:
 
 
 def _payoff_transform(sp: SwiftParams, omega: np.ndarray) -> np.ndarray:
-    """integral over [0, x_high] of (e^y - 1) e^{-i omega y} dy, closed form."""
+    """integral over [0, x_high] of (e^y - 1) e^{-i omega y} dy, closed form.
+
+    An e^{x_high} past the float range comes out non-finite, without a
+    warning; :func:`payoff_coefficients` refuses it.
+    """
     iw = 1j * omega
     phase = np.exp(-iw * sp.x_high)
-    return (np.exp(sp.x_high) * phase - 1.0) / (1.0 - iw) + (phase - 1.0) / iw
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.exp(sp.x_high) * phase - 1.0) / (1.0 - iw) + (phase - 1.0) / iw
 
 
 def payoff_coefficients(sp: SwiftParams) -> np.ndarray:
@@ -400,10 +405,18 @@ def payoff_coefficients(sp: SwiftParams) -> np.ndarray:
     taken over [0, x_high].  The expansion runs on the density's own
     frequency grid, which resolves it because x_high <= eta/2^m.  Only calls
     carry an expansion; puts are priced via parity (:func:`parity_offset`).
+
+    Raises:
+        NoConvergenceError: the payoff window is too wide for e^{x_high} to
+            be a float (x_high beyond about 709); the message names x_high.
     """
     if sp.x_high == 0.0:
         return np.zeros(2 * sp.eta)
     values = _payoff_transform(sp, sp.density_freqs())
+    if not np.all(np.isfinite(values)):
+        raise NoConvergenceError(
+            f"call payoff window [0, x_high={sp.x_high:.6g}] too wide: "
+            "e^x_high overflows")
     coeff = _cosine_at(_cosine_spectrum(values, sp.j_density), sp.eta)
     return 2.0**(sp.m / 2.0) / sp.j_density * coeff.real
 

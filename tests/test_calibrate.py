@@ -492,6 +492,151 @@ def test_singular_solve_at_finite_mu_retries_tenfold(theta2, monkeypatch):
     assert backend.price_evals == 1 + 13  # trials at mu = 1, 10, ..., 1e12
 
 
+class _LinearBackend:
+    """Residuals A (theta - theta*) with Jacobian ``jac_scale`` A, logged.
+
+    A ``jac_scale`` other than 1 makes the linear model mispredict every
+    step by a known factor.  From its ``reject_from``-th price call on,
+    every price is 1e3, so every later trial is rejected.
+    """
+
+    def __init__(self, theta_star, jac_scale=1.0, reject_from=None):
+        self.a = np.random.default_rng(5).standard_normal((8, 5))
+        self.theta_star, self.jac_scale = theta_star.as_array(), jac_scale
+        self.reject_from = reject_from
+        self.events = []  # ("p" or "j", theta vector) per backend call
+
+    def _residual(self, theta):
+        return self.a @ (theta.as_array() - self.theta_star)
+
+    def prices(self, theta):
+        self.events.append(("p", theta.as_array()))
+        if self.reject_from is not None and sum(
+                e[0] == "p" for e in self.events) >= self.reject_from:
+            return np.full(len(self.a), 1e3)
+        return self._residual(theta)
+
+    def prices_and_jacobian(self, theta):
+        self.events.append(("j", theta.as_array()))
+        return self._residual(theta), self.jac_scale * self.a
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """(Jacobian, residual, mu, theta) of every damped step, in order."""
+    cal = importlib.import_module("swiftcal.calibrate")
+    calls, bounded = [], cal._bounded_step
+
+    def logged(jac, residual, mu, theta):
+        calls.append((jac.copy(), residual.copy(), mu, theta.copy()))
+        return bounded(jac, residual, mu, theta)
+
+    monkeypatch.setattr(cal, "_bounded_step", logged)
+    return calls
+
+
+def _linear_fit(theta2, backend, cfg=CalibrationConfig()):
+    start = HestonParams.from_array(1.05 * theta2.as_array())
+    quotes = [OptionQuote(1.0, 0.5, price=0.0)] * len(backend.a)
+    return calibrate(quotes, start, MarketContext(spot=1.0), cfg, backend)
+
+
+def test_secant_update_reproduces_the_step_it_was_made_from(theta2, solves):
+    # a Jacobian 0.8 A overshoots each Gauss-Newton step by 1/0.8, which
+    # still gains 15/16 of the predicted reduction: J is updated, not
+    # assembled, and the update maps the step taken onto the residual change
+    backend = _LinearBackend(theta2, jac_scale=0.8)
+    res = _linear_fit(theta2, backend)
+    assert res.stop_reason is StopReason.RESIDUAL_TOL
+    assert res.jacobian_evals == 1 < res.iterations
+    for (_, r0, _, t0), (jac, r1, _, t1) in zip(solves, solves[1:]):
+        step, change = t1 - t0, r1 - r0
+        assert np.max(np.abs(jac.T @ step - change)) <= 1e-12 * np.max(np.abs(change))
+        assert not np.allclose(jac.T, 0.8 * backend.a)  # J did move
+
+
+def test_low_gain_step_is_followed_by_a_fresh_assembly(theta2, solves):
+    # with a Jacobian 0.6 A each step overshoots by 1/0.6 and gains only
+    # 5/9 of the predicted reduction: every accepted step asks for a fresh
+    # Jacobian at the new iterate before anything else is priced
+    backend = _LinearBackend(theta2, jac_scale=0.6)
+    res = _linear_fit(theta2, backend)
+    assert res.stop_reason is StopReason.RESIDUAL_TOL
+    assert res.jacobian_evals == res.iterations >= 2
+    accepted = [i for i, (kind, _) in enumerate(backend.events)
+                if kind == "p" and i > 0]
+    assert len(accepted) == res.iterations
+    for i in accepted[:-1]:
+        assert backend.events[i + 1][0] == "j"
+        assert np.array_equal(backend.events[i + 1][1], backend.events[i][1])
+    assert all(np.array_equal(jac.T, 0.6 * backend.a) for jac, *_ in solves)
+
+
+def test_rejection_under_updated_jacobian_retries_fresh_at_same_mu(theta2, solves):
+    # the first step updates J; from then on every trial is rejected, and
+    # the first rejection brings a fresh J at the same iterate and mu
+    backend = _LinearBackend(theta2, reject_from=3)
+    res = _linear_fit(theta2, backend)
+    assert res.stop_reason is StopReason.STAGNANT_STEP and res.iterations == 1
+    assert res.jacobian_evals == 2
+    kinds = "".join(kind for kind, _ in backend.events)
+    assert kinds.startswith("pjppjp")  # start, J, accepted, rejected, J, rejected
+    (_, _, mu_updated, theta_a), (_, _, mu_fresh, theta_b) = solves[1:3]
+    assert mu_fresh == mu_updated and np.array_equal(theta_a, theta_b)
+    assert solves[3][2] == 10.0 * mu_fresh  # only a fresh J's rejection grows mu
+
+
+@pytest.mark.parametrize("case", ["flat", "small-step", "mu-cap", "singular-at-cap"])
+def test_stops_come_straight_after_a_fresh_assembly(theta2, solves, monkeypatch,
+                                                    case):
+    # every step of the exact linear model updates J; a FlatGradient or
+    # StagnantStep stop is only taken after J is assembled afresh at the
+    # final iterate
+    cfg = {"flat": CalibrationConfig(eps1=1e-300, eps2=1e-9, eps3=1e-300),
+           "small-step": CalibrationConfig(eps1=1e-300, eps2=1e-300, eps3=1e-4),
+           }.get(case, CalibrationConfig(eps3=1e-300))
+    backend = _LinearBackend(theta2, reject_from=3 if case == "mu-cap" else None)
+    if case == "singular-at-cap":
+        cal = importlib.import_module("swiftcal.calibrate")
+        solve = cal.lm_step
+
+        def singular_after_first_step(jacobian, residual, mu):
+            if len(backend.events) > 2:
+                raise SingularSystemError("singular damped system")
+            return solve(jacobian, residual, mu)
+
+        monkeypatch.setattr(cal, "lm_step", singular_after_first_step)
+    res = _linear_fit(theta2, backend, cfg)
+    want = StopReason.FLAT_GRADIENT if case == "flat" else StopReason.STAGNANT_STEP
+    assert res.stop_reason is want
+    assert res.iterations >= 1 and res.jacobian_evals == 2
+    last_j = max(i for i, (kind, _) in enumerate(backend.events) if kind == "j")
+    assert np.array_equal(backend.events[last_j][1], res.theta_hat.as_array())
+    if case != "mu-cap":  # nothing is priced after that assembly
+        assert last_j == len(backend.events) - 1
+    if case != "flat":  # the stop's last damped solve used it
+        assert np.array_equal(solves[-1][0].T, backend.a)
+
+
+def test_set2_fits_keep_their_stop_reasons_on_half_the_assemblies(ctx):
+    # 8 seeded +-10% starts per target, as `converge` draws them: every fit
+    # stops where it stopped when each accepted step assembled a fresh
+    # Jacobian (all on ResidualTol), on at most half as many assemblies as
+    # accepted steps
+    quotes = set2_quotes()
+    for name in ("fx", "ir", "eq"):
+        target = PARAM_SETS[name]
+        qf = run_generate(target, ctx, quotes)
+        starts = target.as_array() * np.random.default_rng(0).uniform(0.9, 1.1, (8, 5))
+        fits = []
+        for vec in starts:
+            start = HestonParams.from_array(vec)
+            backend = KswiftBackend(qf.quotes, ctx, start)
+            fits.append(calibrate(qf.quotes, start, ctx, CalibrationConfig(), backend))
+        assert [f.stop_reason for f in fits] == [StopReason.RESIDUAL_TOL] * 8, name
+        assert 2 * sum(f.jacobian_evals for f in fits) <= sum(f.iterations for f in fits), name
+
+
 def test_start_outside_bounds_rejected(theta2, ctx, set2_priced):
     cfg = CalibrationConfig()  # kappa = 60 lies outside DEFAULT_BOUNDS
     bad = HestonParams(kappa=60.0, v_bar=0.04, sigma=0.3, rho=0.0, v0=0.04)

@@ -232,6 +232,9 @@ def test_calibrate_cli_round_trip(capsys, tmp_path):
     assert row["stop_reason"] == "ResidualTol"
     assert row["final_objective"] <= 1e-10
     assert abs(row["sigma"] - 0.0175) < 1e-2
+    # fresh Jacobian assemblies go to metadata; the row is unchanged
+    assert 1 <= rep.metadata["jacobian_evals"] <= row["iterations"]
+    assert "jacobian_evals" not in row
 
 
 def test_calibrate_rejects_discretization_flags(capsys):
@@ -801,3 +804,6 @@ def test_speed_cli_smoke(capsys, tmp_path):
     methods = {r["method"] for r in rep.rows}
     assert methods == {"swift", "kswift", "cp"}
     assert rep.metadata["ratio_swift_over_kswift"] > 1.0
+    evals = rep.metadata["jacobian_evals"]
+    assert set(evals) == methods and all(
+        1 <= evals[r["method"]] <= r["iterations"] for r in rep.rows)

@@ -27,6 +27,7 @@ from swiftcal import (
     select_truncation,
 )
 from swiftcal.calibrate import discretization_plan
+from swiftcal.experiments import swift_prices
 from swiftcal.reference import QuadratureConfig, price_cp
 from swiftcal.fixtures import PARAM_SETS, set1_quotes, set2_quotes
 from swiftcal.swift import (
@@ -114,6 +115,24 @@ def test_payoff_coefficients_match_quadrature():
         val, err = quad(lambda y: sinc_basis(sp.m, k, y) * (np.exp(y) - 1.0),
                         0.0, sp.x_high, limit=400, epsabs=1e-13, epsrel=1e-12)
         assert abs(coeffs[i] - val) <= 1e-8 * max(abs(val), 1e-300), k
+
+
+def test_overflowing_payoff_window_raises_named_error():
+    # e^1000 is past the float range: a named error, and no numpy warning
+    # (tier-1 turns any escaping warning into a failure)
+    sp = SwiftParams(m=0, eta=1023, j_density=2048, x_high=1000.0)
+    with pytest.raises(NoConvergenceError, match=r"x_high=1000\b.*overflows"):
+        payoff_coefficients(sp)
+    assert np.all(np.isfinite(payoff_coefficients(dataclasses.replace(sp, x_high=700.0))))
+
+
+def test_overflowing_payoff_window_refused_by_swift_prices(ctx):
+    # a point of the calibration box whose tau=30 interval at its selected
+    # scale ends near x_high = 1.8e4
+    theta = HestonParams(kappa=4e-4, v_bar=1.1e-6, sigma=3.72, rho=0.08, v0=1.89)
+    quotes = [OptionQuote(strike=k, maturity=30.0) for k in (0.5, 0.9, 1.0, 1.1, 2.0)]
+    with pytest.raises(NoConvergenceError, match=r"x_high=.*overflows"):
+        swift_prices(theta, ctx, quotes)
 
 
 def test_payoff_boundary_robustness(theta2, ctx):
