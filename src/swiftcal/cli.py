@@ -140,19 +140,16 @@ def cmd_price(args) -> int:
 def cmd_generate(args) -> int:
     theta = parse_params(args.params)
     if args.grid:
-        if args.m is not None:
-            raise CliError("--grid fixes m and J itself; drop --m")
         if _given(args, ("set", "noise", "seed")):
             raise CliError("--grid prices noise-free calls on its own strikes; "
                            "drop --set/--noise/--seed")
         try:
-            m_s, j_s, tau_s = args.grid.split(",")
-            m, j, tau = int(m_s), int(j_s), float(tau_s)
+            band, tau = map(float, args.grid.split(","))
         except ValueError:
-            raise CliError("--grid expects 'm,J,tau'")
+            raise CliError("--grid expects 'B,tau'")
         spot = 1.0 if args.spot is None else args.spot
         ctx = MarketContext(spot=spot, rate=args.rate or 0.0)
-        qf = run_generate_grid(theta, ctx, m, j, tau)
+        qf = run_generate_grid(theta, ctx, band, tau, m=args.m)
     else:
         if args.spot is not None:
             raise CliError("--spot is the spot of --grid only; a quote set "
@@ -254,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--set", help="strike/maturity set or quote file "
                    f"(default {DEFAULT_SET}; not with --grid)")
-    p.add_argument("--grid", help="dyadic strike grid spec 'm,J,tau'")
+    p.add_argument("--grid", help="'B,tau': calls at the dyadic strikes "
+                   "x = ln(S/K) = j/2^m, |x| <= B, of maturity tau")
     p.add_argument("--spot", type=float,
                    help="spot for --grid generation (default 1.0)")
     p.add_argument("--noise", type=float,
@@ -307,8 +305,6 @@ def _remedy(args, exc) -> str:
     if isinstance(exc, ChfOverflowError):
         # a smaller scale or cutoff lowers the frequency range swept
         unread = _UNREAD_BY_BACKEND.get(getattr(args, "backend", None), ())
-        if getattr(args, "grid", None):
-            unread = ("m",)  # --grid fixes m itself and refuses --m
         flags = [flag for name, flag in _PRICING_FLAGS.items()
                  if hasattr(args, name) and name not in unread]
         return f"remedy: lower {' or '.join(flags)}\n" if flags else ""

@@ -36,8 +36,6 @@ from .swift import (
     SCALE_TOL,
     NoConvergenceError,
     OptionQuote,
-    SwiftParams,
-    _check_scale,
     price_strike_grid,
     put_offsets,
 )
@@ -67,6 +65,20 @@ class PricingOverrides:
     L = DEFAULT_L
 
 
+def _check_band(calls, strikes, tau: float, ctx: MarketContext) -> None:
+    """Raise NoConvergenceError, naming tau and K, at the first call outside
+    [max(F - P, 0) - d, F + d], F = S e^{-q tau}, P = K e^{-r tau}, d = ``_BAND_TOL`` P."""
+    fwd = ctx.spot * math.exp(-ctx.dividend * tau)
+    pv = strikes * math.exp(-ctx.rate * tau)
+    lo, hi = np.maximum(fwd - pv, 0.0) - _BAND_TOL * pv, fwd + _BAND_TOL * pv
+    outside = np.flatnonzero(~((calls >= lo) & (calls <= hi)))
+    if outside.size:
+        i = outside[0]
+        raise NoConvergenceError(
+            f"call price {calls[i]:.6g} at tau={tau:g}, K={strikes[i]:g} "
+            f"lies outside its no-arbitrage band [{lo[i]:.6g}, {hi[i]:.6g}]")
+
+
 def swift_prices(theta: HestonParams, ctx: MarketContext,
                  quotes: Sequence[OptionQuote], m: Optional[int] = None):
     """Wavelet prices for a quote list from its :func:`discretization_plan` at
@@ -75,25 +87,14 @@ def swift_prices(theta: HestonParams, ctx: MarketContext,
     Returns (prices, per-group SwiftParams keyed by maturity).
 
     Raises:
-        NoConvergenceError: a call price, before a put's parity offset, lies
-            outside [max(F - P, 0) - d, F + d], F = S e^{-q tau} and
-            P = K e^{-r tau}, d = ``_BAND_TOL`` P: the discretization did not
-            resolve it.  The message names tau and K.
+        NoConvergenceError: a call, before its parity offset, fails :func:`_check_band`.
     """
     prices = np.empty(len(quotes))
     used = {}
     for pricer, idx in discretization_plan(quotes, ctx, theta, m=m):
         used[pricer.tau] = pricer.sp
         calls = pricer.prices(theta)
-        fwd = ctx.spot * math.exp(-ctx.dividend * pricer.tau)
-        pv = pricer.strikes * math.exp(-ctx.rate * pricer.tau)
-        lo, hi = np.maximum(fwd - pv, 0.0) - _BAND_TOL * pv, fwd + _BAND_TOL * pv
-        outside = np.flatnonzero(~((calls >= lo) & (calls <= hi)))
-        if outside.size:
-            i = outside[0]
-            raise NoConvergenceError(
-                f"call price {calls[i]:.6g} at tau={pricer.tau:g}, K={pricer.strikes[i]:g} "
-                f"lies outside its no-arbitrage band [{lo[i]:.6g}, {hi[i]:.6g}]")
+        _check_band(calls, pricer.strikes, pricer.tau, ctx)
         prices[idx] = calls
     return prices + put_offsets(quotes, ctx), used
 
@@ -144,29 +145,29 @@ def run_generate(theta: HestonParams, ctx: MarketContext,
     return QuoteFile(context=ctx, quotes=priced)
 
 
-def run_generate_grid(theta: HestonParams, ctx: MarketContext, m: int,
-                      j_density: int, tau: float) -> QuoteFile:
-    """Calls at the dyadic strike grid x_k = (2k - J_d)/2^{m+1}.
+def run_generate_grid(theta: HestonParams, ctx: MarketContext, band: float,
+                      tau: float, m: Optional[int] = None) -> QuoteFile:
+    """Calls at maturity tau at the dyadic log-moneyness points j/2^m in +-band.
 
-    The grid layout is fixed by (m, J_d), J_d a power of two of at least 4;
-    the series half-width is the J_d/2 - 1 validity bound and the payoff
-    window ends at its wavelet range's edge, x_high = eta/2^m.  Only the
-    central band carries accurate prices (the wings' densities leave that
-    range).  m is checked before any 2^m is formed, and J_d before any grid
-    is built.
-    """
-    if j_density < 4 or j_density & (j_density - 1):
-        raise ValueError(f"grid J must be a power of two >= 4, got {j_density}")
+    One FFT prices the grid :func:`discretization_plan` selects for the edge
+    strikes S e^{-+band} (m pins the scale, as in :func:`run_generate`); only
+    the band's rows are written, through :func:`_check_band`, negatives
+    clamped at zero.  Inputs are checked before any grid is built."""
     if not 0.0 < tau < math.inf:
         raise ValueError(f"grid tau must be positive and finite, got {tau}")
-    _check_scale(m)
-    eta = j_density // 2 - 1
-    sp = SwiftParams(m=m, eta=eta, j_density=j_density, x_high=eta / 2.0**m)
-    x_grid, prices = price_strike_grid(theta, ctx, tau, sp)
-    quotes = [OptionQuote(strike=float(ctx.spot * np.exp(-x)), maturity=tau,
-                          price=float(max(p, 0.0)))
-              for x, p in zip(x_grid, prices)]
-    return QuoteFile(context=ctx, quotes=quotes)
+    if not 0.0 < band < math.inf:
+        raise ValueError(f"grid band B must be positive and finite, got {band}")
+    try:
+        edges = [OptionQuote(ctx.spot * math.exp(s * band), tau) for s in (-1.0, 1.0)]
+    except (OverflowError, ValueError):
+        raise ValueError(f"grid band B={band:g} puts an edge strike out of range") from None
+    (pricer, _), = discretization_plan(edges, ctx, theta, m=m)
+    x_grid, prices = price_strike_grid(theta, ctx, tau, pricer.sp)
+    keep = np.abs(x_grid) <= band
+    strikes, calls = ctx.spot * np.exp(-x_grid[keep]), prices[keep]
+    _check_band(calls, strikes, tau, ctx)
+    return QuoteFile(context=ctx, quotes=[OptionQuote(float(k), tau, float(max(p, 0.0)))
+                                          for k, p in zip(strikes, calls)])
 
 
 def make_calibration_backend(name: str, quotes, ctx, theta_ref,

@@ -65,11 +65,14 @@ def parse_quote_text(text: str) -> QuoteFile:
         if not line:
             continue
         parts = line.split()
-        if len(parts) == 2 and parts[0].lower() in _HEADER_KEYS:
+        key = parts[0].lower()
+        if len(parts) == 2 and key in _HEADER_KEYS:
             if quotes:
                 raise QuoteParseError("header line after quote records", lineno)
+            if key in header:
+                raise QuoteParseError(f"repeated header key {parts[0]!r}", lineno)
             try:
-                header[parts[0].lower()] = float(parts[1])
+                header[key] = float(parts[1])
             except ValueError:
                 raise QuoteParseError(f"bad {parts[0]} value {parts[1]!r}", lineno)
             continue
@@ -120,7 +123,7 @@ def parse_quote_json(obj) -> QuoteFile:
                               maturity=float(q["maturity"]),
                               price=(None if q.get("price") is None
                                      else float(q["price"])),
-                              kind=q.get("kind", "call"))
+                              kind=str(q.get("kind", "call")).lower())
                   for q in obj.get("quotes", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise QuoteParseError(f"bad quote JSON: {exc}")

@@ -473,19 +473,17 @@ def price_strike_grid(theta: HestonParams, ctx: MarketContext, tau: float,
                       sp: SwiftParams):
     """Call prices at the J_d dyadic grid points x_k = (2k - J_d)/2^{m+1}.
 
-    One length-2J_d FFT prices the whole grid.  Accuracy holds for grid
-    points whose density lies inside the wavelet range y = k/2^m,
-    k = 1-eta..eta: about |x| <= eta/2^m - c for a cumulant half-width c.
-    Points beyond it are returned but carry no coverage guarantee.
+    One length-2J_d FFT prices the whole grid, the points j/2^m.  Only those
+    in the log-moneyness range the discretization was selected for carry its
+    accuracy (``generate --grid`` writes only its selected band); a wing
+    strike or price past the float range comes out non-finite, unwarned.
 
     Returns:
         (x_grid, prices): parallel arrays of length J_d; the strike behind
         x is ctx.spot * exp(-x).
     """
-    payoff = payoff_coefficients(sp)
-    ut = _u_tilde(payoff, sp)
-    omega = sp.density_freqs()
-    f_vals = chf_cui(omega, tau, theta, ctx)
+    ut = _u_tilde(payoff_coefficients(sp), sp)
+    f_vals = chf_cui(sp.density_freqs(), tau, theta, ctx)
 
     j_d = sp.j_density
     j = np.arange(1, j_d + 1)
@@ -497,8 +495,9 @@ def price_strike_grid(theta: HestonParams, ctx: MarketContext, tau: float,
     k = np.arange(j_d)
     vals = (np.exp(1j * np.pi * k / (2 * j_d)) * spectrum[:j_d]).real
     x_grid = (2.0 * k - j_d) / 2.0**(sp.m + 1)
-    strikes = ctx.spot * np.exp(-x_grid)
-    prices = strikes * math.exp(-ctx.rate * tau) * (2.0**(sp.m / 2.0) / j_d) * vals
+    with np.errstate(over="ignore", invalid="ignore"):
+        strikes = ctx.spot * np.exp(-x_grid)
+        prices = strikes * math.exp(-ctx.rate * tau) * (2.0**(sp.m / 2.0) / j_d) * vals
     return x_grid, prices
 
 

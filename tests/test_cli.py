@@ -20,7 +20,7 @@ from swiftcal.heston import ChfOverflowError
 from swiftcal.quotes import load_quote_file, loads_quotes
 from swiftcal.reference import QuadratureConfig, price_cp
 from swiftcal.reports import ExperimentReport
-from swiftcal.swift import SwiftParams
+from swiftcal.swift import SwiftParams, select_scale
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -172,32 +172,62 @@ def test_generate_noise_is_seeded(capsys, tmp_path):
     assert a.read_text() != c.read_text()
 
 
+def _grid_x(qf):
+    """Log-moneyness ln(S/K) of every row of a written grid, ascending."""
+    return np.sort(np.log(qf.context.spot / np.array([q.strike for q in qf.quotes])))
+
+
 def test_generate_grid_matches_dyadic_definition(capsys, tmp_path):
+    # the rows are the dyadic points j/2^m inside the band, whatever J_d is;
+    # theta2 at tau=1 selects m=4
     path = tmp_path / "grid.quotes"
     code, _, _ = run_cli(capsys, "generate", "--params", "theta2", "--grid",
-                         "5,256,1.0", "--out", str(path))
+                         "2.0,1.0", "--out", str(path))
     assert code == 0
     qf = load_quote_file(str(path))
-    assert len(qf.quotes) == 256
-    k = np.arange(256)
-    want_x = (2.0 * k - 256) / 2.0**6
-    got_x = np.sort(np.log(qf.context.spot / np.array([q.strike for q in qf.quotes])))
-    assert np.allclose(np.sort(want_x), got_x, atol=1e-12)
+    assert len(qf.quotes) == 65
+    assert np.allclose(_grid_x(qf), np.arange(-32, 33) / 2.0**4, atol=1e-12)
 
 
 def test_generate_grid_central_band_matches_reference(capsys, tmp_path):
-    # the payoff window ends where the grid's wavelet range does, eta/2^m:
-    # fx's wide density makes it the grid whose central band that decides
+    # fx's wide density at tau=2 makes it the grid whose central band
+    # decides, at --m 9 and at the selected scale, 8
     path = tmp_path / "grid.quotes"
-    code, _, _ = run_cli(capsys, "generate", "--params", "fx", "--grid",
-                         "9,8192,2.0", "--out", str(path))
+    qc = QuadratureConfig(nodes=1536, u_max=2400.0)
+    for m, rows in ((["--m", "9"], 513), ([], 257)):
+        code, _, _ = run_cli(capsys, "generate", "--params", "fx", "--grid",
+                             "0.5,2.0", *m, "--out", str(path))
+        assert code == 0
+        qf = load_quote_file(str(path))
+        assert len(qf.quotes) == rows
+        assert np.all(np.abs(_grid_x(qf)) <= 0.5 + 1e-12)
+        err = max(abs(q.price - price_cp(PARAM_SETS["fx"], qf.context, q, qc))
+                  for q in qf.quotes)
+        assert err <= 1e-7, m
+
+
+@pytest.mark.parametrize("band", ["0.5", "2.0"])
+@pytest.mark.parametrize("target,tau", [("theta2", 1.0), ("eq", 1.0), ("ir", 1.0),
+                                        ("fx", 2.0)])
+def test_generate_grid_writes_the_band_inside_no_arbitrage_bounds(
+        capsys, tmp_path, target, tau, band):
+    # every written row is a dyadic point j/2^m of the band at the selected
+    # scale, and its call lies in [max(S - K, 0) - d, S + d] (rate 0)
+    path = tmp_path / "grid.quotes"
+    code, _, _ = run_cli(capsys, "generate", "--params", target, "--grid",
+                         f"{band},{tau}", "--out", str(path))
     assert code == 0
     qf = load_quote_file(str(path))
-    band = [q for q in qf.quotes if abs(np.log(qf.context.spot / q.strike)) <= 0.5]
-    assert len(band) == 513
-    qc = QuadratureConfig(nodes=1536, u_max=2400.0)
-    err = max(abs(q.price - price_cp(PARAM_SETS["fx"], qf.context, q, qc)) for q in band)
-    assert err <= 1e-7
+    m = select_scale(PARAM_SETS[target], tau, qf.context)
+    j = _grid_x(qf) * 2.0**m
+    width = int(np.floor(float(band) * 2.0**m))
+    assert np.allclose(j, np.round(j), rtol=0.0, atol=1e-9)
+    assert list(np.round(j).astype(int)) == list(range(-width, width + 1))
+    strikes = np.array([q.strike for q in qf.quotes])
+    prices = np.array([q.price for q in qf.quotes])
+    slack = 1e-4 * strikes
+    assert np.all(prices >= np.maximum(1.0 - strikes, 0.0) - slack)
+    assert np.all(prices <= 1.0 + slack)
 
 
 def test_json_quote_file_through_cli(capsys, tmp_path):
@@ -268,13 +298,15 @@ def test_swift_only_commands_reject_quadrature_flags(capsys, argv):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("flag", ["--m"])
-def test_generate_grid_rejects_discretization_flags(capsys, flag):
-    code, out, err = run_cli(capsys, "generate", "--params", "theta2", "--grid",
-                             "5,256,1.0", flag, "9")
-    assert code == 2
-    assert out == ""
-    assert "--grid" in err
+def test_generate_grid_reads_m(capsys, tmp_path):
+    # --m pins the grid's scale as it does every other group's
+    path = tmp_path / "grid.quotes"
+    code, _, _ = run_cli(capsys, "generate", "--params", "theta2", "--grid",
+                         "1.0,1.0", "--m", "5", "--out", str(path))
+    assert code == 0
+    qf = load_quote_file(str(path))
+    assert len(qf.quotes) == 65
+    assert np.allclose(_grid_x(qf), np.arange(-32, 33) / 2.0**5, atol=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -318,13 +350,14 @@ def grids_built(monkeypatch):
                  id="m-13"),
     pytest.param(["price", "--params", "theta2", "--quotes", "set1", "--m", "-1"],
                  id="m-negative"),
-    pytest.param(["generate", "--params", "theta2", "--grid", "13,8,1.0"], id="grid-13"),
+    pytest.param(["generate", "--params", "theta2", "--grid", "1.0,1.0", "--m", "13"],
+                 id="grid-13"),
     # 2.0**m overflows a float at m = 5000 and is 0.0 at m = -5000
     pytest.param(["price", "--params", "theta2", "--quotes", "set2", "--m", "5000"],
                  id="m-5000"),
-    pytest.param(["generate", "--params", "theta2", "--grid", "5000,64,1.0"],
+    pytest.param(["generate", "--params", "theta2", "--grid", "1.0,1.0", "--m", "5000"],
                  id="grid-5000"),
-    pytest.param(["generate", "--params", "theta2", "--grid=-5000,8,1.0"],
+    pytest.param(["generate", "--params", "theta2", "--grid", "1.0,1.0", "--m", "-5000"],
                  id="grid-negative-5000"),
 ])
 def test_scale_outside_the_range_exits_input_error(capsys, grids_built, argv):
@@ -358,14 +391,15 @@ def test_removed_discretization_flags_exit_input_error(capsys, grids_built, argv
     pytest.param(["price", "--params",
                   "kappa=1e-4,v_bar=4,sigma=5,rho=0.999,v0=4", "--quotes", "CORNER"],
                  3, "scale 8 needs j_density = 8388608, above MAX_J", id="corner"),
-    pytest.param(["generate", "--params", "theta2", "--grid", "5,2097152,1.0"],
-                 2, "j_density = 2097152, above MAX_J", id="grid"),
+    pytest.param(["generate", "--params", "theta2", "--grid", "200,1.0", "--m", "12"],
+                 3, "scale 12 needs j_density = 2097152, above MAX_J", id="grid"),
 ])
 def test_grid_above_max_j_refused_before_it_is_built(capsys, tmp_path, grids_built,
                                                      argv, code, message):
     # a point inside the calibration box at tau=45 would need 2^23 density
-    # terms at its selected scale (2^26 after growth); a --grid J above
-    # swift.MAX_J is refused the same way
+    # terms at its selected scale (2^26 after growth); a --grid band too
+    # wide for swift.MAX_J at its scale is refused the same way, and names
+    # the pinned scale as the flag to drop
     corner = tmp_path / "corner.quotes"
     corner.write_text("spot 1.0\n45,0.9,call\n45,1.1,call\n")
     got, out, err = run_cli(capsys, *(str(corner) if a == "CORNER" else a
@@ -373,6 +407,7 @@ def test_grid_above_max_j_refused_before_it_is_built(capsys, tmp_path, grids_bui
     assert got == code
     assert out == ""
     assert message in err
+    assert ("remedy: drop --m" in err) == ("--m" in argv)
     assert grids_built == []
 
 
@@ -419,8 +454,15 @@ def test_non_finite_inline_params_exit_input_error(capsys, grids_built, value):
                  "noise must be nonnegative and finite", id="noise-negative"),
     pytest.param(["generate", "--params", "theta2", "--set", "set1", "--noise", "nan"],
                  "noise must be nonnegative and finite", id="noise-nan"),
-    pytest.param(["generate", "--params", "theta2", "--grid", "5,16,nan"],
+    pytest.param(["generate", "--params", "theta2", "--grid", "1.0,nan"],
                  "grid tau must be positive and finite", id="grid-tau-nan"),
+    pytest.param(["generate", "--params", "theta2", "--grid", "0,1.0"],
+                 "grid band B must be positive and finite", id="grid-band-0"),
+    pytest.param(["generate", "--params", "theta2", "--grid", "nan,1.0"],
+                 "grid band B must be positive and finite", id="grid-band-nan"),
+    # e^800 overflows a float, so the band has no finite edge strike
+    pytest.param(["generate", "--params", "theta2", "--grid", "800,1.0"],
+                 "puts an edge strike out of range", id="grid-band-800"),
 ])
 def test_non_finite_or_negative_flag_exits_input_error(capsys, tmp_path, grids_built,
                                                        argv, message):
@@ -489,7 +531,7 @@ def test_speed_set3_rejects_u_max(capsys):
 def test_generate_grid_rejects_set_mode_flags(capsys, flag, value):
     # the grid mode prices noise-free calls on its own strikes
     code, out, err = run_cli(capsys, "generate", "--params", "theta2", "--grid",
-                             "5,64,1.0", flag, value)
+                             "1.0,1.0", flag, value)
     assert code == 2
     assert out == ""
     assert "--grid" in err and flag in err
@@ -514,14 +556,16 @@ def test_generate_seed_without_noise_rejected(capsys, noise):
     assert "--seed" in err and "--noise" in err
 
 
-@pytest.mark.parametrize("grid,message", [("5,64", "'m,J,tau'"),
-                                          ("5,100,1.0", "power of two")])
-def test_generate_malformed_grid_exits_input_error(capsys, grid, message):
-    # J must be a power of two: the grid is never rounded up behind the user
+@pytest.mark.parametrize("grid", ["5,256,1.0", "1.0", "one,1.0"],
+                         ids=["old-m-J-tau", "one-field", "not-a-number"])
+def test_generate_malformed_grid_exits_input_error(capsys, grids_built, grid):
+    # the selection picks J: the old 'm,J,tau' form is refused, not reread
     code, out, err = run_cli(capsys, "generate", "--params", "theta2", "--grid", grid)
     assert code == 2
     assert out == ""
-    assert message in err
+    assert "'B,tau'" in err
+    assert grids_built == []
+
 
 
 def test_chf_overflow_exits_numerical(capsys, monkeypatch, long_file, priced_set2):
@@ -537,7 +581,7 @@ def test_chf_overflow_exits_numerical(capsys, monkeypatch, long_file, priced_set
              "remedy: lower --m\n"),
             ("run_generate", ["generate", "--params", "theta2"], "remedy: lower --m\n"),
             ("run_generate_grid", ["generate", "--params", "theta2", "--grid",
-                                   "5,64,1.0"], None),
+                                   "1.0,1.0"], "remedy: lower --m\n"),
             ("run_calibrate", ["calibrate", "--quotes", priced_set2, "--start",
                                "theta2"], None),
             ("run_converge", ["converge", "--target", "fx", "--trials", "1"], None)):

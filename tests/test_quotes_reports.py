@@ -94,6 +94,35 @@ def test_parse_errors_carry_line_numbers():
         parse_quote_json([{"spot": 1.0}])
 
 
+def test_json_kind_reads_like_text():
+    # one schema for both formats: the kind is case-insensitive in either
+    text = parse_quote_text("spot 1.0\n0.5,1.0,Call\n0.5,1.1,PUT\n")
+    obj = loads_quotes('{"spot": 1.0, "quotes": [{"maturity": 0.5, "strike": 1.0, '
+                       '"kind": "Call"}, {"maturity": 0.5, "strike": 1.1, '
+                       '"kind": "PUT"}]}')
+    assert obj.quotes == text.quotes
+    assert [q.kind for q in obj.quotes] == ["call", "put"]
+
+
+@pytest.mark.parametrize("kind", ["1", "null", "true", '["call"]', '{"call": 1}'])
+def test_json_non_string_kind_is_a_parse_error(kind):
+    # a parse error naming the kind, not an AttributeError of str methods
+    with pytest.raises(QuoteParseError, match="kind"):
+        loads_quotes('{"spot": 1.0, "quotes": [{"maturity": 0.5, "strike": 1.0, '
+                     f'"kind": {kind}}}]}}')
+
+
+@pytest.mark.parametrize("text,line", [
+    ("spot 1\nspot 2\n0.5,1.0,call\n", 2),
+    ("spot 1\nrate 0.01\n# comment\nRATE 0.02\n0.5,1.0,call\n", 4),
+])
+def test_repeated_header_key_rejected(text, line):
+    # the second value would silently replace the first
+    with pytest.raises(QuoteParseError, match="repeated header key") as err:
+        parse_quote_text(text)
+    assert err.value.line == line
+
+
 def test_duplicate_quotes_rejected():
     with pytest.raises(QuoteParseError):
         parse_quote_text("spot 1.0\n0.5,1.0,call\n0.5,1.0,call\n")
