@@ -58,6 +58,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,10 +70,12 @@ from .swift import (
     OptionQuote,
     group_by_maturity,
     put_offsets,
-    select_scale,
-    select_truncation,
+    select_groups,
     share_sweep,
 )
+# Unused here: perfbench/tracing.py rebinds these names in this module,
+# until the benchmark counts without rebinding.
+from .swift import select_scale, select_truncation  # noqa: F401
 
 # The parameter box: (lo, hi) per parameter in PARAM_ORDER, wide enough for
 # every realistic fit.
@@ -150,26 +153,29 @@ def discretization_plan(quotes: Sequence[OptionQuote], ctx: MarketContext,
     """Yield (MultiStrikePricer, quote indices) per maturity group, frozen at
     theta_ref: the one place a quote set's discretization is chosen.
 
-    Every group gets its scale from :func:`~swiftcal.swift.select_scale`, or
-    from ``m`` when it pins one, and its interval from one
-    :func:`~swiftcal.swift.select_truncation` call, which checks the density
-    mass; the group's pricer is built straight after and starts from the
-    selection's sweep at theta_ref (:func:`~swiftcal.swift.share_sweep`), so
-    every selected grid is swept once there.  Pricers are yielded one at a
-    time, so a caller that prices and drops them holds one group at a time.
-    ``split_groups=True`` makes every quote its own group.
+    All groups are selected together by :func:`~swiftcal.swift.select_groups`:
+    the scales from one tail sweep over every maturity (or ``m`` when it pins
+    one), the intervals in growth rounds that sweep the new grids of all
+    groups still growing as one block, each decision the one a lone group's
+    :func:`~swiftcal.swift.select_scale` and
+    :func:`~swiftcal.swift.select_truncation` make.  Each group's pricer
+    starts from its slice of the block that swept its accepted grid at
+    theta_ref (:func:`~swiftcal.swift.share_sweep`), so every selected grid
+    is swept once there.  Pricers are built and yielded one group at a
+    time; a group whose selection failed raises its error when reached.
+    ``split_groups=True`` makes every quote its own group, selected alone.
     """
     if split_groups:
         groups = [(q.maturity, [i]) for i, q in enumerate(quotes)]
     else:
-        groups = group_by_maturity(quotes).items()
-    for tau, idx in groups:
-        strikes = [quotes[i].strike for i in idx]
-        scale = select_scale(theta_ref, tau, ctx) if m is None else m
-        sweeps = []
-        sp = select_truncation(theta_ref, tau, ctx, scale, strikes, sweep_out=sweeps)
+        groups = list(group_by_maturity(quotes).items())
+    pairs = [(tau, [quotes[i].strike for i in idx]) for tau, idx in groups]
+    selected = (chain.from_iterable(select_groups(theta_ref, [pair], ctx, m)
+                                    for pair in pairs) if split_groups
+                else select_groups(theta_ref, pairs, ctx, m))
+    for (tau, strikes), (_, idx), (sp, sweep) in zip(pairs, groups, selected):
         pricer = MultiStrikePricer(ctx, tau, strikes, sp)
-        share_sweep([pricer], sweeps)
+        share_sweep([pricer], [sweep])
         yield pricer, np.asarray(idx)
 
 

@@ -36,7 +36,6 @@ from .swift import (
     SCALE_TOL,
     NoConvergenceError,
     OptionQuote,
-    price_strike_grid,
     put_offsets,
 )
 # Unused here: perfbench/tracing.py rebinds these names in this module,
@@ -150,7 +149,8 @@ def run_generate_grid(theta: HestonParams, ctx: MarketContext, band: float,
     """Calls at maturity tau at the dyadic log-moneyness points j/2^m in +-band.
 
     One FFT prices the grid :func:`discretization_plan` selects for the edge
-    strikes S e^{-+band} (m pins the scale, as in :func:`run_generate`); only
+    strikes S e^{-+band} (m pins the scale, as in :func:`run_generate`), from
+    the selected pricer's payoff spectrum and selection sweep; only
     the band's rows are written, through :func:`_check_band`, negatives
     clamped at zero.  Inputs are checked before any grid is built."""
     if not 0.0 < tau < math.inf:
@@ -162,7 +162,7 @@ def run_generate_grid(theta: HestonParams, ctx: MarketContext, band: float,
     except (OverflowError, ValueError):
         raise ValueError(f"grid band B={band:g} puts an edge strike out of range") from None
     (pricer, _), = discretization_plan(edges, ctx, theta, m=m)
-    x_grid, prices = price_strike_grid(theta, ctx, tau, pricer.sp)
+    x_grid, prices = pricer.grid_prices(theta)
     keep = np.abs(x_grid) <= band
     strikes, calls = ctx.spot * np.exp(-x_grid[keep]), prices[keep]
     _check_band(calls, strikes, tau, ctx)

@@ -130,12 +130,23 @@ def parse_quote_json(obj) -> QuoteFile:
     return QuoteFile(context=ctx, quotes=quotes)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's members as a dict, refusing a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise QuoteParseError(f"repeated JSON key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def loads_quotes(text: str) -> QuoteFile:
-    """Parse either format; JSON is detected by a leading brace."""
+    """Parse either format; JSON is detected by a leading brace.  A key
+    repeated in any JSON object is refused, as a repeated header line is."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise QuoteParseError(f"bad JSON: {exc.msg}", exc.lineno)
         return parse_quote_json(obj)

@@ -31,17 +31,21 @@ package; every pricer adds it to the call price of a put.  The discretization
 rule is likewise written once: ``truncation_width`` gives the cumulant
 half-width, ``interval_params`` the eta, J_d and x_high it implies, and
 ``group_by_maturity`` the quote groups that share them.  One plan,
-``calibrate.discretization_plan``, applies it to a quote set: per group it
-selects the discretization and builds the ``MultiStrikePricer``, which starts
-from the selection's sweep.  A calibration backend then joins all its
+``calibrate.discretization_plan``, applies it to a quote set: it selects
+every group's discretization together (``select_groups``: one tail sweep
+for all scales, then one sweep block per growth round, each decision the
+one ``select_scale`` and ``select_truncation`` make for the group alone)
+and builds each group's ``MultiStrikePricer``, which starts from its slice
+of the block that swept its grid.  A calibration backend then joins all its
 pricers into one sweep block (``share_sweep``), so each evaluation makes one
 chf call, split across threads when large (``heston.chf_cui_parts``).
 
 Selection and pricer builds evaluate only the chf and the payoff transform
 point by point.  Grid-only factors come from tables: the twiddles
 e^{-i pi k/(2J)} from one cached table per size (``_twiddle_table``), the
-shifts e^{-i omega x} from two small ones (``_phase_matrix``), and
-``select_scale``'s tail grid and chf grid terms from a cache per scale set.
+shifts e^{-i omega x} from two small ones (``_phase_matrix``), and the tail
+grid of the scale rule and its chf grid terms from a cache per scale set
+and maturity count.
 """
 
 from __future__ import annotations
@@ -56,17 +60,20 @@ import numpy as np
 from .heston import (
     HestonParams,
     MarketContext,
-    chf_cui,
     chf_cui_parts,
     chf_gradient_from_parts,
     chf_grid_terms,
     cumulants,
 )
 
+# Unused here: perfbench/tracing.py rebinds this name in this module, until
+# the benchmark counts without rebinding.
+from .heston import chf_cui  # noqa: F401
+
 __all__ = [
     "OptionQuote", "SwiftParams", "NoConvergenceError", "GridSizeError",
     "group_by_maturity", "parity_offset", "put_offsets", "truncation_width",
-    "interval_params", "select_scale", "select_truncation",
+    "interval_params", "select_scale", "select_truncation", "select_groups",
     "payoff_coefficients", "density_area", "price_multi_strike",
     "price_strike_grid", "MultiStrikePricer", "share_sweep",
 ]
@@ -235,31 +242,70 @@ def _cosine_at(spectrum: np.ndarray, eta: int) -> np.ndarray:
     return _twiddles(two_j, eta) * wrapped
 
 
-@functools.lru_cache(maxsize=None)
-def _tail_grid(scales: tuple):
+@functools.lru_cache(maxsize=16)
+def _tail_grid(scales: tuple, groups: int):
     """(nodes, spacing, chf grid terms) of :func:`_tail_masses` at these
-    scales: the nodes flat, the spacing one row per scale; read-only."""
+    scales: the nodes flat, once for each of ``groups`` maturities, the
+    spacing one row per scale; read-only."""
     lo = 2.0**np.array(scales) * np.pi
     u = np.linspace(lo, 4.0 * lo, _TAIL_QUAD_POINTS, axis=1)
-    grid = (u.ravel(), np.diff(u, axis=1), chf_grid_terms(u.ravel()))
+    nodes = np.tile(u.ravel(), groups)
+    grid = (nodes, np.diff(u, axis=1), chf_grid_terms(nodes))
     for a in (*grid[:2], *grid[2]):
         a.flags.writeable = False
     return grid
 
 
-def _tail_masses(theta: HestonParams, tau: float, ctx: MarketContext,
+def _tail_masses(theta: HestonParams, tau, ctx: MarketContext,
                  scales: np.ndarray) -> np.ndarray:
-    """Two-sided transform mass beyond |u| = 2^m pi for each m in scales.
+    """Two-sided transform mass beyond |u| = 2^m pi for each m in scales, at
+    the maturity tau, or one row per maturity for a sequence of them.
 
     Integrates |fhat| over [2^m pi, 2^{m+2} pi] by the trapezoidal rule (the
     continuation beyond two octaves is negligible whenever the result is
     anywhere near tolerance) and doubles it via Hermitian symmetry,
-    normalized by 1/(2 pi).  All scales share one characteristic sweep, on a
-    grid cached per scale set; the trapezoid is numpy's, term for term.
+    normalized by 1/(2 pi).  All scales and maturities share one
+    characteristic sweep with a per-element tau (one per ``MAX_J``
+    frequencies), on a grid cached per scale set and maturity count; each
+    maturity's masses are bitwise its own sweep's, and the trapezoid is
+    numpy's, term for term.
     """
-    u, d, terms = _tail_grid(tuple(np.asarray(scales).tolist()))
-    vals = np.abs(chf_cui_parts(u, tau, theta, ctx, terms)[0]).reshape(d.shape[0], -1)
-    return (d * (vals[:, 1:] + vals[:, :-1]) / 2.0).sum(axis=1) / np.pi
+    alone = np.ndim(tau) == 0
+    taus = [tau] if alone else list(tau)
+    scales = tuple(np.asarray(scales).tolist())
+    per_sweep = max(1, MAX_J // (len(scales) * _TAIL_QUAD_POINTS))
+    rows = []
+    for i in range(0, len(taus), per_sweep):
+        block = taus[i:i + per_sweep]
+        u, d, terms = _tail_grid(scales, len(block))
+        t = block[0] if len(block) == 1 else np.repeat(block, u.size // len(block))
+        vals = np.abs(chf_cui_parts(u, t, theta, ctx, terms)[0]).reshape(
+            len(block), d.shape[0], -1)
+        rows.append((d * (vals[..., 1:] + vals[..., :-1]) / 2.0).sum(axis=-1) / np.pi)
+    masses = rows[0] if len(rows) == 1 else np.concatenate(rows)
+    return masses[0] if alone else masses
+
+
+def _scales(theta: HestonParams, taus: Sequence[float], ctx: MarketContext,
+            tol: float) -> list:
+    """:func:`select_scale` at each of taus, from one tail sweep: per
+    maturity the scale, or the NoConvergenceError selecting it alone
+    raises."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
+    if not taus:
+        return []
+    passed = _tail_masses(theta, taus, ctx, np.arange(MAX_SCALE + 1)) <= tol
+    return [int(m) if ok else NoConvergenceError(
+        f"transform tail mass still above {tol} at scale {MAX_SCALE}")
+        for m, ok in zip(passed.argmax(axis=1).tolist(), passed.any(axis=1).tolist())]
+
+
+def _raised(outcome):
+    """A selection's outcome, unless it is an error: then that is raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def select_scale(theta: HestonParams, tau: float, ctx: MarketContext,
@@ -267,19 +313,13 @@ def select_scale(theta: HestonParams, tau: float, ctx: MarketContext,
     """Smallest scale m whose estimated projection-error bound is within tol:
     the one rule that chooses m.
 
-    Every pricing and calibration path selects at the default ``SCALE_TOL``.
+    Every pricing and calibration path selects at the default ``SCALE_TOL``;
+    :func:`select_groups` applies this rule to many maturities in one sweep.
 
     Raises:
         NoConvergenceError: no scale up to ``MAX_SCALE`` meets ``tol``.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must be in (0, 1), got {tol}")
-    passed = np.flatnonzero(_tail_masses(theta, tau, ctx,
-                                         np.arange(MAX_SCALE + 1)) <= tol)
-    if passed.size:
-        return int(passed[0])
-    raise NoConvergenceError(
-        f"transform tail mass still above {tol} at scale {MAX_SCALE}")
+    return _raised(_scales(theta, [tau], ctx, tol)[0])
 
 
 def _next_pow2(n: float) -> int:
@@ -327,15 +367,8 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
     cumulant interval, and what leaks past the right edge gets amplified by
     the call payoff), up to 12 steps.  The scale stays m:
     :func:`select_scale` alone chooses it.  The mass defect accepted is the
-    fixed ``_AREA_TOL``; L defaults to ``DEFAULT_L``.
-
-    Growth steps often keep J_d, which with m alone fixes the chf sweep and
-    the density spectra at x_min and x_max: each is computed once per grid
-    and re-read at every step's wavelet indices.  Growth never returns to an
-    earlier grid, so only the current one is kept.  Only the chf is
-    evaluated per point: the edge shifts e^{-i omega x} come from the
-    pricer's two small phase tables (:func:`_phase_matrix`) and the
-    twiddles from the cached :func:`_twiddle_table`.
+    fixed ``_AREA_TOL``; L defaults to ``DEFAULT_L``.  This is the one-group
+    case of :func:`select_groups`' growth rounds (:func:`_growth`).
 
     Given a list as ``sweep_out``, selection appends the accepted grid's
     sweep at ``theta``; handed to :func:`share_sweep` with the pricer built
@@ -344,6 +377,28 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
     Raises:
         NoConvergenceError: the mass check still fails after 12 growth
             steps, or the interval needs a grid above ``MAX_J`` at scale m.
+    """
+    sp, sweep = _raised(_grow_together(
+        theta, [_growth(theta, tau, ctx, m, strikes, L)])[0])
+    if sweep_out is not None:
+        sweep_out.append(sweep)
+    return sp
+
+
+def _growth(theta: HestonParams, tau: float, ctx: MarketContext, m: int,
+            strikes: Sequence[float], L: float):
+    """The growth loop of :func:`select_truncation` for one group, as a
+    generator: it yields an unevaluated sweep of each new grid it checks,
+    reads that sweep's values when resumed, and returns the accepted
+    (SwiftParams, sweep).
+
+    Growth steps often keep J_d, which with m alone fixes the chf sweep and
+    the density spectra at x_min and x_max: each is computed once per grid
+    and re-read at every step's wavelet indices.  Growth never returns to an
+    earlier grid, so only the current one is kept.  Only the chf is
+    evaluated per point: the edge shifts e^{-i omega x} come from the
+    pricer's two small phase tables (:func:`_phase_matrix`) and the
+    twiddles from the cached :func:`_twiddle_table`.
     """
     strikes = np.asarray(strikes, dtype=float)
     if strikes.size == 0:
@@ -363,6 +418,7 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
         if sp.j_density != j_d:
             j_d, spectra = sp.j_density, {}
             sweep = _ChfSweep(sp.density_freqs(), tau, ctx)
+            yield sweep  # swept with the round's other new grids
             f_vals = sweep.parts(theta)[0]
             shifts = _phase_matrix(edges, m, j_d)
         for e in range(edges.size):
@@ -372,13 +428,86 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
             if abs(density_area(density, sp) - 1.0) > _AREA_TOL:
                 break
         else:
-            if sweep_out is not None:
-                sweep_out.append(sweep)
-            return sp
+            return sp, sweep
         c *= 1.25
     raise NoConvergenceError(
         f"density mass check failed at scale {m} after 12 growth steps "
         f"(tau={tau}, strikes in [{strikes.min():.4g}, {strikes.max():.4g}])")
+
+
+def _grow_together(theta: HestonParams, loops: list) -> list:
+    """Run growth loops (:func:`_growth`) side by side, in rounds: a round
+    resumes every loop still growing and sweeps the new grids they yield
+    together (:func:`_sweep_together`).  Returns, per loop, the accepted
+    (SwiftParams, sweep) or the NoConvergenceError the loop raised; an
+    error given in place of a loop is returned as it is."""
+    out = list(loops)
+    growing = [g for g, loop in enumerate(loops) if not isinstance(loop, Exception)]
+    while growing:
+        asked, sweeps = [], []
+        for g in growing:
+            try:
+                sweeps.append(next(out[g]))
+            except StopIteration as done:
+                out[g] = done.value
+            except NoConvergenceError as exc:  # raised when its group is reached
+                out[g] = exc
+            else:
+                asked.append(g)
+        if len(sweeps) > 1:  # a lone sweep evaluates itself when read
+            _sweep_together(theta, sweeps)
+        growing = asked
+    return out
+
+
+def select_groups(theta: HestonParams, groups, ctx: MarketContext,
+                  m: Optional[int] = None):
+    """Yield the selected (SwiftParams, sweep at theta) of every
+    (tau, strikes) in groups, in order, all groups selected together.
+
+    The scales come from one tail sweep over all maturities with
+    :func:`select_scale`'s rule, unless ``m`` pins them; the intervals from
+    :func:`select_truncation`'s growth loops, run in rounds that sweep the
+    new grids of all groups still growing as one block.  A block's values
+    are bitwise each member's own, so every decision is the one selecting
+    the group alone makes, and the sweep yielded is the one
+    ``select_truncation``'s ``sweep_out`` would hold.  A group's error is
+    raised when the group is reached, after the groups before it.
+
+    Memory: a sweep holds about 160 bytes per frequency (value and
+    intermediates), so a block of ``MAX_J`` frequencies, the most one chf
+    call sweeps, holds about 160 MiB.  An accepted sweep is a view of its
+    round's block and keeps all of it: the blocks held are at most every
+    frequency selection swept, under twice the selected sum of J_d, since
+    a group's grids at least double as they grow.
+    """
+    taus = [tau for tau, _ in groups]
+    scales = (_scales(theta, taus, ctx, SCALE_TOL) if m is None
+              else [m] * len(groups))
+    loops = [s if isinstance(s, Exception) else
+             _growth(theta, tau, ctx, s, strikes, DEFAULT_L)
+             for (tau, strikes), s in zip(groups, scales)]
+    for outcome in _grow_together(theta, loops):
+        yield _raised(outcome)
+
+
+def _sweep_together(theta: HestonParams, sweeps: list) -> None:
+    """Evaluate sweeps of one market context at theta, runs of consecutive
+    sweeps of at most ``MAX_J`` frequencies in all with one chf call each
+    (a block, :meth:`_ChfSweep.joined`).  Every member of a block keeps its
+    slice of the block's evaluation, bitwise its own; a sweep alone in its
+    run is left to evaluate itself when read."""
+    start = 0
+    while start < len(sweeps):
+        stop, size = start + 1, sweeps[start].omega.size
+        while stop < len(sweeps) and size + sweeps[stop].omega.size <= MAX_J:
+            size += sweeps[stop].omega.size
+            stop += 1
+        if stop - start > 1:
+            block = _ChfSweep.joined(sweeps[start:stop])
+            block.parts(theta)
+            block.cut(sweeps[start:stop])
+        start = stop
 
 
 def _density_at(spectrum: np.ndarray, sp: SwiftParams) -> np.ndarray:
@@ -471,34 +600,11 @@ def price_multi_strike(theta: HestonParams, ctx: MarketContext, tau: float,
 
 def price_strike_grid(theta: HestonParams, ctx: MarketContext, tau: float,
                       sp: SwiftParams):
-    """Call prices at the J_d dyadic grid points x_k = (2k - J_d)/2^{m+1}.
+    """Call prices at the J_d dyadic grid points of sp at maturity tau.
 
-    One length-2J_d FFT prices the whole grid, the points j/2^m.  Only those
-    in the log-moneyness range the discretization was selected for carry its
-    accuracy (``generate --grid`` writes only its selected band); a wing
-    strike or price past the float range comes out non-finite, unwarned.
-
-    Returns:
-        (x_grid, prices): parallel arrays of length J_d; the strike behind
-        x is ctx.spot * exp(-x).
+    One-shot use of :meth:`MultiStrikePricer.grid_prices`.
     """
-    ut = _u_tilde(payoff_coefficients(sp), sp)
-    f_vals = chf_cui(sp.density_freqs(), tau, theta, ctx)
-
-    j_d = sp.j_density
-    j = np.arange(1, j_d + 1)
-    buf = np.zeros(2 * j_d, dtype=np.complex128)
-    # e^{-i u_j 2^m x_k} = e^{i pi k/(2J_d)} e^{-2 pi i j k/(2J_d)} e^{i pi (2j-1)/4}
-    buf[1:j_d + 1] = f_vals * ut * np.exp(1j * np.pi * (2 * j - 1) / 4.0)
-    spectrum = np.fft.fft(buf)
-
-    k = np.arange(j_d)
-    vals = (np.exp(1j * np.pi * k / (2 * j_d)) * spectrum[:j_d]).real
-    x_grid = (2.0 * k - j_d) / 2.0**(sp.m + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        strikes = ctx.spot * np.exp(-x_grid)
-        prices = strikes * math.exp(-ctx.rate * tau) * (2.0**(sp.m / 2.0) / j_d) * vals
-    return x_grid, prices
+    return MultiStrikePricer(ctx, tau, [], sp).grid_prices(theta)
 
 
 class MultiStrikePricer:
@@ -553,6 +659,37 @@ class MultiStrikePricer:
         return self._scale * (self.real_phases
                               @ (f_vals * self.u_tilde).view(np.float64))
 
+    def grid_prices(self, theta: HestonParams):
+        """Call prices at the J_d dyadic grid points x_k = (2k - J_d)/2^{m+1}.
+
+        One length-2J_d FFT of this pricer's sweep and U-tilde prices the
+        whole grid, the points j/2^m; the strikes play no part.  Only the
+        points in the log-moneyness range the discretization was selected
+        for carry its accuracy (``generate --grid`` writes only its selected
+        band); a wing strike or price past the float range comes out
+        non-finite, unwarned.
+
+        Returns:
+            (x_grid, prices): parallel arrays of length J_d; the strike
+            behind x is ctx.spot * exp(-x).
+        """
+        sp, ctx, j_d = self.sp, self.ctx, self.sp.j_density
+        f_vals = self._sweep.parts(theta)[0][self._cols]
+        j = np.arange(1, j_d + 1)
+        buf = np.zeros(2 * j_d, dtype=np.complex128)
+        # e^{-i u_j 2^m x_k} = e^{i pi k/(2J_d)} e^{-2 pi i j k/(2J_d)} e^{i pi (2j-1)/4}
+        buf[1:j_d + 1] = f_vals * self.u_tilde * np.exp(1j * np.pi * (2 * j - 1) / 4.0)
+        spectrum = np.fft.fft(buf)
+
+        k = np.arange(j_d)
+        vals = (np.exp(1j * np.pi * k / (2 * j_d)) * spectrum[:j_d]).real
+        x_grid = (2.0 * k - j_d) / 2.0**(sp.m + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            strikes = ctx.spot * np.exp(-x_grid)
+            prices = (strikes * math.exp(-ctx.rate * self.tau)
+                      * (2.0**(sp.m / 2.0) / j_d) * vals)
+        return x_grid, prices
+
     def prices_and_jacobian(self, theta: HestonParams):
         value, grad = self._sweep.value_and_gradient(theta)
         cols = np.empty((6, self.sp.j_density), dtype=np.complex128)
@@ -570,10 +707,12 @@ class _ChfSweep:
     large sweep across threads.  The value, intermediates and gradient at
     the last parameters asked for are kept, and recomputed only when the
     parameters change; the gradient is assembled on the first request for
-    it at those parameters.  :func:`select_truncation` evaluates each grid
-    through one, and :func:`share_sweep` starts a pricer or block from the
-    sweeps of the grids selection accepted.  Grid terms are formed on the
-    first evaluation, so a sweep replaced before then costs nothing.
+    it at those parameters.  Selection evaluates each grid through one, the
+    new grids of a growth round through a block whose slices it hands back
+    to the grids' own sweeps (:meth:`cut`), and :func:`share_sweep` starts
+    a pricer or block from the sweeps of the grids selection accepted.
+    Grid terms are formed on the first evaluation, so a sweep replaced
+    before then costs nothing.
     """
 
     def __init__(self, omega, tau, ctx: MarketContext):
@@ -599,6 +738,30 @@ class _ChfSweep:
         if self._grad is None:
             self._grad = chf_gradient_from_parts(self.tau, theta, value, parts)
         return value, self._grad
+
+    @classmethod
+    def joined(cls, members) -> "_ChfSweep":
+        """A block: one sweep of the members' concatenated grids, with a
+        per-element tau.  Members are sweeps or pricers of one context."""
+        return cls(np.concatenate([s.omega for s in members]),
+                   np.repeat([s.tau for s in members], [s.omega.size for s in members]),
+                   members[0].ctx)
+
+    def cut(self, members) -> None:
+        """Hand this block's last evaluation to the sweeps of its consecutive
+        slices: each gets its value and intermediates, views cut at its
+        offsets, so it answers at those parameters without sweeping."""
+        value, parts = self._parts
+        bounds = np.cumsum([0] + [chunk[0].size for chunk in parts])
+        start = 0
+        for s in members:
+            stop = start + s.omega.size
+            s._key, s._grad = self._key, None
+            s._parts = (value[start:stop], [
+                tuple(a[max(start, lo) - lo:min(stop, hi) - lo] for a in chunk)
+                for chunk, lo, hi in zip(parts, bounds, bounds[1:])
+                if lo < stop and start < hi])
+            start = stop
 
 
 def share_sweep(pricers: Sequence[MultiStrikePricer], sweeps=None) -> None:
@@ -635,10 +798,7 @@ def share_sweep(pricers: Sequence[MultiStrikePricer], sweeps=None) -> None:
         for p, s in zip(pricers, sweeps):
             p._sweep = s
         return
-    block = _ChfSweep(
-        np.concatenate([p.omega for p in pricers]),
-        np.repeat([p.tau for p in pricers], [p.sp.j_density for p in pricers]),
-        pricers[0].ctx)
+    block = _ChfSweep.joined(pricers)
     if sweeps[0]._key is not None:
         block._key, block._parts = sweeps[0]._key, (
             np.concatenate([s._parts[0] for s in sweeps]),

@@ -87,9 +87,10 @@ def test_tracer_sees_every_kswift_chf_frequency(monkeypatch):
 
 
 def test_tracer_counts_run_price_through_the_plan(monkeypatch):
-    # run_price selects and builds through calibrate's names, where the
-    # tracer counts them: one scale selection per group, the report's sum
-    # J_d, and no chf frequency beyond the selection's own sweeps
+    # run_price selects all groups together and builds through calibrate's
+    # names, where the tracer counts the pricers: the report's sum J_d, and
+    # exactly the chf frequencies and mass checks of selecting every group
+    # alone, no sweep beyond the selection's own
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import Tracer
 
@@ -109,10 +110,11 @@ def test_tracer_counts_run_price_through_the_plan(monkeypatch):
             m = swift.select_scale(theta, tau, DEFAULT_CONTEXT)
             swift.select_truncation(theta, tau, DEFAULT_CONTEXT, m,
                                     [quotes[i].strike for i in idx])
-    assert tracer.counts["swift.select_scale_calls"] == len(groups)
     assert tracer.counts["swift.sum_jd"] == sum(
         sp["j_density"] for sp in report.metadata["config"].values())
     assert tracer.counts["heston.chf_freqs"] == selection.counts["heston.chf_freqs"] > 0
+    assert (tracer.counts["swift.truncation_trials"]
+            == selection.counts["swift.truncation_trials"] > 0)
 
 
 def test_tracer_sees_every_quadrature_node(monkeypatch):

@@ -2,6 +2,7 @@
 backend interchangeability and the two quote-set protocols."""
 
 import importlib
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -22,15 +23,17 @@ from swiftcal import (
     lm_step,
     price_and_gradient_cp,
     price_cp,
+    price_strike_grid,
     residuals,
     select_scale,
     select_truncation,
 )
+from swiftcal.calibrate import discretization_plan
 from swiftcal.experiments import (PricingOverrides, make_calibration_backend,
-                                  run_generate, run_price)
+                                  run_generate, run_generate_grid, run_price)
 from swiftcal.fixtures import PARAM_SETS, set2_quotes
 from swiftcal.quotes import QuoteFile
-from swiftcal.swift import group_by_maturity, put_offsets
+from swiftcal.swift import group_by_maturity, put_offsets, select_groups
 
 from oracles import per_strike_price, per_strike_price_and_gradient
 
@@ -159,18 +162,51 @@ def test_run_price_sweeps_each_selected_grid_once(ctx, target, chf_sweeps):
     # every sweep block starts from the selection's sweeps of the grids it
     # accepted, so a request sweeps the grids selection tries and nothing
     # more, at the default scale and at a pinned one (scale 6 is too coarse
-    # for fx: run_price refuses its out-of-band calls)
+    # for fx: run_price refuses its out-of-band calls).  Selecting the groups
+    # together sweeps the frequencies of selecting each alone, in fewer calls
     theta, quotes = PARAM_SETS[target], set2_quotes()
+    groups = group_by_maturity(quotes).items()
+    pairs = [(tau, [quotes[i].strike for i in idx]) for tau, idx in groups]
     for ov in (PricingOverrides(), PricingOverrides(m=7)):
         chf_sweeps["chf"].clear()
-        for tau, idx in group_by_maturity(quotes).items():
+        for tau, strikes in pairs:
             m = select_scale(theta, tau, ctx) if ov.m is None else ov.m
-            select_truncation(theta, tau, ctx, m, [quotes[i].strike for i in idx])
+            select_truncation(theta, tau, ctx, m, strikes)
+        alone = chf_sweeps["chf"][:]
+        chf_sweeps["chf"].clear()
+        list(select_groups(theta, pairs, ctx, ov.m))
         selection = chf_sweeps["chf"][:]
+        assert sum(selection) == sum(alone) and len(selection) < len(alone), ov
         chf_sweeps["chf"].clear()
         run_price("swift", theta, QuoteFile(context=ctx, quotes=quotes), ov)
         assert chf_sweeps["chf"] == selection, ov  # no second sweep of sum J_d
         assert chf_sweeps["grad"] == []
+
+
+def test_generate_grid_sweeps_its_grid_once(ctx, chf_sweeps, monkeypatch):
+    # the grid is priced from the selected pricer's U-tilde and its sweep at
+    # theta: fx at B=0.5, tau=2 sweeps the tail grid and the three grids its
+    # selection tries, and its 16,384-frequency grid once; the rows are
+    # price_strike_grid's, the one-shot form, bit for bit
+    swift = importlib.import_module("swiftcal.swift")
+    chf = swift.chf_cui
+
+    def counted(u, *args):  # the value-only form counts too
+        chf_sweeps["chf"].append(np.size(u))
+        return chf(u, *args)
+
+    monkeypatch.setattr(swift, "chf_cui", counted)
+    theta, tau = PARAM_SETS["fx"], 2.0
+    qf = run_generate_grid(theta, ctx, 0.5, tau)
+    assert chf_sweeps["chf"] == [13 * 129, 4096, 8192, 16384]
+    assert chf_sweeps["grad"] == []
+    (pricer, _), = discretization_plan([OptionQuote(ctx.spot * math.exp(s * 0.5), tau)
+                                        for s in (-1.0, 1.0)], ctx, theta)
+    x_grid, prices = price_strike_grid(theta, ctx, tau, pricer.sp)
+    keep = np.abs(x_grid) <= 0.5
+    assert [(q.strike, q.price) for q in qf.quotes] == sorted(zip(
+        (ctx.spot * np.exp(-x_grid[keep])).tolist(),
+        np.maximum(prices[keep], 0.0).tolist()))
 
 
 @pytest.mark.parametrize("target", ["fx", "ir"])

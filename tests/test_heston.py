@@ -273,7 +273,8 @@ def test_chunked_sweep_bitwise_one_chunk(ctx, monkeypatch, n):
                 monkeypatch.setattr(heston, "_max_chunks", cap)
                 value, parts = chf_cui_parts(u, tau, th, ctx)
                 out[cap] = (value, chf_gradient_from_parts(tau, th, value, parts))
-                assert len(parts) == (1 if cap == 1 else max(1, min(4, n // 8192)))
+                assert len(parts) == (1 if cap == 1 else
+                                      max(1, min(4, n // heston._CHUNK_FLOOR)))
                 assert sum(chunk[0].size for chunk in parts) == n
             assert out[4][0].tobytes() == out[1][0].tobytes(), (n, name)
             assert out[4][1].tobytes() == out[1][1].tobytes(), (n, name)

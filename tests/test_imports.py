@@ -5,12 +5,15 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "swiftcal"
 
-# Bound in `experiments` but never read there: perfbench/tracing.py rebinds
-# these names in that module to count calls.  They can leave only together
-# with a benchmark change that counts without rebinding.
-TRACER_BOUND = {("experiments", "price_multi_strike"),
+# Bound in these modules but never read there: perfbench/tracing.py rebinds
+# these names in them to count calls.  They can leave only together with a
+# benchmark change that counts without rebinding.
+TRACER_BOUND = {("calibrate", "select_scale"),
+                ("calibrate", "select_truncation"),
+                ("experiments", "price_multi_strike"),
                 ("experiments", "select_scale"),
-                ("experiments", "select_truncation")}
+                ("experiments", "select_truncation"),
+                ("swift", "chf_cui")}
 
 
 def _imported(tree):

@@ -123,6 +123,17 @@ def test_repeated_header_key_rejected(text, line):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("text,key", [
+    ('{"spot": 1.0, "spot": 2.0, "quotes": []}', "spot"),
+    ('{"spot": 1.0, "quotes": [{"maturity": 0.5, "strike": 1.0, "strike": 1.1}]}',
+     "strike"),
+])
+def test_repeated_json_key_rejected(text, key):
+    # json.loads would keep the last value; the JSON twin of a repeated header
+    with pytest.raises(QuoteParseError, match=f"repeated JSON key '{key}'"):
+        loads_quotes(text)
+
+
 def test_duplicate_quotes_rejected():
     with pytest.raises(QuoteParseError):
         parse_quote_text("spot 1.0\n0.5,1.0,call\n0.5,1.0,call\n")

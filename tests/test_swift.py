@@ -29,7 +29,8 @@ from swiftcal import (
 from swiftcal.calibrate import discretization_plan
 from swiftcal.experiments import swift_prices
 from swiftcal.reference import QuadratureConfig, price_cp
-from swiftcal.fixtures import PARAM_SETS, set1_quotes, set2_quotes
+from swiftcal.fixtures import (PARAM_SETS, STRESS_CONTEXT, set1_quotes, set2_quotes,
+                               stress_quotes)
 from swiftcal.swift import (
     _AREA_TOL,
     DEFAULT_L,
@@ -49,6 +50,7 @@ from swiftcal.swift import (
     _u_tilde,
     group_by_maturity,
     interval_params,
+    select_groups,
     share_sweep,
     truncation_width,
 )
@@ -695,6 +697,89 @@ def test_select_truncation_keeps_the_pinned_scale(name, ctx, ctx100):
     assert kept > 0
     if name == "stress":  # scale 3 cannot hold the two-week density
         assert failed > 0
+
+
+def _groups(quotes):
+    return [(tau, [quotes[i].strike for i in idx])
+            for tau, idx in group_by_maturity(quotes).items()]
+
+
+def _selected_alone(theta, groups, ctx, m):
+    """The per-group loop: (SwiftParams, first-sweep bits) per group, up to
+    the first group that fails, then that error's message."""
+    out = []
+    for tau, strikes in groups:
+        try:
+            sweeps = []
+            sp = select_truncation(theta, tau, ctx,
+                                   select_scale(theta, tau, ctx) if m is None else m,
+                                   strikes, sweep_out=sweeps)
+        except NoConvergenceError as exc:
+            return out + [str(exc)]
+        out.append((sp, _bits(sweeps[0].parts(theta)[0])))
+    return out
+
+
+def _selected_together(theta, groups, ctx, m):
+    out = []
+    try:
+        for sp, sweep in select_groups(theta, groups, ctx, m):
+            out.append((sp, _bits(sweep.parts(theta)[0])))
+    except NoConvergenceError as exc:
+        out.append(str(exc))
+    return out
+
+
+_JITTERED = [HestonParams.from_array(PARAM_SETS[name].as_array() * row) for name, row in
+             zip(("theta2", "fx", "ir", "eq") * 4,
+                 np.random.default_rng(23).uniform(0.9, 1.1, size=(16, 5)))]
+
+
+@pytest.mark.parametrize("theta", [PARAM_SETS[n] for n in ("theta2", "fx", "ir", "eq",
+                                                            "stress")] + _JITTERED,
+                         ids=["theta2", "fx", "ir", "eq", "stress"]
+                         + [f"jitter{k}" for k in range(16)])
+def test_groups_selected_together_as_each_alone_bitwise(theta, ctx):
+    # one tail sweep and one block per growth round decide every group as
+    # selecting it alone does: the tail masses, the SwiftParams and the
+    # accepted sweep bit for bit, and the first failing group's error after
+    # the groups before it, at the selected scales and at pinned ones (scale
+    # 3 holds the stress quotes' tau=45 group but not the tau=0.04 one)
+    for quotes, c in ((set1_quotes(), ctx), (set2_quotes(), ctx),
+                      (stress_quotes(), STRESS_CONTEXT)):
+        groups = _groups(quotes)
+        taus = [tau for tau, _ in groups]
+        together = _tail_masses(theta, taus, c, np.arange(MAX_SCALE + 1))
+        for tau, row in zip(taus, together):
+            assert _bits(row) == _bits(_tail_masses(theta, tau, c,
+                                                    np.arange(MAX_SCALE + 1)))
+        for m in (None, 7, 3):
+            alone = _selected_alone(theta, groups, c, m)
+            assert _selected_together(theta, groups, c, m) == alone, (len(groups), m)
+
+
+def test_rounds_past_max_j_sweep_in_several_blocks(ctx, monkeypatch):
+    # ir on set2 grows through rounds of 6,656, 11,264 and 6,144 frequencies;
+    # with MAX_J at 4,096 each round and the tail sweep split into blocks
+    # of at most that, and the selection does not change
+    swift = importlib.import_module("swiftcal.swift")
+    theta, groups = PARAM_SETS["ir"], _groups(set2_quotes())
+    want = _selected_alone(theta, groups, ctx, None)
+    sweeps = []
+    chf = swift.chf_cui_parts
+
+    def counted(u, *args, **kwargs):
+        sweeps.append(np.size(u))
+        return chf(u, *args, **kwargs)
+
+    monkeypatch.setattr(swift, "chf_cui_parts", counted)
+    unlimited = _selected_together(theta, groups, ctx, None)
+    blocks = sweeps[:]
+    monkeypatch.setattr(swift, "MAX_J", 4096)
+    sweeps.clear()
+    assert _selected_together(theta, groups, ctx, None) == unlimited == want
+    assert max(sweeps) <= 4096 < max(blocks)
+    assert sum(sweeps) == sum(blocks) and len(sweeps) > len(blocks)
 
 
 def test_packed_pricers_answer_alone_in_any_call_order(theta2, theta2_start, ctx):
