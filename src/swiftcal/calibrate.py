@@ -58,7 +58,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -163,17 +162,16 @@ def discretization_plan(quotes: Sequence[OptionQuote], ctx: MarketContext,
     theta_ref (:func:`~swiftcal.swift.share_sweep`), so every selected grid
     is swept once there.  Pricers are built and yielded one group at a
     time; a group whose selection failed raises its error when reached.
-    ``split_groups=True`` makes every quote its own group, selected alone.
+    ``split_groups=True`` makes every quote its own group and changes
+    nothing else: each group is still decided as if selected alone.
     """
     if split_groups:
         groups = [(q.maturity, [i]) for i, q in enumerate(quotes)]
     else:
         groups = list(group_by_maturity(quotes).items())
     pairs = [(tau, [quotes[i].strike for i in idx]) for tau, idx in groups]
-    selected = (chain.from_iterable(select_groups(theta_ref, [pair], ctx, m)
-                                    for pair in pairs) if split_groups
-                else select_groups(theta_ref, pairs, ctx, m))
-    for (tau, strikes), (_, idx), (sp, sweep) in zip(pairs, groups, selected):
+    for (tau, strikes), (_, idx), (sp, sweep) in zip(
+            pairs, groups, select_groups(theta_ref, pairs, ctx, m)):
         pricer = MultiStrikePricer(ctx, tau, strikes, sp)
         share_sweep([pricer], [sweep])
         yield pricer, np.asarray(idx)

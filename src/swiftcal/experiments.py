@@ -36,6 +36,7 @@ from .swift import (
     SCALE_TOL,
     NoConvergenceError,
     OptionQuote,
+    group_by_maturity,
     put_offsets,
 )
 # Unused here: perfbench/tracing.py rebinds these names in this module,
@@ -45,6 +46,10 @@ from .swift import price_multi_strike, select_scale, select_truncation  # noqa: 
 # Slack of the no-arbitrage band per unit of discounted strike: far above the
 # wavelet pricer's error on the benchmark sets, far below a failed expansion.
 _BAND_TOL = 1e-4
+# The same for the cp quadrature, whose default cutoff misprices deep
+# out-of-the-money short-dated calls: up to 3.6e-4 on +-10% fx points, far
+# below a failed quadrature (a call of 1.4988 at tau=1000 and forward 1).
+_CP_BAND_TOL = 2e-3
 
 
 @dataclass
@@ -64,12 +69,13 @@ class PricingOverrides:
     L = DEFAULT_L
 
 
-def _check_band(calls, strikes, tau: float, ctx: MarketContext) -> None:
+def _check_band(calls, strikes, tau: float, ctx: MarketContext,
+                slack: float = _BAND_TOL) -> None:
     """Raise NoConvergenceError, naming tau and K, at the first call outside
-    [max(F - P, 0) - d, F + d], F = S e^{-q tau}, P = K e^{-r tau}, d = ``_BAND_TOL`` P."""
+    [max(F - P, 0) - d, F + d], F = S e^{-q tau}, P = K e^{-r tau}, d = slack P."""
     fwd = ctx.spot * math.exp(-ctx.dividend * tau)
     pv = strikes * math.exp(-ctx.rate * tau)
-    lo, hi = np.maximum(fwd - pv, 0.0) - _BAND_TOL * pv, fwd + _BAND_TOL * pv
+    lo, hi = np.maximum(fwd - pv, 0.0) - slack * pv, fwd + slack * pv
     outside = np.flatnonzero(~((calls >= lo) & (calls <= hi)))
     if outside.size:
         i = outside[0]
@@ -100,7 +106,12 @@ def swift_prices(theta: HestonParams, ctx: MarketContext,
 
 def run_price(backend: str, theta: HestonParams, qf: QuoteFile,
               ov: PricingOverrides = PricingOverrides()) -> ExperimentReport:
-    """Price every quote in the file with the swift or the cp backend."""
+    """Price every quote in the file with the swift or the cp backend.
+
+    Raises:
+        NoConvergenceError: a call, before its parity offset, fails
+            :func:`_check_band`, whose slack is ``_CP_BAND_TOL`` for cp.
+    """
     t0 = time.perf_counter()
     if backend == "swift":
         prices, used = swift_prices(theta, qf.context, qf.quotes, ov.m)
@@ -108,6 +119,10 @@ def run_price(backend: str, theta: HestonParams, qf: QuoteFile,
     elif backend == "cp":
         qc = QuadratureConfig(u_max=ov.u_max)
         prices = np.array([price_cp(theta, qf.context, q, qc) for q in qf.quotes])
+        calls = prices - put_offsets(qf.quotes, qf.context)
+        strikes = np.array([q.strike for q in qf.quotes])
+        for tau, idx in group_by_maturity(qf.quotes).items():
+            _check_band(calls[idx], strikes[idx], tau, qf.context, _CP_BAND_TOL)
         config = {"nodes": qc.nodes, "u_max": qc.u_max}
     else:
         raise ValueError(f"unknown backend {backend!r}")

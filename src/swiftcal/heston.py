@@ -255,12 +255,26 @@ def chf_cui_parts(u, tau: float, theta: HestonParams, ctx: MarketContext,
     return value.reshape(shape), parts
 
 
+def _two_kvb(theta: HestonParams) -> float:
+    """2 kappa v_bar / sigma^2, the weight of log B in log fhat.
+
+    Raises:
+        ChfOverflowError: sigma^2 underflows to zero, so the weight has no
+            float value.
+    """
+    if theta.sigma**2 == 0.0:
+        raise ChfOverflowError(f"sigma = {theta.sigma:g} squares to zero in "
+                               "double precision")
+    return 2.0 * theta.kappa * theta.v_bar / theta.sigma**2
+
+
 def _parts_chunk(grid_terms, tau, theta: HestonParams, ctx: MarketContext, out):
     """One chunk of :func:`chf_cui_parts`: writes fhat into ``out`` and
     returns the chunk's intermediates."""
     u, iu, u2 = grid_terms
     sigma, kappa, v_bar, v0, rho = (
         theta.sigma, theta.kappa, theta.v_bar, theta.v0, theta.rho)
+    two_kvb = _two_kvb(theta)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         xi = iu * (sigma * rho)
@@ -293,7 +307,7 @@ def _parts_chunk(grid_terms, tau, theta: HestonParams, ctx: MarketContext, out):
         big_d.imag -= np.arctan2(q.imag, q.real)
         np.multiply(iu, tau * (kappa * v_bar * rho / sigma - ctx.drift), out=out)
         out -= big_a
-        out += (2.0 * kappa * v_bar / sigma**2) * big_d
+        out += two_kvb * big_d
         np.exp(out, out=out)
     _check_finite(out)
     return u, iu, xi, u2, d, decay, a2, big_a, big_d
@@ -345,7 +359,7 @@ def _gradient_chunk(tau, theta: HestonParams, value, parts, out) -> None:
     u, iu, xi, u2, d, decay, a2, big_a, big_d = parts
     sigma, kappa, v_bar, v0, rho = (
         theta.sigma, theta.kappa, theta.v_bar, theta.v0, theta.rho)
-    two_kvb = 2.0 * kappa * v_bar / sigma**2
+    two_kvb = _two_kvb(theta)
 
     zero_mask = (u == 0)
     has_zero = bool(zero_mask.any())
@@ -427,7 +441,9 @@ def cumulants(theta: HestonParams, tau: float, ctx: MarketContext):
     so large kappa*tau cannot overflow.  No higher cumulant is computed: the
     truncation rule consuming these values (``swift.truncation_width``) is
     backed by an adaptive density-mass check, which covers heavy tails.
-    c2 is clamped at zero as a numerical guard.
+    c2 is clamped at zero as a numerical guard.  A kappa whose square
+    underflows gives a non-finite c2, without a warning:
+    ``swift.interval_params`` refuses the interval it implies.
 
     Returns:
         (c1, c2) floats, c2 >= 0.
@@ -438,14 +454,15 @@ def cumulants(theta: HestonParams, tau: float, ctx: MarketContext):
     ekt2 = np.exp(-2.0 * kappa * tau)
     dv = v0 - v_bar
 
-    int_m = v_bar * tau + dv * (1.0 - ekt) / kappa
-    int_bm = (int_m - v_bar * (1.0 - ekt) / kappa - dv * tau * ekt) / kappa
-    int_b2m = (int_m
-               - 2.0 * v_bar * (1.0 - ekt) / kappa
-               - 2.0 * dv * tau * ekt
-               + v_bar * (1.0 - ekt2) / (2.0 * kappa)
-               + dv * (ekt - ekt2) / kappa) / kappa**2
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        int_m = v_bar * tau + dv * (1.0 - ekt) / kappa
+        int_bm = (int_m - v_bar * (1.0 - ekt) / kappa - dv * tau * ekt) / kappa
+        int_b2m = (int_m
+                   - 2.0 * v_bar * (1.0 - ekt) / kappa
+                   - 2.0 * dv * tau * ekt
+                   + v_bar * (1.0 - ekt2) / (2.0 * kappa)
+                   + dv * (ekt - ekt2) / kappa) / kappa**2
 
-    c1 = ctx.drift * tau - 0.5 * int_m
-    c2 = int_m - sigma * rho * int_bm + sigma**2 / 4.0 * int_b2m
+        c1 = ctx.drift * tau - 0.5 * int_m
+        c2 = int_m - sigma * rho * int_bm + sigma**2 / 4.0 * int_b2m
     return float(c1), max(float(c2), 0.0)

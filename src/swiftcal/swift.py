@@ -31,12 +31,13 @@ package; every pricer adds it to the call price of a put.  The discretization
 rule is likewise written once: ``truncation_width`` gives the cumulant
 half-width, ``interval_params`` the eta, J_d and x_high it implies, and
 ``group_by_maturity`` the quote groups that share them.  One plan,
-``calibrate.discretization_plan``, applies it to a quote set: it selects
-every group's discretization together (``select_groups``: one tail sweep
-for all scales, then one sweep block per growth round, each decision the
-one ``select_scale`` and ``select_truncation`` make for the group alone)
-and builds each group's ``MultiStrikePricer``, which starts from its slice
-of the block that swept its grid.  A calibration backend then joins all its
+``calibrate.discretization_plan``, applies it to a quote set, grouped by
+maturity or one group per quote: one ``select_groups`` call selects every
+group's discretization together (one tail sweep for all scales, then one
+sweep block per growth round, each decision the one ``select_scale`` and
+``select_truncation`` make for the group alone), and the plan builds each
+group's ``MultiStrikePricer``, which starts from its slice of the block
+that swept its grid.  A calibration backend then joins all its
 pricers into one sweep block (``share_sweep``), so each evaluation makes one
 chf call, split across threads when large (``heston.chf_cui_parts``).
 
@@ -71,7 +72,7 @@ from .heston import (
 from .heston import chf_cui  # noqa: F401
 
 __all__ = [
-    "OptionQuote", "SwiftParams", "NoConvergenceError", "GridSizeError",
+    "OptionQuote", "SwiftParams", "NoConvergenceError",
     "group_by_maturity", "parity_offset", "put_offsets", "truncation_width",
     "interval_params", "select_scale", "select_truncation", "select_groups",
     "payoff_coefficients", "density_area", "price_multi_strike",
@@ -91,10 +92,6 @@ _TAIL_QUAD_POINTS = 129  # trapezoid points per scale in _tail_masses
 
 class NoConvergenceError(RuntimeError):
     """A discretization could not meet its tolerance or resolve a price."""
-
-
-class GridSizeError(ValueError):
-    """A discretization asks for more than ``MAX_J`` cosine terms."""
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,7 @@ class SwiftParams:
         if j < 2 or (j & (j - 1)) != 0:
             raise ValueError(f"j_density must be a power of two >= 2, got {j}")
         if j > MAX_J:
-            raise GridSizeError(f"j_density = {j}, above MAX_J = {MAX_J}")
+            raise ValueError(f"j_density = {j}, above MAX_J = {MAX_J}")
         if 2 * self.eta >= j:
             raise ValueError(f"need 2*eta < j_density: eta={self.eta}, j_density={j}")
         if not 0.0 <= self.x_high <= self.eta / 2.0**self.m:
@@ -256,10 +253,10 @@ def _tail_grid(scales: tuple, groups: int):
     return grid
 
 
-def _tail_masses(theta: HestonParams, tau, ctx: MarketContext,
+def _tail_masses(theta: HestonParams, taus: Sequence[float], ctx: MarketContext,
                  scales: np.ndarray) -> np.ndarray:
-    """Two-sided transform mass beyond |u| = 2^m pi for each m in scales, at
-    the maturity tau, or one row per maturity for a sequence of them.
+    """Two-sided transform mass beyond |u| = 2^m pi for each m in scales, one
+    row per maturity in taus.
 
     Integrates |fhat| over [2^m pi, 2^{m+2} pi] by the trapezoidal rule (the
     continuation beyond two octaves is negligible whenever the result is
@@ -270,8 +267,6 @@ def _tail_masses(theta: HestonParams, tau, ctx: MarketContext,
     maturity's masses are bitwise its own sweep's, and the trapezoid is
     numpy's, term for term.
     """
-    alone = np.ndim(tau) == 0
-    taus = [tau] if alone else list(tau)
     scales = tuple(np.asarray(scales).tolist())
     per_sweep = max(1, MAX_J // (len(scales) * _TAIL_QUAD_POINTS))
     rows = []
@@ -282,8 +277,7 @@ def _tail_masses(theta: HestonParams, tau, ctx: MarketContext,
         vals = np.abs(chf_cui_parts(u, t, theta, ctx, terms)[0]).reshape(
             len(block), d.shape[0], -1)
         rows.append((d * (vals[..., 1:] + vals[..., :-1]) / 2.0).sum(axis=-1) / np.pi)
-    masses = rows[0] if len(rows) == 1 else np.concatenate(rows)
-    return masses[0] if alone else masses
+    return np.concatenate(rows)
 
 
 def _scales(theta: HestonParams, taus: Sequence[float], ctx: MarketContext,
@@ -343,17 +337,29 @@ def interval_params(m: int, c: float, x_min: float, x_max: float) -> SwiftParams
     kink must stay inside the expansion window); its right end is x_high.
     eta is the smallest half-width whose wavelet range covers it at scale m,
     so x_high <= eta/2^m, and J_d is the smallest power of two above 2 eta.
+    This is the one place an interval is refused.
+
+    Raises:
+        NoConvergenceError: 2^m times the half-width is not finite, or the
+            interval needs a J_d above ``MAX_J``.
     """
     _check_scale(m)
     x_high = max(x_max + c, 0.0)
-    span = max(abs(min(x_min - c, 0.0)), x_high)
-    eta = max(1, math.ceil(2.0**m * span))
-    return SwiftParams(m=m, eta=eta, j_density=_next_pow2(2 * eta + 1), x_high=x_high)
+    half = 2.0**m * max(abs(min(x_min - c, 0.0)), x_high)
+    if not math.isfinite(half):  # a NaN c makes it NaN
+        raise NoConvergenceError(f"the interval at scale {m} is not finite: "
+                                 f"2^m times its half-width is {half}")
+    eta = max(1, math.ceil(half))
+    j_d = _next_pow2(2 * eta + 1)
+    if j_d > MAX_J:
+        raise NoConvergenceError(f"the interval at scale {m} needs j_density = "
+                                 f"{j_d}, above MAX_J = {MAX_J}")
+    return SwiftParams(m=m, eta=eta, j_density=j_d, x_high=x_high)
 
 
 def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
-                      m: int, strikes: Sequence[float], L: float = DEFAULT_L,
-                      sweep_out: Optional[list] = None) -> SwiftParams:
+                      m: int, strikes: Sequence[float],
+                      L: float = DEFAULT_L) -> SwiftParams:
     """Pick (eta, J_d, x_high) at scale m for a strike set at maturity tau.
 
     The half-width c starts from :func:`truncation_width`; the interval is
@@ -370,19 +376,12 @@ def select_truncation(theta: HestonParams, tau: float, ctx: MarketContext,
     fixed ``_AREA_TOL``; L defaults to ``DEFAULT_L``.  This is the one-group
     case of :func:`select_groups`' growth rounds (:func:`_growth`).
 
-    Given a list as ``sweep_out``, selection appends the accepted grid's
-    sweep at ``theta``; handed to :func:`share_sweep` with the pricer built
-    for the result, it is that pricer's first sweep.
-
     Raises:
         NoConvergenceError: the mass check still fails after 12 growth
-            steps, or the interval needs a grid above ``MAX_J`` at scale m.
+            steps, or :func:`interval_params` refuses the interval.
     """
-    sp, sweep = _raised(_grow_together(
-        theta, [_growth(theta, tau, ctx, m, strikes, L)])[0])
-    if sweep_out is not None:
-        sweep_out.append(sweep)
-    return sp
+    return _raised(_grow_together(
+        theta, [_growth(theta, tau, ctx, m, strikes, L)])[0])[0]
 
 
 def _growth(theta: HestonParams, tau: float, ctx: MarketContext, m: int,
@@ -412,9 +411,8 @@ def _growth(theta: HestonParams, tau: float, ctx: MarketContext, m: int,
     for _ in range(12):
         try:
             sp = interval_params(m, c, x_min, x_max)
-        except GridSizeError as exc:  # refused before any grid is built
-            raise NoConvergenceError(
-                f"the interval at scale {m} needs {exc} (tau={tau})") from None
+        except NoConvergenceError as exc:
+            raise NoConvergenceError(f"{exc} (tau={tau})") from None
         if sp.j_density != j_d:
             j_d, spectra = sp.j_density, {}
             sweep = _ChfSweep(sp.density_freqs(), tau, ctx)
@@ -454,8 +452,7 @@ def _grow_together(theta: HestonParams, loops: list) -> list:
                 out[g] = exc
             else:
                 asked.append(g)
-        if len(sweeps) > 1:  # a lone sweep evaluates itself when read
-            _sweep_together(theta, sweeps)
+        _sweep_together(theta, sweeps)
         growing = asked
     return out
 
@@ -470,9 +467,10 @@ def select_groups(theta: HestonParams, groups, ctx: MarketContext,
     :func:`select_truncation`'s growth loops, run in rounds that sweep the
     new grids of all groups still growing as one block.  A block's values
     are bitwise each member's own, so every decision is the one selecting
-    the group alone makes, and the sweep yielded is the one
-    ``select_truncation``'s ``sweep_out`` would hold.  A group's error is
-    raised when the group is reached, after the groups before it.
+    the group alone makes, and the sweep yielded holds the accepted grid's
+    values at theta: handed to :func:`share_sweep` with the pricer built for
+    it, it is that pricer's first sweep.  A group's error is raised when the
+    group is reached, after the groups before it.
 
     Memory: a sweep holds about 160 bytes per frequency (value and
     intermediates), so a block of ``MAX_J`` frequencies, the most one chf
@@ -633,7 +631,7 @@ class MultiStrikePricer:
     it to a block of several pricers; the pricer then reads its slice of the
     block's sweep, bitwise its own (see
     :func:`~swiftcal.heston.chf_cui_parts`).  :func:`share_sweep` can also
-    start a pricer or a block from the sweeps :func:`select_truncation` made
+    start a pricer or a block from the sweeps :func:`select_groups` made
     of their grids, so an evaluation at the selection's parameters sweeps
     nothing.
     """
@@ -679,12 +677,11 @@ class MultiStrikePricer:
         buf = np.zeros(2 * j_d, dtype=np.complex128)
         # e^{-i u_j 2^m x_k} = e^{i pi k/(2J_d)} e^{-2 pi i j k/(2J_d)} e^{i pi (2j-1)/4}
         buf[1:j_d + 1] = f_vals * self.u_tilde * np.exp(1j * np.pi * (2 * j - 1) / 4.0)
-        spectrum = np.fft.fft(buf)
-
         k = np.arange(j_d)
-        vals = (np.exp(1j * np.pi * k / (2 * j_d)) * spectrum[:j_d]).real
         x_grid = (2.0 * k - j_d) / 2.0**(sp.m + 1)
         with np.errstate(over="ignore", invalid="ignore"):
+            spectrum = np.fft.fft(buf)
+            vals = (np.exp(1j * np.pi * k / (2 * j_d)) * spectrum[:j_d]).real
             strikes = ctx.spot * np.exp(-x_grid)
             prices = (strikes * math.exp(-ctx.rate * self.tau)
                       * (2.0**(sp.m / 2.0) / j_d) * vals)
@@ -777,7 +774,7 @@ def share_sweep(pricers: Sequence[MultiStrikePricer], sweeps=None) -> None:
 
     The block starts from ``sweeps``, one per pricer, by default the
     members' own: sweeps of the members' grids at one parameter vector,
-    such as the ones :func:`select_truncation` made, or sweeps not yet
+    such as the ones :func:`select_groups` made, or sweeps not yet
     evaluated, which start it empty.  A lone member takes its sweep as it
     is; several have their values concatenated and their intermediates
     listed, not copied, so an evaluation at those parameters sweeps nothing.

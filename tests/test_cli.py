@@ -115,6 +115,44 @@ def test_price_outside_the_no_arbitrage_band_exits_numerical(capsys, argv, where
     assert ("remedy: drop --m" in err) == remedy
 
 
+EXTREME_PRICE_CASES = {  # name: (params, quote rows or a bundled set)
+    "sigma-underflow": ("kappa=1.5,v_bar=0.04,sigma=1e-200,rho=-0.5,v0=0.04", "set2"),
+    "kappa-underflow": ("kappa=1e-200,v_bar=0.04,sigma=0.5,rho=-0.5,v0=0.04", "set2"),
+    "v_bar-1e300": ("kappa=1.5,v_bar=1e300,sigma=0.5,rho=-0.5,v0=0.04", "set2"),
+    "tau-1e300": ("theta2", "spot 1.0\n1e300,1.0,call\n"),
+    "strike-1e300": ("theta2", "spot 1.0\n1.0,1e300,call\n"),
+    "tau-1000": ("theta2", "spot 1.0\n1000,1.0,call\n"),
+}
+# (case, backend): a message the failure must name
+EXTREME_PRICE_FAILURES = {
+    ("sigma-underflow", "swift"): "sigma = 1e-200 squares to zero",
+    ("sigma-underflow", "cp"): "sigma = 1e-200 squares to zero",
+    ("kappa-underflow", "swift"): "interval at scale 7 is not finite",
+    ("tau-1000", "swift"): "outside its no-arbitrage band",
+    ("tau-1000", "cp"): "call price 1.49879 at tau=1000, K=1 lies outside",
+}
+
+
+@pytest.mark.parametrize("backend", ["swift", "cp"])
+@pytest.mark.parametrize("case", list(EXTREME_PRICE_CASES))
+def test_price_at_extreme_inputs_exits_without_a_traceback(capsys, tmp_path, case,
+                                                           backend):
+    # each row prices, is refused as input, or fails by a named numerical
+    # error: never exit 1, and (the suite turns warnings into errors) no numpy
+    # warning on the way
+    params, quotes = EXTREME_PRICE_CASES[case]
+    if "\n" in quotes:
+        path = tmp_path / "extreme.quotes"
+        path.write_text(quotes)
+        quotes = str(path)
+    code, _, err = run_cli(capsys, "price", "--backend", backend, "--params", params,
+                           "--quotes", quotes)
+    assert code in (0, 2, 3), err
+    named = EXTREME_PRICE_FAILURES.get((case, backend))
+    if named is not None:
+        assert code == 3 and named in err
+
+
 def test_malformed_quote_file_exits_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.quotes"
     bad.write_text("spot 1.0\n0.5,oops,call\n")
@@ -228,6 +266,16 @@ def test_generate_grid_writes_the_band_inside_no_arbitrage_bounds(
     slack = 1e-4 * strikes
     assert np.all(prices >= np.maximum(1.0 - strikes, 0.0) - slack)
     assert np.all(prices <= 1.0 + slack)
+
+
+def test_generate_grid_overflowing_wing_refused_unwarned(capsys):
+    # a band of 700 puts edge strikes near 1e304: the grid's FFT overflows
+    # in the wings, and the infinite call is refused by the band check with
+    # no numpy warning on the way
+    code, out, err = run_cli(capsys, "generate", "--params", "theta2", "--grid",
+                             "700,1.0")
+    assert code == 3 and out == ""
+    assert "call price inf at tau=1" in err and "outside its no-arbitrage band" in err
 
 
 def test_json_quote_file_through_cli(capsys, tmp_path):

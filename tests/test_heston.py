@@ -326,6 +326,23 @@ def test_overflow_in_a_worker_chunk_is_raised_in_the_caller(ctx, monkeypatch):
     assert np.all(np.isfinite(chf_cui_parts(u[16384:], 10.0, th, ctx)[0]))
 
 
+def test_underflowing_squares_are_named_failures(ctx):
+    # a sigma whose square underflows leaves 2 kappa v_bar / sigma^2 without
+    # a float value: the value and the gradient raise ChfOverflowError, not
+    # ZeroDivisionError.  A kappa whose square underflows gives a non-finite
+    # c2 without a numpy warning; swift.interval_params refuses it.
+    u = np.linspace(0.5, 50.0, 64)
+    flat = HestonParams(kappa=1.5, v_bar=0.04, sigma=1e-200, rho=-0.5, v0=0.04)
+    with pytest.raises(ChfOverflowError, match="sigma = 1e-200 squares to zero"):
+        chf_cui(u, 1.0, flat, ctx)
+    value, parts = chf_cui_parts(u, 1.0, PARAM_SETS["theta1"], ctx)
+    with pytest.raises(ChfOverflowError, match="squares to zero"):
+        chf_gradient_from_parts(1.0, flat, value, parts)
+    slow = HestonParams(kappa=1e-200, v_bar=0.04, sigma=0.5, rho=-0.5, v0=0.04)
+    c1, c2 = cumulants(slow, 1.0, ctx)
+    assert np.isfinite(c1) and not np.isfinite(c2)
+
+
 def test_continuity_in_u_long_maturity(stress_theta, ctx):
     # a branch-cut jump would survive step refinement; smooth growth halves
     tau = 45.0

@@ -37,7 +37,6 @@ from swiftcal.swift import (
     MAX_J,
     MAX_SCALE,
     SCALE_TOL,
-    GridSizeError,
     MultiStrikePricer,
     _cosine_at,
     _next_pow2,
@@ -334,6 +333,22 @@ def test_selection_refuses_a_grid_above_max_j(ctx):
         select_truncation(corner, 45.0, ctx, 8, [0.9, 1.1])
 
 
+def test_interval_params_refuses_what_no_grid_holds():
+    # the one rule that refuses an interval: a half-width that is not
+    # finite at scale m (a NaN or infinite c, or 2^m c past the float
+    # range) and a span needing more than MAX_J terms; the largest span
+    # that fits is accepted.  At scale 12 a half-span of 128 is eta = 2^19,
+    # J_d = 2^21.
+    for m, c in ((5, math.inf), (5, math.nan), (12, 1e305)):
+        with pytest.raises(NoConvergenceError,
+                           match=f"interval at scale {m} is not finite"):
+            interval_params(m, c, -0.1, 0.1)
+    with pytest.raises(NoConvergenceError, match=f"interval at scale 12 needs "
+                       f"j_density = {2 * MAX_J}, above MAX_J = {MAX_J}$"):
+        interval_params(12, 127.9, -0.1, 0.1)
+    assert interval_params(12, 127.8, -0.1, 0.1).j_density == MAX_J
+
+
 def test_invalid_swift_params_rejected():
     with pytest.raises(ValueError):  # 2 eta >= J
         SwiftParams(m=3, eta=32, j_density=64, x_high=1.0)
@@ -351,7 +366,7 @@ def test_invalid_swift_params_rejected():
             dataclasses.replace(SMALL_SP, m=m)
     assert dataclasses.replace(SMALL_SP, m=MAX_SCALE, x_high=0.0).m == MAX_SCALE
     # the grid size, likewise
-    with pytest.raises(GridSizeError, match=f"j_density = {2 * MAX_J}, above MAX_J"):
+    with pytest.raises(ValueError, match=f"j_density = {2 * MAX_J}, above MAX_J"):
         dataclasses.replace(SMALL_SP, j_density=2 * MAX_J)
     assert dataclasses.replace(SMALL_SP, j_density=MAX_J).j_density == MAX_J
 
@@ -370,9 +385,8 @@ def test_selection_sweep_is_the_pricers_first(theta2, ctx, ctx100):
     # as the pricer's own sweep would; a sweep of another grid, maturity or
     # market is refused, and so is a block of sweeps at two parameter vectors
     strikes = [0.8, 1.0, 1.25]
-    sweep = []
-    sp = select_truncation(theta2, 0.5, ctx, 5, strikes, sweep_out=sweep)
-    assert len(sweep) == 1
+    (sp, first), = select_groups(theta2, [(0.5, strikes)], ctx, 5)
+    sweep = [first]
     pricer = MultiStrikePricer(ctx, 0.5, strikes, sp)
     share_sweep([pricer], sweep)
     assert pricer._sweep is sweep[0]
@@ -387,7 +401,8 @@ def test_selection_sweep_is_the_pricers_first(theta2, ctx, ctx100):
     with pytest.raises(ValueError, match="own grid"):  # one sweep per pricer
         share_sweep([MultiStrikePricer(ctx, 0.5, strikes, sp)] * 2, sweep)
     theta_b = HestonParams.from_array(theta2.as_array() * 1.01)
-    sp_b = select_truncation(theta_b, 0.5, ctx, 5, strikes, sweep_out=sweep)
+    (sp_b, sweep_b), = select_groups(theta_b, [(0.5, strikes)], ctx, 5)
+    sweep.append(sweep_b)
     assert (sp_b.m, sp_b.j_density) == (sp.m, sp.j_density)  # one grid
     with pytest.raises(ValueError, match="one parameter vector"):
         share_sweep([MultiStrikePricer(ctx, 0.5, strikes, sp) for _ in sweep], sweep)
@@ -603,10 +618,11 @@ def test_tail_masses_bitwise_the_direct_trapezoid(name, ctx):
             u = np.linspace(lo, 4.0 * lo, 129, axis=1)
             vals = np.abs(chf_cui(u.ravel(), tau, theta, ctx)).reshape(u.shape)
             direct = np.trapezoid(vals, u, axis=1) / np.pi
-            assert _bits(_tail_masses(theta, tau, ctx, np.arange(cap + 1))) == _bits(direct)
+            assert _bits(_tail_masses(theta, [tau], ctx, np.arange(cap + 1))[0]) == \
+                _bits(direct)
         # the selected scale is the first whose tail mass is within tolerance
         m = select_scale(theta, tau, ctx)
-        masses = _tail_masses(theta, tau, ctx, np.arange(MAX_SCALE + 1))
+        masses = _tail_masses(theta, [tau], ctx, np.arange(MAX_SCALE + 1))[0]
         assert masses[m] <= SCALE_TOL
         assert np.all(masses[:m] > SCALE_TOL)
 
@@ -705,18 +721,16 @@ def _groups(quotes):
 
 
 def _selected_alone(theta, groups, ctx, m):
-    """The per-group loop: (SwiftParams, first-sweep bits) per group, up to
-    the first group that fails, then that error's message."""
+    """The per-group loop, one selection per group: (SwiftParams, first-sweep
+    bits) per group, up to the first group that fails, then that error's
+    message."""
     out = []
     for tau, strikes in groups:
         try:
-            sweeps = []
-            sp = select_truncation(theta, tau, ctx,
-                                   select_scale(theta, tau, ctx) if m is None else m,
-                                   strikes, sweep_out=sweeps)
+            (sp, sweep), = select_groups(theta, [(tau, strikes)], ctx, m)
         except NoConvergenceError as exc:
             return out + [str(exc)]
-        out.append((sp, _bits(sweeps[0].parts(theta)[0])))
+        out.append((sp, _bits(sweep.parts(theta)[0])))
     return out
 
 
@@ -751,11 +765,31 @@ def test_groups_selected_together_as_each_alone_bitwise(theta, ctx):
         taus = [tau for tau, _ in groups]
         together = _tail_masses(theta, taus, c, np.arange(MAX_SCALE + 1))
         for tau, row in zip(taus, together):
-            assert _bits(row) == _bits(_tail_masses(theta, tau, c,
-                                                    np.arange(MAX_SCALE + 1)))
+            assert _bits(row) == _bits(_tail_masses(theta, [tau], c,
+                                                    np.arange(MAX_SCALE + 1))[0])
         for m in (None, 7, 3):
             alone = _selected_alone(theta, groups, c, m)
             assert _selected_together(theta, groups, c, m) == alone, (len(groups), m)
+
+
+@pytest.mark.parametrize("name", ["theta2", "fx", "ir", "eq"])
+def test_split_plan_selects_each_quote_as_alone_bitwise(name, ctx, monkeypatch):
+    # a split plan is one select_groups call with a group per quote: each
+    # quote's SwiftParams and first sweep are bitwise those of selecting it
+    # alone
+    calibrate = importlib.import_module("swiftcal.calibrate")
+    theta, quotes, calls = PARAM_SETS[name], set2_quotes(), []
+
+    def counted(*args, _select=calibrate.select_groups):
+        calls.append(args)
+        return _select(*args)
+
+    monkeypatch.setattr(calibrate, "select_groups", counted)
+    plan = [(p.sp, _bits(p._sweep.parts(theta)[0][p._cols]))
+            for p, _ in discretization_plan(quotes, ctx, theta, split_groups=True)]
+    assert len(calls) == 1
+    assert plan == _selected_alone(theta, [(q.maturity, [q.strike]) for q in quotes],
+                                   ctx, None)
 
 
 def test_rounds_past_max_j_sweep_in_several_blocks(ctx, monkeypatch):
@@ -793,8 +827,8 @@ def test_packed_pricers_answer_alone_in_any_call_order(theta2, theta2_start, ctx
     def pricers(sweeps):
         out = []
         for tau in (0.25, 0.5, 1.0):
-            sp = select_truncation(theta2, tau, ctx, select_scale(theta2, tau, ctx),
-                                   strikes, sweep_out=sweeps)
+            (sp, sweep), = select_groups(theta2, [(tau, strikes)], ctx)
+            sweeps.append(sweep)
             out.append(MultiStrikePricer(ctx, tau, strikes, sp))
         return out
 
