@@ -6,7 +6,8 @@ short of the residual tolerance (suppressed by --allow-partial).
 
 Parameter arguments accept a named fixture (theta1, theta2, theta2-start,
 stress, fx, ir, eq), a JSON file with kappa/v_bar/sigma/rho/v0 fields, or an
-inline "kappa=...,v_bar=...,sigma=...,rho=...,v0=..." string.  Quote
+inline "kappa=...,v_bar=...,sigma=...,rho=...,v0=..." string, each field
+once and no other.  Quote
 arguments accept a file path, a name resolved in $SWIFTCAL_FIXTURE_DIR, or a
 bundled set name (set1, set2, set3, stress).
 """
@@ -35,8 +36,22 @@ from .fixtures import (
     fixture_dir,
     quote_set_context,
 )
-from .heston import ChfOverflowError, HestonParams, MarketContext, _usable_cpus
-from .quotes import QuoteFile, QuoteParseError, dumps_quotes, load_quote_file, save_quote_file
+from .heston import (
+    ChfOverflowError,
+    HestonParams,
+    MarketContext,
+    ParamOverflowError,
+    _usable_cpus,
+)
+from .quotes import (
+    QuoteFile,
+    QuoteParseError,
+    _unique_keys,
+    as_float,
+    dumps_quotes,
+    load_quote_file,
+    save_quote_file,
+)
 from .swift import MAX_SCALE, NoConvergenceError
 
 EXIT_INPUT = 2
@@ -56,20 +71,33 @@ class CliError(Exception):
         super().__init__(message)
 
 
+def _theta(fields: dict) -> HestonParams:
+    """The parameters of exactly the five named fields."""
+    for key in fields:
+        if key not in _PARAM_FIELDS:
+            raise ValueError(f"unknown key {key!r}; expected {', '.join(_PARAM_FIELDS)}")
+    return HestonParams(**{k: as_float(fields[k], k) for k in _PARAM_FIELDS})
+
+
 def parse_params(spec: str) -> HestonParams:
+    """A named set, a JSON file or an inline string; a field that is
+    missing, unknown, repeated or not a number is refused."""
     if spec in PARAM_SETS:
         return PARAM_SETS[spec]
     if os.path.exists(spec):
         try:
             with open(spec, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-            return HestonParams(**{k: float(obj[k]) for k in _PARAM_FIELDS})
+                return _theta(json.load(fh, object_pairs_hook=_unique_keys))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise CliError(f"bad parameter file {spec!r}: {exc}")
     if "=" in spec:
         try:
-            kv = dict(item.split("=", 1) for item in spec.split(","))
-            return HestonParams(**{k: float(kv[k]) for k in _PARAM_FIELDS})
+            fields = {}
+            for key, value in (item.split("=", 1) for item in spec.split(",")):
+                if key in fields:
+                    raise ValueError(f"repeated key {key!r}")
+                fields[key] = value
+            return _theta(fields)
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"bad inline parameters {spec!r}: {exc}")
     raise CliError(
@@ -302,6 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _remedy(args, exc) -> str:
     """The remedy line for a numerical failure, naming only flags that the
     failing subcommand takes and its backend reads; empty when none helps."""
+    if isinstance(exc, ParamOverflowError):  # at every scale and cutoff
+        return ""
     if isinstance(exc, ChfOverflowError):
         # a smaller scale or cutoff lowers the frequency range swept
         unread = _UNREAD_BY_BACKEND.get(getattr(args, "backend", None), ())

@@ -70,6 +70,11 @@ class ChfOverflowError(ArithmeticError):
     """
 
 
+class ParamOverflowError(ChfOverflowError):
+    """The parameters alone leave the double-precision range, at every
+    frequency: no smaller frequency range helps."""
+
+
 @dataclass(frozen=True)
 class HestonParams:
     """The five Heston parameters.
@@ -259,13 +264,18 @@ def _two_kvb(theta: HestonParams) -> float:
     """2 kappa v_bar / sigma^2, the weight of log B in log fhat.
 
     Raises:
-        ChfOverflowError: sigma^2 underflows to zero, so the weight has no
-            float value.
+        ParamOverflowError: sigma^2 underflows to zero, or the weight
+            overflows, so it has no float value.
     """
     if theta.sigma**2 == 0.0:
-        raise ChfOverflowError(f"sigma = {theta.sigma:g} squares to zero in "
-                               "double precision")
-    return 2.0 * theta.kappa * theta.v_bar / theta.sigma**2
+        raise ParamOverflowError(f"sigma = {theta.sigma:g} squares to zero in "
+                                 "double precision")
+    two_kvb = 2.0 * theta.kappa * theta.v_bar / theta.sigma**2
+    if not math.isfinite(two_kvb):
+        raise ParamOverflowError(
+            f"2 kappa v_bar / sigma^2 overflows double precision (kappa = "
+            f"{theta.kappa:g}, v_bar = {theta.v_bar:g}, sigma = {theta.sigma:g})")
+    return two_kvb
 
 
 def _parts_chunk(grid_terms, tau, theta: HestonParams, ctx: MarketContext, out):

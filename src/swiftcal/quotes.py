@@ -116,18 +116,26 @@ def parse_quote_json(obj) -> QuoteFile:
     if "spot" not in obj:
         raise QuoteParseError("missing 'spot' field")
     try:
-        ctx = MarketContext(spot=float(obj["spot"]),
-                            rate=float(obj.get("rate", 0.0)),
-                            dividend=float(obj.get("dividend", 0.0)))
-        quotes = [OptionQuote(strike=float(q["strike"]),
-                              maturity=float(q["maturity"]),
+        ctx = MarketContext(spot=as_float(obj["spot"], "spot"),
+                            rate=as_float(obj.get("rate", 0.0), "rate"),
+                            dividend=as_float(obj.get("dividend", 0.0), "dividend"))
+        quotes = [OptionQuote(strike=as_float(q["strike"], "strike"),
+                              maturity=as_float(q["maturity"], "maturity"),
                               price=(None if q.get("price") is None
-                                     else float(q["price"])),
+                                     else as_float(q["price"], "price")),
                               kind=str(q.get("kind", "call")).lower())
                   for q in obj.get("quotes", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise QuoteParseError(f"bad quote JSON: {exc}")
     return QuoteFile(context=ctx, quotes=quotes)
+
+
+def as_float(value, key: str) -> float:
+    """float(value) of the field named key.  A boolean (JSON true/false) is
+    refused, since float() would read it as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
+    return float(value)
 
 
 def _unique_keys(pairs) -> dict:

@@ -45,8 +45,8 @@ Selection and pricer builds evaluate only the chf and the payoff transform
 point by point.  Grid-only factors come from tables: the twiddles
 e^{-i pi k/(2J)} from one cached table per size (``_twiddle_table``), the
 shifts e^{-i omega x} from two small ones (``_phase_matrix``), and the tail
-grid of the scale rule and its chf grid terms from a cache per scale set
-and maturity count.
+grid of the scale rule and its chf grid terms from a cache per maturity
+count.
 """
 
 from __future__ import annotations
@@ -66,10 +66,6 @@ from .heston import (
     chf_grid_terms,
     cumulants,
 )
-
-# Unused here: perfbench/tracing.py rebinds this name in this module, until
-# the benchmark counts without rebinding.
-from .heston import chf_cui  # noqa: F401
 
 __all__ = [
     "OptionQuote", "SwiftParams", "NoConvergenceError",
@@ -240,11 +236,11 @@ def _cosine_at(spectrum: np.ndarray, eta: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _tail_grid(scales: tuple, groups: int):
-    """(nodes, spacing, chf grid terms) of :func:`_tail_masses` at these
-    scales: the nodes flat, once for each of ``groups`` maturities, the
-    spacing one row per scale; read-only."""
-    lo = 2.0**np.array(scales) * np.pi
+def _tail_grid(groups: int):
+    """(nodes, spacing, chf grid terms) of :func:`_tail_masses` at scales 0
+    to ``MAX_SCALE``: the nodes flat, once for each of ``groups``
+    maturities, the spacing one row per scale; read-only."""
+    lo = 2.0**np.arange(MAX_SCALE + 1) * np.pi
     u = np.linspace(lo, 4.0 * lo, _TAIL_QUAD_POINTS, axis=1)
     nodes = np.tile(u.ravel(), groups)
     grid = (nodes, np.diff(u, axis=1), chf_grid_terms(nodes))
@@ -253,26 +249,25 @@ def _tail_grid(scales: tuple, groups: int):
     return grid
 
 
-def _tail_masses(theta: HestonParams, taus: Sequence[float], ctx: MarketContext,
-                 scales: np.ndarray) -> np.ndarray:
-    """Two-sided transform mass beyond |u| = 2^m pi for each m in scales, one
-    row per maturity in taus.
+def _tail_masses(theta: HestonParams, taus: Sequence[float],
+                 ctx: MarketContext) -> np.ndarray:
+    """Two-sided transform mass beyond |u| = 2^m pi for m = 0..``MAX_SCALE``,
+    one row per maturity in taus.
 
     Integrates |fhat| over [2^m pi, 2^{m+2} pi] by the trapezoidal rule (the
     continuation beyond two octaves is negligible whenever the result is
     anywhere near tolerance) and doubles it via Hermitian symmetry,
     normalized by 1/(2 pi).  All scales and maturities share one
     characteristic sweep with a per-element tau (one per ``MAX_J``
-    frequencies), on a grid cached per scale set and maturity count; each
-    maturity's masses are bitwise its own sweep's, and the trapezoid is
-    numpy's, term for term.
+    frequencies), on a grid cached per maturity count; each maturity's
+    masses are bitwise its own sweep's, and the trapezoid is numpy's, term
+    for term.
     """
-    scales = tuple(np.asarray(scales).tolist())
-    per_sweep = max(1, MAX_J // (len(scales) * _TAIL_QUAD_POINTS))
+    per_sweep = max(1, MAX_J // ((MAX_SCALE + 1) * _TAIL_QUAD_POINTS))
     rows = []
     for i in range(0, len(taus), per_sweep):
         block = taus[i:i + per_sweep]
-        u, d, terms = _tail_grid(scales, len(block))
+        u, d, terms = _tail_grid(len(block))
         t = block[0] if len(block) == 1 else np.repeat(block, u.size // len(block))
         vals = np.abs(chf_cui_parts(u, t, theta, ctx, terms)[0]).reshape(
             len(block), d.shape[0], -1)
@@ -289,7 +284,7 @@ def _scales(theta: HestonParams, taus: Sequence[float], ctx: MarketContext,
         raise ValueError(f"tol must be in (0, 1), got {tol}")
     if not taus:
         return []
-    passed = _tail_masses(theta, taus, ctx, np.arange(MAX_SCALE + 1)) <= tol
+    passed = _tail_masses(theta, taus, ctx) <= tol
     return [int(m) if ok else NoConvergenceError(
         f"transform tail mass still above {tol} at scale {MAX_SCALE}")
         for m, ok in zip(passed.argmax(axis=1).tolist(), passed.any(axis=1).tolist())]
@@ -351,9 +346,10 @@ def interval_params(m: int, c: float, x_min: float, x_max: float) -> SwiftParams
                                  f"2^m times its half-width is {half}")
     eta = max(1, math.ceil(half))
     j_d = _next_pow2(2 * eta + 1)
-    if j_d > MAX_J:
-        raise NoConvergenceError(f"the interval at scale {m} needs j_density = "
-                                 f"{j_d}, above MAX_J = {MAX_J}")
+    if j_d > MAX_J:  # named by its power of two, which may have 300 digits
+        raise NoConvergenceError(
+            f"the interval at scale {m} needs j_density = 2^{j_d.bit_length() - 1}, "
+            f"above MAX_J = 2^{MAX_J.bit_length() - 1}")
     return SwiftParams(m=m, eta=eta, j_density=j_d, x_high=x_high)
 
 
@@ -704,10 +700,10 @@ class _ChfSweep:
     large sweep across threads.  The value, intermediates and gradient at
     the last parameters asked for are kept, and recomputed only when the
     parameters change; the gradient is assembled on the first request for
-    it at those parameters.  Selection evaluates each grid through one, the
-    new grids of a growth round through a block whose slices it hands back
-    to the grids' own sweeps (:meth:`cut`), and :func:`share_sweep` starts
-    a pricer or block from the sweeps of the grids selection accepted.
+    it at those parameters.  :meth:`joined` is the one way a block starts:
+    selection evaluates the new grids of a growth round through a block
+    whose slices it hands back to the grids' own sweeps (:meth:`cut`), and
+    :func:`share_sweep` joins the sweeps of the grids selection accepted.
     Grid terms are formed on the first evaluation, so a sweep replaced
     before then costs nothing.
     """
@@ -737,12 +733,22 @@ class _ChfSweep:
         return value, self._grad
 
     @classmethod
-    def joined(cls, members) -> "_ChfSweep":
-        """A block: one sweep of the members' concatenated grids, with a
-        per-element tau.  Members are sweeps or pricers of one context."""
-        return cls(np.concatenate([s.omega for s in members]),
-                   np.repeat([s.tau for s in members], [s.omega.size for s in members]),
-                   members[0].ctx)
+    def joined(cls, sweeps) -> "_ChfSweep":
+        """A block: one sweep of the concatenated grids of sweeps of one
+        context, with a per-element tau; a lone sweep is its own.  It starts
+        from the members' evaluation if all hold one at one parameter vector
+        (values concatenated, intermediates listed, not copied), else empty."""
+        if len(sweeps) == 1:
+            return sweeps[0]
+        block = cls(np.concatenate([s.omega for s in sweeps]),
+                    np.repeat([s.tau for s in sweeps], [s.omega.size for s in sweeps]),
+                    sweeps[0].ctx)
+        key = sweeps[0]._key
+        if key is not None and all(s._key == key for s in sweeps):
+            block._key, block._parts = key, (
+                np.concatenate([s._parts[0] for s in sweeps]),
+                [chunk for s in sweeps for chunk in s._parts[1]])
+        return block
 
     def cut(self, members) -> None:
         """Hand this block's last evaluation to the sweeps of its consecutive
@@ -772,12 +778,11 @@ def share_sweep(pricers: Sequence[MultiStrikePricer], sweeps=None) -> None:
     serves every member until the parameters change.  The pricers must
     share one market context.
 
-    The block starts from ``sweeps``, one per pricer, by default the
-    members' own: sweeps of the members' grids at one parameter vector,
-    such as the ones :func:`select_groups` made, or sweeps not yet
-    evaluated, which start it empty.  A lone member takes its sweep as it
-    is; several have their values concatenated and their intermediates
-    listed, not copied, so an evaluation at those parameters sweeps nothing.
+    The block is :meth:`_ChfSweep.joined` of ``sweeps``, one per pricer,
+    by default the members' own: sweeps of the members' grids, such as the
+    ones :func:`select_groups` made, so a block of sweeps at one parameter
+    vector starts from their evaluation there.  A lone member takes its
+    sweep as it is.
     """
     if len({p.ctx for p in pricers}) > 1:
         raise ValueError("pricers sharing a sweep must share one market context")
@@ -789,17 +794,9 @@ def share_sweep(pricers: Sequence[MultiStrikePricer], sweeps=None) -> None:
             or s.omega[0] != p.omega[0] or np.any(s.tau != p.tau)
             for p, s in zip(pricers, sweeps)):
         raise ValueError("a pricer starts only from a sweep of its own grid")
-    if len({s._key for s in sweeps}) > 1:
-        raise ValueError("a block starts from sweeps at one parameter vector")
-    if len(pricers) < 2:
-        for p, s in zip(pricers, sweeps):
-            p._sweep = s
+    if not pricers:
         return
-    block = _ChfSweep.joined(pricers)
-    if sweeps[0]._key is not None:
-        block._key, block._parts = sweeps[0]._key, (
-            np.concatenate([s._parts[0] for s in sweeps]),
-            [chunk for s in sweeps for chunk in s._parts[1]])
+    block = _ChfSweep.joined(sweeps)
     start = 0
     for p in pricers:
         p._sweep, p._cols = block, slice(start, start + p.sp.j_density)

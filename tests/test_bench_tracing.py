@@ -16,7 +16,7 @@ MODULES = ("swift", "calibrate", "reference", "experiments")
 
 # names behind the benchmark's per-layer counts
 COUNTED = {
-    ("swift", "chf_cui"), ("swift", "chf_cui_parts"),
+    ("swift", "chf_cui_parts"),
     ("swift", "chf_gradient_from_parts"), ("swift", "cumulants"),
     ("swift", "density_area"), ("swift", "np"),
     ("calibrate", "select_scale"), ("calibrate", "select_truncation"),

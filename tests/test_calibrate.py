@@ -183,19 +183,11 @@ def test_run_price_sweeps_each_selected_grid_once(ctx, target, chf_sweeps):
         assert chf_sweeps["grad"] == []
 
 
-def test_generate_grid_sweeps_its_grid_once(ctx, chf_sweeps, monkeypatch):
+def test_generate_grid_sweeps_its_grid_once(ctx, chf_sweeps):
     # the grid is priced from the selected pricer's U-tilde and its sweep at
     # theta: fx at B=0.5, tau=2 sweeps the tail grid and the three grids its
     # selection tries, and its 16,384-frequency grid once; the rows are
     # price_strike_grid's, the one-shot form, bit for bit
-    swift = importlib.import_module("swiftcal.swift")
-    chf = swift.chf_cui
-
-    def counted(u, *args):  # the value-only form counts too
-        chf_sweeps["chf"].append(np.size(u))
-        return chf(u, *args)
-
-    monkeypatch.setattr(swift, "chf_cui", counted)
     theta, tau = PARAM_SETS["fx"], 2.0
     qf = run_generate_grid(theta, ctx, 0.5, tau)
     assert chf_sweeps["chf"] == [13 * 129, 4096, 8192, 16384]
@@ -292,6 +284,15 @@ def test_packed_sweeps_bitwise_per_group(ctx, target, start, chf_sweeps):
         assert np.array_equal(got[1], want[1])
         # every group shares the backend's one sweep
         assert packed == ([] if theta is theta0 else [sum(j_d)])
+
+
+def test_backends_on_no_quotes_price_nothing(theta2, ctx):
+    # an empty quote set selects nothing, and an empty block is no block
+    for split in (False, True):
+        backend = KswiftBackend([], ctx, theta2, split_groups=split)
+        assert backend.prices(theta2).shape == (0,)
+        prices, jac = backend.prices_and_jacobian(theta2)
+        assert prices.shape == (0,) and jac.shape == (0, 5)
 
 
 def test_backend_prices_agree(theta2, ctx, set2_priced):

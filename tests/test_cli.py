@@ -117,6 +117,7 @@ def test_price_outside_the_no_arbitrage_band_exits_numerical(capsys, argv, where
 
 EXTREME_PRICE_CASES = {  # name: (params, quote rows or a bundled set)
     "sigma-underflow": ("kappa=1.5,v_bar=0.04,sigma=1e-200,rho=-0.5,v0=0.04", "set2"),
+    "weight-overflow": ("kappa=1.5,v_bar=0.04,sigma=1e-160,rho=-0.5,v0=0.04", "set2"),
     "kappa-underflow": ("kappa=1e-200,v_bar=0.04,sigma=0.5,rho=-0.5,v0=0.04", "set2"),
     "v_bar-1e300": ("kappa=1.5,v_bar=1e300,sigma=0.5,rho=-0.5,v0=0.04", "set2"),
     "tau-1e300": ("theta2", "spot 1.0\n1e300,1.0,call\n"),
@@ -127,6 +128,9 @@ EXTREME_PRICE_CASES = {  # name: (params, quote rows or a bundled set)
 EXTREME_PRICE_FAILURES = {
     ("sigma-underflow", "swift"): "sigma = 1e-200 squares to zero",
     ("sigma-underflow", "cp"): "sigma = 1e-200 squares to zero",
+    ("weight-overflow", "swift"): "2 kappa v_bar / sigma^2 overflows",
+    ("weight-overflow", "cp"): "2 kappa v_bar / sigma^2 overflows",
+    ("v_bar-1e300", "swift"): "needs j_density = 2^990, above MAX_J = 2^20",
     ("kappa-underflow", "swift"): "interval at scale 7 is not finite",
     ("tau-1000", "swift"): "outside its no-arbitrage band",
     ("tau-1000", "cp"): "call price 1.49879 at tau=1000, K=1 lies outside",
@@ -138,8 +142,10 @@ EXTREME_PRICE_FAILURES = {
 def test_price_at_extreme_inputs_exits_without_a_traceback(capsys, tmp_path, case,
                                                            backend):
     # each row prices, is refused as input, or fails by a named numerical
-    # error: never exit 1, and (the suite turns warnings into errors) no numpy
-    # warning on the way
+    # error, in a message of at most a few lines: never exit 1, and (the
+    # suite turns warnings into errors) no numpy warning on the way.  No row
+    # pins --m, and each failure happens at every scale and cutoff (sigma^2
+    # underflows, 2 kappa v_bar / sigma^2 overflows), so none names a remedy
     params, quotes = EXTREME_PRICE_CASES[case]
     if "\n" in quotes:
         path = tmp_path / "extreme.quotes"
@@ -148,6 +154,7 @@ def test_price_at_extreme_inputs_exits_without_a_traceback(capsys, tmp_path, cas
     code, _, err = run_cli(capsys, "price", "--backend", backend, "--params", params,
                            "--quotes", quotes)
     assert code in (0, 2, 3), err
+    assert len(err) < 200 and "remed" not in err, err
     named = EXTREME_PRICE_FAILURES.get((case, backend))
     if named is not None:
         assert code == 3 and named in err
@@ -438,9 +445,9 @@ def test_removed_discretization_flags_exit_input_error(capsys, grids_built, argv
 @pytest.mark.parametrize("argv,code,message", [
     pytest.param(["price", "--params",
                   "kappa=1e-4,v_bar=4,sigma=5,rho=0.999,v0=4", "--quotes", "CORNER"],
-                 3, "scale 8 needs j_density = 8388608, above MAX_J", id="corner"),
+                 3, "scale 8 needs j_density = 2^23, above MAX_J", id="corner"),
     pytest.param(["generate", "--params", "theta2", "--grid", "200,1.0", "--m", "12"],
-                 3, "scale 12 needs j_density = 2097152, above MAX_J", id="grid"),
+                 3, "scale 12 needs j_density = 2^21, above MAX_J", id="grid"),
 ])
 def test_grid_above_max_j_refused_before_it_is_built(capsys, tmp_path, grids_built,
                                                      argv, code, message):
@@ -683,6 +690,51 @@ def test_malformed_params_exit_input_error(capsys, tmp_path, kind):
     assert code == 2
     assert out == ""
     assert f"bad {'parameter file' if kind == 'file' else 'inline parameters'}" in err
+
+
+@pytest.mark.parametrize("spec,named", [
+    ("kappa=1.5,kappa=0.3,v_bar=0.04,sigma=0.5,rho=-0.5,v0=0.04", "repeated key 'kappa'"),
+    ("kappa=1.5,v_bar=0.04,sigma=0.5,rho=-0.5,v0=0.04,sigmaa=3", "unknown key 'sigmaa'"),
+    ('{"kappa": 1.5, "kappa": 0.3, "v_bar": 0.04, "sigma": 0.5, "rho": -0.5, '
+     '"v0": 0.04}', "repeated JSON key 'kappa'"),
+    ('{"kappa": 1.5, "v_bar": 0.04, "sigma": 0.5, "rho": -0.5, "v0": 0.04, '
+     '"sigmaa": 3}', "unknown key 'sigmaa'"),
+    ('{"kappa": true, "v_bar": 0.04, "sigma": 0.5, "rho": -0.5, "v0": 0.04}',
+     "kappa must be a number, got true"),
+], ids=["inline-repeated", "inline-unknown", "file-repeated", "file-unknown",
+        "file-boolean"])
+def test_misread_params_exit_input_error(capsys, tmp_path, spec, named):
+    # a repeated key would keep its last value, an unknown one be ignored,
+    # and a JSON boolean read as 0 or 1
+    if spec.startswith("{"):
+        path = tmp_path / "params.json"
+        path.write_text(spec)
+        spec = str(path)
+    code, out, err = run_cli(capsys, "price", "--params", spec, "--quotes", "set1")
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
+def test_boolean_in_quote_json_exits_input_error(capsys, tmp_path):
+    # float(true) is 1: the row would price a K=1 call
+    path = tmp_path / "quotes.json"
+    path.write_text('{"spot": 1.0, "quotes": [{"maturity": 0.5, "strike": true, '
+                    '"kind": "call"}]}')
+    code, out, err = run_cli(capsys, "price", "--params", "theta2", "--quotes", str(path))
+    assert code == 2
+    assert out == ""
+    assert "strike must be a number, got true" in err
+
+
+def test_calibrate_on_no_quotes_exits_zero(capsys, tmp_path):
+    # an empty quote set selects nothing and shares no sweep
+    path = tmp_path / "empty.quotes"
+    path.write_text("spot 1.0\n")
+    code, out, _ = run_cli(capsys, "calibrate", "--quotes", str(path), "--start",
+                           "theta2")
+    assert code == 0
+    assert "n_quotes: 0" in out
 
 
 def test_bundled_stress_quote_set(capsys, tmp_path):

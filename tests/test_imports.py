@@ -12,8 +12,7 @@ TRACER_BOUND = {("calibrate", "select_scale"),
                 ("calibrate", "select_truncation"),
                 ("experiments", "price_multi_strike"),
                 ("experiments", "select_scale"),
-                ("experiments", "select_truncation"),
-                ("swift", "chf_cui")}
+                ("experiments", "select_truncation")}
 
 
 def _imported(tree):

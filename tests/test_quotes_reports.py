@@ -134,6 +134,19 @@ def test_repeated_json_key_rejected(text, key):
         loads_quotes(text)
 
 
+@pytest.mark.parametrize("text", [
+    '{"spot": true, "quotes": []}',
+    '{"spot": 1.0, "rate": false, "quotes": []}',
+    '{"spot": 1.0, "quotes": [{"maturity": 0.5, "strike": true}]}',
+    '{"spot": 1.0, "quotes": [{"maturity": true, "strike": 1.0}]}',
+    '{"spot": 1.0, "quotes": [{"maturity": 0.5, "strike": 1.0, "price": false}]}',
+])
+def test_json_boolean_number_rejected(text):
+    # float() reads true as 1 and false as 0
+    with pytest.raises(QuoteParseError, match="must be a number, got (true|false)"):
+        loads_quotes(text)
+
+
 def test_duplicate_quotes_rejected():
     with pytest.raises(QuoteParseError):
         parse_quote_text("spot 1.0\n0.5,1.0,call\n0.5,1.0,call\n")

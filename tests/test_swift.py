@@ -38,6 +38,7 @@ from swiftcal.swift import (
     MAX_SCALE,
     SCALE_TOL,
     MultiStrikePricer,
+    _ChfSweep,
     _cosine_at,
     _next_pow2,
     _payoff_transform,
@@ -329,7 +330,7 @@ def test_selection_refuses_a_grid_above_max_j(ctx):
     corner = HestonParams(kappa=1e-4, v_bar=4.0, sigma=5.0, rho=0.999, v0=4.0)
     assert select_scale(corner, 45.0, ctx) == 8
     with pytest.raises(NoConvergenceError,
-                       match=r"scale 8 needs j_density = 8388608, above MAX_J"):
+                       match=r"scale 8 needs j_density = 2\^23, above MAX_J"):
         select_truncation(corner, 45.0, ctx, 8, [0.9, 1.1])
 
 
@@ -343,8 +344,8 @@ def test_interval_params_refuses_what_no_grid_holds():
         with pytest.raises(NoConvergenceError,
                            match=f"interval at scale {m} is not finite"):
             interval_params(m, c, -0.1, 0.1)
-    with pytest.raises(NoConvergenceError, match=f"interval at scale 12 needs "
-                       f"j_density = {2 * MAX_J}, above MAX_J = {MAX_J}$"):
+    with pytest.raises(NoConvergenceError, match=r"interval at scale 12 needs "
+                       r"j_density = 2\^21, above MAX_J = 2\^20$"):
         interval_params(12, 127.9, -0.1, 0.1)
     assert interval_params(12, 127.8, -0.1, 0.1).j_density == MAX_J
 
@@ -382,10 +383,12 @@ def test_empty_strikes_and_mixed_contexts_rejected(theta2, ctx, ctx100):
 
 def test_selection_sweep_is_the_pricers_first(theta2, ctx, ctx100):
     # the sweep of the accepted grid, given to a block of one, prices bitwise
-    # as the pricer's own sweep would; a sweep of another grid, maturity or
-    # market is refused, and so is a block of sweeps at two parameter vectors
+    # as the pricer's own sweep would (a lone sweep is its own block); a
+    # sweep of another grid, maturity or market is refused, and a block of
+    # sweeps at two parameter vectors starts empty
     strikes = [0.8, 1.0, 1.25]
     (sp, first), = select_groups(theta2, [(0.5, strikes)], ctx, 5)
+    assert _ChfSweep.joined([first]) is first
     sweep = [first]
     pricer = MultiStrikePricer(ctx, 0.5, strikes, sp)
     share_sweep([pricer], sweep)
@@ -404,8 +407,15 @@ def test_selection_sweep_is_the_pricers_first(theta2, ctx, ctx100):
     (sp_b, sweep_b), = select_groups(theta_b, [(0.5, strikes)], ctx, 5)
     sweep.append(sweep_b)
     assert (sp_b.m, sp_b.j_density) == (sp.m, sp.j_density)  # one grid
-    with pytest.raises(ValueError, match="one parameter vector"):
-        share_sweep([MultiStrikePricer(ctx, 0.5, strikes, sp) for _ in sweep], sweep)
+    mixed = [MultiStrikePricer(ctx, 0.5, strikes, sp) for _ in sweep]
+    share_sweep(mixed, sweep)
+    assert mixed[1]._sweep is mixed[0]._sweep and mixed[0]._sweep._key is None
+    alone = MultiStrikePricer(ctx, 0.5, strikes, sp)
+    for theta in (theta_b, theta2):
+        for pricer in mixed:
+            assert np.array_equal(pricer.prices(theta), alone.prices(theta))
+            assert all(np.array_equal(g, w) for g, w in zip(
+                pricer.prices_and_jacobian(theta), alone.prices_and_jacobian(theta)))
 
 
 def test_multi_strike_equals_single(theta2, ctx, set1_priced):
@@ -618,11 +628,10 @@ def test_tail_masses_bitwise_the_direct_trapezoid(name, ctx):
             u = np.linspace(lo, 4.0 * lo, 129, axis=1)
             vals = np.abs(chf_cui(u.ravel(), tau, theta, ctx)).reshape(u.shape)
             direct = np.trapezoid(vals, u, axis=1) / np.pi
-            assert _bits(_tail_masses(theta, [tau], ctx, np.arange(cap + 1))[0]) == \
-                _bits(direct)
+            assert _bits(_tail_masses(theta, [tau], ctx)[0][:cap + 1]) == _bits(direct)
         # the selected scale is the first whose tail mass is within tolerance
         m = select_scale(theta, tau, ctx)
-        masses = _tail_masses(theta, [tau], ctx, np.arange(MAX_SCALE + 1))[0]
+        masses = _tail_masses(theta, [tau], ctx)[0]
         assert masses[m] <= SCALE_TOL
         assert np.all(masses[:m] > SCALE_TOL)
 
@@ -763,10 +772,9 @@ def test_groups_selected_together_as_each_alone_bitwise(theta, ctx):
                       (stress_quotes(), STRESS_CONTEXT)):
         groups = _groups(quotes)
         taus = [tau for tau, _ in groups]
-        together = _tail_masses(theta, taus, c, np.arange(MAX_SCALE + 1))
+        together = _tail_masses(theta, taus, c)
         for tau, row in zip(taus, together):
-            assert _bits(row) == _bits(_tail_masses(theta, [tau], c,
-                                                    np.arange(MAX_SCALE + 1))[0])
+            assert _bits(row) == _bits(_tail_masses(theta, [tau], c)[0])
         for m in (None, 7, 3):
             alone = _selected_alone(theta, groups, c, m)
             assert _selected_together(theta, groups, c, m) == alone, (len(groups), m)
