@@ -17,7 +17,6 @@ from .calibrate import (
     SwiftBackend,
     calibrate,
     lm_step,
-    residuals,
 )
 from .heston import (
     ChfOverflowError,
@@ -39,7 +38,6 @@ from .swift import (
     density_area,
     payoff_coefficients,
     price_multi_strike,
-    price_strike_grid,
     select_scale,
     select_truncation,
 )
@@ -56,6 +54,5 @@ __all__ = [
     "chf_cui", "chf_with_gradient", "cumulants", "density_area",
     "lm_step", "load_quote_file", "payoff_coefficients",
     "price_and_gradient_cp", "price_cp", "price_multi_strike",
-    "price_strike_grid",
-    "residuals", "save_quote_file", "select_scale", "select_truncation",
+    "save_quote_file", "select_scale", "select_truncation",
 ]

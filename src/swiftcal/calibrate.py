@@ -281,13 +281,6 @@ class CpBackend:
         return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
 
 
-def residuals(theta: HestonParams, quotes: Sequence[OptionQuote],
-              backend) -> np.ndarray:
-    """Model-minus-market residuals in quote order."""
-    observed = _observed(quotes)
-    return backend.prices(theta) - observed
-
-
 def _observed(quotes: Sequence[OptionQuote]) -> np.ndarray:
     prices = [q.price for q in quotes]
     if any(p is None for p in prices):

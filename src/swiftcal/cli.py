@@ -76,6 +76,9 @@ def _theta(fields: dict) -> HestonParams:
     for key in fields:
         if key not in _PARAM_FIELDS:
             raise ValueError(f"unknown key {key!r}; expected {', '.join(_PARAM_FIELDS)}")
+    for key in _PARAM_FIELDS:
+        if key not in fields:
+            raise ValueError(f"missing key {key!r}")
     return HestonParams(**{k: as_float(fields[k], k) for k in _PARAM_FIELDS})
 
 
@@ -87,18 +90,24 @@ def parse_params(spec: str) -> HestonParams:
     if os.path.exists(spec):
         try:
             with open(spec, "r", encoding="utf-8") as fh:
-                return _theta(json.load(fh, object_pairs_hook=_unique_keys))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                fields = json.load(fh, object_pairs_hook=_unique_keys)
+            if not isinstance(fields, dict):
+                raise ValueError(f"expected a JSON object, got {type(fields).__name__}")
+            return _theta(fields)
+        except (json.JSONDecodeError, TypeError, ValueError) as exc:
             raise CliError(f"bad parameter file {spec!r}: {exc}")
     if "=" in spec:
         try:
             fields = {}
-            for key, value in (item.split("=", 1) for item in spec.split(",")):
+            for item in spec.split(","):
+                key, eq, value = item.partition("=")
+                if not eq:
+                    raise ValueError(f"item {item!r} is not key=value")
                 if key in fields:
                     raise ValueError(f"repeated key {key!r}")
                 fields[key] = value
             return _theta(fields)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise CliError(f"bad inline parameters {spec!r}: {exc}")
     raise CliError(
         f"unknown parameter set {spec!r}; expected one of {sorted(PARAM_SETS)}, "

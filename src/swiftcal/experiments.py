@@ -216,9 +216,7 @@ def run_calibrate(backend_name: str, qf: QuoteFile, theta0: HestonParams,
     meta = {
         "backend": backend_name,
         "start": {name: getattr(theta0, name) for name in PARAM_ORDER},
-        "config": {"eps1": config.eps1, "eps2": config.eps2,
-                   "eps3": config.eps3, "max_iterations": config.max_iterations,
-                   "mu0": _MU0},
+        "config": {**asdict(config), "mu0": _MU0},
         "n_quotes": len(qf.quotes),
         "jacobian_evals": result.jacobian_evals,
         "wall_times": {"setup_s": setup_s, "calibrate_s": result.wall_time},
@@ -345,9 +343,7 @@ def run_converge(target_name: str, quotes: Sequence[OptionQuote],
                 for p, e in zip(PARAM_ORDER, errors.mean(axis=0))})
     meta = {"seed": seed, "backend": "kswift", "trials": trials,
             "target": {p: getattr(target, p) for p in PARAM_ORDER},
-            "config": {"eps1": config.eps1, "eps2": config.eps2,
-                       "eps3": config.eps3,
-                       "max_iterations": config.max_iterations},
+            "config": asdict(config),
             "maturity_note": ("strike/maturity set2 substitutes for the "
                               "unavailable original maturities"),
             "wall_times": {"mean_trial_s": float(np.mean(trial_times)),

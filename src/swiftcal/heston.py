@@ -55,9 +55,6 @@ PARAM_ORDER = ("v0", "v_bar", "sigma", "kappa", "rho")
 # 1.12x at 4,096 frequencies and 1.44x at 8,192 for the value alone, 0.77x
 # and 1.23x for value plus gradient (fx, per-element tau, alternating medians).
 _CHUNK_FLOOR = 4096
-# Chunks per sweep at most; None: one per usable CPU.  A test seam: only tests
-# set it, to force splits on small hosts.
-_max_chunks = None
 _pool = None  # (pid, executor) of the chunk worker threads, made on first use
 _pool_lock = threading.Lock()
 
@@ -175,10 +172,10 @@ def _usable_cpus() -> int:
 
 def _chunk_edges(n: int) -> tuple:
     """Edges of the contiguous chunks an n-frequency sweep is split into: at
-    most one per usable CPU (or ``_max_chunks``), none below ``_CHUNK_FLOOR``."""
+    most one per usable CPU, none below ``_CHUNK_FLOOR``."""
     if n < 2 * _CHUNK_FLOOR:
         return 0, n
-    count = min(n // _CHUNK_FLOOR, _max_chunks or _usable_cpus())
+    count = min(n // _CHUNK_FLOOR, _usable_cpus())
     return tuple(n * i // count for i in range(count + 1))
 
 

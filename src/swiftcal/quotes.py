@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from .heston import MarketContext
-from .swift import OPTION_KINDS, OptionQuote
+from .swift import OptionQuote
 
 _HEADER_KEYS = ("spot", "rate", "dividend")
 
@@ -85,10 +85,6 @@ def parse_quote_text(text: str) -> QuoteFile:
             strike = float(fields[1])
         except ValueError:
             raise QuoteParseError(f"bad numeric field in {line!r}", lineno)
-        kind = fields[2].lower()
-        if kind not in OPTION_KINDS:
-            raise QuoteParseError(f"kind must be call or put, got {fields[2]!r}",
-                                  lineno)
         price = None
         if len(fields) == 4 and fields[3]:
             try:
@@ -97,7 +93,7 @@ def parse_quote_text(text: str) -> QuoteFile:
                 raise QuoteParseError(f"bad price {fields[3]!r}", lineno)
         try:
             quotes.append(OptionQuote(strike=strike, maturity=maturity,
-                                      price=price, kind=kind))
+                                      price=price, kind=fields[2].lower()))
         except ValueError as exc:
             raise QuoteParseError(str(exc), lineno)
     if "spot" not in header:

@@ -72,7 +72,7 @@ __all__ = [
     "group_by_maturity", "parity_offset", "put_offsets", "truncation_width",
     "interval_params", "select_scale", "select_truncation", "select_groups",
     "payoff_coefficients", "density_area", "price_multi_strike",
-    "price_strike_grid", "MultiStrikePricer", "share_sweep",
+    "MultiStrikePricer", "share_sweep",
 ]
 
 OPTION_KINDS = ("call", "put")
@@ -277,17 +277,19 @@ def _tail_masses(theta: HestonParams, taus: Sequence[float],
 
 def _scales(theta: HestonParams, taus: Sequence[float], ctx: MarketContext,
             tol: float) -> list:
-    """:func:`select_scale` at each of taus, from one tail sweep: per
-    maturity the scale, or the NoConvergenceError selecting it alone
-    raises."""
+    """:func:`select_scale` at each of taus, from one tail sweep of each
+    distinct maturity: per maturity the scale, or the NoConvergenceError
+    selecting it alone raises."""
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
     if not taus:
         return []
-    passed = _tail_masses(theta, taus, ctx) <= tol
+    distinct, row = np.unique(taus, return_inverse=True)
+    passed = _tail_masses(theta, distinct.tolist(), ctx)[row] <= tol
     return [int(m) if ok else NoConvergenceError(
-        f"transform tail mass still above {tol} at scale {MAX_SCALE}")
-        for m, ok in zip(passed.argmax(axis=1).tolist(), passed.any(axis=1).tolist())]
+        f"transform tail mass still above {tol} at scale {MAX_SCALE} (tau={tau})")
+        for tau, m, ok in zip(taus, passed.argmax(axis=1).tolist(),
+                              passed.any(axis=1).tolist())]
 
 
 def _raised(outcome):
@@ -590,15 +592,6 @@ def price_multi_strike(theta: HestonParams, ctx: MarketContext, tau: float,
     One-shot use of :class:`MultiStrikePricer`.
     """
     return MultiStrikePricer(ctx, tau, strikes, sp).prices(theta)
-
-
-def price_strike_grid(theta: HestonParams, ctx: MarketContext, tau: float,
-                      sp: SwiftParams):
-    """Call prices at the J_d dyadic grid points of sp at maturity tau.
-
-    One-shot use of :meth:`MultiStrikePricer.grid_prices`.
-    """
-    return MultiStrikePricer(ctx, tau, [], sp).grid_prices(theta)
 
 
 class MultiStrikePricer:

@@ -17,6 +17,7 @@ from swiftcal import (
     CpBackend,
     HestonParams,
     KswiftBackend,
+    MultiStrikePricer,
     OptionQuote,
     QuadratureConfig,
     StopReason,
@@ -28,7 +29,6 @@ from swiftcal import (
     payoff_coefficients,
     price_cp,
     price_multi_strike,
-    price_strike_grid,
     select_scale,
     select_truncation,
 )
@@ -317,7 +317,7 @@ def test_oracle_suite(theta2, stress_theta, ctx, ctx100):
     # strike-grid pricer vs the per-strike path at grid strikes
     sp0 = select_truncation(theta2, 1.0, ctx, 5, [0.5, 2.0])
     spg = dataclasses.replace(sp0, j_density=256)
-    x_grid, grid_prices = price_strike_grid(theta2, ctx, 1.0, spg)
+    x_grid, grid_prices = MultiStrikePricer(ctx, 1.0, [], spg).grid_prices(theta2)
     inside = np.abs(x_grid) <= spg.x_high  # the interval: the strikes are symmetric
     multi = price_multi_strike(theta2, ctx, 1.0,
                                ctx.spot * np.exp(-x_grid[inside]), spg)

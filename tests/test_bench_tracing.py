@@ -171,7 +171,7 @@ def test_tracer_sees_a_split_sweep_as_one_span_from_the_caller(monkeypatch):
 
     heston = importlib.import_module("swiftcal.heston")
     swift = importlib.import_module("swiftcal.swift")
-    monkeypatch.setattr(heston, "_max_chunks", 2)  # split on a one-CPU host too
+    monkeypatch.setattr(heston, "_usable_cpus", lambda: 2)  # split on one CPU too
     theta = PARAM_SETS["fx"]
     sweep = swift._ChfSweep(np.linspace(0.1, 300.0, 32768), 1.3, DEFAULT_CONTEXT)
     tracer, threads = Tracer(), []

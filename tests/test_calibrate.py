@@ -23,8 +23,6 @@ from swiftcal import (
     lm_step,
     price_and_gradient_cp,
     price_cp,
-    price_strike_grid,
-    residuals,
     select_scale,
     select_truncation,
 )
@@ -111,14 +109,14 @@ def test_lm_step_singular_raises():
 
 def test_residuals_order_and_objective(theta2, ctx, set2_priced):
     backend = KswiftBackend(set2_priced.quotes, ctx, theta2)
-    r = residuals(theta2, set2_priced.quotes, backend)
+    r = backend.prices(theta2) - [q.price for q in set2_priced.quotes]
     assert r.shape == (len(set2_priced.quotes),)
     assert np.linalg.norm(r) < 1e-9  # self-consistency at the generator
 
 
 def test_residuals_nonzero_from_perturbed_start(theta2_start, ctx, set2_priced):
     backend = KswiftBackend(set2_priced.quotes, ctx, theta2_start)
-    r = residuals(theta2_start, set2_priced.quotes, backend)
+    r = backend.prices(theta2_start) - [q.price for q in set2_priced.quotes]
     assert np.linalg.norm(r) > 1e-4  # the sigma perturbation is visible
 
 
@@ -183,18 +181,29 @@ def test_run_price_sweeps_each_selected_grid_once(ctx, target, chf_sweeps):
         assert chf_sweeps["grad"] == []
 
 
+def test_split_plan_sweeps_each_maturity_tail_once(theta2_start, ctx, set2_priced,
+                                                   chf_sweeps):
+    # the scale rule's tail sweep covers each of set2's 8 maturities once,
+    # 13 scales of 129 points, split into a group per quote or not
+    for split in (False, True):
+        chf_sweeps["chf"].clear()
+        list(discretization_plan(set2_priced.quotes, ctx, theta2_start,
+                                 split_groups=split))
+        assert chf_sweeps["chf"][0] == 8 * 13 * 129 == 13416, split
+
+
 def test_generate_grid_sweeps_its_grid_once(ctx, chf_sweeps):
     # the grid is priced from the selected pricer's U-tilde and its sweep at
     # theta: fx at B=0.5, tau=2 sweeps the tail grid and the three grids its
     # selection tries, and its 16,384-frequency grid once; the rows are
-    # price_strike_grid's, the one-shot form, bit for bit
+    # a fresh pricer's grid_prices, bit for bit
     theta, tau = PARAM_SETS["fx"], 2.0
     qf = run_generate_grid(theta, ctx, 0.5, tau)
     assert chf_sweeps["chf"] == [13 * 129, 4096, 8192, 16384]
     assert chf_sweeps["grad"] == []
     (pricer, _), = discretization_plan([OptionQuote(ctx.spot * math.exp(s * 0.5), tau)
                                         for s in (-1.0, 1.0)], ctx, theta)
-    x_grid, prices = price_strike_grid(theta, ctx, tau, pricer.sp)
+    x_grid, prices = MultiStrikePricer(ctx, tau, [], pricer.sp).grid_prices(theta)
     keep = np.abs(x_grid) <= 0.5
     assert [(q.strike, q.price) for q in qf.quotes] == sorted(zip(
         (ctx.spot * np.exp(-x_grid[keep])).tolist(),

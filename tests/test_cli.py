@@ -169,6 +169,26 @@ def test_malformed_quote_file_exits_input_error(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_unknown_kind_in_quote_text_exits_input_error(capsys, tmp_path):
+    # OptionQuote judges the kind, as for JSON files; the line is named
+    bad = tmp_path / "bad.quotes"
+    bad.write_text("spot 1.0\n0.5,1.0,call\n0.5,1.1,Straddle\n")
+    code, out, err = run_cli(capsys, "price", "--params", "theta2", "--quotes", str(bad))
+    assert code == 2 and out == ""
+    assert "line 3: kind must be one of ('call', 'put'), got 'straddle'" in err
+
+
+def test_scale_failure_names_its_maturity(capsys, tmp_path):
+    # no scale holds theta2's transform tail at tau = 1e-5; the two other
+    # maturities select one, and the message names only the failing tau
+    path = tmp_path / "mixed.quotes"
+    path.write_text("spot 1.0\n0.5,1.0,call\n0.00001,1.0,call\n1.0,1.0,put\n")
+    code, out, err = run_cli(capsys, "price", "--params", "theta2", "--quotes", str(path))
+    assert code == 3 and out == ""
+    assert "tail mass still above 1e-07 at scale 12 (tau=1e-05)" in err
+    assert "tau=0.5" not in err and "tau=1.0" not in err
+
+
 def test_unknown_params_exits_input_error(capsys, long_file):
     code, _, err = run_cli(capsys, "price", "--backend", "cp", "--params",
                            "theta9", "--quotes", long_file)
@@ -701,12 +721,20 @@ def test_malformed_params_exit_input_error(capsys, tmp_path, kind):
      '"sigmaa": 3}', "unknown key 'sigmaa'"),
     ('{"kappa": true, "v_bar": 0.04, "sigma": 0.5, "rho": -0.5, "v0": 0.04}',
      "kappa must be a number, got true"),
+    ("kappa=1.5,v_bar", "item 'v_bar' is not key=value"),
+    ("kappa=1.5,,v_bar=0.04", "item '' is not key=value"),
+    ("kappa=1.5", "missing key 'v_bar'"),
+    ("[1, 2]", "expected a JSON object, got list"),
+    ('"abc"', "expected a JSON object, got str"),
+    ("5", "expected a JSON object, got int"),
 ], ids=["inline-repeated", "inline-unknown", "file-repeated", "file-unknown",
-        "file-boolean"])
+        "file-boolean", "inline-no-equals", "inline-empty-item", "inline-missing",
+        "file-array", "file-string", "file-number"])
 def test_misread_params_exit_input_error(capsys, tmp_path, spec, named):
     # a repeated key would keep its last value, an unknown one be ignored,
-    # and a JSON boolean read as 0 or 1
-    if spec.startswith("{"):
+    # and a JSON boolean read as 0 or 1; each refusal names the item, the
+    # key or the object at fault
+    if "=" not in spec:  # the contents of a parameter file
         path = tmp_path / "params.json"
         path.write_text(spec)
         spec = str(path)
@@ -906,7 +934,7 @@ def sweep():
                                 PARAM_SETS["fx"], DEFAULT_CONTEXT)[0]
 
 
-heston._max_chunks = 2  # the parent's chunk threads exist, also on one CPU
+heston._usable_cpus = lambda: 2  # the parent's chunk threads exist, also on one CPU
 value = sweep()
 assert heston._pool is not None
 with ProcessPoolExecutor(max_workers=1) as pool:  # a child splitting a sweep

@@ -263,14 +263,14 @@ def test_chf_blocks_from_16384_frequencies_bitwise(ctx, m, j_d):
 def test_chunked_sweep_bitwise_one_chunk(ctx, monkeypatch, n):
     # a sweep split across threads is the one-chunk sweep bit for bit, for
     # a scalar and a per-frequency tau, with u = 0 (exact-zero gradient) in
-    # the first chunk; the cap forces the split on a one-CPU host too
+    # the first chunk; a patched CPU count forces the split on a one-CPU host too
     u = np.linspace(0.0, 400.0, n)
     for name in ("fx", "ir", "eq"):
         th = PARAM_SETS[name]
         for tau in (1.3, np.linspace(0.05, 10.0, n)):
             out = {}
             for cap in (1, 4):
-                monkeypatch.setattr(heston, "_max_chunks", cap)
+                monkeypatch.setattr(heston, "_usable_cpus", lambda: cap)
                 value, parts = chf_cui_parts(u, tau, th, ctx)
                 out[cap] = (value, chf_gradient_from_parts(tau, th, value, parts))
                 assert len(parts) == (1 if cap == 1 else
@@ -286,12 +286,12 @@ def test_concurrent_split_sweeps_keep_their_own_chunks(ctx, monkeypatch):
     # frequent thread switches: every result is its serial sweep bit for bit
     u = np.linspace(0.0, 300.0, 32768)
     thetas = [PARAM_SETS[name] for name in ("fx", "ir", "eq", "theta2", "stress")]
-    monkeypatch.setattr(heston, "_max_chunks", 1)
+    monkeypatch.setattr(heston, "_usable_cpus", lambda: 1)
     want = []
     for th in thetas:
         value, parts = chf_cui_parts(u, 1.3, th, ctx)
         want.append((value, chf_gradient_from_parts(1.3, th, value, parts)))
-    monkeypatch.setattr(heston, "_max_chunks", 3)
+    monkeypatch.setattr(heston, "_usable_cpus", lambda: 3)
     got = [None] * len(thetas)
 
     def sweep(k):
@@ -317,7 +317,7 @@ def test_concurrent_split_sweeps_keep_their_own_chunks(ctx, monkeypatch):
 def test_overflow_in_a_worker_chunk_is_raised_in_the_caller(ctx, monkeypatch):
     # the first chunk runs on a worker thread, the last on the caller: only
     # the first overflows here (E[(S_T/S_t)^a] explodes at u = a i, large a)
-    monkeypatch.setattr(heston, "_max_chunks", 2)
+    monkeypatch.setattr(heston, "_usable_cpus", lambda: 2)
     th = PARAM_SETS["theta1"]
     u = np.linspace(0.0, 100.0, 32768).astype(np.complex128)
     u[:16384] = 500j

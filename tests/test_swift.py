@@ -22,7 +22,6 @@ from swiftcal import (
     density_area,
     payoff_coefficients,
     price_multi_strike,
-    price_strike_grid,
     select_scale,
     select_truncation,
 )
@@ -457,7 +456,7 @@ def test_coefficient_set_fields(theta2, ctx):
 def test_grid_pricer_matches_multi_strike(theta2, ctx):
     sp0 = select_truncation(theta2, 1.0, ctx, 5, [0.5, 2.0])
     sp = dataclasses.replace(sp0, j_density=256)
-    x_grid, grid_prices = price_strike_grid(theta2, ctx, 1.0, sp)
+    x_grid, grid_prices = MultiStrikePricer(ctx, 1.0, [], sp).grid_prices(theta2)
     k = np.arange(sp.j_density)
     assert np.allclose(x_grid, (2.0 * k - sp.j_density) / 2.0**(sp.m + 1))
     inside = np.abs(x_grid) <= sp.x_high  # the interval: the strikes are symmetric
@@ -471,7 +470,7 @@ def test_grid_monotone_in_strike_without_correlation(ctx):
                       v0=0.0175)
     sp0 = select_truncation(th, 1.0, ctx, 5, [0.5, 2.0])
     sp = dataclasses.replace(sp0, j_density=256)
-    x_grid, prices = price_strike_grid(th, ctx, 1.0, sp)
+    x_grid, prices = MultiStrikePricer(ctx, 1.0, [], sp).grid_prices(th)
     usable = np.abs(x_grid) <= math.log(2.0)  # the strikes' own range
     order = np.argsort(-x_grid[usable])  # ascending strike
     assert np.all(np.diff(prices[usable][order]) <= 1e-12)
@@ -480,7 +479,7 @@ def test_grid_monotone_in_strike_without_correlation(ctx):
 def test_grid_spline_interpolation(theta2, ctx):
     sp0 = select_truncation(theta2, 1.0, ctx, 5, [0.5, 2.0])
     sp = dataclasses.replace(sp0, j_density=256)
-    x_grid, prices = price_strike_grid(theta2, ctx, 1.0, sp)
+    x_grid, prices = MultiStrikePricer(ctx, 1.0, [], sp).grid_prices(theta2)
     inside = np.abs(x_grid) <= sp.x_high  # the interval: the strikes are symmetric
     spline = CubicSpline(x_grid[inside], prices[inside], bc_type="natural")
     rng = np.random.default_rng(7)
