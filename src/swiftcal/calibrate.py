@@ -153,7 +153,8 @@ def discretization_plan(quotes: Sequence[OptionQuote], ctx: MarketContext,
     theta_ref: the one place a quote set's discretization is chosen.
 
     All groups are selected together by :func:`~swiftcal.swift.select_groups`:
-    the scales from one tail sweep over every maturity (or ``m`` when it pins
+    the scales from the tail swept over every maturity in stages, each
+    maturity only up to the stage that resolves it (or ``m`` when it pins
     one), the intervals in growth rounds that sweep the new grids of all
     groups still growing as one block, each decision the one a lone group's
     :func:`~swiftcal.swift.select_scale` and

@@ -33,8 +33,9 @@ half-width, ``interval_params`` the eta, J_d and x_high it implies, and
 ``group_by_maturity`` the quote groups that share them.  One plan,
 ``calibrate.discretization_plan``, applies it to a quote set, grouped by
 maturity or one group per quote: one ``select_groups`` call selects every
-group's discretization together (one tail sweep for all scales, then one
-sweep block per growth round, each decision the one ``select_scale`` and
+group's discretization together (the scale rule's tail sweep in ascending
+stages of scales, each over the maturities no earlier stage resolved, then
+one sweep block per growth round, each decision the one ``select_scale`` and
 ``select_truncation`` make for the group alone), and the plan builds each
 group's ``MultiStrikePricer``, which starts from its slice of the block
 that swept its grid.  A calibration backend then joins all its
@@ -46,7 +47,7 @@ point by point.  Grid-only factors come from tables: the twiddles
 e^{-i pi k/(2J)} from one cached table per size (``_twiddle_table``), the
 shifts e^{-i omega x} from two small ones (``_phase_matrix``), and the tail
 grid of the scale rule and its chf grid terms from a cache per maturity
-count.
+count and stage.
 """
 
 from __future__ import annotations
@@ -84,6 +85,10 @@ DEFAULT_L = 10.0  # truncation-width multiplier of the cumulant rule
 # 1e-6 beyond a far right edge can already cost ~1e-5 in price.
 _AREA_TOL = 3e-8
 _TAIL_QUAD_POINTS = 129  # trapezoid points per scale in _tail_masses
+# Scale rows _scales sweeps per stage, ascending: at the selected scales most
+# maturities resolve in the first, and each later stage sweeps only those
+# still above tolerance.
+_TAIL_STAGES = ((0, 7), (7, 10), (10, MAX_SCALE + 1))
 
 
 class NoConvergenceError(RuntimeError):
@@ -235,39 +240,42 @@ def _cosine_at(spectrum: np.ndarray, eta: int) -> np.ndarray:
     return _twiddles(two_j, eta) * wrapped
 
 
-@functools.lru_cache(maxsize=16)
-def _tail_grid(groups: int):
-    """(nodes, spacing, chf grid terms) of :func:`_tail_masses` at scales 0
-    to ``MAX_SCALE``: the nodes flat, once for each of ``groups``
-    maturities, the spacing one row per scale; read-only."""
+@functools.lru_cache(maxsize=48)
+def _tail_grid(groups: int, first: int, stop: int):
+    """(nodes, spacing, chf grid terms) of :func:`_tail_masses` at scales
+    first to stop - 1: row slices of one table at scales 0 to ``MAX_SCALE``,
+    so a row is bitwise the same in every slice that holds it; the nodes
+    flat, once for each of ``groups`` maturities, the spacing one row per
+    scale; read-only."""
     lo = 2.0**np.arange(MAX_SCALE + 1) * np.pi
     u = np.linspace(lo, 4.0 * lo, _TAIL_QUAD_POINTS, axis=1)
-    nodes = np.tile(u.ravel(), groups)
-    grid = (nodes, np.diff(u, axis=1), chf_grid_terms(nodes))
+    rows = slice(first * _TAIL_QUAD_POINTS, stop * _TAIL_QUAD_POINTS)
+    grid = (np.tile(u.ravel()[rows], groups), np.diff(u, axis=1)[first:stop],
+            tuple(np.tile(t[rows], groups) for t in chf_grid_terms(u.ravel())))
     for a in (*grid[:2], *grid[2]):
         a.flags.writeable = False
     return grid
 
 
-def _tail_masses(theta: HestonParams, taus: Sequence[float],
-                 ctx: MarketContext) -> np.ndarray:
-    """Two-sided transform mass beyond |u| = 2^m pi for m = 0..``MAX_SCALE``,
-    one row per maturity in taus.
+def _tail_masses(theta: HestonParams, taus: Sequence[float], ctx: MarketContext,
+                 first: int = 0, stop: int = MAX_SCALE + 1) -> np.ndarray:
+    """Two-sided transform mass beyond |u| = 2^m pi for m = first to
+    stop - 1 (by default every scale), one row per maturity in taus.
 
     Integrates |fhat| over [2^m pi, 2^{m+2} pi] by the trapezoidal rule (the
     continuation beyond two octaves is negligible whenever the result is
     anywhere near tolerance) and doubles it via Hermitian symmetry,
-    normalized by 1/(2 pi).  All scales and maturities share one
+    normalized by 1/(2 pi).  The scales and maturities asked for share one
     characteristic sweep with a per-element tau (one per ``MAX_J``
-    frequencies), on a grid cached per maturity count; each maturity's
-    masses are bitwise its own sweep's, and the trapezoid is numpy's, term
-    for term.
+    frequencies), on a grid cached per maturity count and scale range; each
+    mass is bitwise the one every other call that sweeps its maturity and
+    scale gives, and the trapezoid is numpy's, term for term.
     """
-    per_sweep = max(1, MAX_J // ((MAX_SCALE + 1) * _TAIL_QUAD_POINTS))
+    per_sweep = max(1, MAX_J // ((stop - first) * _TAIL_QUAD_POINTS))
     rows = []
     for i in range(0, len(taus), per_sweep):
         block = taus[i:i + per_sweep]
-        u, d, terms = _tail_grid(len(block))
+        u, d, terms = _tail_grid(len(block), first, stop)
         t = block[0] if len(block) == 1 else np.repeat(block, u.size // len(block))
         vals = np.abs(chf_cui_parts(u, t, theta, ctx, terms)[0]).reshape(
             len(block), d.shape[0], -1)
@@ -277,19 +285,29 @@ def _tail_masses(theta: HestonParams, taus: Sequence[float],
 
 def _scales(theta: HestonParams, taus: Sequence[float], ctx: MarketContext,
             tol: float) -> list:
-    """:func:`select_scale` at each of taus, from one tail sweep of each
+    """:func:`select_scale` at each of taus, from the tail sweep of each
     distinct maturity: per maturity the scale, or the NoConvergenceError
-    selecting it alone raises."""
+    selecting it alone raises.
+
+    The rule reads a maturity's tail masses up to its first within tol and
+    no further, so the scales are swept in the stages of ``_TAIL_STAGES``,
+    one sweep each over the maturities no earlier stage resolved.
+    """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
-    if not taus:
-        return []
     distinct, row = np.unique(taus, return_inverse=True)
-    passed = _tail_masses(theta, distinct.tolist(), ctx)[row] <= tol
-    return [int(m) if ok else NoConvergenceError(
+    scale = np.full(distinct.size, -1)
+    left = np.arange(distinct.size)
+    for first, stop in _TAIL_STAGES:
+        if not left.size:
+            break
+        passed = _tail_masses(theta, distinct[left].tolist(), ctx, first, stop) <= tol
+        hit = passed.any(axis=1)
+        scale[left[hit]] = first + passed[hit].argmax(axis=1)
+        left = left[~hit]
+    return [int(scale[r]) if scale[r] >= 0 else NoConvergenceError(
         f"transform tail mass still above {tol} at scale {MAX_SCALE} (tau={tau})")
-        for tau, m, ok in zip(taus, passed.argmax(axis=1).tolist(),
-                              passed.any(axis=1).tolist())]
+        for tau, r in zip(taus, row.tolist())]
 
 
 def _raised(outcome):
@@ -305,7 +323,7 @@ def select_scale(theta: HestonParams, tau: float, ctx: MarketContext,
     the one rule that chooses m.
 
     Every pricing and calibration path selects at the default ``SCALE_TOL``;
-    :func:`select_groups` applies this rule to many maturities in one sweep.
+    :func:`select_groups` applies this rule to many maturities together.
 
     Raises:
         NoConvergenceError: no scale up to ``MAX_SCALE`` meets ``tol``.
@@ -460,8 +478,8 @@ def select_groups(theta: HestonParams, groups, ctx: MarketContext,
     """Yield the selected (SwiftParams, sweep at theta) of every
     (tau, strikes) in groups, in order, all groups selected together.
 
-    The scales come from one tail sweep over all maturities with
-    :func:`select_scale`'s rule, unless ``m`` pins them; the intervals from
+    The scales come from :func:`select_scale`'s rule, its tail swept over all
+    maturities in stages, unless ``m`` pins them; the intervals from
     :func:`select_truncation`'s growth loops, run in rounds that sweep the
     new grids of all groups still growing as one block.  A block's values
     are bitwise each member's own, so every decision is the one selecting

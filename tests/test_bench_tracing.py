@@ -142,9 +142,10 @@ def test_tracer_sees_every_quadrature_node(monkeypatch):
 
 
 def test_tracer_counts_the_tail_sweep_of_select_scale(monkeypatch):
-    # select_scale sweeps a cached 13 x 129 tail grid; the sweep must still go
-    # through the swift module's chf names, so the benchmark counts every
-    # frequency, also when the grid comes from the cache
+    # select_scale sweeps cached tail grids of 129 points per scale, stage by
+    # stage up to the stage that holds the selected scale; the sweeps must
+    # still go through the swift module's chf names, so the benchmark counts
+    # every frequency, also when the grids come from the cache
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import Tracer
 
@@ -152,11 +153,13 @@ def test_tracer_counts_the_tail_sweep_of_select_scale(monkeypatch):
 
     swift = importlib.import_module("swiftcal.swift")
     theta = PARAM_SETS["fx"]
-    swift.select_scale(theta, 1.0, DEFAULT_CONTEXT)  # the grid is cached now
+    swift.select_scale(theta, 1.0, DEFAULT_CONTEXT)  # the grids are cached now
     tracer = Tracer()
     with tracer.installed(), tracer.job(0):
-        swift.select_scale(theta, 0.5, DEFAULT_CONTEXT)
-    assert tracer.counts["heston.chf_freqs"] == 13 * swift._TAIL_QUAD_POINTS == 13 * 129
+        m = swift.select_scale(theta, 0.5, DEFAULT_CONTEXT)
+    stop = next(stop for _, stop in swift._TAIL_STAGES if m < stop)
+    assert (m, stop) == (9, 10)  # the second stage holds fx's scale at tau=0.5
+    assert tracer.counts["heston.chf_freqs"] == stop * swift._TAIL_QUAD_POINTS == 10 * 129
 
 
 def test_tracer_sees_a_split_sweep_as_one_span_from_the_caller(monkeypatch):

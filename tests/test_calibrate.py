@@ -31,7 +31,7 @@ from swiftcal.experiments import (PricingOverrides, make_calibration_backend,
                                   run_generate, run_generate_grid, run_price)
 from swiftcal.fixtures import PARAM_SETS, set2_quotes
 from swiftcal.quotes import QuoteFile
-from swiftcal.swift import group_by_maturity, put_offsets, select_groups
+from swiftcal.swift import _TAIL_STAGES, group_by_maturity, put_offsets, select_groups
 
 from oracles import per_strike_price, per_strike_price_and_gradient
 
@@ -184,22 +184,31 @@ def test_run_price_sweeps_each_selected_grid_once(ctx, target, chf_sweeps):
 def test_split_plan_sweeps_each_maturity_tail_once(theta2_start, ctx, set2_priced,
                                                    chf_sweeps):
     # the scale rule's tail sweep covers each of set2's 8 maturities once,
-    # 13 scales of 129 points, split into a group per quote or not
+    # split into a group per quote or not: 7 scales of 129 points each in the
+    # first stage, then 3 more for the 5 maturities whose scale is 7 or 8
+    # (scales 8, 7, 7, 7, 7, 6, 6, 6 in maturity order); no row is swept twice
+    taus = sorted({q.maturity for q in set2_priced.quotes})
+    scales = [select_scale(theta2_start, tau, ctx) for tau in taus]
+    assert scales == [8, 7, 7, 7, 7, 6, 6, 6]
+    tail = [sum(stop - first for m in scales if m >= first) * 129
+            for first, stop in _TAIL_STAGES if max(scales) >= first]
+    assert tail == [8 * 7 * 129, 5 * 3 * 129] and sum(tail) < 8 * 13 * 129
     for split in (False, True):
         chf_sweeps["chf"].clear()
         list(discretization_plan(set2_priced.quotes, ctx, theta2_start,
                                  split_groups=split))
-        assert chf_sweeps["chf"][0] == 8 * 13 * 129 == 13416, split
+        assert chf_sweeps["chf"][:2] == tail, split
 
 
 def test_generate_grid_sweeps_its_grid_once(ctx, chf_sweeps):
     # the grid is priced from the selected pricer's U-tilde and its sweep at
-    # theta: fx at B=0.5, tau=2 sweeps the tail grid and the three grids its
-    # selection tries, and its 16,384-frequency grid once; the rows are
-    # a fresh pricer's grid_prices, bit for bit
+    # theta: fx at B=0.5, tau=2 sweeps the tail grid's first two stages (its
+    # scale is 8), the three grids its selection tries, and its
+    # 16,384-frequency grid once; the rows are a fresh pricer's grid_prices,
+    # bit for bit
     theta, tau = PARAM_SETS["fx"], 2.0
     qf = run_generate_grid(theta, ctx, 0.5, tau)
-    assert chf_sweeps["chf"] == [13 * 129, 4096, 8192, 16384]
+    assert chf_sweeps["chf"] == [7 * 129, 3 * 129, 4096, 8192, 16384]
     assert chf_sweeps["grad"] == []
     (pricer, _), = discretization_plan([OptionQuote(ctx.spot * math.exp(s * 0.5), tau)
                                         for s in (-1.0, 1.0)], ctx, theta)

@@ -25,7 +25,7 @@ from swiftcal import (
     select_scale,
     select_truncation,
 )
-from swiftcal.calibrate import discretization_plan
+from swiftcal.calibrate import DEFAULT_BOUNDS, discretization_plan
 from swiftcal.experiments import swift_prices
 from swiftcal.reference import QuadratureConfig, price_cp
 from swiftcal.fixtures import (PARAM_SETS, STRESS_CONTEXT, set1_quotes, set2_quotes,
@@ -42,7 +42,9 @@ from swiftcal.swift import (
     _next_pow2,
     _payoff_transform,
     _phase_matrix,
+    _TAIL_STAGES,
     _scaled_freqs,
+    _scales,
     _tail_masses,
     _twiddle_table,
     _twiddles,
@@ -633,6 +635,71 @@ def test_tail_masses_bitwise_the_direct_trapezoid(name, ctx):
         masses = _tail_masses(theta, [tau], ctx)[0]
         assert masses[m] <= SCALE_TOL
         assert np.all(masses[:m] > SCALE_TOL)
+
+
+def _first_passing(theta, taus, ctx):
+    """The scale rule read off the full tail table: per maturity the first
+    scale within SCALE_TOL, or the message selecting it alone raises."""
+    out = []
+    for tau, row in zip(taus, _tail_masses(theta, taus, ctx)):
+        ok = row <= SCALE_TOL
+        out.append(int(ok.argmax()) if ok.any() else
+                   f"transform tail mass still above {SCALE_TOL} at scale {MAX_SCALE} "
+                   f"(tau={tau})")
+    return out
+
+
+# the calibration box, log-uniform in v0, v_bar, sigma and kappa
+_BOX_LO, _BOX_HI = np.log(np.array(DEFAULT_BOUNDS[:4])).T
+_BOX = [HestonParams.from_array([*np.exp(row[:4]), row[4]]) for row in
+        np.random.default_rng(29).uniform([*_BOX_LO, DEFAULT_BOUNDS[4][0]],
+                                          [*_BOX_HI, DEFAULT_BOUNDS[4][1]], size=(40, 5))]
+
+
+def test_staged_scales_are_the_first_passing_row_of_the_full_table(ctx):
+    # the stages tile scales 0 to MAX_SCALE, each stage's masses are bitwise
+    # the full table's columns, and the staged rule returns the full table's
+    # first passing scale or the same error, with cases that resolve in each
+    # stage and that fail at scale 12
+    firsts, stops = zip(*_TAIL_STAGES)
+    assert firsts[0] == 0 and firsts[1:] == stops[:-1] and stops[-1] == MAX_SCALE + 1
+    cases = [(theta, sorted({q.maturity for q in quotes()}), c)
+             for theta in PARAM_SETS.values()
+             for quotes, c in ((set1_quotes, ctx), (set2_quotes, ctx),
+                               (stress_quotes, STRESS_CONTEXT))]
+    cases += [(theta, [0.04, 0.5, 5.0, 30.0], ctx) for theta in _BOX]
+    seen = set()
+    for theta, taus, c in cases:
+        full = _tail_masses(theta, taus, c)
+        for first, stop in _TAIL_STAGES:
+            assert _bits(_tail_masses(theta, taus, c, first, stop)) == _bits(
+                full[:, first:stop])
+        staged = _scales(theta, taus, c, SCALE_TOL)
+        assert all(isinstance(s, (int, NoConvergenceError)) for s in staged)
+        assert [s if isinstance(s, int) else str(s) for s in staged] == _first_passing(
+            theta, taus, c)
+        seen.update(next(k for k, stop in enumerate(stops) if s < stop)
+                    if isinstance(s, int) else "failed" for s in staged)
+    assert seen == {0, 1, 2, "failed"}
+
+
+@pytest.mark.parametrize("name,tau,rows", [("theta2", 1.0, [7]), ("fx", 0.5, [7, 3]),
+                                           ("theta2", 1e-5, [7, 3, 3])])
+def test_scale_rule_sweeps_each_tail_row_at_most_once(name, tau, rows, ctx, monkeypatch):
+    # a maturity resolved in the first stage sweeps 7 scales of 129 points;
+    # one resolved later, or failing at scale 12, adds one call per stage
+    swift = importlib.import_module("swiftcal.swift")
+    sweeps = []
+    chf = swift.chf_cui_parts
+
+    def counted(u, *args, **kwargs):
+        sweeps.append(np.size(u))
+        return chf(u, *args, **kwargs)
+
+    monkeypatch.setattr(swift, "chf_cui_parts", counted)
+    outcome, = _scales(PARAM_SETS[name], [tau], ctx, SCALE_TOL)
+    assert sweeps == [r * 129 for r in rows]
+    assert isinstance(outcome, NoConvergenceError) == (sum(rows) == MAX_SCALE + 1)
 
 
 def reference_truncation(theta, tau, ctx, m, strikes):
