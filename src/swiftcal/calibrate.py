@@ -24,7 +24,9 @@ A trial step rejected under an updated J is retried at the same mu on a
 fresh J, and a FlatGradient or StagnantStep stop is only ever reported on a
 fresh J, so no stop reason rests on a secant approximation.
 
-Stopping criteria, checked in order each iteration:
+Each pass of the driver tries at most one damped step and ends in a stop,
+a tenfold mu increase, a fresh J at the same mu or an accepted step.
+Stopping criteria, checked in order on every pass:
 
     ||r||        <= eps1   -> ResidualTol   (the only "calibrated" outcome)
     ||J r||_inf  <= eps2   -> FlatGradient
@@ -353,10 +355,10 @@ def calibrate(quotes: Sequence[OptionQuote], theta0: HestonParams,
     ``iterations`` counts accepted steps and ``jacobian_evals`` the fresh
     Jacobian assemblies (``backend.prices_and_jacobian`` calls); a start
     that already satisfies the residual tolerance returns with both 0.
-    Rejected trial steps adjust mu, or under a secant-updated Jacobian ask
-    for a fresh one.  The trace records (objective, mu, step norm) per
-    accepted step.  ``MaxIterations`` is reported in ``stop_reason`` rather
-    than raised.
+    Each pass of its one loop tries one damped step; a rejected trial
+    raises mu, or under a secant-updated Jacobian asks for a fresh one.
+    The trace records (objective, mu, step norm) per accepted step.
+    ``MaxIterations`` is reported in ``stop_reason`` rather than raised.
     """
     t_start = time.perf_counter()
     observed = _observed(quotes)
@@ -371,56 +373,47 @@ def calibrate(quotes: Sequence[OptionQuote], theta0: HestonParams,
     jac: Optional[np.ndarray] = None  # 5 x n; None: assemble afresh at theta_vec
     fresh = False  # jac is the backend's Jacobian at theta_vec, not a secant update
     trace: List[Tuple[float, float, float]] = []
-    stop: Optional[StopReason] = None
 
-    while True:
+    while True:  # one pass per trial step
         if np.linalg.norm(r) <= config.eps1:
             stop = StopReason.RESIDUAL_TOL
             break
         if iterations >= config.max_iterations:
             stop = StopReason.MAX_ITERATIONS
             break
-
         if jac is None:
             _, jac_rows = backend.prices_and_jacobian(HestonParams.from_array(theta_vec))
             jac, fresh = jac_rows.T, True
             jacobian_evals += 1
         grad = jac @ r
+        stop, delta, obj_try = None, None, math.inf  # no trial point yet
         if np.max(np.abs(grad)) <= config.eps2:
             stop = StopReason.FLAT_GRADIENT
-        elif mu is None:
-            mu = _MU0 * float(np.max(np.sum(jac * jac, axis=1)))
-
-        accepted = False
-        while stop is None:  # damping adjustments until a step is accepted
+        else:
+            if mu is None:
+                mu = _MU0 * float(np.max(np.sum(jac * jac, axis=1)))
             try:
                 delta = _bounded_step(jac, r, mu, theta_vec)
             except SingularSystemError:
-                if not mu < _MU_MAX:  # a NaN mu (non-finite Jacobian) never grows
-                    stop = StopReason.STAGNANT_STEP
-                    break
-                mu = min(mu * 10.0, _MU_MAX)
-                continue
+                pass  # no step at this mu
+        if delta is not None:
             if np.linalg.norm(delta) <= config.eps3 * np.linalg.norm(theta_vec):
                 stop = StopReason.STAGNANT_STEP
-                break
-            theta_try = np.clip(theta_vec - delta, _LO, _HI)
-            r_try = backend.prices(HestonParams.from_array(theta_try)) - observed
-            obj_try = 0.5 * float(r_try @ r_try)
-            if obj_try < objective:
-                accepted = True
-                break
-            if not fresh:  # retry at this mu on a fresh Jacobian
-                break
-            if mu >= _MU_MAX:
-                stop = StopReason.STAGNANT_STEP
-                break
-            mu = min(mu * 10.0, _MU_MAX)
-        if not accepted:
+            else:
+                theta_try = np.clip(theta_vec - delta, _LO, _HI)
+                r_try = backend.prices(HestonParams.from_array(theta_try)) - observed
+                obj_try = 0.5 * float(r_try @ r_try)
+        if stop is None and not obj_try < objective:
+            # a singular solve raises mu on any Jacobian, a rejected trial
+            # only on a fresh one; a NaN mu (non-finite Jacobian) never grows
+            if (fresh or delta is None) and mu < _MU_MAX:
+                mu = min(mu * 10.0, _MU_MAX)
+                continue
+            stop = StopReason.STAGNANT_STEP
+        if stop is not None:
             if fresh:
                 break
-            # no rejection or stop rests on a secant-updated Jacobian
-            jac, stop = None, None
+            jac = None  # no stop or rejection rests on a secant-updated Jacobian
             continue
 
         step = theta_try - theta_vec  # the clipped step actually taken

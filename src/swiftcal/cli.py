@@ -45,7 +45,6 @@ from .heston import (
 )
 from .quotes import (
     QuoteFile,
-    QuoteParseError,
     _unique_keys,
     as_float,
     dumps_quotes,
@@ -359,9 +358,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
-    except QuoteParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
     except (ChfOverflowError, NoConvergenceError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n{_remedy(args, exc)}")
         return EXIT_NUMERICAL

@@ -123,7 +123,7 @@ def run_price(backend: str, theta: HestonParams, qf: QuoteFile,
         strikes = np.array([q.strike for q in qf.quotes])
         for tau, idx in group_by_maturity(qf.quotes).items():
             _check_band(calls[idx], strikes[idx], tau, qf.context, _CP_BAND_TOL)
-        config = {"nodes": qc.nodes, "u_max": qc.u_max}
+        config = asdict(qc)
     else:
         raise ValueError(f"unknown backend {backend!r}")
     elapsed = time.perf_counter() - t0
@@ -223,6 +223,8 @@ def run_calibrate(backend_name: str, qf: QuoteFile, theta0: HestonParams,
     }
     if hasattr(backend, "swift_params"):
         meta["swift_params"] = [asdict(sp) for sp in backend.swift_params]
+    if hasattr(backend, "qc"):
+        meta["quadrature"] = asdict(backend.qc)
     report = ExperimentReport(experiment="calibrate", rows=[row], metadata=meta)
     return report, result
 
@@ -283,8 +285,11 @@ def run_speed(set_name: str, quotes: Sequence[OptionQuote], ctx: MarketContext,
     meta = {"set": set_name, "n_quotes": len(qf.quotes), "reps": reps,
             "target": {p: getattr(target, p) for p in PARAM_ORDER},
             "start": {p: getattr(start, p) for p in PARAM_ORDER},
+            "config": asdict(config),
             "jacobian_evals": {name: r.jacobian_evals for name, r in results.items()},
             "wall_times": times}
+    if "cp" in times:
+        meta["quadrature"] = asdict(QuadratureConfig(u_max=u_max))
     if "kswift" in times and "cp" in times:
         meta["ratio_cp_over_kswift"] = times["cp"]["mean_s"] / times["kswift"]["mean_s"]
     if "kswift" in times and "swift" in times:

@@ -83,7 +83,7 @@ def _invert(ctx: MarketContext, quote, qc: QuadratureConfig, sweep):
     integrand = np.real((val_s * phase_s + val_p * phase_p) * inv_iu)
     price = strike * (0.5 * (np.exp(x - ctx.dividend * tau) - disc)
                       + disc / np.pi * float(w @ integrand))
-    if getattr(quote, "kind", "call") == "put":
+    if quote.kind == "put":
         price += parity_offset(ctx, strike, tau)
     if grad is None:
         return price, None

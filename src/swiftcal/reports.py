@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-EXPERIMENTS = ("speed", "converge", "price", "calibrate", "generate")
+EXPERIMENTS = ("speed", "converge", "price", "calibrate")
 
 
 @dataclass

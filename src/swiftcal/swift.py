@@ -525,7 +525,8 @@ def _sweep_together(theta: HestonParams, sweeps: list) -> None:
 
 
 def _density_at(spectrum: np.ndarray, sp: SwiftParams) -> np.ndarray:
-    """D_{m,k}, k = 1-eta..eta, from the cosine spectrum of fhat e^{-i omega x}."""
+    """2^{m/2}/J_d Re of a cosine spectrum at k = 1-eta..eta, for both
+    expansions: D_{m,k} from fhat e^{-i omega x}, U_{m,k} from the payoff's."""
     return 2.0**(sp.m / 2.0) / sp.j_density * _cosine_at(spectrum, sp.eta).real
 
 
@@ -560,8 +561,7 @@ def payoff_coefficients(sp: SwiftParams) -> np.ndarray:
         raise NoConvergenceError(
             f"call payoff window [0, x_high={sp.x_high:.6g}] too wide: "
             "e^x_high overflows")
-    coeff = _cosine_at(_cosine_spectrum(values, sp.j_density), sp.eta)
-    return 2.0**(sp.m / 2.0) / sp.j_density * coeff.real
+    return _density_at(_cosine_spectrum(values, sp.j_density), sp)
 
 
 def density_area(density: np.ndarray, sp: SwiftParams) -> float:

@@ -641,6 +641,29 @@ def test_rejection_under_updated_jacobian_retries_fresh_at_same_mu(theta2, solve
     assert solves[3][2] == 10.0 * mu_fresh  # only a fresh J's rejection grows mu
 
 
+def test_singular_solve_under_updated_jacobian_keeps_it(theta2, solves, monkeypatch):
+    # a singular damped solve raises mu tenfold on any Jacobian: under a
+    # secant-updated J it is solved again on that J, not on a fresh one
+    cal = importlib.import_module("swiftcal.calibrate")
+    solve, raised = cal.lm_step, []
+
+    def singular_once_after_first_step(jacobian, residual, mu):
+        if len(backend.events) > 2 and not raised:
+            raised.append(mu)
+            raise SingularSystemError("singular damped system")
+        return solve(jacobian, residual, mu)
+
+    monkeypatch.setattr(cal, "lm_step", singular_once_after_first_step)
+    backend = _LinearBackend(theta2)
+    res = _linear_fit(theta2, backend)
+    assert res.stop_reason is StopReason.RESIDUAL_TOL
+    assert res.jacobian_evals == 1 < res.iterations
+    assert "".join(kind for kind, _ in backend.events).startswith("pjpp")
+    (jac_a, _, mu_a, theta_a), (jac_b, _, mu_b, theta_b) = solves[1:3]
+    assert mu_a == raised[0] and mu_b == 10.0 * mu_a
+    assert np.array_equal(jac_a, jac_b) and np.array_equal(theta_a, theta_b)
+
+
 @pytest.mark.parametrize("case", ["flat", "small-step", "mu-cap", "singular-at-cap"])
 def test_stops_come_straight_after_a_fresh_assembly(theta2, solves, monkeypatch,
                                                     case):

@@ -979,3 +979,22 @@ def test_speed_cli_smoke(capsys, tmp_path):
     evals = rep.metadata["jacobian_evals"]
     assert set(evals) == methods and all(
         1 <= evals[r["method"]] <= r["iterations"] for r in rep.rows)
+    # the LM configuration and cp's quadrature, as the fits ran them
+    assert rep.metadata["config"] == {"eps1": 1e-6, "eps2": 1e-12, "eps3": 1e-12,
+                                      "max_iterations": 100}
+    assert rep.metadata["quadrature"] == {"nodes": 64, "u_max": 200.0}
+
+
+def test_cp_calibrate_report_records_its_quadrature(capsys, tmp_path):
+    quotes = tmp_path / "set1.quotes"
+    code, _, _ = run_cli(capsys, "generate", "--params", "theta2", "--set",
+                         "set1", "--out", str(quotes))
+    assert code == 0
+    rep_path = tmp_path / "fit.json"
+    code, _, _ = run_cli(capsys, "calibrate", "--quotes", str(quotes), "--start",
+                         "theta2-start", "--backend", "cp", "--u-max", "150",
+                         "--max-iter", "1", "--out", str(rep_path))
+    assert code in (0, cli.EXIT_NOT_CALIBRATED)
+    rep = ExperimentReport.from_json(rep_path.read_text())
+    assert rep.metadata["quadrature"] == {"nodes": 64, "u_max": 150.0}
+    assert rep.metadata["config"]["max_iterations"] == 1

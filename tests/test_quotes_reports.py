@@ -208,3 +208,5 @@ def test_report_table_rendering():
     assert "(no rows)" in empty.to_table()
     with pytest.raises(ValueError):
         ExperimentReport(experiment="nonsense")
+    with pytest.raises(ValueError):  # generate writes a quote file, not a report
+        ExperimentReport(experiment="generate")
