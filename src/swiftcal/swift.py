@@ -45,15 +45,19 @@ chf call, split across threads when large (``heston.chf_cui_parts``).
 Selection and pricer builds evaluate only the chf and the payoff transform
 point by point.  Grid-only factors come from tables: the twiddles
 e^{-i pi k/(2J)} from one cached table per size (``_twiddle_table``), the
-shifts e^{-i omega x} from two small ones (``_phase_matrix``), and the tail
-grid of the scale rule and its chf grid terms from a cache per maturity
-count and stage.
+phase tables e^{-i x omega} of the growth edges and of each pricer's strikes
+from one cache keyed by (the bytes of x, m, J_d) and held to 64 MiB
+(``_phase_matrix``), and the tail grid of the scale rule and its chf grid
+terms from a cache per maturity count and stage.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -89,6 +93,7 @@ _TAIL_QUAD_POINTS = 129  # trapezoid points per scale in _tail_masses
 # maturities resolve in the first, and each later stage sweeps only those
 # still above tolerance.
 _TAIL_STAGES = ((0, 7), (7, 10), (10, MAX_SCALE + 1))
+_PHASE_BUDGET = 64 * 2**20  # bytes of phase tables _phase_matrix may hold
 
 
 class NoConvergenceError(RuntimeError):
@@ -209,13 +214,17 @@ def _cosine_spectrum(values: np.ndarray, j_count: int) -> np.ndarray:
     two_j = 2 * j_count
     buf = np.zeros(two_j, dtype=np.complex128)
     buf[1:j_count + 1] = values
-    return np.fft.ifft(buf) * two_j
+    # bitwise ifft(buf) * two_j only as two_j is a power of two (barring subnormals)
+    return np.fft.ifft(buf, norm="forward")
 
 
 @functools.lru_cache(maxsize=None)
 def _twiddle_table(two_j: int) -> np.ndarray:
     """Read-only e^{-i pi k/two_j}, k = -two_j/2..two_j/2 - 1, built once per
-    size by the direct expression, so each entry is bitwise that value."""
+    size by the direct expression, so each entry is bitwise that value.
+
+    Unbounded in entries but not in size: two_j is a power of two up to
+    2 ``MAX_J``, so it holds at most 20 tables, under 64 MiB in all."""
     k = np.arange(-(two_j // 2), two_j // 2)
     table = np.exp(-1j * np.pi * k / two_j)
     table.flags.writeable = False
@@ -411,9 +420,9 @@ def _growth(theta: HestonParams, tau: float, ctx: MarketContext, m: int,
     the density spectra at x_min and x_max: each is computed once per grid
     and re-read at every step's wavelet indices.  Growth never returns to an
     earlier grid, so only the current one is kept.  Only the chf is
-    evaluated per point: the edge shifts e^{-i omega x} come from the
-    pricer's two small phase tables (:func:`_phase_matrix`) and the
-    twiddles from the cached :func:`_twiddle_table`.
+    evaluated per point: the edge shifts e^{-i omega x} come from the phase
+    cache (:func:`_phase_matrix`) and the twiddles from the cached
+    :func:`_twiddle_table`.
     """
     strikes = np.asarray(strikes, dtype=float)
     if strikes.size == 0:
@@ -584,17 +593,60 @@ def _u_tilde(payoff: np.ndarray, sp: SwiftParams) -> np.ndarray:
     buf = np.zeros(two_j, dtype=np.complex128)
     buf[:eta + 1] = terms[eta - 1:]
     buf[two_j + 1 - eta:] = terms[:eta - 1]
-    spectrum = np.fft.ifft(buf) * two_j
+    # bitwise ifft(buf) * two_j only as two_j is a power of two (barring subnormals)
+    spectrum = np.fft.ifft(buf, norm="forward")
     return spectrum[1:sp.j_density + 1]
 
 
-def _phase_matrix(x: np.ndarray, m: int, j_d: int) -> np.ndarray:
-    """e^{-i x_s omega_j}, one row per log-moneyness x_s, j = 1..J_d at scale m.
+_phase_tables: OrderedDict = OrderedDict()  # (x bytes, m, J_d) -> table, oldest first
+_phase_locks: dict = {}  # pid -> the lock of _phase_tables in that process
 
-    Built from two small tables: omega_j = omega_1 + (j - 1) delta is an
-    arithmetic progression, so with j - 1 = a B + b (B = 64) each entry is
-    e^{-i x (omega_1 + a B delta)} times e^{-i x b delta}, n (J_d/B + B)
-    complex exponentials instead of n J_d.
+
+def _phase_matrix(x: np.ndarray, m: int, j_d: int) -> np.ndarray:
+    """e^{-i x_s omega_j}, one row per log-moneyness x_s, j = 1..J_d at scale m;
+    read-only, and shared by every caller that asks for the same table.
+
+    The table depends on the grid and x alone, so it comes from one cache
+    keyed by the bytes of x and (m, J_d), never by parameters: the growth
+    edges of selection and the strikes of a pricer build each table once.
+    The cache holds at most ``_PHASE_BUDGET`` bytes, dropping the least
+    recently used tables; a table larger than that is built and returned but
+    not kept.  It is safe under concurrent callers, and a forked child
+    takes a lock of its own (:func:`_phase_lock`).
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    key = (x.tobytes(), m, j_d)
+    lock = _phase_lock()
+    with lock:
+        table = _phase_tables.get(key)
+        if table is not None:
+            _phase_tables.move_to_end(key)
+            return table
+    table = _phase_product(x, m, j_d)
+    table.flags.writeable = False
+    if table.nbytes > _PHASE_BUDGET:
+        return table
+    with lock:
+        table = _phase_tables.setdefault(key, table)  # a concurrent caller's, if first
+        _phase_tables.move_to_end(key)
+        held = sum(t.nbytes for t in _phase_tables.values())
+        while held > _PHASE_BUDGET:
+            held -= _phase_tables.popitem(last=False)[1].nbytes
+    return table
+
+
+def _phase_lock() -> threading.Lock:
+    """The phase cache's lock in this process, one per pid: a forked child
+    may inherit the parent's lock held, so it takes a new one."""
+    return _phase_locks.setdefault(os.getpid(), threading.Lock())
+
+
+def _phase_product(x: np.ndarray, m: int, j_d: int) -> np.ndarray:
+    """The table of :func:`_phase_matrix`, built from two small ones:
+    omega_j = omega_1 + (j - 1) delta is an arithmetic progression, so with
+    j - 1 = a B + b (B = 64) each entry is e^{-i x (omega_1 + a B delta)}
+    times e^{-i x b delta}, n (J_d/B + B) complex exponentials instead of
+    n J_d.
     """
     b = min(64, j_d)
     delta = np.pi * 2.0**m / j_d
@@ -623,12 +675,15 @@ class MultiStrikePricer:
     characteristic sweep serves every strike, and the Jacobian swaps F_j for
     the partials h_i F_j, a six-column instead of a one-column product.
 
-    Construction freezes the discretization and precomputes U-tilde and the
-    phase matrix of :func:`_phase_matrix` (the sweep forms the chf grid terms
-    on its first evaluation).  Only the real part of the phase product is
-    needed, Re(P c) = Re(P) Re(c) - Im(P) Im(c), so the pricer keeps conj(P)
-    as an n x 2J_d real matrix, ``real_phases``, whose product with c viewed
-    as interleaved reals is that sum: half the flops of the complex product.
+    Construction freezes the discretization and precomputes U-tilde; the
+    phase matrix comes from the cache of :func:`_phase_matrix`, keyed by the
+    strikes' log-moneyness and (m, J_d), so pricers rebuilt over the same
+    strikes and grid share one read-only table (the sweep forms the chf grid
+    terms on its first evaluation).  Only the real part of the phase product
+    is needed, Re(P c) = Re(P) Re(c) - Im(P) Im(c), so the pricer keeps
+    conj(P) as an n x 2J_d real matrix, ``real_phases``, a read-only view of
+    the cached table, whose product with c viewed as interleaved reals is
+    that sum: half the flops of the complex product.
     Repeated evaluation -- the inner loop of calibration -- costs one
     characteristic sweep plus a matrix product, and the intermediates of the
     last sweep are kept so that a gradient request at the same parameters

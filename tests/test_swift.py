@@ -4,7 +4,13 @@ or quadrature oracle, plus the discretization-selection behaviors."""
 import dataclasses
 import importlib
 import math
+import multiprocessing
+import os
+import sys
+import threading
 import time
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -39,6 +45,7 @@ from swiftcal.swift import (
     MultiStrikePricer,
     _ChfSweep,
     _cosine_at,
+    _cosine_spectrum,
     _next_pow2,
     _payoff_transform,
     _phase_matrix,
@@ -572,6 +579,29 @@ def test_twiddle_tables_are_the_direct_exponentials_bitwise(j_density, j_wide):
     assert _bits(_u_tilde(payoff, sp)) == _bits(direct)
 
 
+@pytest.mark.parametrize("j_density", [2**k for k in range(1, 17)])
+def test_unscaled_inverse_ffts_are_the_scaled_ones_bitwise(j_density):
+    # norm="forward" skips ifft's 1/2J and the spectra's later * 2J: both
+    # scalings are exact for a power-of-two 2J, so the spectra keep their bits
+    # (inputs within 1e+-30 keep every output far from the subnormals)
+    rng = np.random.default_rng(j_density)
+    two_j = 2 * j_density
+    values = (rng.standard_normal(j_density) + 1j * rng.standard_normal(j_density)) \
+        * 10.0**rng.uniform(-30, 30, j_density)
+    buf = np.zeros(two_j, dtype=np.complex128)
+    buf[1:j_density + 1] = values
+    assert _bits(_cosine_spectrum(values, j_density)) == _bits(np.fft.ifft(buf) * two_j)
+    if j_density < 4:  # no SwiftParams holds J_d = 2, since 2 eta < J_d
+        return
+    sp = SwiftParams(m=3, eta=j_density // 2 - 1, j_density=j_density, x_high=0.1)
+    payoff = rng.standard_normal(2 * sp.eta) * 10.0**rng.uniform(-30, 30, 2 * sp.eta)
+    k = sp.k_range
+    buf = np.zeros(two_j, dtype=np.complex128)
+    buf[np.mod(k, two_j)] = payoff * np.exp(-1j * np.pi * k / two_j)
+    assert _bits(_u_tilde(payoff, sp)) == _bits(
+        (np.fft.ifft(buf) * two_j)[1:j_density + 1])
+
+
 def test_frequency_grids_are_cached_read_only_direct_expressions():
     # selection, pricer builds and later calibrations share one grid per
     # (m, J); each is bitwise the expression it replaces
@@ -598,6 +628,139 @@ def test_pricer_phases_are_the_two_table_product_bitwise(ctx):
         direct = (coarse[:, :, None] * fine[:, None, :]).reshape(len(x), j_d)
         assert _bits(MultiStrikePricer(ctx, 1.0, strikes, sp).real_phases) == _bits(
             np.conj(direct).view(np.float64))
+
+
+def _two_table_product(x, m, j_d):
+    """The coarse/fine phase product, spelled out and never cached."""
+    b = min(64, j_d)
+    delta = np.pi * 2.0**m / j_d
+    coarse = np.exp(-1j * np.outer(x, delta / 2.0 + delta * b * np.arange(j_d // b)))
+    fine = np.exp(-1j * np.outer(x, delta * np.arange(b)))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(x), j_d)
+
+
+@pytest.fixture
+def phase_cache(monkeypatch):
+    """An empty phase-table cache for one test; its budget patchable."""
+    from swiftcal import swift
+
+    monkeypatch.setattr(swift, "_phase_tables", OrderedDict())
+    return swift
+
+
+def _held(swift):
+    return sum(t.nbytes for t in swift._phase_tables.values())
+
+
+def test_phase_tables_are_the_uncached_product_bitwise(ctx, phase_cache):
+    # strike rows as selection and pricers ask for them, and one- and
+    # two-edge growth rows; the first call builds, the second reads the cache
+    keys = set()
+    for quotes in (set1_quotes(), set2_quotes()):
+        x = np.log(ctx.spot / np.array([q.strike for q in quotes]))
+        for rows in (x, -x, x[:1], np.unique([x.min(), x.max()])):
+            for m, j_d in ((0, 2), (3, 64), (6, 512), (9, 4096)):
+                want = _bits(_two_table_product(rows, m, j_d))
+                assert _bits(_phase_matrix(rows, m, j_d)) == want
+                assert _bits(_phase_matrix(rows.copy(), m, j_d)) == want
+                keys.add((rows.tobytes(), m, j_d))
+    assert len(phase_cache._phase_tables) == len(keys)
+
+
+def test_phase_tables_repeat_as_one_read_only_object(ctx, phase_cache):
+    strikes = np.array([q.strike for q in set2_quotes()[:5]])
+    x = np.log(ctx.spot / strikes)
+    table = _phase_matrix(x, 5, 256)
+    assert _phase_matrix(x.copy(), 5, 256) is table
+    assert _phase_matrix(x, 6, 256) is not table and _phase_matrix(x, 5, 512) is not table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    pricer = MultiStrikePricer(ctx, 0.5, strikes, SwiftParams(m=5, eta=100, j_density=256,
+                                                              x_high=1.0))
+    assert not pricer.real_phases.flags.writeable
+    with pytest.raises(ValueError):
+        pricer.real_phases[0, 0] = 0.0
+    # a second pricer over the same strikes and grid reads the same table
+    again = MultiStrikePricer(ctx, 1.5, strikes, pricer.sp)
+    assert again.real_phases.base is pricer.real_phases.base
+
+
+def test_phase_cache_holds_at_most_its_byte_budget(phase_cache, monkeypatch):
+    budget = 256 * 1024
+    monkeypatch.setattr(phase_cache, "_PHASE_BUDGET", budget)
+    rng = np.random.default_rng(11)
+    inserted = 0
+    for i in range(40):
+        x = rng.uniform(-1.0, 1.0, rng.integers(1, 9))
+        j_d = int(2**rng.integers(4, 11))
+        table = _phase_matrix(x, int(rng.integers(0, 10)), j_d)
+        inserted += table.nbytes
+        assert _held(phase_cache) <= budget
+        assert next(reversed(phase_cache._phase_tables.values())) is table
+    assert inserted > 2 * budget
+    assert len(phase_cache._phase_tables) < 40
+
+
+def test_phase_table_above_the_budget_is_returned_not_kept(phase_cache, monkeypatch):
+    monkeypatch.setattr(phase_cache, "_PHASE_BUDGET", 64 * 1024)
+    x = np.linspace(-0.5, 0.5, 5)
+    small = _phase_matrix(x[:1], 2, 64)
+    large = _phase_matrix(x, 4, 1024)  # 80 KiB
+    assert large.nbytes > phase_cache._PHASE_BUDGET
+    assert _bits(large) == _bits(_two_table_product(x, 4, 1024))
+    assert not large.flags.writeable
+    assert list(phase_cache._phase_tables.values()) == [small]
+    assert _phase_matrix(x, 4, 1024) is not large
+
+
+def test_threads_building_one_pricer_set_share_equal_tables(ctx, phase_cache):
+    quotes = set2_quotes()
+    groups = [(tau, [quotes[i].strike for i in idx])
+              for tau, idx in group_by_maturity(quotes).items()]
+    sps = [SwiftParams(m=m, eta=j // 2 - 1, j_density=j, x_high=0.5)
+           for m, j in ((4, 256), (6, 1024), (8, 4096))]
+    start = threading.Barrier(4)
+
+    def build(_):
+        start.wait(timeout=60)
+        return [MultiStrikePricer(ctx, tau, strikes, sp).real_phases
+                for sp in sps for tau, strikes in groups]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more thread switches inside the cache
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            tables = list(pool.map(build, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for got in tables[1:]:
+        assert [_bits(t) for t in got] == [_bits(t) for t in tables[0]]
+    want = [_bits(np.conj(_two_table_product(np.log(ctx.spot / np.array(strikes)),
+                                              sp.m, sp.j_density)).view(np.float64))
+            for sp in sps for _, strikes in groups]
+    assert [_bits(t) for t in tables[0]] == want
+    assert len(phase_cache._phase_tables) == len(want)
+    assert _held(phase_cache) <= phase_cache._PHASE_BUDGET
+
+
+def _phase_table_in_child():
+    from swiftcal.swift import _phase_matrix as phases
+
+    phases(np.array([0.125, -0.25]), 3, 128)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_does_not_wait_on_the_parents_lock(phase_cache):
+    # a child forked while the parent holds the cache's lock takes its own
+    with phase_cache._phase_lock():
+        child = multiprocessing.get_context("fork").Process(target=_phase_table_in_child)
+        child.start()
+    child.join(timeout=30)
+    if child.exitcode is None:
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
 
 
 @pytest.mark.parametrize("quotes", [set1_quotes(), set2_quotes()], ids=["set1", "set2"])
