@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .heston import HestonParams, MarketContext, chf_cui, chf_with_gradient
-from .swift import parity_offset
+from .swift import _stored, parity_offset
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,7 @@ class QuadratureConfig:
             raise ValueError(f"u_max must be positive and finite, got {self.u_max}")
 
 
-@lru_cache(maxsize=32)
+@_stored
 def _leggauss(nodes: int):
     return np.polynomial.legendre.leggauss(nodes)
 

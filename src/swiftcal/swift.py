@@ -43,12 +43,11 @@ pricers into one sweep block (``share_sweep``), so each evaluation makes one
 chf call, split across threads when large (``heston.chf_cui_parts``).
 
 Selection and pricer builds evaluate only the chf and the payoff transform
-point by point.  Grid-only factors come from tables: the twiddles
-e^{-i pi k/(2J)} from one cached table per size (``_twiddle_table``), the
-phase tables e^{-i x omega} of the growth edges and of each pricer's strikes
-from one cache keyed by (the bytes of x, m, J_d) and held to 64 MiB
-(``_phase_matrix``), and the tail grid of the scale rule and its chf grid
-terms from a cache per maturity count and stage.
+point by point.  Grid-only factors come from one store of tables held to
+64 MiB in all (``_stored``): the frequency grids (``_scaled_freqs``), the
+twiddles e^{-i pi k/(2J)} (``_twiddle_table``), the phase tables e^{-i x
+omega} of growth edges and pricer strikes (``_phase_matrix``), the scale
+rule's tail grids (``_tail_grid``) and the reference's quadrature nodes.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ import functools
 import math
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -93,7 +91,43 @@ _TAIL_QUAD_POINTS = 129  # trapezoid points per scale in _tail_masses
 # maturities resolve in the first, and each later stage sweeps only those
 # still above tolerance.
 _TAIL_STAGES = ((0, 7), (7, 10), (10, MAX_SCALE + 1))
-_PHASE_BUDGET = 64 * 2**20  # bytes of phase tables _phase_matrix may hold
+_TABLE_BUDGET = 64 * 2**20  # bytes of parameter-free tables the store may hold
+_tables: dict = {}  # (builder, arguments) -> table, oldest insert first
+_tables_lock = threading.Lock()
+if hasattr(os, "register_at_fork"):  # a forked child may inherit the lock held
+    os.register_at_fork(
+        after_in_child=lambda: globals().update(_tables_lock=threading.Lock()))
+
+
+def _nbytes(table) -> int:
+    return sum(a.nbytes for a in (table if isinstance(table, tuple) else (table,)))
+
+
+def _stored(build):
+    """Decorator: keep the array or flat tuple of arrays ``build(*args)``
+    returns read-only in ``_tables``, the one store of parameter-free
+    tables, keyed by (build, args), never by model parameters.  The store
+    holds at most ``_TABLE_BUDGET`` bytes, oldest inserts out first; a larger
+    table is returned and not kept.  Reads take no lock (``dict.get`` is
+    atomic); concurrent builders of one key get the table stored first."""
+    @functools.wraps(build)
+    def table(*args):
+        key = (build, args)
+        got = _tables.get(key)
+        if got is not None:
+            return got
+        got = build(*args)
+        for a in got if isinstance(got, tuple) else (got,):
+            a.flags.writeable = False
+        if _nbytes(got) > _TABLE_BUDGET:
+            return got
+        with _tables_lock:
+            got = _tables.setdefault(key, got)
+            held = sum(map(_nbytes, _tables.values()))
+            while held > _TABLE_BUDGET:
+                held -= _nbytes(_tables.pop(next(iter(_tables))))
+        return got
+    return table
 
 
 class NoConvergenceError(RuntimeError):
@@ -177,14 +211,12 @@ def _check_scale(m: int) -> None:
         raise ValueError(f"m must be in [0, {MAX_SCALE}], got {m}")
 
 
-@functools.lru_cache(maxsize=32)
+@_stored
 def _scaled_freqs(m: int, j_count: int) -> np.ndarray:
-    """Read-only pi (2j - 1)/(2J) 2^m, j = 1..J: the grid of a scale and size,
-    shared by selection, pricer builds and calibrations that revisit it."""
+    """pi (2j - 1)/(2J) 2^m, j = 1..J: the grid of a scale and size, shared
+    by selection, pricer builds and calibrations that revisit it."""
     j = np.arange(1, j_count + 1)
-    omega = np.pi * (2 * j - 1) / (2 * j_count) * 2.0**m
-    omega.flags.writeable = False
-    return omega
+    return np.pi * (2 * j - 1) / (2 * j_count) * 2.0**m
 
 
 def group_by_maturity(quotes: Sequence[OptionQuote]) -> dict:
@@ -218,17 +250,12 @@ def _cosine_spectrum(values: np.ndarray, j_count: int) -> np.ndarray:
     return np.fft.ifft(buf, norm="forward")
 
 
-@functools.lru_cache(maxsize=None)
+@_stored
 def _twiddle_table(two_j: int) -> np.ndarray:
-    """Read-only e^{-i pi k/two_j}, k = -two_j/2..two_j/2 - 1, built once per
-    size by the direct expression, so each entry is bitwise that value.
-
-    Unbounded in entries but not in size: two_j is a power of two up to
-    2 ``MAX_J``, so it holds at most 20 tables, under 64 MiB in all."""
+    """e^{-i pi k/two_j}, k = -two_j/2..two_j/2 - 1, built once per size by
+    the direct expression, so each entry is bitwise that value."""
     k = np.arange(-(two_j // 2), two_j // 2)
-    table = np.exp(-1j * np.pi * k / two_j)
-    table.flags.writeable = False
-    return table
+    return np.exp(-1j * np.pi * k / two_j)
 
 
 def _twiddles(two_j: int, eta: int) -> np.ndarray:
@@ -242,28 +269,25 @@ def _cosine_at(spectrum: np.ndarray, eta: int) -> np.ndarray:
 
     Read from the :func:`_cosine_spectrum` of values: the twiddle
     e^{-i pi k/(2J)} uses the true (possibly negative) k and comes from the
-    cached :func:`_twiddle_table`, while the spectrum index wraps mod 2J.
+    stored :func:`_twiddle_table`, while the spectrum index wraps mod 2J.
     """
     two_j = spectrum.size
     wrapped = np.concatenate((spectrum[two_j + 1 - eta:], spectrum[:eta + 1]))
     return _twiddles(two_j, eta) * wrapped
 
 
-@functools.lru_cache(maxsize=48)
+@_stored
 def _tail_grid(groups: int, first: int, stop: int):
-    """(nodes, spacing, chf grid terms) of :func:`_tail_masses` at scales
+    """(nodes, spacing, *chf grid terms) of :func:`_tail_masses` at scales
     first to stop - 1: row slices of one table at scales 0 to ``MAX_SCALE``,
     so a row is bitwise the same in every slice that holds it; the nodes
     flat, once for each of ``groups`` maturities, the spacing one row per
-    scale; read-only."""
+    scale."""
     lo = 2.0**np.arange(MAX_SCALE + 1) * np.pi
     u = np.linspace(lo, 4.0 * lo, _TAIL_QUAD_POINTS, axis=1)
     rows = slice(first * _TAIL_QUAD_POINTS, stop * _TAIL_QUAD_POINTS)
-    grid = (np.tile(u.ravel()[rows], groups), np.diff(u, axis=1)[first:stop],
-            tuple(np.tile(t[rows], groups) for t in chf_grid_terms(u.ravel())))
-    for a in (*grid[:2], *grid[2]):
-        a.flags.writeable = False
-    return grid
+    return (np.tile(u.ravel()[rows], groups), np.diff(u, axis=1)[first:stop],
+            *(np.tile(t[rows], groups) for t in chf_grid_terms(u.ravel())))
 
 
 def _tail_masses(theta: HestonParams, taus: Sequence[float], ctx: MarketContext,
@@ -276,7 +300,7 @@ def _tail_masses(theta: HestonParams, taus: Sequence[float], ctx: MarketContext,
     anywhere near tolerance) and doubles it via Hermitian symmetry,
     normalized by 1/(2 pi).  The scales and maturities asked for share one
     characteristic sweep with a per-element tau (one per ``MAX_J``
-    frequencies), on a grid cached per maturity count and scale range; each
+    frequencies), on a grid stored per maturity count and scale range; each
     mass is bitwise the one every other call that sweeps its maturity and
     scale gives, and the trapezoid is numpy's, term for term.
     """
@@ -284,7 +308,7 @@ def _tail_masses(theta: HestonParams, taus: Sequence[float], ctx: MarketContext,
     rows = []
     for i in range(0, len(taus), per_sweep):
         block = taus[i:i + per_sweep]
-        u, d, terms = _tail_grid(len(block), first, stop)
+        u, d, *terms = _tail_grid(len(block), first, stop)
         t = block[0] if len(block) == 1 else np.repeat(block, u.size // len(block))
         vals = np.abs(chf_cui_parts(u, t, theta, ctx, terms)[0]).reshape(
             len(block), d.shape[0], -1)
@@ -420,9 +444,9 @@ def _growth(theta: HestonParams, tau: float, ctx: MarketContext, m: int,
     the density spectra at x_min and x_max: each is computed once per grid
     and re-read at every step's wavelet indices.  Growth never returns to an
     earlier grid, so only the current one is kept.  Only the chf is
-    evaluated per point: the edge shifts e^{-i omega x} come from the phase
-    cache (:func:`_phase_matrix`) and the twiddles from the cached
-    :func:`_twiddle_table`.
+    evaluated per point: the edge shifts e^{-i omega x}
+    (:func:`_phase_matrix`) and the twiddles (:func:`_twiddle_table`) come
+    from the table store.
     """
     strikes = np.asarray(strikes, dtype=float)
     if strikes.size == 0:
@@ -598,56 +622,27 @@ def _u_tilde(payoff: np.ndarray, sp: SwiftParams) -> np.ndarray:
     return spectrum[1:sp.j_density + 1]
 
 
-_phase_tables: OrderedDict = OrderedDict()  # (x bytes, m, J_d) -> table, oldest first
-_phase_locks: dict = {}  # pid -> the lock of _phase_tables in that process
-
-
 def _phase_matrix(x: np.ndarray, m: int, j_d: int) -> np.ndarray:
     """e^{-i x_s omega_j}, one row per log-moneyness x_s, j = 1..J_d at scale m;
     read-only, and shared by every caller that asks for the same table.
 
-    The table depends on the grid and x alone, so it comes from one cache
-    keyed by the bytes of x and (m, J_d), never by parameters: the growth
-    edges of selection and the strikes of a pricer build each table once.
-    The cache holds at most ``_PHASE_BUDGET`` bytes, dropping the least
-    recently used tables; a table larger than that is built and returned but
-    not kept.  It is safe under concurrent callers, and a forked child
-    takes a lock of its own (:func:`_phase_lock`).
+    The table depends on the grid and x alone, so it is stored
+    (:func:`_stored`) under the bytes of x and (m, J_d), never under
+    parameters: the growth edges of selection and the strikes of a pricer
+    build each table once.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    key = (x.tobytes(), m, j_d)
-    lock = _phase_lock()
-    with lock:
-        table = _phase_tables.get(key)
-        if table is not None:
-            _phase_tables.move_to_end(key)
-            return table
-    table = _phase_product(x, m, j_d)
-    table.flags.writeable = False
-    if table.nbytes > _PHASE_BUDGET:
-        return table
-    with lock:
-        table = _phase_tables.setdefault(key, table)  # a concurrent caller's, if first
-        _phase_tables.move_to_end(key)
-        held = sum(t.nbytes for t in _phase_tables.values())
-        while held > _PHASE_BUDGET:
-            held -= _phase_tables.popitem(last=False)[1].nbytes
-    return table
+    return _phase_product(np.ascontiguousarray(x, dtype=np.float64).tobytes(), m, j_d)
 
 
-def _phase_lock() -> threading.Lock:
-    """The phase cache's lock in this process, one per pid: a forked child
-    may inherit the parent's lock held, so it takes a new one."""
-    return _phase_locks.setdefault(os.getpid(), threading.Lock())
-
-
-def _phase_product(x: np.ndarray, m: int, j_d: int) -> np.ndarray:
-    """The table of :func:`_phase_matrix`, built from two small ones:
-    omega_j = omega_1 + (j - 1) delta is an arithmetic progression, so with
-    j - 1 = a B + b (B = 64) each entry is e^{-i x (omega_1 + a B delta)}
-    times e^{-i x b delta}, n (J_d/B + B) complex exponentials instead of
-    n J_d.
+@_stored
+def _phase_product(x: bytes, m: int, j_d: int) -> np.ndarray:
+    """The table of :func:`_phase_matrix` at the float64 values in the bytes
+    x, built from two small ones: omega_j = omega_1 + (j - 1) delta is an
+    arithmetic progression, so with j - 1 = a B + b (B = 64) each entry is
+    e^{-i x (omega_1 + a B delta)} times e^{-i x b delta}, n (J_d/B + B)
+    complex exponentials instead of n J_d.
     """
+    x = np.frombuffer(x)
     b = min(64, j_d)
     delta = np.pi * 2.0**m / j_d
     coarse = np.exp(-1j * np.outer(x, delta / 2.0 + delta * b * np.arange(j_d // b)))
@@ -676,13 +671,13 @@ class MultiStrikePricer:
     the partials h_i F_j, a six-column instead of a one-column product.
 
     Construction freezes the discretization and precomputes U-tilde; the
-    phase matrix comes from the cache of :func:`_phase_matrix`, keyed by the
-    strikes' log-moneyness and (m, J_d), so pricers rebuilt over the same
-    strikes and grid share one read-only table (the sweep forms the chf grid
-    terms on its first evaluation).  Only the real part of the phase product
+    phase matrix comes from the table store through :func:`_phase_matrix`,
+    keyed by the strikes' log-moneyness and (m, J_d), so pricers rebuilt over
+    the same strikes and grid share one read-only table (the sweep forms the
+    chf grid terms on its first evaluation).  Only the real part of the phase product
     is needed, Re(P c) = Re(P) Re(c) - Im(P) Im(c), so the pricer keeps
     conj(P) as an n x 2J_d real matrix, ``real_phases``, a read-only view of
-    the cached table, whose product with c viewed as interleaved reals is
+    the stored table, whose product with c viewed as interleaved reals is
     that sum: half the flops of the complex product.
     Repeated evaluation -- the inner loop of calibration -- costs one
     characteristic sweep plus a matrix product, and the intermediates of the

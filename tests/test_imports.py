@@ -1,4 +1,5 @@
-"""Every module-level import in the package is read by its module."""
+"""Every module-level import in the package is read by its module, and no
+module keeps a functools cache."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,25 @@ def test_every_module_import_is_read():
         unread.update((path.stem, name, line) for name, line in _imported(tree)
                       if name not in read)
     assert {(mod, name) for mod, name, _ in unread} == TRACER_BOUND, sorted(unread)
+
+
+CACHING = {"lru_cache", "cache", "cached_property"}
+
+
+def test_no_module_caches_outside_the_table_store():
+    # parameter-free tables go through swift._stored, under its one byte
+    # budget; a functools cache would hold its entries outside that bound
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        module_names = {alias.asname or alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.Import)
+                        for alias in node.names if alias.name == "functools"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [(path.stem, alias.name, node.lineno)
+                          for alias in node.names if alias.name in CACHING]
+            elif (isinstance(node, ast.Attribute) and node.attr in CACHING
+                  and isinstance(node.value, ast.Name) and node.value.id in module_names):
+                found.append((path.stem, node.attr, node.lineno))
+    assert not found, found

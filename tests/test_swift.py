@@ -9,7 +9,6 @@ import os
 import sys
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -52,6 +51,7 @@ from swiftcal.swift import (
     _TAIL_STAGES,
     _scaled_freqs,
     _scales,
+    _tail_grid,
     _tail_masses,
     _twiddle_table,
     _twiddles,
@@ -641,15 +641,25 @@ def _two_table_product(x, m, j_d):
 
 @pytest.fixture
 def phase_cache(monkeypatch):
-    """An empty phase-table cache for one test; its budget patchable."""
+    """An empty table store for one test; its budget patchable."""
     from swiftcal import swift
 
-    monkeypatch.setattr(swift, "_phase_tables", OrderedDict())
+    monkeypatch.setattr(swift, "_tables", {})
     return swift
 
 
+def _size(table):
+    return sum(a.nbytes for a in (table if isinstance(table, tuple) else (table,)))
+
+
 def _held(swift):
-    return sum(t.nbytes for t in swift._phase_tables.values())
+    return sum(map(_size, swift._tables.values()))
+
+
+def _phase_tables(swift):
+    """The phase tables in the store, oldest first."""
+    return [t for (build, _), t in swift._tables.items()
+            if build is swift._phase_product.__wrapped__]
 
 
 def test_phase_tables_are_the_uncached_product_bitwise(ctx, phase_cache):
@@ -664,7 +674,7 @@ def test_phase_tables_are_the_uncached_product_bitwise(ctx, phase_cache):
                 assert _bits(_phase_matrix(rows, m, j_d)) == want
                 assert _bits(_phase_matrix(rows.copy(), m, j_d)) == want
                 keys.add((rows.tobytes(), m, j_d))
-    assert len(phase_cache._phase_tables) == len(keys)
+    assert len(_phase_tables(phase_cache)) == len(keys)
 
 
 def test_phase_tables_repeat_as_one_read_only_object(ctx, phase_cache):
@@ -688,7 +698,7 @@ def test_phase_tables_repeat_as_one_read_only_object(ctx, phase_cache):
 
 def test_phase_cache_holds_at_most_its_byte_budget(phase_cache, monkeypatch):
     budget = 256 * 1024
-    monkeypatch.setattr(phase_cache, "_PHASE_BUDGET", budget)
+    monkeypatch.setattr(phase_cache, "_TABLE_BUDGET", budget)
     rng = np.random.default_rng(11)
     inserted = 0
     for i in range(40):
@@ -697,20 +707,20 @@ def test_phase_cache_holds_at_most_its_byte_budget(phase_cache, monkeypatch):
         table = _phase_matrix(x, int(rng.integers(0, 10)), j_d)
         inserted += table.nbytes
         assert _held(phase_cache) <= budget
-        assert next(reversed(phase_cache._phase_tables.values())) is table
+        assert next(reversed(phase_cache._tables.values())) is table
     assert inserted > 2 * budget
-    assert len(phase_cache._phase_tables) < 40
+    assert len(_phase_tables(phase_cache)) < 40
 
 
 def test_phase_table_above_the_budget_is_returned_not_kept(phase_cache, monkeypatch):
-    monkeypatch.setattr(phase_cache, "_PHASE_BUDGET", 64 * 1024)
+    monkeypatch.setattr(phase_cache, "_TABLE_BUDGET", 64 * 1024)
     x = np.linspace(-0.5, 0.5, 5)
     small = _phase_matrix(x[:1], 2, 64)
     large = _phase_matrix(x, 4, 1024)  # 80 KiB
-    assert large.nbytes > phase_cache._PHASE_BUDGET
+    assert large.nbytes > phase_cache._TABLE_BUDGET
     assert _bits(large) == _bits(_two_table_product(x, 4, 1024))
     assert not large.flags.writeable
-    assert list(phase_cache._phase_tables.values()) == [small]
+    assert _phase_tables(phase_cache) == [small]
     assert _phase_matrix(x, 4, 1024) is not large
 
 
@@ -740,8 +750,8 @@ def test_threads_building_one_pricer_set_share_equal_tables(ctx, phase_cache):
                                               sp.m, sp.j_density)).view(np.float64))
             for sp in sps for _, strikes in groups]
     assert [_bits(t) for t in tables[0]] == want
-    assert len(phase_cache._phase_tables) == len(want)
-    assert _held(phase_cache) <= phase_cache._PHASE_BUDGET
+    assert len(_phase_tables(phase_cache)) == len(want)
+    assert _held(phase_cache) <= phase_cache._TABLE_BUDGET
 
 
 def _phase_table_in_child():
@@ -753,8 +763,124 @@ def _phase_table_in_child():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_forked_child_does_not_wait_on_the_parents_lock(phase_cache):
     # a child forked while the parent holds the cache's lock takes its own
-    with phase_cache._phase_lock():
+    with phase_cache._tables_lock:
         child = multiprocessing.get_context("fork").Process(target=_phase_table_in_child)
+        child.start()
+    child.join(timeout=30)
+    if child.exitcode is None:
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
+def _one_table_of_each_kind(i):
+    """Calls of the five stored builders, their arguments varied with i."""
+    from swiftcal.reference import _leggauss
+
+    return [(_scaled_freqs, (i % (MAX_SCALE + 1), 2**(4 + i % 6))),
+            (_twiddle_table, (2**(3 + i % 9),)),
+            (_tail_grid, (1 + i % 4, *_TAIL_STAGES[i % 3])),
+            (_phase_matrix, (np.linspace(-0.5, 0.5, 1 + i % 4) + i, i % 8,
+                             2**(4 + i % 5))),
+            (_leggauss, (8 + i,))]
+
+
+def test_tables_of_every_kind_share_one_byte_budget(phase_cache, monkeypatch):
+    # frequency grids, twiddles, tail grids, phase tables and quadrature
+    # nodes count against one budget, and the oldest insert leaves first
+    budget = 256 * 1024
+    monkeypatch.setattr(phase_cache, "_TABLE_BUDGET", budget)
+    store, inserts, inserted, kinds = phase_cache._tables, [], 0, set()
+    for i in range(60):
+        for f, args in _one_table_of_each_kind(i) * 2:  # the second pass reads
+            before = set(store)
+            table = f(*args)
+            new = [key for key in store if key not in before]
+            assert len(new) <= 1 and (new or any(t is table for t in store.values()))
+            if new:
+                inserts += new
+                inserted += _size(table)
+            assert _held(phase_cache) <= budget
+            assert list(store) == inserts[len(inserts) - len(store):]
+        kinds = max(kinds, {build.__name__ for build, _ in store}, key=len)
+    assert kinds == {"_scaled_freqs", "_twiddle_table", "_tail_grid", "_phase_product",
+                     "_leggauss"}
+    assert inserted > 2 * budget
+
+
+def test_tuple_tables_are_read_only_in_every_member(phase_cache):
+    from swiftcal.reference import _leggauss
+
+    nodes = np.polynomial.legendre.leggauss(16)
+    for table, want in ((_tail_grid(2, 0, 7), _tail_grid.__wrapped__(2, 0, 7)),
+                        (_leggauss(16), nodes)):
+        assert isinstance(table, tuple) and len(table) == len(want)
+        for a, b in zip(table, want):
+            assert _bits(a) == _bits(b)
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
+def test_tuple_table_above_the_budget_is_returned_not_kept(phase_cache, monkeypatch):
+    budget = 32 * 1024
+    monkeypatch.setattr(phase_cache, "_TABLE_BUDGET", budget)
+    small = _tail_grid(1, 10, 13)
+    large = _tail_grid(1, 0, 7)
+    assert sum(a.nbytes for a in small) <= budget < sum(a.nbytes for a in large)
+    assert not any(a.flags.writeable for a in large)
+    want = _tail_grid.__wrapped__(1, 0, 7)
+    assert [_bits(a) for a in large] == [_bits(a) for a in want]
+    assert list(phase_cache._tables) == [(_tail_grid.__wrapped__, (1, 10, 13))]
+    assert _tail_grid(1, 10, 13) is small and _tail_grid(1, 0, 7) is not large
+
+
+def test_threads_building_every_kind_get_one_stored_table(phase_cache):
+    x = np.linspace(-0.3, 0.3, 5)
+    calls = [(f, args) for m, j in ((3, 256), (6, 1024), (9, 4096))
+             for f, args in ((_scaled_freqs, (m, j)), (_twiddle_table, (2 * j,)),
+                             (_phase_matrix, (x, m, j)))]
+    calls += [(_tail_grid, (groups, *stage))
+              for groups in (1, 2, 3) for stage in _TAIL_STAGES]
+    start = threading.Barrier(4)
+
+    def build(_):
+        start.wait(timeout=60)
+        return [f(*args) for f, args in calls]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more thread switches inside the store
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            tables = list(pool.map(build, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for got in tables[1:]:
+        assert all(a is b for a, b in zip(got, tables[0], strict=True))
+    stored = list(phase_cache._tables.values())
+    assert len(stored) == len(calls)
+    assert all(any(t is s for s in stored) for t in tables[0])
+    for (f, args), table in zip(calls, tables[0]):
+        want = (_two_table_product(x, *args[1:]) if f is _phase_matrix
+                else f.__wrapped__(*args))
+        if not isinstance(want, tuple):
+            table, want = (table,), (want,)
+        assert [_bits(a) for a in table] == [_bits(b) for b in want]
+
+
+def _tables_in_child():
+    from swiftcal import swift
+
+    held = len(swift._tables)
+    swift._tail_grid(1, 0, 7)
+    swift._scaled_freqs(4, 64)
+    assert len(swift._tables) == held + 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_inserts_while_the_parent_holds_the_store_lock(phase_cache):
+    with phase_cache._tables_lock:
+        child = multiprocessing.get_context("fork").Process(target=_tables_in_child)
         child.start()
     child.join(timeout=30)
     if child.exitcode is None:
