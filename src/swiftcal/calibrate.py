@@ -48,9 +48,9 @@ Three interchangeable pricing backends are provided:
   all groups swept together, on the pricers :func:`discretization_plan`
   lays out.
 * ``SwiftBackend``   - the same pricer without reuse: every evaluation
-  rebuilds a one-quote pricer per quote, payoff spectrum, phase row and
-  characteristic sweep included (the slow formulation the grouped one is
-  benchmarked against).
+  builds a one-quote pricer per quote, payoff spectrum and characteristic
+  sweep included, sharing only the stored grids, twiddles and phase rows
+  (the slow formulation the grouped one is benchmarked against).
 * ``CpBackend``      - the quadrature reference pricer.
 """
 
@@ -232,14 +232,14 @@ class KswiftBackend:
 
 
 class SwiftBackend:
-    """Per-quote wavelet backend with no cross-quote or cross-call reuse.
+    """Per-quote wavelet backend: no payoff spectrum or sweep is reused.
 
     Reads only the ``SwiftParams`` of :func:`discretization_plan`, the same
     frozen per-maturity discretization as ``KswiftBackend``, and drops its
     pricers and sweeps: every evaluation prices each quote through a fresh
-    one-quote :class:`~swiftcal.swift.MultiStrikePricer`, so the payoff
-    spectrum, the phase row and the characteristic sweep are all rebuilt
-    per quote and per call.
+    one-quote :class:`~swiftcal.swift.MultiStrikePricer`, which rebuilds the
+    payoff spectrum and the characteristic sweep; its frequency grid,
+    twiddles and phase row come from the table store, as the grouped ones do.
     """
 
     name = "swift"

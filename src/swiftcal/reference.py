@@ -16,9 +16,10 @@ ubar is a matter of trial and error, and hiding that would misrepresent the
 method.  Deep out-of-the-money short-expiry prices do not converge in ubar
 at all -- tests pin that behavior down rather than masking it.
 
-fhat is the package's one stabilized form, ``heston.chf_cui``; the price
-and the price-and-gradient entry points share one inversion assembly, the
-latter sweeping ``chf_with_gradient`` on the same nodes.
+fhat is the package's one stabilized form, ``heston.chf_cui_parts``, swept
+on one stored node table per (nodes, ubar); the price and the
+price-and-gradient entry points share one inversion assembly, the latter
+adding ``chf_gradient_from_parts`` on the same sweep.
 
 Puts are priced from calls via put-call parity (``swift.parity_offset``).
 """
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heston import HestonParams, MarketContext, chf_cui, chf_with_gradient
+from .heston import (HestonParams, MarketContext, chf_cui_parts, chf_gradient_from_parts,
+                     chf_grid_terms)
 from .swift import _stored, parity_offset
 
 
@@ -49,34 +51,32 @@ class QuadratureConfig:
 
 
 @_stored
-def _leggauss(nodes: int):
-    return np.polynomial.legendre.leggauss(nodes)
+def _grid(nodes: int, u_max: float):
+    """Nodes u and weights mapped from [-1, 1] onto (0, u_max), 1/(iu), and
+    the chf grid terms of both node sets (-u + i, u), swept together: per-call
+    overhead dominates 2 x 64 nodes."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    half = u_max / 2.0
+    u = half * (x + 1.0)
+    return (u, half * w, 1.0 / (1j * u),
+            *chf_grid_terms(np.concatenate((-u + 1j, u))))
 
 
-def _grid(qc: QuadratureConfig):
-    """Nodes and weights mapped from [-1, 1] onto (0, u_max)."""
-    x, w = _leggauss(qc.nodes)
-    half = qc.u_max / 2.0
-    return half * (x + 1.0), half * w
-
-
-def _invert(ctx: MarketContext, quote, qc: QuadratureConfig, sweep):
+def _invert(theta: HestonParams, ctx: MarketContext, quote, qc: QuadratureConfig,
+            gradient: bool):
     """(price, gradient or None) of one quote by the inversion formula.
 
-    ``sweep(u, tau)`` returns fhat(u) and its gradient (per ``PARAM_ORDER``)
-    or None; the price gradient is assembled only from a returned one.
+    The gradient (per ``PARAM_ORDER``) is assembled only if asked for.
     Parity is parameter-free, so a put shares its call's gradient.
     """
     tau, strike = quote.maturity, quote.strike
     x = np.log(ctx.spot / strike)
-    u, w = _grid(qc)
+    u, w, inv_iu, *terms = _grid(qc.nodes, qc.u_max)
 
-    # both node sets in one sweep: per-call overhead dominates 2 x 64 nodes
-    val, grad = sweep(np.concatenate((-u + 1j, u)), tau)
+    val, parts = chf_cui_parts(terms[0], tau, theta, ctx, terms)
     val_s, val_p = val[:u.size], val[u.size:]
     phase_s = np.exp((1.0 + 1j * u) * x)
     phase_p = np.exp(-1j * u * x)
-    inv_iu = 1.0 / (1j * u)
 
     disc = np.exp(-ctx.rate * tau)
     integrand = np.real((val_s * phase_s + val_p * phase_p) * inv_iu)
@@ -84,9 +84,10 @@ def _invert(ctx: MarketContext, quote, qc: QuadratureConfig, sweep):
                       + disc / np.pi * float(w @ integrand))
     if quote.kind == "put":
         price += parity_offset(ctx, strike, tau)
-    if grad is None:
+    if not gradient:
         return price, None
 
+    grad = chf_gradient_from_parts(tau, theta, val, parts)
     grad_s, grad_p = grad[:, :u.size], grad[:, u.size:]
     grad_integrand = np.real(
         (grad_s * (phase_s * inv_iu) + grad_p * (phase_p * inv_iu)))
@@ -105,8 +106,7 @@ def price_cp(theta: HestonParams, ctx: MarketContext, quote,
         ChfOverflowError: if the characteristic function overflows at any
             node; lower ``qc.u_max``.
     """
-    return _invert(ctx, quote, qc,
-                   lambda u, tau: (chf_cui(u, tau, theta, ctx), None))[0]
+    return _invert(theta, ctx, quote, qc, False)[0]
 
 
 def price_and_gradient_cp(theta: HestonParams, ctx: MarketContext, quote,
@@ -119,5 +119,4 @@ def price_and_gradient_cp(theta: HestonParams, ctx: MarketContext, quote,
     Returns:
         (price, gradient) with gradient ordered per ``PARAM_ORDER``.
     """
-    return _invert(ctx, quote, qc,
-                   lambda u, tau: chf_with_gradient(u, tau, theta, ctx))
+    return _invert(theta, ctx, quote, qc, True)

@@ -47,7 +47,7 @@ point by point.  Grid-only factors come from one store of tables held to
 64 MiB in all (``_stored``): the frequency grids (``_scaled_freqs``), the
 twiddles e^{-i pi k/(2J)} (``_twiddle_table``), the phase tables e^{-i x
 omega} of growth edges and pricer strikes (``_phase_matrix``), the scale
-rule's tail grids (``_tail_grid``) and the reference's quadrature nodes.
+rule's tail grids (``_tail_grid``) and the reference's node tables (``_grid``).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ MODULES = ("swift", "calibrate", "reference", "experiments")
 
 # names behind the benchmark's per-layer counts
 COUNTED = {
-    ("swift", "chf_cui_parts"),
+    ("swift", "chf_cui_parts"), ("reference", "chf_cui_parts"),
     ("swift", "chf_gradient_from_parts"), ("swift", "cumulants"),
     ("swift", "density_area"), ("swift", "np"),
     ("calibrate", "select_scale"), ("calibrate", "select_truncation"),
@@ -118,9 +118,9 @@ def test_tracer_counts_run_price_through_the_plan(monkeypatch):
 
 
 def test_tracer_sees_every_quadrature_node(monkeypatch):
-    # the quadrature reference sweeps chf_cui (price) or chf_with_gradient
-    # (price and gradient) on 2 x nodes frequencies per quote, both reached
-    # through the reference module's names
+    # the quadrature reference sweeps chf_cui_parts on 2 x nodes frequencies
+    # per quote, for a price and for a price and gradient, reached through
+    # the reference module's names
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import Tracer
 

@@ -340,7 +340,7 @@ def test_cp_prices_assemble_no_gradient(theta2, ctx, set1_priced, monkeypatch):
     def no_gradient(*args, **kwargs):
         raise AssertionError("a price-only evaluation swept the gradient")
 
-    monkeypatch.setattr(reference, "chf_with_gradient", no_gradient)
+    monkeypatch.setattr(reference, "chf_gradient_from_parts", no_gradient)
     assert np.array_equal(backend.prices(theta2), want)
 
 

@@ -123,6 +123,22 @@ def test_correlation_gradient_vanishes_without_vol_of_vol(ctx):
         assert abs(grad[4]) < 1e-6
 
 
+def test_repeated_pricing_builds_no_table(theta2, ctx, monkeypatch):
+    # the node table is built once per (nodes, u_max): a second price and a
+    # second price and gradient at one config insert nothing into the store
+    from swiftcal import swift
+
+    monkeypatch.setattr(swift, "_tables", {})
+    qc, q = QuadratureConfig(48, 150.0), OptionQuote(1.1, 0.75, kind="put")
+    price_cp(theta2, ctx, q, qc)
+    price_and_gradient_cp(theta2, ctx, q, qc)
+    held = list(swift._tables.items())
+    price_cp(theta2, ctx, q, qc)
+    price_and_gradient_cp(theta2, ctx, q, qc)
+    assert len(held) == 1
+    assert [(k, id(t)) for k, t in swift._tables.items()] == [(k, id(t)) for k, t in held]
+
+
 def test_put_call_parity(theta2, ctx):
     ctx_r = MarketContext(spot=1.0, rate=0.02, dividend=0.005)
     qc = QuadratureConfig()

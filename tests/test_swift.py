@@ -775,14 +775,14 @@ def test_forked_child_does_not_wait_on_the_parents_lock(phase_cache):
 
 def _one_table_of_each_kind(i):
     """Calls of the five stored builders, their arguments varied with i."""
-    from swiftcal.reference import _leggauss
+    from swiftcal.reference import _grid
 
     return [(_scaled_freqs, (i % (MAX_SCALE + 1), 2**(4 + i % 6))),
             (_twiddle_table, (2**(3 + i % 9),)),
             (_tail_grid, (1 + i % 4, *_TAIL_STAGES[i % 3])),
             (_phase_matrix, (np.linspace(-0.5, 0.5, 1 + i % 4) + i, i % 8,
                              2**(4 + i % 5))),
-            (_leggauss, (8 + i,))]
+            (_grid, (8 + i, 100.0 + i))]
 
 
 def test_tables_of_every_kind_share_one_byte_budget(phase_cache, monkeypatch):
@@ -804,16 +804,15 @@ def test_tables_of_every_kind_share_one_byte_budget(phase_cache, monkeypatch):
             assert list(store) == inserts[len(inserts) - len(store):]
         kinds = max(kinds, {build.__name__ for build, _ in store}, key=len)
     assert kinds == {"_scaled_freqs", "_twiddle_table", "_tail_grid", "_phase_product",
-                     "_leggauss"}
+                     "_grid"}
     assert inserted > 2 * budget
 
 
 def test_tuple_tables_are_read_only_in_every_member(phase_cache):
-    from swiftcal.reference import _leggauss
+    from swiftcal.reference import _grid
 
-    nodes = np.polynomial.legendre.leggauss(16)
     for table, want in ((_tail_grid(2, 0, 7), _tail_grid.__wrapped__(2, 0, 7)),
-                        (_leggauss(16), nodes)):
+                        (_grid(16, 200.0), _grid.__wrapped__(16, 200.0))):
         assert isinstance(table, tuple) and len(table) == len(want)
         for a, b in zip(table, want):
             assert _bits(a) == _bits(b)
@@ -1234,18 +1233,24 @@ def test_gradient_call_cost_bounded(theta2, ctx, set1_priced):
     sp = select_truncation(theta2, tau, ctx, select_scale(theta2, tau, ctx, 1e-7),
                            strikes)
 
-    def best(f, n=9):
-        out = []
-        for _ in range(n):
-            t0 = time.perf_counter()
-            f()
-            out.append(time.perf_counter() - t0)
-        return min(out)
+    calls = 40  # a batch spans several milliseconds, not one 0.1 ms call
 
-    t_price = best(lambda: price_multi_strike(theta2, ctx, tau, strikes, sp))
-    t_both = best(lambda: MultiStrikePricer(ctx, tau, strikes, sp)
-                  .prices_and_jacobian(theta2))
-    assert t_both <= 2.5 * t_price, (t_price, t_both)
+    def batch(f):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            f()
+        return (time.perf_counter() - t0) / calls
+
+    sides = (lambda: price_multi_strike(theta2, ctx, tau, strikes, sp),
+             lambda: MultiStrikePricer(ctx, tau, strikes, sp).prices_and_jacobian(theta2))
+    # the sides alternate batch by batch, and each round compares its own two
+    # batches: host phases last longer than a round, so they meet both sides
+    # alike, where the best batch of each side may come from different phases
+    rounds = np.array([[batch(f) for f in sides] for _ in range(9)])
+    ratio = float(np.median(rounds[:, 1] / rounds[:, 0]))
+    t_price, t_both = rounds.min(axis=0) * 1e6
+    assert ratio <= 2.5, (f"price and Jacobian {ratio:.2f}x price alone; best batches "
+                          f"{t_price:.0f} and {t_both:.0f} us per call")
 
 
 def test_zero_volatility_limit_approaches_intrinsic(ctx100):
