@@ -198,8 +198,6 @@ class KswiftBackend:
     reuse is lost and the characteristic function is swept once per quote).
     """
 
-    name = "kswift"
-
     def __init__(self, quotes: Sequence[OptionQuote], ctx: MarketContext,
                  theta_ref: HestonParams, split_groups: bool = False):
         self.ctx = ctx
@@ -240,16 +238,17 @@ class SwiftBackend:
     one-quote :class:`~swiftcal.swift.MultiStrikePricer`, which rebuilds the
     payoff spectrum and the characteristic sweep; its frequency grid,
     twiddles and phase row come from the table store, as the grouped ones do.
+    ``swift_params`` lists those per group, as ``KswiftBackend``'s does.
     """
-
-    name = "swift"
 
     def __init__(self, quotes: Sequence[OptionQuote], ctx: MarketContext,
                  theta_ref: HestonParams):
         self.ctx = ctx
         self.quotes = list(quotes)
         self._sp = [None] * len(self.quotes)
+        self.swift_params = []
         for pricer, idx in discretization_plan(self.quotes, ctx, theta_ref):
+            self.swift_params.append(pricer.sp)
             for i in idx:
                 self._sp[i] = pricer.sp
         self._put_offsets = put_offsets(self.quotes, ctx)
@@ -267,8 +266,6 @@ class SwiftBackend:
 class CpBackend:
     """Quadrature reference backend; price and gradient share nodes."""
 
-    name = "cp"
-
     def __init__(self, quotes: Sequence[OptionQuote], ctx: MarketContext,
                  qc: QuadratureConfig = QuadratureConfig()):
         self.ctx = ctx
@@ -285,6 +282,8 @@ class CpBackend:
 
 
 def _observed(quotes: Sequence[OptionQuote]) -> np.ndarray:
+    if len(quotes) == 0:
+        raise ValueError("the quote set is empty: calibration needs at least one quote")
     prices = [q.price for q in quotes]
     if any(p is None for p in prices):
         raise ValueError("every quote needs an observed price for calibration")
@@ -358,7 +357,8 @@ def calibrate(quotes: Sequence[OptionQuote], theta0: HestonParams,
     Each pass of its one loop tries one damped step; a rejected trial
     raises mu, or under a secant-updated Jacobian asks for a fresh one.
     The trace records (objective, mu, step norm) per accepted step.
-    ``MaxIterations`` is reported in ``stop_reason`` rather than raised.
+    ``MaxIterations`` is reported in ``stop_reason`` rather than raised;
+    an empty quote set raises ValueError before any evaluation.
     """
     t_start = time.perf_counter()
     observed = _observed(quotes)

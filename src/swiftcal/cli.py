@@ -1,8 +1,9 @@
 """Command-line surface: price | generate | calibrate | speed | converge.
 
-Exit codes: 0 success, 2 input/parse error, 3 numerical failure (overflow,
-failed selection, or a swift call price outside its no-arbitrage band), 4 fit
-short of the residual tolerance (suppressed by --allow-partial).
+Exit codes: 0 success, 2 input/parse error or a path that cannot be read or
+written, 3 numerical failure (overflow, failed selection, or a call price
+outside its no-arbitrage band), 4 fit short of the residual tolerance
+(suppressed by --allow-partial).
 
 Parameter arguments accept a named fixture (theta1, theta2, theta2-start,
 stress, fx, ir, eq), a JSON file with kappa/v_bar/sigma/rho/v0 fields, or an
@@ -19,7 +20,7 @@ import json
 import os
 import sys
 
-from .calibrate import CalibrationConfig, StopReason
+from .calibrate import CalibrationConfig
 from .experiments import (
     PricingOverrides,
     run_calibrate,
@@ -213,7 +214,7 @@ def cmd_calibrate(args) -> int:
     report, result = run_calibrate(args.backend, qf, theta0, _config(args),
                                    **_given(args, ("u_max",)))
     _emit(report, args)
-    if result.stop_reason is not StopReason.RESIDUAL_TOL and not args.allow_partial:
+    if not result.calibrated and not args.allow_partial:
         sys.stderr.write(
             f"calibration stopped on {result.stop_reason.value} "
             f"(|r| = {result.final_residual_norm:.3e}); pass --allow-partial "
@@ -361,7 +362,7 @@ def main(argv=None) -> int:
     except (ChfOverflowError, NoConvergenceError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n{_remedy(args, exc)}")
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # OSError: a path that cannot be read or written
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

@@ -21,7 +21,6 @@ from .calibrate import (
     CalibrationConfig,
     CpBackend,
     KswiftBackend,
-    StopReason,
     SwiftBackend,
     calibrate,
     discretization_plan,
@@ -36,7 +35,6 @@ from .swift import (
     SCALE_TOL,
     NoConvergenceError,
     OptionQuote,
-    group_by_maturity,
     put_offsets,
 )
 # Unused here: perfbench/tracing.py rebinds these names in this module,
@@ -69,19 +67,22 @@ class PricingOverrides:
     L = DEFAULT_L
 
 
-def _check_band(calls, strikes, tau: float, ctx: MarketContext,
+def _check_band(calls, strikes, tau, ctx: MarketContext,
                 slack: float = _BAND_TOL) -> None:
     """Raise NoConvergenceError, naming tau and K, at the first call outside
-    [max(F - P, 0) - d, F + d], F = S e^{-q tau}, P = K e^{-r tau}, d = slack P."""
-    fwd = ctx.spot * math.exp(-ctx.dividend * tau)
-    pv = strikes * math.exp(-ctx.rate * tau)
+    [max(F - P, 0) - d, F + d], F = S e^{-q tau}, P = K e^{-r tau}, d = slack P;
+    tau is one maturity or one per call."""
+    taus = np.ravel(tau).tolist()
+    fwd = ctx.spot * np.array([math.exp(-ctx.dividend * t) for t in taus])
+    pv = strikes * np.array([math.exp(-ctx.rate * t) for t in taus])
     lo, hi = np.maximum(fwd - pv, 0.0) - slack * pv, fwd + slack * pv
     outside = np.flatnonzero(~((calls >= lo) & (calls <= hi)))
     if outside.size:
         i = outside[0]
         raise NoConvergenceError(
-            f"call price {calls[i]:.6g} at tau={tau:g}, K={strikes[i]:g} "
-            f"lies outside its no-arbitrage band [{lo[i]:.6g}, {hi[i]:.6g}]")
+            f"call price {calls[i]:.6g} at tau={np.broadcast_to(tau, calls.shape)[i]:g}, "
+            f"K={strikes[i]:g} lies outside its no-arbitrage band "
+            f"[{lo[i]:.6g}, {hi[i]:.6g}]")
 
 
 def swift_prices(theta: HestonParams, ctx: MarketContext,
@@ -119,10 +120,9 @@ def run_price(backend: str, theta: HestonParams, qf: QuoteFile,
     elif backend == "cp":
         qc = QuadratureConfig(u_max=ov.u_max)
         prices = np.array([price_cp(theta, qf.context, q, qc) for q in qf.quotes])
-        calls = prices - put_offsets(qf.quotes, qf.context)
-        strikes = np.array([q.strike for q in qf.quotes])
-        for tau, idx in group_by_maturity(qf.quotes).items():
-            _check_band(calls[idx], strikes[idx], tau, qf.context, _CP_BAND_TOL)
+        _check_band(prices - put_offsets(qf.quotes, qf.context),
+                    np.array([q.strike for q in qf.quotes]),
+                    [q.maturity for q in qf.quotes], qf.context, _CP_BAND_TOL)
         config = asdict(qc)
     else:
         raise ValueError(f"unknown backend {backend!r}")
@@ -200,11 +200,14 @@ def make_calibration_backend(name: str, quotes, ctx, theta_ref,
 
 def run_calibrate(backend_name: str, qf: QuoteFile, theta0: HestonParams,
                   config: CalibrationConfig = CalibrationConfig(),
-                  u_max: float = QuadratureConfig.u_max):
-    """Calibrate a quote file (u_max: cp's quadrature); returns (report, result)."""
+                  u_max: float = QuadratureConfig.u_max, split_groups: bool = False):
+    """Build a backend and fit a quote file with it (u_max: cp's quadrature,
+    split_groups: kswift's); returns (report, result).  Every driver times a
+    fit as the report's ``setup_s`` (the build) plus ``calibrate_s`` (the
+    fit); module-level, so process pools can run it."""
     t0 = time.perf_counter()
     backend = make_calibration_backend(backend_name, qf.quotes, qf.context,
-                                       theta0, u_max)
+                                       theta0, u_max, split_groups)
     setup_s = time.perf_counter() - t0
     result = calibrate(qf.quotes, theta0, qf.context, config, backend)
     fitted = result.theta_hat
@@ -229,19 +232,6 @@ def run_calibrate(backend_name: str, qf: QuoteFile, theta0: HestonParams,
     return report, result
 
 
-def _timed_calibration(backend_name, qf, theta0, config,
-                       u_max=QuadratureConfig.u_max, split_groups=False):
-    """One timed build-plus-calibrate pass (setup counts toward solve time).
-
-    Module-level, so process pools can run it.
-    """
-    t0 = time.perf_counter()
-    backend = make_calibration_backend(backend_name, qf.quotes, qf.context,
-                                       theta0, u_max, split_groups=split_groups)
-    result = calibrate(qf.quotes, theta0, qf.context, config, backend)
-    return time.perf_counter() - t0, result
-
-
 def run_speed(set_name: str, quotes: Sequence[OptionQuote], ctx: MarketContext,
               target: HestonParams, start: HestonParams, reps: int = 100,
               config: CalibrationConfig = CalibrationConfig(),
@@ -256,7 +246,9 @@ def run_speed(set_name: str, quotes: Sequence[OptionQuote], ctx: MarketContext,
     backend is timed over fewer repetitions (it is orders of magnitude
     slower; averaging it like the fast paths would dominate the run).
     Repetitions alternate between the backends, one of each per round, so
-    load on the host during the run falls on every backend alike.
+    load on the host during the run falls on every backend alike.  Each
+    repetition is one :func:`run_calibrate` fit, timed as its report's
+    ``setup_s + calibrate_s`` (backend build included).
     """
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
@@ -270,9 +262,10 @@ def run_speed(set_name: str, quotes: Sequence[OptionQuote], ctx: MarketContext,
     for i in range(reps):
         for name, n, split in plans:
             if i < n:
-                dt, results[name] = _timed_calibration(name, qf, start, config,
-                                                       u_max, split_groups=split)
-                samples[name].append(dt)
+                report, results[name] = run_calibrate(name, qf, start, config,
+                                                      u_max, split)
+                wall = report.metadata["wall_times"]
+                samples[name].append(wall["setup_s"] + wall["calibrate_s"])
     rows, times = [], {}
     for name, n, _ in plans:
         result = results[name]
@@ -313,7 +306,8 @@ def run_converge(target_name: str, quotes: Sequence[OptionQuote],
     are numpy-bound and too fine-grained for threads to help).  Every
     process, parent or worker, runs the library alike: it splits long chf
     sweeps over the CPUs it may run on, and BLAS keeps the thread count the
-    environment sets.
+    environment sets.  Each trial is one kswift :func:`run_calibrate` fit,
+    timed as its report's ``setup_s + calibrate_s`` (backend build included).
     """
     if target_name not in CONVERGE_TARGETS:
         raise ValueError(f"target must be one of {CONVERGE_TARGETS}")
@@ -326,7 +320,7 @@ def run_converge(target_name: str, quotes: Sequence[OptionQuote],
     rng = np.random.default_rng(seed)
     starts = [HestonParams.from_array(vec) for vec in
               target.as_array() * rng.uniform(0.9, 1.1, size=(trials, 5))]
-    trial = partial(_timed_calibration, "kswift", qf, config=config)
+    trial = partial(run_calibrate, "kswift", qf, config=config)
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -334,11 +328,12 @@ def run_converge(target_name: str, quotes: Sequence[OptionQuote],
     else:
         outcomes = [trial(start) for start in starts]
 
-    trial_times = [dt for dt, _ in outcomes]
+    walls = [report.metadata["wall_times"] for report, _ in outcomes]
+    trial_times = [wall["setup_s"] + wall["calibrate_s"] for wall in walls]
     results = [r for _, r in outcomes]
     errors = np.abs(np.array([r.theta_hat.as_array() for r in results])
                     - target.as_array())
-    converged = [r.stop_reason is StopReason.RESIDUAL_TOL for r in results]
+    converged = [r.calibrated for r in results]
     row = {"target": target_name, "trials": trials,
            "share_converged": float(np.mean(converged)),
            "mean_iterations": float(np.mean([r.iterations for r in results])),

@@ -55,8 +55,12 @@ PARAM_ORDER = ("v0", "v_bar", "sigma", "kappa", "rho")
 # 1.12x at 4,096 frequencies and 1.44x at 8,192 for the value alone, 0.77x
 # and 1.23x for value plus gradient (fx, per-element tau, alternating medians).
 _CHUNK_FLOOR = 4096
-_pool = None  # (pid, executor) of the chunk worker threads, made on first use
+_pool = None  # executor of the chunk worker threads, made on first use
 _pool_lock = threading.Lock()
+# a forked child inherits no worker thread, and may inherit the lock held
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        after_in_child=lambda: globals().update(_pool=None, _pool_lock=threading.Lock()))
 
 
 class ChfOverflowError(ArithmeticError):
@@ -180,15 +184,14 @@ def _chunk_edges(n: int) -> tuple:
 
 
 def _executor() -> ThreadPoolExecutor:
-    """The worker threads, made on first use in each process: a forked child
-    inherits the parent's executor but none of its threads."""
+    """The worker threads, made on first use in each process (a forked child
+    starts with none)."""
     global _pool
     with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid():
-            _pool = (os.getpid(), ThreadPoolExecutor(
-                max_workers=max(1, _usable_cpus() - 1),
-                thread_name_prefix="swiftcal-chf"))
-        return _pool[1]
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=max(1, _usable_cpus() - 1),
+                                       thread_name_prefix="swiftcal-chf")
+        return _pool
 
 
 def _run(lanes) -> list:

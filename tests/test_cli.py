@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swiftcal import cli
+from swiftcal import cli, experiments
+from swiftcal.calibrate import CalibrationConfig
 from swiftcal.cli import _PRICING_FLAGS, _UNREAD_BY_BACKEND, build_parser, main
 from swiftcal.experiments import PricingOverrides
-from swiftcal.fixtures import PARAM_SETS
+from swiftcal.fixtures import DEFAULT_CONTEXT, PARAM_SETS, set2_quotes
 from swiftcal.heston import ChfOverflowError
 from swiftcal.quotes import load_quote_file, loads_quotes
 from swiftcal.reference import QuadratureConfig, price_cp
@@ -123,6 +124,8 @@ EXTREME_PRICE_CASES = {  # name: (params, quote rows or a bundled set)
     "tau-1e300": ("theta2", "spot 1.0\n1e300,1.0,call\n"),
     "strike-1e300": ("theta2", "spot 1.0\n1.0,1e300,call\n"),
     "tau-1000": ("theta2", "spot 1.0\n1000,1.0,call\n"),
+    # a maturity priced inside the band, then the tau=1000 call
+    "tau-1000-second": ("theta2", "spot 1.0\n0.5,0.9,call\n1000,1.0,call\n"),
 }
 # (case, backend): a message the failure must name
 EXTREME_PRICE_FAILURES = {
@@ -134,6 +137,8 @@ EXTREME_PRICE_FAILURES = {
     ("kappa-underflow", "swift"): "interval at scale 7 is not finite",
     ("tau-1000", "swift"): "outside its no-arbitrage band",
     ("tau-1000", "cp"): "call price 1.49879 at tau=1000, K=1 lies outside",
+    ("tau-1000-second", "swift"): "at tau=1000, K=1 lies outside",
+    ("tau-1000-second", "cp"): "call price 1.49879 at tau=1000, K=1 lies outside",
 }
 
 
@@ -755,14 +760,32 @@ def test_boolean_in_quote_json_exits_input_error(capsys, tmp_path):
     assert "strike must be a number, got true" in err
 
 
-def test_calibrate_on_no_quotes_exits_zero(capsys, tmp_path):
-    # an empty quote set selects nothing and shares no sweep
+def test_calibrate_on_no_quotes_exits_input_error(capsys, tmp_path):
+    # no quotes, no fit: the start is not reported as a ResidualTol fit
     path = tmp_path / "empty.quotes"
     path.write_text("spot 1.0\n")
-    code, out, _ = run_cli(capsys, "calibrate", "--quotes", str(path), "--start",
-                           "theta2")
-    assert code == 0
-    assert "n_quotes: 0" in out
+    for backend in ("kswift", "swift", "cp"):
+        code, out, err = run_cli(capsys, "calibrate", "--quotes", str(path),
+                                 "--start", "theta2", "--backend", backend)
+        assert code == 2, backend
+        assert out == ""
+        assert err == ("error: the quote set is empty: calibration needs at least "
+                       "one quote\n")
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["price", "--params", "theta2", "--quotes", "{dir}"], "Is a directory"),
+    (["price", "--params", "{dir}", "--quotes", "set1"], "Is a directory"),
+    (["price", "--params", "theta2", "--quotes", "set1", "--out",
+      "{dir}/missing/rep.json"], "No such file or directory"),
+], ids=["quotes-directory", "params-directory", "out-missing-directory"])
+def test_unusable_path_exits_input_error(capsys, tmp_path, argv, named):
+    # a path that cannot be read or written is an input error, not a traceback
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and named in err and str(tmp_path) in err
+    assert len(err.splitlines()) == 1
 
 
 def test_bundled_stress_quote_set(capsys, tmp_path):
@@ -965,6 +988,111 @@ def test_forked_pool_workers_remake_the_chunk_threads(tmp_path):
         pytest.fail("a forked child hung after the parent swept on threads")
     assert proc.returncode == 0, err
     assert out.strip() == "ok"
+
+
+_FORK_HOLDING_LOCKS_SCRIPT = """
+import os
+
+import numpy as np
+from swiftcal import heston, swift
+from swiftcal.fixtures import DEFAULT_CONTEXT, PARAM_SETS
+
+heston._usable_cpus = lambda: 2  # the child splits its sweep, also on one CPU
+locks = (heston._pool_lock, swift._tables_lock)
+for lock in locks:  # held as the child is forked; only the parent releases
+    lock.acquire()
+pid = os.fork()
+if pid == 0:  # sweep on the chunk threads and store a new table
+    heston.chf_cui_parts(np.linspace(0.0, 100.0, 32768), 1.0, PARAM_SETS["fx"],
+                         DEFAULT_CONTEXT)
+    swift._twiddle_table(64)
+    os._exit(0)
+for lock in locks:
+    lock.release()
+_, status = os.waitpid(pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0
+print("ok")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_child_forked_while_the_locks_are_held_takes_its_own(tmp_path):
+    # the chunk executor's lock and the table store's lock are both remade
+    # in a forked child, so a lock held at the fork cannot hang it.  Run in
+    # its own session so a hung parent and child are killed together.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen([sys.executable, "-c", _FORK_HOLDING_LOCKS_SCRIPT],
+                            env=env, cwd=tmp_path, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("a child forked while a lock was held hung")
+    assert proc.returncode == 0, err
+    assert out.strip() == "ok"
+
+
+@pytest.fixture()
+def fits(monkeypatch):
+    """The reports of every run_calibrate call, in call order."""
+    reports, real = [], experiments.run_calibrate
+
+    def counted(*args, **kwargs):
+        report, result = real(*args, **kwargs)
+        reports.append(report)
+        return report, result
+
+    monkeypatch.setattr(experiments, "run_calibrate", counted)
+    return reports
+
+
+def _fit_s(report):
+    wall = report.metadata["wall_times"]
+    return wall["setup_s"] + wall["calibrate_s"]
+
+
+@pytest.mark.parametrize("set_name,want", [
+    ("set2", {"swift": 1, "kswift": 2, "cp": 2}), ("set3", {"kswift": 2})])
+def test_speed_times_each_run_calibrate_fit(fits, set_name, want):
+    # every timed fit is one run_calibrate call, timed as build plus fit
+    rep = experiments.run_speed(set_name, set2_quotes(), DEFAULT_CONTEXT,
+                                PARAM_SETS["theta2"], PARAM_SETS["theta2-start"],
+                                reps=2, config=CalibrationConfig(max_iterations=1))
+    by_backend = {}
+    for report in fits:
+        by_backend.setdefault(report.metadata["backend"], []).append(report)
+    assert {name: len(r) for name, r in by_backend.items()} == want
+    for name, reports in by_backend.items():
+        times = [_fit_s(r) for r in reports]
+        assert rep.metadata["wall_times"][name] == {
+            "mean_s": float(np.mean(times)), "min_s": float(np.min(times)),
+            "reps": want[name]}
+    # set3 splits every quote into its own group; set2 groups its 8 maturities
+    groups = 40 if set_name == "set3" else 8
+    assert all(len(r.metadata["swift_params"]) == groups
+               for name in ("swift", "kswift") for r in by_backend.get(name, ()))
+
+
+def test_converge_times_each_run_calibrate_fit(fits):
+    rep = experiments.run_converge("eq", set2_quotes(), DEFAULT_CONTEXT, trials=3,
+                                   workers=1, config=CalibrationConfig(max_iterations=1))
+    assert [r.metadata["backend"] for r in fits] == ["kswift"] * 3
+    times = [_fit_s(r) for r in fits]
+    assert rep.metadata["wall_times"] == {"mean_trial_s": float(np.mean(times)),
+                                          "total_s": float(np.sum(times))}
+
+
+def test_swift_and_kswift_reports_record_one_discretization(priced_set2):
+    # both backends price on the grids of one plan, and both reports say which
+    qf = load_quote_file(priced_set2)
+    params = [experiments.run_calibrate(backend, qf, PARAM_SETS["theta2-start"],
+                                        CalibrationConfig(max_iterations=1))[0]
+              .metadata["swift_params"] for backend in ("swift", "kswift")]
+    assert len(params[0]) == 8
+    assert params[0] == params[1]
 
 
 def test_speed_cli_smoke(capsys, tmp_path):
