@@ -28,7 +28,7 @@ from .heston import (
     cumulants,
 )
 from .quotes import QuoteFile, QuoteParseError, load_quote_file, save_quote_file
-from .reference import QuadratureConfig, price_and_gradient_cp, price_cp
+from .reference import QuadratureConfig, price_and_gradient_cp, price_cp, prices_cp
 from .reports import ExperimentReport
 from .swift import (
     MultiStrikePricer,
@@ -53,6 +53,6 @@ __all__ = [
     "SwiftBackend", "SwiftParams", "calibrate",
     "chf_cui", "chf_with_gradient", "cumulants", "density_area",
     "lm_step", "load_quote_file", "payoff_coefficients",
-    "price_and_gradient_cp", "price_cp", "price_multi_strike",
+    "price_and_gradient_cp", "price_cp", "price_multi_strike", "prices_cp",
     "save_quote_file", "select_scale", "select_truncation",
 ]

@@ -264,7 +264,14 @@ class SwiftBackend:
 
 
 class CpBackend:
-    """Quadrature reference backend; price and gradient share nodes."""
+    """Quadrature reference backend; price and gradient share nodes.
+
+    Prices quote by quote, one chf sweep each, on purpose: its set1 time
+    against :class:`KswiftBackend` is the paper's speed claim against the
+    state of the art, gated in ``test_speed_properties``.  Sharing each
+    maturity's sweep (:func:`~swiftcal.reference.prices_cp`) would change
+    that comparator; whether it should is open (ROADMAP item 13).
+    """
 
     def __init__(self, quotes: Sequence[OptionQuote], ctx: MarketContext,
                  qc: QuadratureConfig = QuadratureConfig()):

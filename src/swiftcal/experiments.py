@@ -28,7 +28,7 @@ from .calibrate import (
 from .fixtures import CONVERGE_TARGETS, PARAM_SETS
 from .heston import HestonParams, MarketContext, PARAM_ORDER
 from .quotes import QuoteFile
-from .reference import QuadratureConfig, price_cp
+from .reference import QuadratureConfig, prices_cp
 from .reports import ExperimentReport
 from .swift import (
     DEFAULT_L,
@@ -38,7 +38,9 @@ from .swift import (
     put_offsets,
 )
 # Unused here: perfbench/tracing.py rebinds these names in this module,
-# until the benchmark counts without rebinding.
+# until the benchmark counts without rebinding (price_cp: until it wraps
+# prices_cp, which run_price calls instead).
+from .reference import price_cp  # noqa: F401
 from .swift import price_multi_strike, select_scale, select_truncation  # noqa: F401
 
 # Slack of the no-arbitrage band per unit of discounted strike: far above the
@@ -109,6 +111,10 @@ def run_price(backend: str, theta: HestonParams, qf: QuoteFile,
               ov: PricingOverrides = PricingOverrides()) -> ExperimentReport:
     """Price every quote in the file with the swift or the cp backend.
 
+    swift sweeps each selected grid once (:func:`swift_prices`); cp prices
+    the whole file with one :func:`prices_cp` call, one chf sweep over its
+    distinct maturities.
+
     Raises:
         NoConvergenceError: a call, before its parity offset, fails
             :func:`_check_band`, whose slack is ``_CP_BAND_TOL`` for cp.
@@ -119,7 +125,7 @@ def run_price(backend: str, theta: HestonParams, qf: QuoteFile,
         config = {repr(tau): asdict(sp) for tau, sp in used.items()}
     elif backend == "cp":
         qc = QuadratureConfig(u_max=ov.u_max)
-        prices = np.array([price_cp(theta, qf.context, q, qc) for q in qf.quotes])
+        prices = prices_cp(theta, qf.context, qf.quotes, qc)
         _check_band(prices - put_offsets(qf.quotes, qf.context),
                     np.array([q.strike for q in qf.quotes]),
                     [q.maturity for q in qf.quotes], qf.context, _CP_BAND_TOL)

@@ -17,9 +17,11 @@ method.  Deep out-of-the-money short-expiry prices do not converge in ubar
 at all -- tests pin that behavior down rather than masking it.
 
 fhat is the package's one stabilized form, ``heston.chf_cui_parts``, swept
-on one stored node table per (nodes, ubar); the price and the
-price-and-gradient entry points share one inversion assembly, the latter
-adding ``chf_gradient_from_parts`` on the same sweep.
+on one stored node table per (nodes, ubar).  fhat does not depend on the
+strike, so a quote set is priced from one sweep over its distinct
+maturities (``prices_cp``); ``price_cp`` and ``price_and_gradient_cp`` are
+its one-quote case, the latter adding ``chf_gradient_from_parts`` on the
+same sweep.  Every price is bitwise the same alone or in any set.
 
 Puts are priced from calls via put-call parity (``swift.parity_offset``).
 """
@@ -33,7 +35,11 @@ import numpy as np
 
 from .heston import (HestonParams, MarketContext, chf_cui_parts, chf_gradient_from_parts,
                      chf_grid_terms)
-from .swift import _stored, parity_offset
+from .swift import MAX_J, _stored, parity_offset
+
+# Most frequencies one chf call sweeps, and most elements of a phase or
+# integrand block: a larger quote set is priced in row blocks.
+_BLOCK = MAX_J
 
 
 @dataclass(frozen=True)
@@ -52,51 +58,93 @@ class QuadratureConfig:
 
 @_stored
 def _grid(nodes: int, u_max: float):
-    """Nodes u and weights mapped from [-1, 1] onto (0, u_max), 1/(iu), and
-    the chf grid terms of both node sets (-u + i, u), swept together: per-call
-    overhead dominates 2 x 64 nodes."""
+    """Nodes u and weights mapped from [-1, 1] onto (0, u_max), 1/(iu), the
+    phase exponents (1 + iu, -iu) of both node sets, and the chf grid terms
+    of both node sets (-u + i, u), swept together: per-call overhead
+    dominates 2 x 64 nodes."""
     x, w = np.polynomial.legendre.leggauss(nodes)
     half = u_max / 2.0
     u = half * (x + 1.0)
-    return (u, half * w, 1.0 / (1j * u),
+    return (u, half * w, 1.0 / (1j * u), np.concatenate((1.0 + 1j * u, -1j * u)),
             *chf_grid_terms(np.concatenate((-u + 1j, u))))
 
 
-def _invert(theta: HestonParams, ctx: MarketContext, quote, qc: QuadratureConfig,
+def _invert(theta: HestonParams, ctx: MarketContext, quotes, qc: QuadratureConfig,
             gradient: bool):
-    """(price, gradient or None) of one quote by the inversion formula.
+    """(prices, gradients or None) of a quote list by the inversion formula.
 
-    The gradient (per ``PARAM_ORDER``) is assembled only if asked for.
+    The quotes are taken in row blocks of at most ``_BLOCK`` phase elements
+    (2 x nodes per quote).  Each block makes one :func:`chf_cui_parts` call
+    over the node table tiled once per distinct maturity, with one tau per
+    frequency (a one-maturity block sweeps the stored table with a scalar
+    tau), so each maturity's values are bitwise its own sweep's and a call
+    covers at most ``_BLOCK`` frequencies.  The phases and integrands of
+    a block are 2-D elementwise arrays, one row per quote, and each quote
+    keeps its own dot with the weights (a matrix-vector product may sum in
+    another order), so every price is bitwise the one its quote gets alone.
+    The gradients (per ``PARAM_ORDER``, one row per quote; the chf gradient
+    holds five values per frequency) are assembled only if asked for.
     Parity is parameter-free, so a put shares its call's gradient.
     """
-    tau, strike = quote.maturity, quote.strike
-    x = np.log(ctx.spot / strike)
-    u, w, inv_iu, *terms = _grid(qc.nodes, qc.u_max)
+    u, w, inv_iu, exponent, *terms = _grid(qc.nodes, qc.u_max)
+    n = u.size
+    per_block = max(1, _BLOCK // (2 * n))
+    prices = np.empty(len(quotes))
+    grads = np.empty((len(quotes), 5)) if gradient else None
+    for b in range(0, len(quotes), per_block):
+        block = quotes[b:b + per_block]
+        first = {}
+        rows = [first.setdefault(q.maturity, len(first)) for q in block]
+        taus = list(first)
+        t = taus[0] if len(taus) == 1 else np.repeat(taus, 2 * n)
+        sweep = terms if len(taus) == 1 else [np.tile(g, len(taus)) for g in terms]
+        val, parts = chf_cui_parts(sweep[0], t, theta, ctx, sweep)
+        x = np.log([[ctx.spot / q.strike] for q in block])  # one row per quote
+        phase = np.exp(exponent * x)  # e^{(1 + iu) x}, then e^{-iux}
+        # each maturity's values at -u + i, then at u, one row per quote
+        prod = (val if len(taus) == 1 else
+                val.reshape(len(taus), 2 * n).take(rows, axis=0)) * phase
+        integrand = ((prod[:, :n] + prod[:, n:]) * inv_iu).real
+        if gradient:
+            grad = chf_gradient_from_parts(t, theta, val, parts).reshape(5, len(taus), 2 * n)
+        for j, (q, f) in enumerate(zip(block, integrand)):
+            tau, strike = q.maturity, q.strike
+            disc = np.exp(-ctx.rate * tau)
+            prices[b + j] = strike * (0.5 * (np.exp(x[j, 0] - ctx.dividend * tau) - disc)
+                                      + disc / np.pi * (w @ f))
+            if q.kind == "put":
+                prices[b + j] += parity_offset(ctx, strike, tau)
+            if gradient:
+                g, p = grad[:, rows[j]], phase[j]
+                grads[b + j] = strike * disc / np.pi * (
+                    np.real(g[:, :n] * (p[:n] * inv_iu) + g[:, n:] * (p[n:] * inv_iu)) @ w)
+    return prices, grads
 
-    val, parts = chf_cui_parts(terms[0], tau, theta, ctx, terms)
-    val_s, val_p = val[:u.size], val[u.size:]
-    phase_s = np.exp((1.0 + 1j * u) * x)
-    phase_p = np.exp(-1j * u * x)
 
-    disc = np.exp(-ctx.rate * tau)
-    integrand = np.real((val_s * phase_s + val_p * phase_p) * inv_iu)
-    price = strike * (0.5 * (np.exp(x - ctx.dividend * tau) - disc)
-                      + disc / np.pi * float(w @ integrand))
-    if quote.kind == "put":
-        price += parity_offset(ctx, strike, tau)
-    if not gradient:
-        return price, None
+def prices_cp(theta: HestonParams, ctx: MarketContext, quotes,
+              qc: QuadratureConfig = QuadratureConfig()) -> np.ndarray:
+    """Price a list of European options by Fourier inversion, in quote order.
 
-    grad = chf_gradient_from_parts(tau, theta, val, parts)
-    grad_s, grad_p = grad[:, :u.size], grad[:, u.size:]
-    grad_integrand = np.real(
-        (grad_s * (phase_s * inv_iu) + grad_p * (phase_p * inv_iu)))
-    return price, strike * disc / np.pi * (grad_integrand @ w)
+    One chf sweep per distinct maturity serves all of that maturity's
+    strikes; each price is bitwise the one :func:`price_cp` gives its quote,
+    and an empty list gives an empty array.
+
+    Args:
+        quotes: a sequence of anything with ``strike``, ``maturity`` and
+                ``kind`` attributes.
+        qc:     quadrature configuration (node count, truncation ubar).
+
+    Raises:
+        ChfOverflowError: if the characteristic function overflows at any
+            node; lower ``qc.u_max``.
+    """
+    return _invert(theta, ctx, quotes, qc, False)[0]
 
 
 def price_cp(theta: HestonParams, ctx: MarketContext, quote,
              qc: QuadratureConfig = QuadratureConfig()) -> float:
-    """Price one European option by Fourier inversion.
+    """Price one European option by Fourier inversion: :func:`prices_cp`
+    of a one-quote list.
 
     Args:
         quote: anything with ``strike``, ``maturity`` and ``kind`` attributes.
@@ -106,7 +154,7 @@ def price_cp(theta: HestonParams, ctx: MarketContext, quote,
         ChfOverflowError: if the characteristic function overflows at any
             node; lower ``qc.u_max``.
     """
-    return _invert(theta, ctx, quote, qc, False)[0]
+    return _invert(theta, ctx, [quote], qc, False)[0][0]
 
 
 def price_and_gradient_cp(theta: HestonParams, ctx: MarketContext, quote,
@@ -114,9 +162,11 @@ def price_and_gradient_cp(theta: HestonParams, ctx: MarketContext, quote,
     """Price and parameter gradient in one pass over shared quadrature nodes.
 
     The gradient integrand only replaces fhat with h * fhat, so the
-    characteristic function work is done once for both outputs.
+    characteristic function work is done once for both outputs.  The price
+    is bitwise :func:`price_cp`'s: both go through one inversion assembly.
 
     Returns:
         (price, gradient) with gradient ordered per ``PARAM_ORDER``.
     """
-    return _invert(theta, ctx, quote, qc, True)
+    prices, grads = _invert(theta, ctx, [quote], qc, True)
+    return prices[0], grads[0]

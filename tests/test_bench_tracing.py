@@ -119,26 +119,30 @@ def test_tracer_counts_run_price_through_the_plan(monkeypatch):
 
 def test_tracer_sees_every_quadrature_node(monkeypatch):
     # the quadrature reference sweeps chf_cui_parts on 2 x nodes frequencies
-    # per quote, for a price and for a price and gradient, reached through
-    # the reference module's names
+    # per distinct maturity of a quote set, for a price, and per quote for a
+    # price and gradient, reached through the reference module's names.
+    # run_price prices through prices_cp, which the tracer does not wrap, so
+    # reference.cp_nodes counts nothing for it until the benchmark does
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import Tracer
 
-    from swiftcal.fixtures import DEFAULT_CONTEXT, PARAM_SETS, set1_quotes
+    from swiftcal.fixtures import DEFAULT_CONTEXT, PARAM_SETS, set2_quotes
     from swiftcal.quotes import QuoteFile
 
     exp = importlib.import_module("swiftcal.experiments")
     ref = importlib.import_module("swiftcal.reference")
-    theta, quotes = PARAM_SETS["theta2"], set1_quotes()[:3]
+    theta, quotes = PARAM_SETS["theta2"], set2_quotes()[3:12]
+    maturities = len({q.maturity for q in quotes})
     qc = ref.QuadratureConfig()
     tracer = Tracer()
     with tracer.installed(), tracer.job(0):
         exp.run_price("cp", theta, QuoteFile(context=DEFAULT_CONTEXT, quotes=quotes))
         priced = dict(tracer.counts)
         ref.price_and_gradient_cp(theta, DEFAULT_CONTEXT, quotes[0], qc)
-    assert priced["reference.cp_nodes"] == len(quotes) * qc.nodes
-    assert priced["heston.chf_freqs"] == 2 * len(quotes) * qc.nodes
-    assert tracer.counts["heston.chf_freqs"] == 2 * (len(quotes) + 1) * qc.nodes
+    assert maturities == 3
+    assert "reference.cp_nodes" not in priced
+    assert priced["heston.chf_freqs"] == 2 * maturities * qc.nodes
+    assert tracer.counts["heston.chf_freqs"] == 2 * (maturities + 1) * qc.nodes
 
 
 def test_tracer_counts_the_tail_sweep_of_select_scale(monkeypatch):

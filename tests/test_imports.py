@@ -11,6 +11,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "swiftcal"
 # benchmark change that counts without rebinding.
 TRACER_BOUND = {("calibrate", "select_scale"),
                 ("calibrate", "select_truncation"),
+                ("experiments", "price_cp"),
                 ("experiments", "price_multi_strike"),
                 ("experiments", "select_scale"),
                 ("experiments", "select_truncation")}

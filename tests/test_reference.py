@@ -13,7 +13,10 @@ from swiftcal import (
     QuadratureConfig,
     price_and_gradient_cp,
     price_cp,
+    prices_cp,
 )
+from swiftcal.fixtures import (PARAM_SETS, STRESS_SPOT, set1_quotes, set2_quotes,
+                               stress_quotes)
 
 from conftest import price_jacobian_fd
 
@@ -97,10 +100,12 @@ def test_gradient_matches_finite_differences(theta2, ctx, set2_priced):
 
 
 def test_price_and_gradient_consistent(theta2, ctx):
-    q = OptionQuote(1.1, 0.75)
+    # one inversion assembly serves both: the prices agree to the bit
     qc = QuadratureConfig()
-    p, _ = price_and_gradient_cp(theta2, ctx, q, qc)
-    assert abs(p - price_cp(theta2, ctx, q, qc)) < 1e-14
+    for q in [OptionQuote(1.1, 0.75)] + set2_quotes()[::3]:
+        for quote in (q, OptionQuote(q.strike, q.maturity, kind="put")):
+            p, grad = price_and_gradient_cp(theta2, ctx, quote, qc)
+            assert p == price_cp(theta2, ctx, quote, qc) and grad.shape == (5,)
 
 
 def test_correlation_gradient_sign_deep_otm(ctx):
@@ -124,17 +129,20 @@ def test_correlation_gradient_vanishes_without_vol_of_vol(ctx):
 
 
 def test_repeated_pricing_builds_no_table(theta2, ctx, monkeypatch):
-    # the node table is built once per (nodes, u_max): a second price and a
-    # second price and gradient at one config insert nothing into the store
+    # the node table is built once per (nodes, u_max): a second price, a
+    # second price and gradient and a second quote-set request at one config
+    # insert nothing into the store
     from swiftcal import swift
 
     monkeypatch.setattr(swift, "_tables", {})
     qc, q = QuadratureConfig(48, 150.0), OptionQuote(1.1, 0.75, kind="put")
     price_cp(theta2, ctx, q, qc)
     price_and_gradient_cp(theta2, ctx, q, qc)
+    prices_cp(theta2, ctx, set2_quotes(), qc)
     held = list(swift._tables.items())
     price_cp(theta2, ctx, q, qc)
     price_and_gradient_cp(theta2, ctx, q, qc)
+    prices_cp(theta2, ctx, set2_quotes(), qc)
     assert len(held) == 1
     assert [(k, id(t)) for k, t in swift._tables.items()] == [(k, id(t)) for k, t in held]
 
@@ -154,3 +162,62 @@ def test_quadrature_config_validation():
         QuadratureConfig(nodes=1)
     with pytest.raises(ValueError):
         QuadratureConfig(u_max=-5.0)
+
+
+def _bitwise_cases():
+    """(label, context, quotes) of the set-pricing cases: set1, set2 and
+    stress, each quote as a call and as a put, in a seeded order that
+    interleaves maturities, at a nonzero rate and dividend; plus a
+    one-quote set and an empty set."""
+    rng = np.random.default_rng(3)
+    for name, quotes, spot in (("set1", set1_quotes(), 1.0), ("set2", set2_quotes(), 1.0),
+                               ("stress", stress_quotes(), STRESS_SPOT)):
+        both = [OptionQuote(q.strike, q.maturity, kind=kind)
+                for q in quotes for kind in ("call", "put")]
+        yield name, MarketContext(spot=spot, rate=0.03, dividend=0.01), [
+            both[i] for i in rng.permutation(len(both))]
+    yield "one quote", MarketContext(spot=1.0, rate=0.03, dividend=0.01), [
+        OptionQuote(1.1, 0.75, kind="put")]
+    yield "empty", MarketContext(spot=1.0, rate=0.03, dividend=0.01), []
+
+
+@pytest.mark.parametrize("block", [None, 3], ids=["one-block", "3-quote-blocks"])
+@pytest.mark.parametrize("qc", [QuadratureConfig(), QuadratureConfig(1536, 2400.0)],
+                         ids=["default", "1536-2400"])
+def test_prices_cp_equals_price_cp_bitwise(qc, block, monkeypatch):
+    # one sweep over a set's distinct maturities prices every quote to the
+    # bits price_cp gives it alone, on every parameter set; with the block
+    # bound patched to 3 quotes, a set is priced in row blocks, each with
+    # its own chf call over several maturities, to the same bits
+    from swiftcal import reference
+
+    if block is not None:
+        monkeypatch.setattr(reference, "_BLOCK", block * 2 * qc.nodes)
+    for label, ctx, quotes in _bitwise_cases():
+        for name, theta in PARAM_SETS.items():
+            want = np.array([price_cp(theta, ctx, q, qc) for q in quotes])
+            got = prices_cp(theta, ctx, quotes, qc)
+            assert got.shape == (len(quotes),), (label, name)
+            assert got.tobytes() == want.tobytes(), (label, name)
+
+
+def test_run_price_sweeps_the_quote_set_once(theta2, ctx, monkeypatch):
+    # a set2 cp request is one chf call over 2 x nodes frequencies for each
+    # of its 8 distinct maturities
+    from swiftcal import reference
+    from swiftcal.experiments import run_price
+    from swiftcal.quotes import QuoteFile
+
+    sizes = []
+    sweep = reference.chf_cui_parts
+
+    def counted(u, *args, **kwargs):
+        sizes.append(np.size(u))
+        return sweep(u, *args, **kwargs)
+
+    monkeypatch.setattr(reference, "chf_cui_parts", counted)
+    quotes = set2_quotes()
+    run_price("cp", theta2, QuoteFile(context=ctx, quotes=quotes))
+    maturities = len({q.maturity for q in quotes})
+    assert maturities == 8
+    assert sizes == [2 * QuadratureConfig().nodes * maturities]
