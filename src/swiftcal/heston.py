@@ -23,10 +23,16 @@ classic branch-cut-free form, which it keeps as an oracle.
 
 The compact form has one evaluation, the stabilized ``chf_cui_parts``;
 ``chf_cui`` returns its value and ``chf_gradient_from_parts`` the gradient
-from its intermediates.  A pricer sweeping one grid passes the grid's
-parameter-free terms (``chf_grid_terms``) back in as ``grid_terms``.  Both
-split a large sweep into contiguous chunks, one thread each, with results
-bitwise those of one chunk.
+from its intermediates.  It runs as a core of the terms that depend on u
+and theta alone (xi, d, d +- xi) and a tau stage.  A pricer sweeping one
+grid passes the grid's parameter-free terms (``chf_grid_terms``) back in as
+``grid_terms``.  The broadcast rule: one frequency row swept at a column of
+maturities (``u`` the row repeated, ``broadcast_rows``, and ``tau`` of shape
+(rows, 1)) computes the core once and broadcasts the tau stage over the
+rows, each row bitwise its own one-dimensional sweep.  ``modulus=True``
+asks for |fhat| alone, exp(Re log fhat), with no argument or complex
+exponential formed.  Both functions split a large sweep into contiguous
+chunks, one thread each, with results bitwise those of one chunk.
 
 Gradient ordering: all five-component parameter gradients in this package are
 ordered (v0, v_bar, sigma, kappa, rho) -- see ``PARAM_ORDER``.  Note this is
@@ -55,6 +61,8 @@ PARAM_ORDER = ("v0", "v_bar", "sigma", "kappa", "rho")
 # 1.12x at 4,096 frequencies and 1.44x at 8,192 for the value alone, 0.77x
 # and 1.23x for value plus gradient (fx, per-element tau, alternating medians).
 _CHUNK_FLOOR = 4096
+# the chf's floating-point errors are tested by _check_finite, not warned of
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 _pool = None  # executor of the chunk worker threads, made on first use
 _pool_lock = threading.Lock()
 # a forked child inherits no worker thread, and may inherit the lock held
@@ -141,10 +149,17 @@ def chf_grid_terms(u):
     return u, iu, u * u - iu
 
 
+def broadcast_rows(row, count: int) -> np.ndarray:
+    """``count`` rows that are all the contiguous one-dimensional ``row``: a
+    view, as ``np.broadcast_to`` makes, at a fraction of its per-call cost,
+    and read-only when ``row`` is (the stored tables are).  The ``u`` of a
+    sweep broadcast over maturities."""
+    return np.ndarray((count, row.size), row.dtype, row, 0, (0, row.itemsize))
+
+
 def _check_finite(values) -> None:
-    # a single reduction: any inf/nan poisons the sum
-    total = np.asarray(values).sum()
-    if not (np.isfinite(total.real) and np.isfinite(total.imag)):
+    # elementwise, so +inf beside -inf warns of nothing on its way to the error
+    if not np.isfinite(values).all():
         raise ChfOverflowError(
             "characteristic function overflowed double precision; "
             "reduce the frequency range"
@@ -174,13 +189,14 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _chunk_edges(n: int) -> tuple:
-    """Edges of the contiguous chunks an n-frequency sweep is split into: at
-    most one per usable CPU, none below ``_CHUNK_FLOOR``."""
-    if n < 2 * _CHUNK_FLOOR:
-        return 0, n
-    count = min(n // _CHUNK_FLOOR, _usable_cpus())
-    return tuple(n * i // count for i in range(count + 1))
+def _chunk_edges(length: int, size: int) -> tuple:
+    """Edges of the contiguous chunks a sweep of ``size`` values is split
+    into along its first axis, of ``length`` frequencies or rows: at most one
+    per usable CPU and per row, none below ``_CHUNK_FLOOR`` values."""
+    if size < 2 * _CHUNK_FLOOR:
+        return 0, length
+    count = min(size // _CHUNK_FLOOR, _usable_cpus(), length)
+    return tuple(length * i // count for i in range(count + 1))
 
 
 def _executor() -> ThreadPoolExecutor:
@@ -209,17 +225,33 @@ def _run(lanes) -> list:
     return [out for f in futures for out in f.result()] + last
 
 
+def _ndim(tau) -> int:
+    """np.ndim(tau), without the microseconds np.ndim takes on a float."""
+    return getattr(tau, "ndim", 0)
+
+
+def _by_row(tau) -> tuple:
+    """(tau, whether a sweep at tau broadcasts over rows).  A one-row column
+    is swept as its row at a scalar tau, bitwise the same: on small arrays
+    numpy's broadcasting costs more per call than one row could save."""
+    if _ndim(tau) != 2:
+        return tau, False
+    return (tau.item(), False) if len(tau) == 1 else (tau, True)
+
+
 def _at(tau, a: int, b: int):
-    """The maturity of frequencies a..b-1: a scalar tau, or its slice."""
-    return tau if np.ndim(tau) == 0 else tau[a:b]
+    """The maturity of frequencies (or rows) a..b-1: a scalar tau, or its slice."""
+    return tau[a:b] if _ndim(tau) else tau
 
 
 def chf_cui_parts(u, tau: float, theta: HestonParams, ctx: MarketContext,
-                  grid_terms=None):
+                  grid_terms=None, modulus: bool = False):
     """fhat(u) plus the stabilized intermediates the gradient reuses.
 
     The one stabilized evaluation of the compact form: every exp(d tau / 2)
-    factor is cancelled and log B stays in log space.  ``grid_terms``, the
+    factor is cancelled and log B stays in log space.  It runs in two
+    stages: a core of the terms that depend on u and theta alone
+    (:func:`_core`), and a tau stage.  ``grid_terms``, the
     :func:`chf_grid_terms` of a one-dimensional ``u``, lets a caller that
     sweeps one grid repeatedly skip recomputing them.  ``tau`` is a scalar
     or, for a one-dimensional ``u``, one maturity per frequency: a sweep over
@@ -229,35 +261,62 @@ def chf_cui_parts(u, tau: float, theta: HestonParams, ctx: MarketContext,
     operands swapped, and a complex multiply can round a * b and b * a apart
     in the last bit.
 
+    Broadcast over maturities: a two-dimensional ``u`` whose rows are one
+    frequency row, with ``tau`` a column of one maturity per row (shape
+    (rows, 1)) and ``grid_terms`` those of the row (by default of ``u[0]``).
+    The core is computed once, on the row, and the tau stage broadcasts it
+    over the rows; each row is bitwise the one-dimensional sweep of the row
+    at its scalar tau.
+
+    ``modulus`` asks for |fhat| alone, as exp(Re log fhat): the stage skips
+    q, both arguments and the complex exponential, and returns no
+    intermediates.  It is |fhat| to a few units in the last place, not
+    bitwise ``np.abs`` of the value.
+
     A large sweep is evaluated in contiguous chunks, at most one per usable
-    CPU and none below ``_CHUNK_FLOOR`` frequencies: all chunks but the last
-    run on worker threads, the last on the calling thread.  Every value is
-    elementwise, so the result is bitwise that of one chunk; a small sweep
-    is one chunk through the same code.
+    CPU and none below ``_CHUNK_FLOOR`` values, split by frequencies, or by
+    rows when broadcast: all chunks but the last run on worker threads, the
+    last on the calling thread.  Every value is elementwise, so the result
+    is bitwise that of one chunk; a small sweep is one chunk through the
+    same code.
 
     Returns (value, parts).  ``value`` has the shape of ``u``; ``parts`` is
-    an opaque sequence of per-chunk intermediates, in frequency order,
-    consumed by :func:`chf_gradient_from_parts`; holding on to it lets a
-    pricer reuse the transcendental-heavy work of a price evaluation when
-    the gradient at the same parameters is requested next (the gradient
+    an opaque sequence of per-chunk intermediates, in frequency (or row)
+    order, consumed by :func:`chf_gradient_from_parts`; holding on to it
+    lets a pricer reuse the transcendental-heavy work of a price evaluation
+    when the gradient at the same parameters is requested next (the gradient
     assembly itself is purely rational in these intermediates).  The parts
-    of consecutive sweeps, listed one after the other, are the parts of
-    their concatenated frequencies.
+    of consecutive one-dimensional sweeps, listed one after the other, are
+    the parts of their concatenated frequencies.  With ``modulus``, value
+    is |fhat| (real) and parts is None.
 
     Raises:
         ChfOverflowError: if the evaluation produces non-finite values.
     """
     shape = np.shape(u)
+    tau, by_row = _by_row(tau)
     if grid_terms is None:
-        grid_terms = chf_grid_terms(np.ravel(u))
-    value = np.empty(grid_terms[0].size, dtype=np.complex128)
-    edges = _chunk_edges(value.size)
+        grid_terms = chf_grid_terms(np.asarray(u)[0] if by_row else np.ravel(u))
+    value = np.empty(shape if by_row else grid_terms[0].size,
+                     dtype=np.float64 if modulus else np.complex128)
+    stage = _modulus_stage if modulus else _value_stage
+    core = None
+    if by_row:  # one core, shared by every chunk of rows
+        with np.errstate(**_QUIET):
+            core = _core(grid_terms, theta)
+
+    def chunk(terms, t, out):
+        with np.errstate(**_QUIET):
+            return stage(core if by_row else _core(terms, theta), t, theta, ctx, out)
+
+    edges = _chunk_edges(len(value), value.size)
     if len(edges) == 2:  # one chunk, on the calling thread
-        return value.reshape(shape), [_parts_chunk(grid_terms, tau, theta, ctx, value)]
-    parts = _run([[functools.partial(_parts_chunk, [g[a:b] for g in grid_terms],
-                                     _at(tau, a, b), theta, ctx, value[a:b])]
-                  for a, b in zip(edges, edges[1:])])
-    return value.reshape(shape), parts
+        parts = [chunk(grid_terms, tau, value)]
+    else:
+        parts = _run([[functools.partial(
+            chunk, grid_terms if by_row else [g[a:b] for g in grid_terms],
+            _at(tau, a, b), value[a:b])] for a, b in zip(edges, edges[1:])])
+    return value.reshape(shape), None if modulus else parts
 
 
 def _two_kvb(theta: HestonParams) -> float:
@@ -278,55 +337,95 @@ def _two_kvb(theta: HestonParams) -> float:
     return two_kvb
 
 
-def _parts_chunk(grid_terms, tau, theta: HestonParams, ctx: MarketContext, out):
-    """One chunk of :func:`chf_cui_parts`: writes fhat into ``out`` and
-    returns the chunk's intermediates."""
-    u, iu, u2 = grid_terms
-    sigma, kappa, v_bar, v0, rho = (
-        theta.sigma, theta.kappa, theta.v_bar, theta.v0, theta.rho)
-    two_kvb = _two_kvb(theta)
+def _core(grid_terms, theta: HestonParams):
+    """The tau-free terms of the compact form at a chunk of frequencies, or
+    at the row of a broadcast sweep: 2 kappa v_bar / sigma^2, the grid
+    terms, xi, d, d + xi, d - xi and d - kappa = sigma rho iu + d - xi.
 
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        xi = iu * (sigma * rho)
-        xi += kappa
-        d = np.sqrt(xi * xi + sigma**2 * u2)
-        decay = np.exp(d * -tau)  # |.| <= 1 since Re(d) >= 0
-        one_m = 1.0 - decay
-        a2 = np.multiply(d, 1.0 + decay)
-        a2 += xi * one_m
-        a2 *= 0.5  # v0 A2 exp(-d tau/2)
-        big_a = u2 * one_m
-        big_a *= 0.5 * v0
-        big_a /= a2
-        # log B = log d - log q + (kappa - d) tau/2 keeps exp((kappa - d) tau/2)
-        # in log space.  With q = d (1 + z), z = (d - xi)(decay - 1)/(2d), and
-        # d - xi formed as sigma^2 u2 / (d + xi) where d ~ xi, z and kappa - d =
-        # -(sigma rho iu + d - xi) keep full relative precision.  The real parts
-        # of the logs combine into -log|1 + z| (no branch cut); the imaginary
-        # parts stay two arguments, so the branch is that of log d - log q.
-        dpx = d + xi
-        dmx = d - xi
-        np.divide(sigma**2 * u2, dpx, out=dmx,
-                  where=d.real * xi.real + d.imag * xi.imag >= 0.0)
-        q = 0.5 * (dpx + dmx * decay)
-        z = np.multiply(dmx, decay - 1.0)
-        z /= 2.0 * d
-        big_d = (-0.5 * tau) * (iu * (sigma * rho) + dmx)
-        big_d.real -= 0.5 * np.log1p(z.real * (z.real + 2.0) + z.imag * z.imag)
-        big_d.imag += np.arctan2(d.imag, d.real)
-        big_d.imag -= np.arctan2(q.imag, q.real)
-        np.multiply(iu, tau * (kappa * v_bar * rho / sigma - ctx.drift), out=out)
-        out -= big_a
-        out += two_kvb * big_d
-        np.exp(out, out=out)
+    log B = log d - log q + (kappa - d) tau/2 keeps exp((kappa - d) tau/2) in
+    log space.  With q = d (1 + z), z = (d - xi)(decay - 1)/(2d), and d - xi
+    formed as sigma^2 u2 / (d + xi) where d ~ xi, z and kappa - d =
+    -(sigma rho iu + d - xi) keep full relative precision.
+    """
+    u, iu, u2 = grid_terms
+    sigma, kappa, rho = theta.sigma, theta.kappa, theta.rho
+    two_kvb = _two_kvb(theta)
+    sri = iu * (sigma * rho)
+    xi = sri + kappa
+    s2u2 = sigma**2 * u2
+    d = np.sqrt(xi * xi + s2u2)
+    dpx = d + xi
+    dmx = d - xi
+    np.divide(s2u2, dpx, out=dmx, where=d.real * xi.real + d.imag * xi.imag >= 0.0)
+    dmk = sri + dmx
+    return two_kvb, u, iu, u2, xi, d, dpx, dmx, dmk
+
+
+def _tau_terms(core, tau, theta: HestonParams):
+    """decay = exp(-d tau), v0 A2 exp(-d tau/2), A and log|1 + z|: the
+    part of the tau stage the value and the modulus share."""
+    _, _, _, u2, xi, d, _, dmx, _ = core
+    decay = np.exp(d * -tau)  # |.| <= 1 since Re(d) >= 0
+    one_m = 1.0 - decay
+    a2 = np.multiply(d, 1.0 + decay)
+    a2 += xi * one_m
+    a2 *= 0.5  # v0 A2 exp(-d tau/2)
+    big_a = u2 * one_m
+    big_a *= 0.5 * theta.v0
+    big_a /= a2
+    z = np.multiply(dmx, one_m)
+    z /= -2.0 * d  # (d - xi)(decay - 1)/(2d), signs moved to the divisor
+    # the real parts of the logs combine into -log|1 + z| (no branch cut)
+    log_abs_1pz = 0.5 * np.log1p(z.real * (z.real + 2.0) + z.imag * z.imag)
+    return decay, a2, big_a, log_abs_1pz
+
+
+def _value_stage(core, tau, theta: HestonParams, ctx: MarketContext, out):
+    """The tau stage of :func:`chf_cui_parts`: writes fhat into ``out`` and
+    returns the chunk's intermediates."""
+    two_kvb, u, iu, u2, xi, d, dpx, dmx, dmk = core
+    decay, a2, big_a, log_abs_1pz = _tau_terms(core, tau, theta)
+    q = 0.5 * (dpx + dmx * decay)
+    # the imaginary parts of the logs stay two arguments, so the branch is
+    # that of log d - log q
+    big_d = (-0.5 * tau) * dmk
+    big_d.real -= log_abs_1pz
+    big_d.imag += np.arctan2(d.imag, d.real)
+    big_d.imag -= np.arctan2(q.imag, q.real)
+    np.multiply(iu, tau * _drift_coef(theta, ctx), out=out)
+    out -= big_a
+    out += two_kvb * big_d
+    np.exp(out, out=out)
     _check_finite(out)
     return u, iu, xi, u2, d, decay, a2, big_a, big_d
+
+
+def _modulus_stage(core, tau, theta: HestonParams, ctx: MarketContext, out) -> None:
+    """The tau stage of :func:`chf_cui_parts` for |fhat| alone: writes
+    exp(Re log fhat) into ``out``, the real parts of the value stage's
+    log, so no argument and no complex exponential is formed."""
+    two_kvb, _, iu, _, _, _, _, _, dmk = core
+    _, _, big_a, log_abs_1pz = _tau_terms(core, tau, theta)
+    log_b = (-0.5 * tau) * dmk.real  # Re log B
+    log_b -= log_abs_1pz
+    np.multiply(iu.real, tau * _drift_coef(theta, ctx), out=out)
+    out -= big_a.real
+    out += two_kvb * log_b
+    np.exp(out, out=out)
+    _check_finite(out)
+
+
+def _drift_coef(theta: HestonParams, ctx: MarketContext) -> float:
+    """The coefficient of iu tau in log fhat: kappa v_bar rho / sigma - (r - q)."""
+    return theta.kappa * theta.v_bar * theta.rho / theta.sigma - ctx.drift
 
 
 def chf_gradient_from_parts(tau: float, theta: HestonParams, value, parts):
     """Gradient h(u) fhat(u) from a previous :func:`chf_cui_parts` call.
 
-    ``tau`` is the scalar or per-frequency maturity of that call.
+    ``tau`` is the scalar, per-frequency or per-row maturity of that call;
+    after a broadcast sweep the tau-free terms (1/d, sigma iu and the
+    partials of d) are formed once and broadcast over the rows.
 
     Rational in the stored intermediates: no square roots, logarithms or
     exponentials are evaluated, which is what makes reusing the price
@@ -346,17 +445,18 @@ def chf_gradient_from_parts(tau: float, theta: HestonParams, value, parts):
     Returns:
         complex array of shape (5,) + value.shape, ordered per ``PARAM_ORDER``.
     """
-    flat = np.ravel(value)
-    grad = np.empty((5, flat.size), dtype=np.complex128)
+    tau, by_row = _by_row(tau)
+    flat = value if by_row else np.ravel(value)
+    grad = np.empty((5,) + flat.shape, dtype=np.complex128)
     if len(parts) == 1:  # one chunk, on the calling thread
         _gradient_chunk(tau, theta, flat, parts[0], grad)
         return grad.reshape((5,) + np.shape(value))
-    lanes = len(_chunk_edges(flat.size)) - 1
+    lanes = len(_chunk_edges(len(flat), flat.size)) - 1
     runs = [[] for _ in range(lanes)]
     start = 0
     for chunk in parts:
-        stop = start + chunk[0].size
-        runs[(start + stop) * lanes // (2 * flat.size)].append(functools.partial(
+        stop = start + len(chunk[-1])  # log B: the chunk's frequencies or rows
+        runs[(start + stop) * lanes // (2 * len(flat))].append(functools.partial(
             _gradient_chunk, _at(tau, start, stop), theta, flat[start:stop], chunk,
             grad[:, start:stop]))
         start = stop
@@ -373,7 +473,7 @@ def _gradient_chunk(tau, theta: HestonParams, value, parts, out) -> None:
 
     zero_mask = (u == 0)
     has_zero = bool(zero_mask.any())
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(**_QUIET):
         if has_zero:
             # guard the divisions below; masked entries are zeroed at the end
             iu = np.where(zero_mask, 1j, iu)
@@ -420,7 +520,7 @@ def _gradient_chunk(tau, theta: HestonParams, value, parts, out) -> None:
                   + two_kvb * (d_drho * inv_d - r2_rho))
         out *= value
         if has_zero:
-            out[:, zero_mask] = 0.0
+            out[..., zero_mask] = 0.0
 
     _check_finite(out)
 

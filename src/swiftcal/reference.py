@@ -19,9 +19,11 @@ at all -- tests pin that behavior down rather than masking it.
 fhat is the package's one stabilized form, ``heston.chf_cui_parts``, swept
 on one stored node table per (nodes, ubar).  fhat does not depend on the
 strike, so a quote set is priced from one sweep over its distinct
-maturities (``prices_cp``); ``price_cp`` and ``price_and_gradient_cp`` are
-its one-quote case, the latter adding ``chf_gradient_from_parts`` on the
-same sweep.  Every price is bitwise the same alone or in any set.
+maturities (``prices_cp``): the node table broadcast over a column of
+them, its maturity-free terms computed once.  ``price_cp`` and
+``price_and_gradient_cp`` are its one-quote case, the latter adding
+``chf_gradient_from_parts`` on the same sweep.  Every price is bitwise the
+same alone or in any set.
 
 Puts are priced from calls via put-call parity (``swift.parity_offset``).
 """
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heston import (HestonParams, MarketContext, chf_cui_parts, chf_gradient_from_parts,
-                     chf_grid_terms)
+from .heston import (HestonParams, MarketContext, broadcast_rows, chf_cui_parts,
+                     chf_gradient_from_parts, chf_grid_terms)
 from .swift import MAX_J, _stored, parity_offset
 
 # Most frequencies one chf call sweeps, and most elements of a phase or
@@ -74,11 +76,11 @@ def _invert(theta: HestonParams, ctx: MarketContext, quotes, qc: QuadratureConfi
     """(prices, gradients or None) of a quote list by the inversion formula.
 
     The quotes are taken in row blocks of at most ``_BLOCK`` phase elements
-    (2 x nodes per quote).  Each block makes one :func:`chf_cui_parts` call
-    over the node table tiled once per distinct maturity, with one tau per
-    frequency (a one-maturity block sweeps the stored table with a scalar
-    tau), so each maturity's values are bitwise its own sweep's and a call
-    covers at most ``_BLOCK`` frequencies.  The phases and integrands of
+    (2 x nodes per quote).  Each block makes one :func:`chf_cui_parts` call:
+    the stored node table broadcast over a column of the block's distinct
+    maturities, so the tau-free core is computed once, each maturity's row
+    is bitwise its own sweep's, and a call covers at most ``_BLOCK``
+    frequencies.  The phases and integrands of
     a block are 2-D elementwise arrays, one row per quote, and each quote
     keeps its own dot with the weights (a matrix-vector product may sum in
     another order), so every price is bitwise the one its quote gets alone.
@@ -95,18 +97,15 @@ def _invert(theta: HestonParams, ctx: MarketContext, quotes, qc: QuadratureConfi
         block = quotes[b:b + per_block]
         first = {}
         rows = [first.setdefault(q.maturity, len(first)) for q in block]
-        taus = list(first)
-        t = taus[0] if len(taus) == 1 else np.repeat(taus, 2 * n)
-        sweep = terms if len(taus) == 1 else [np.tile(g, len(taus)) for g in terms]
-        val, parts = chf_cui_parts(sweep[0], t, theta, ctx, sweep)
+        t = np.array(list(first))[:, None]  # one tau per maturity row
+        # each maturity's values at -u + i, then at u, one row per maturity
+        val, parts = chf_cui_parts(broadcast_rows(terms[0], len(t)), t, theta, ctx, terms)
         x = np.log([[ctx.spot / q.strike] for q in block])  # one row per quote
         phase = np.exp(exponent * x)  # e^{(1 + iu) x}, then e^{-iux}
-        # each maturity's values at -u + i, then at u, one row per quote
-        prod = (val if len(taus) == 1 else
-                val.reshape(len(taus), 2 * n).take(rows, axis=0)) * phase
+        prod = val.take(rows, axis=0) * phase
         integrand = ((prod[:, :n] + prod[:, n:]) * inv_iu).real
         if gradient:
-            grad = chf_gradient_from_parts(t, theta, val, parts).reshape(5, len(taus), 2 * n)
+            grad = chf_gradient_from_parts(t, theta, val, parts)
         for j, (q, f) in enumerate(zip(block, integrand)):
             tau, strike = q.maturity, q.strike
             disc = np.exp(-ctx.rate * tau)

@@ -34,8 +34,9 @@ half-width, ``interval_params`` the eta, J_d and x_high it implies, and
 ``calibrate.discretization_plan``, applies it to a quote set, grouped by
 maturity or one group per quote: one ``select_groups`` call selects every
 group's discretization together (the scale rule's tail sweep in ascending
-stages of scales, each over the maturities no earlier stage resolved, then
-one sweep block per growth round, each decision the one ``select_scale`` and
+stages of scales, each over the maturities no earlier stage resolved, one
+stored stage grid broadcast over them, then one sweep block per growth
+round, each decision the one ``select_scale`` and
 ``select_truncation`` make for the group alone), and the plan builds each
 group's ``MultiStrikePricer``, which starts from its slice of the block
 that swept its grid.  A calibration backend then joins all its
@@ -47,7 +48,8 @@ point by point.  Grid-only factors come from one store of tables held to
 64 MiB in all (``_stored``): the frequency grids (``_scaled_freqs``), the
 twiddles e^{-i pi k/(2J)} (``_twiddle_table``), the phase tables e^{-i x
 omega} of growth edges and pricer strikes (``_phase_matrix``), the scale
-rule's tail grids (``_tail_grid``) and the reference's node tables (``_grid``).
+rule's tail grids (``_tail_grid``, one per stage of scales) and the
+reference's node tables (``_grid``).
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ import numpy as np
 from .heston import (
     HestonParams,
     MarketContext,
+    broadcast_rows,
     chf_cui_parts,
     chf_gradient_from_parts,
     chf_grid_terms,
@@ -277,17 +280,17 @@ def _cosine_at(spectrum: np.ndarray, eta: int) -> np.ndarray:
 
 
 @_stored
-def _tail_grid(groups: int, first: int, stop: int):
+def _tail_grid(first: int, stop: int):
     """(nodes, spacing, *chf grid terms) of :func:`_tail_masses` at scales
     first to stop - 1: row slices of one table at scales 0 to ``MAX_SCALE``,
     so a row is bitwise the same in every slice that holds it; the nodes
-    flat, once for each of ``groups`` maturities, the spacing one row per
+    flat, one frequency row for every maturity, the spacing one row per
     scale."""
     lo = 2.0**np.arange(MAX_SCALE + 1) * np.pi
     u = np.linspace(lo, 4.0 * lo, _TAIL_QUAD_POINTS, axis=1)
     rows = slice(first * _TAIL_QUAD_POINTS, stop * _TAIL_QUAD_POINTS)
-    return (np.tile(u.ravel()[rows], groups), np.diff(u, axis=1)[first:stop],
-            *(np.tile(t[rows], groups) for t in chf_grid_terms(u.ravel())))
+    return (u.ravel()[rows].copy(), np.diff(u, axis=1)[first:stop],
+            *(t[rows].copy() for t in chf_grid_terms(u.ravel())))
 
 
 def _tail_masses(theta: HestonParams, taus: Sequence[float], ctx: MarketContext,
@@ -298,20 +301,22 @@ def _tail_masses(theta: HestonParams, taus: Sequence[float], ctx: MarketContext,
     Integrates |fhat| over [2^m pi, 2^{m+2} pi] by the trapezoidal rule (the
     continuation beyond two octaves is negligible whenever the result is
     anywhere near tolerance) and doubles it via Hermitian symmetry,
-    normalized by 1/(2 pi).  The scales and maturities asked for share one
-    characteristic sweep with a per-element tau (one per ``MAX_J``
-    frequencies), on a grid stored per maturity count and scale range; each
-    mass is bitwise the one every other call that sweeps its maturity and
-    scale gives, and the trapezoid is numpy's, term for term.
+    normalized by 1/(2 pi).  |fhat| is the chf's modulus alone
+    (``chf_cui_parts(..., modulus=True)``), exp(Re log fhat).  The scales
+    and maturities asked for share one characteristic sweep, the stored
+    grid of the scale range broadcast over a column of maturities (one
+    sweep per ``MAX_J`` frequencies), so the tau-free core is computed once
+    per sweep; each mass is bitwise the one every other call that sweeps
+    its maturity and scale gives, and the trapezoid is numpy's, term for
+    term.
     """
-    per_sweep = max(1, MAX_J // ((stop - first) * _TAIL_QUAD_POINTS))
+    u, d, *terms = _tail_grid(first, stop)
+    per_sweep = max(1, MAX_J // u.size)
     rows = []
     for i in range(0, len(taus), per_sweep):
-        block = taus[i:i + per_sweep]
-        u, d, *terms = _tail_grid(len(block), first, stop)
-        t = block[0] if len(block) == 1 else np.repeat(block, u.size // len(block))
-        vals = np.abs(chf_cui_parts(u, t, theta, ctx, terms)[0]).reshape(
-            len(block), d.shape[0], -1)
+        block = np.array(taus[i:i + per_sweep], dtype=float)[:, None]
+        vals = chf_cui_parts(broadcast_rows(u, len(block)), block, theta, ctx, terms,
+                             modulus=True)[0].reshape(len(block), d.shape[0], -1)
         rows.append((d * (vals[..., 1:] + vals[..., :-1]) / 2.0).sum(axis=-1) / np.pi)
     return np.concatenate(rows)
 
@@ -324,7 +329,9 @@ def _scales(theta: HestonParams, taus: Sequence[float], ctx: MarketContext,
 
     The rule reads a maturity's tail masses up to its first within tol and
     no further, so the scales are swept in the stages of ``_TAIL_STAGES``,
-    one sweep each over the maturities no earlier stage resolved.
+    one sweep each over the maturities no earlier stage resolved: the
+    stage's stored grid broadcast over them, modulus only
+    (:func:`_tail_masses`).
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol}")

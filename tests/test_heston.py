@@ -20,8 +20,9 @@ from swiftcal import (
     cumulants,
 )
 from swiftcal import heston
-from swiftcal.fixtures import PARAM_SETS
+from swiftcal.fixtures import PARAM_SETS, set2_quotes
 from swiftcal.heston import (
+    broadcast_rows,
     chf_cui_parts,
     chf_gradient_from_parts,
     chf_grid_terms,
@@ -234,6 +235,97 @@ def test_chf_parts_with_tau_vector_bitwise(ctx):
             assert np.array_equal(grad[:, cols],
                                   chf_gradient_from_parts(t, th, value_t, parts_t)), (name, t)
             start = cols.stop
+
+
+def _broadcast_cases():
+    """(label, row, its grid terms, maturities) of the broadcast sweeps the
+    pricers make: each tail stage grid of the scale rule and the cp node
+    table, at set2's eight maturities and the stress quotes' two.  At 1536
+    nodes, and on the first tail stage, the ten rows hold 8,192 values or
+    more, enough to split across threads."""
+    from swiftcal.reference import _grid
+    from swiftcal.swift import _TAIL_STAGES, _tail_grid
+
+    taus = sorted({q.maturity for q in set2_quotes()}) + [0.04, 45.0]
+    for first, stop in _TAIL_STAGES:
+        u, _, *terms = _tail_grid(first, stop)
+        yield f"tail {first}-{stop}", u, terms, taus
+    for nodes, u_max in ((64, 200.0), (1536, 2400.0)):
+        terms = _grid(nodes, u_max)[4:]
+        yield f"cp {nodes}", terms[0], terms, taus
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_broadcast_sweep_is_each_row_bitwise(ctx, monkeypatch, cpus):
+    # one frequency row swept at a column of maturities: every row's value,
+    # gradient and modulus are bitwise the row's one-dimensional sweep at its
+    # scalar tau, on every parameter set, also when the rows split across
+    # two threads
+    monkeypatch.setattr(heston, "_usable_cpus", lambda: cpus)
+    split = 0
+    for label, row, terms, taus in _broadcast_cases():
+        u, col = broadcast_rows(row, len(taus)), np.array(taus)[:, None]
+        for name, th in PARAM_SETS.items():
+            value, parts = chf_cui_parts(u, col, th, ctx, terms)
+            grad = chf_gradient_from_parts(col, th, value, parts)
+            modulus = chf_cui_parts(u, col, th, ctx, terms, modulus=True)[0]
+            assert value.shape == modulus.shape == u.shape and grad.shape == (5,) + u.shape
+            assert len(parts) == (2 if cpus == 2 and u.size >= 2 * heston._CHUNK_FLOOR
+                                  else 1)
+            split += len(parts) - 1
+            for r, tau in enumerate(taus):
+                want, want_parts = chf_cui_parts(row, tau, th, ctx, terms)
+                assert value[r].tobytes() == want.tobytes(), (label, name, tau)
+                assert grad[:, r].tobytes() == chf_gradient_from_parts(
+                    tau, th, want, want_parts).tobytes(), (label, name, tau)
+                assert modulus[r].tobytes() == chf_cui_parts(
+                    row, tau, th, ctx, terms, modulus=True)[0].tobytes(), (label, name, tau)
+    assert split == (2 * len(PARAM_SETS) if cpus == 2 else 0)
+
+
+def test_modulus_is_the_modulus_of_the_value(ctx):
+    # exp(Re log fhat), with no argument or complex exponential formed, is
+    # |fhat| within 1e-15 relative on the broadcast sweeps, tau = 45
+    # included; below the smallest normal double, where fewer digits are
+    # kept, within 1e-15 of it
+    tiny = np.finfo(float).tiny
+    for label, row, terms, taus in _broadcast_cases():
+        col = np.array(taus)[:, None]
+        for name, th in PARAM_SETS.items():
+            modulus = chf_cui_parts(broadcast_rows(row, len(taus)), col, th, ctx, terms,
+                                    modulus=True)[0]
+            for r, tau in enumerate(taus):
+                want = np.abs(chf_cui(row, tau, th, ctx))
+                assert np.all(np.abs(modulus[r] - want) <= 1e-15 * np.maximum(want, tiny)), (
+                    label, name, tau)
+
+
+def test_modulus_raises_the_errors_of_the_value(ctx, monkeypatch):
+    # an overflow, in a worker chunk or on the calling thread, and parameters
+    # whose weight 2 kappa v_bar / sigma^2 has no float value raise the same
+    # error with the same message through the modulus as through the value,
+    # in one-dimensional and broadcast sweeps
+    monkeypatch.setattr(heston, "_usable_cpus", lambda: 2)
+    u = np.linspace(0.0, 100.0, 32768).astype(np.complex128)
+    u[:16384] = 500j
+    grid = np.linspace(0.5, 50.0, 64)
+    theta1 = PARAM_SETS["theta1"]
+    weightless = [HestonParams(kappa=1.5, v_bar=0.04, sigma=s, rho=-0.5, v0=0.04)
+                  for s in (1e-200, 1e-160)]
+    cases = [(u, 10.0, theta1), (u[:64], 10.0, theta1),
+             (broadcast_rows(u[:64], 3), np.array([[1.0], [10.0], [2.0]]), theta1)]
+    cases += [(g, tau, th) for th in weightless
+              for g, tau in ((grid, 1.0), (broadcast_rows(grid, 2), np.array([[1.0], [2.0]])))]
+    messages = set()
+    for u, tau, th in cases:
+        errors = []
+        for modulus in (False, True):
+            with pytest.raises(ChfOverflowError) as raised:
+                chf_cui_parts(u, tau, th, ctx, modulus=modulus)
+            errors.append((type(raised.value), str(raised.value)))
+        assert errors[0] == errors[1], errors
+        messages.add(errors[0][1])
+    assert len(messages) == 3
 
 
 @pytest.mark.parametrize("m,j_d", [(9, 16384), (10, 32768)])

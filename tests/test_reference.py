@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from swiftcal import (
+    ChfOverflowError,
     HestonParams,
     MarketContext,
     OptionQuote,
@@ -155,6 +156,16 @@ def test_put_call_parity(theta2, ctx):
         put = price_cp(theta2, ctx_r, OptionQuote(strike, 0.6, kind="put"), qc)
         want = math.exp(-0.005 * 0.6) - strike * math.exp(-0.02 * 0.6)
         assert abs(call - put - want) < 1e-12
+
+
+def test_overflowing_chf_raises_the_named_error():
+    # at rate 700 the chf at -u + i holds +inf beside -inf from tau = 1.2
+    # on; the finiteness check names the overflow, with no numpy warning
+    # before it (the suite fails on one)
+    ctx, theta = MarketContext(spot=1.0, rate=700.0), PARAM_SETS["theta2"]
+    assert np.all(np.isfinite(prices_cp(theta, ctx, [OptionQuote(1.0, 1.0)])))
+    with pytest.raises(ChfOverflowError, match="overflowed double precision"):
+        prices_cp(theta, ctx, [OptionQuote(1.0, 1.2)])
 
 
 def test_quadrature_config_validation():

@@ -32,6 +32,7 @@ from swiftcal import (
 )
 from swiftcal.calibrate import DEFAULT_BOUNDS, discretization_plan
 from swiftcal.experiments import swift_prices
+from swiftcal.heston import chf_cui_parts
 from swiftcal.reference import QuadratureConfig, price_cp
 from swiftcal.fixtures import (PARAM_SETS, STRESS_CONTEXT, set1_quotes, set2_quotes,
                                stress_quotes)
@@ -779,7 +780,7 @@ def _one_table_of_each_kind(i):
 
     return [(_scaled_freqs, (i % (MAX_SCALE + 1), 2**(4 + i % 6))),
             (_twiddle_table, (2**(3 + i % 9),)),
-            (_tail_grid, (1 + i % 4, *_TAIL_STAGES[i % 3])),
+            (_tail_grid, _TAIL_STAGES[i % 3]),
             (_phase_matrix, (np.linspace(-0.5, 0.5, 1 + i % 4) + i, i % 8,
                              2**(4 + i % 5))),
             (_grid, (8 + i, 100.0 + i))]
@@ -811,7 +812,7 @@ def test_tables_of_every_kind_share_one_byte_budget(phase_cache, monkeypatch):
 def test_tuple_tables_are_read_only_in_every_member(phase_cache):
     from swiftcal.reference import _grid
 
-    for table, want in ((_tail_grid(2, 0, 7), _tail_grid.__wrapped__(2, 0, 7)),
+    for table, want in ((_tail_grid(0, 7), _tail_grid.__wrapped__(0, 7)),
                         (_grid(16, 200.0), _grid.__wrapped__(16, 200.0))):
         assert isinstance(table, tuple) and len(table) == len(want)
         for a, b in zip(table, want):
@@ -824,14 +825,14 @@ def test_tuple_tables_are_read_only_in_every_member(phase_cache):
 def test_tuple_table_above_the_budget_is_returned_not_kept(phase_cache, monkeypatch):
     budget = 32 * 1024
     monkeypatch.setattr(phase_cache, "_TABLE_BUDGET", budget)
-    small = _tail_grid(1, 10, 13)
-    large = _tail_grid(1, 0, 7)
+    small = _tail_grid(10, 13)
+    large = _tail_grid(0, 7)
     assert sum(a.nbytes for a in small) <= budget < sum(a.nbytes for a in large)
     assert not any(a.flags.writeable for a in large)
-    want = _tail_grid.__wrapped__(1, 0, 7)
+    want = _tail_grid.__wrapped__(0, 7)
     assert [_bits(a) for a in large] == [_bits(a) for a in want]
-    assert list(phase_cache._tables) == [(_tail_grid.__wrapped__, (1, 10, 13))]
-    assert _tail_grid(1, 10, 13) is small and _tail_grid(1, 0, 7) is not large
+    assert list(phase_cache._tables) == [(_tail_grid.__wrapped__, (10, 13))]
+    assert _tail_grid(10, 13) is small and _tail_grid(0, 7) is not large
 
 
 def test_threads_building_every_kind_get_one_stored_table(phase_cache):
@@ -839,8 +840,7 @@ def test_threads_building_every_kind_get_one_stored_table(phase_cache):
     calls = [(f, args) for m, j in ((3, 256), (6, 1024), (9, 4096))
              for f, args in ((_scaled_freqs, (m, j)), (_twiddle_table, (2 * j,)),
                              (_phase_matrix, (x, m, j)))]
-    calls += [(_tail_grid, (groups, *stage))
-              for groups in (1, 2, 3) for stage in _TAIL_STAGES]
+    calls += [(_tail_grid, stage) for stage in _TAIL_STAGES]
     start = threading.Barrier(4)
 
     def build(_):
@@ -871,7 +871,7 @@ def _tables_in_child():
     from swiftcal import swift
 
     held = len(swift._tables)
-    swift._tail_grid(1, 0, 7)
+    swift._tail_grid(0, 7)
     swift._scaled_freqs(4, 64)
     assert len(swift._tables) == held + 2
 
@@ -908,14 +908,15 @@ def test_real_phase_product_is_the_complex_product(theta2, ctx, quotes):
 
 @pytest.mark.parametrize("name", ["theta2", "fx", "ir", "eq"])
 def test_tail_masses_bitwise_the_direct_trapezoid(name, ctx):
-    # the cached grid changes no mass: numpy's linspace and trapezoid on a
-    # fresh sweep give the same bits, at every scale and at the lowest few
+    # the stored grid and the staging change no mass: numpy's linspace and
+    # trapezoid on a fresh one-dimensional sweep of the modulus give the same
+    # bits, at every scale and at the lowest few
     theta = PARAM_SETS[name]
     for tau in (0.1, 1.0, 5.0):
         for cap in (MAX_SCALE, 3, MAX_SCALE):
             lo = 2.0**np.arange(cap + 1) * np.pi
             u = np.linspace(lo, 4.0 * lo, 129, axis=1)
-            vals = np.abs(chf_cui(u.ravel(), tau, theta, ctx)).reshape(u.shape)
+            vals = chf_cui_parts(u.ravel(), tau, theta, ctx, modulus=True)[0].reshape(u.shape)
             direct = np.trapezoid(vals, u, axis=1) / np.pi
             assert _bits(_tail_masses(theta, [tau], ctx)[0][:cap + 1]) == _bits(direct)
         # the selected scale is the first whose tail mass is within tolerance
